@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import os
 import sys
 from contextlib import contextmanager
@@ -35,7 +34,7 @@ from .features import (
     profile_to_dict,
 )
 from .hashing import fnv1a_64, stable_hash
-from .regression import FitModel, curve_points, fit as fit_curve, model_to_json, predict
+from .regression import FitModel, curve_points, fit as fit_curve, predict
 from .transport import (
     PERCENT_METRICS,
     ScoreTable,
@@ -46,8 +45,6 @@ from .transport import (
     report_to_dict,
 )
 from .corpus import corpus_to_json
-
-logger = logging.getLogger(__name__)
 
 PREDICTOR_COLUMNS = {
     "lexical": "lexical_difference",
@@ -536,7 +533,7 @@ def cmd_transport(cfg: RunConfig) -> None:
 
 
 def _join_points(
-    cfg: RunConfig,
+    by_domain: Mapping[str, CorpusSpec],
     records: Sequence[dict[str, Any]],
     table: ScoreTable,
     system: str,
@@ -544,7 +541,6 @@ def _join_points(
     predictor_column: str,
 ) -> list[tuple[float, float]]:
     """Join similarity records to scores: x from the record, y from the table."""
-    by_domain = {c.domain_id: c for c in cfg.corpora}
     points: list[tuple[float, float]] = []
     for rec in records:
         spec = by_domain.get(rec["target_id"])
@@ -569,6 +565,7 @@ def cmd_fit(cfg: RunConfig) -> None:
     spec = cfg.transport
     systems = list(spec.systems) if spec.systems is not None else table.systems(spec.task)
     percent = cfg.scores_metric.lower() in PERCENT_METRICS
+    by_domain = {c.domain_id: c for c in cfg.corpora}
 
     config_hash = cfg.config_hash()
     summary_fits: dict[str, Any] = {}
@@ -578,7 +575,7 @@ def cmd_fit(cfg: RunConfig) -> None:
     for system in systems:
         for predictor in cfg.predictors:
             column = PREDICTOR_COLUMNS[predictor]
-            points = _join_points(cfg, records, table, system, spec.task, column)
+            points = _join_points(by_domain, records, table, system, spec.task, column)
             if len(points) < 3:
                 skipped.append({"system": system, "predictor": predictor, "points": len(points)})
                 click.echo(

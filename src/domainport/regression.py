@@ -120,24 +120,6 @@ def _validate_points(
     return x, y
 
 
-def _solve_linear(e: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares (a, c) for y ~ a*e + c with fixed regressor e.
-
-    When the design is rank-deficient (e constant, e.g. b = 0) the
-    whole signal goes to the offset: a = 0, c = mean(y).
-    """
-    n = e.size
-    mean_e = float(np.sum(e)) / n
-    mean_y = float(np.sum(y)) / n
-    var_e = float(np.sum((e - mean_e) ** 2))
-    if var_e <= 1e-12 * max(float(np.sum(e * e)), 1e-300):
-        return 0.0, mean_y
-    cov_ey = float(np.sum((e - mean_e) * (y - mean_y)))
-    a = cov_ey / var_e
-    c = mean_y - a * mean_e
-    return a, c
-
-
 def _residuals(a: float, b: float, c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - (a * np.exp(-b * x) + c)
 
@@ -160,19 +142,33 @@ def _grid_candidates() -> np.ndarray:
 def _grid_search(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Best (a, b, c, sse) over the decay-rate grid.
 
-    The grid is scanned in ascending b; a candidate replaces the
-    incumbent only when it improves the SSE by more than 1e-12, so
-    ties resolve toward the smaller decay rate.
+    All candidates are evaluated in one (candidates x points) array
+    pass: a closed-form least-squares (a, c) per row, with a = 0 and
+    c = mean(y) on rows where exp(-b*x) is constant (e.g. b = 0), then
+    the row's SSE. The grid is then scanned in ascending b; a candidate
+    replaces the incumbent only when it improves the SSE by more than
+    1e-12, so ties resolve toward the smaller decay rate.
     """
-    best: tuple[float, float, float, float] | None = None
-    for b in _grid_candidates():
-        e = np.exp(-b * x)
-        a, c = _solve_linear(e, y)
-        s = _sse(a, b, c, x, y)
-        if best is None or s < best[3] - TIE_TOLERANCE:
-            best = (a, float(b), c, s)
-    assert best is not None
-    return best
+    bs = _grid_candidates()
+    n = x.size
+    e = np.exp(-bs[:, None] * x[None, :])
+    mean_e = np.sum(e, axis=1) / n
+    mean_y = float(np.sum(y)) / n
+    d = e - mean_e[:, None]
+    var_e = np.sum(d**2, axis=1)
+    cov_ey = np.sum(d * (y - mean_y), axis=1)
+    flat = var_e <= 1e-12 * np.maximum(np.sum(e * e, axis=1), 1e-300)
+    a = np.where(flat, 0.0, cov_ey / np.where(flat, 1.0, var_e))
+    c = np.where(flat, mean_y, mean_y - a * mean_e)
+    r = y - (a[:, None] * e + c[:, None])
+    # per-row np.dot keeps each SSE bitwise equal to _sse; a batched
+    # product sums in another order and can flip the tie rule
+    sse = [float(np.dot(row, row)) for row in r]
+    best = 0
+    for i in range(1, len(sse)):
+        if sse[i] < sse[best] - TIE_TOLERANCE:
+            best = i
+    return float(a[best]), float(bs[best]), float(c[best]), sse[best]
 
 
 def _gauss_newton(
@@ -230,25 +226,17 @@ def fit(
     if diverged:
         a, b, c, sse = ga, gb, gc, gsse
     log = FitLog(grid_b=gb, grid_sse=gsse, polish_steps=steps, step_rejected=rejected, diverged=diverged)
-    model = FitModel(
-        a=a,
-        b=b,
-        c=c,
-        predictor_name=predictor_name,
-        sse=sse,
-        mae=0.0,
-        n_points=int(x.size),
-        percent_scale=percent_scale,
-        fit_log=log,
-    )
-    mae = mean_absolute_error(model, list(zip(x.tolist(), y.tolist())))
+    # x and y are already validated, so the MAE can skip predict()'s point checks
+    total = 0.0
+    for xi, yi in zip(x.tolist(), y.tolist()):
+        total += abs(yi - _curve_value(a, b, c, percent_scale, xi))
     return FitModel(
         a=a,
         b=b,
         c=c,
         predictor_name=predictor_name,
         sse=sse,
-        mae=mae,
+        mae=total / x.size,
         n_points=int(x.size),
         percent_scale=percent_scale,
         fit_log=log,
@@ -261,10 +249,14 @@ def predict(model: FitModel, x: float) -> float:
         raise ComputationError("similarity value must be finite")
     if x < 0.0:
         raise ComputationError(f"negative similarity value: {x}")
-    if not all(math.isfinite(v) for v in (model.a, model.b, model.c)):
+    return _curve_value(model.a, model.b, model.c, model.percent_scale, x)
+
+
+def _curve_value(a: float, b: float, c: float, percent_scale: bool, x: float) -> float:
+    if not all(math.isfinite(v) for v in (a, b, c)):
         raise ComputationError("model parameters are not finite")
-    value = model.a * math.exp(-model.b * x) + model.c
-    if model.percent_scale:
+    value = a * math.exp(-b * x) + c
+    if percent_scale:
         value = min(max(value, 0.0), 100.0)
     return value
 

@@ -51,13 +51,15 @@ class ScoreEntry:
 class ScoreTable:
     entries: tuple[ScoreEntry, ...]
     metric_name: str = "F1"
+    _scores: dict[tuple[str, str, str, str], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[tuple[str, str, str, str]] = set()
+        scores: dict[tuple[str, str, str, str], float] = {}
         for e in self.entries:
-            if e.key() in seen:
+            if e.key() in scores:
                 raise ParseError(f"duplicate score entry for {e.key()}")
-            seen.add(e.key())
+            scores[e.key()] = e.score
+        object.__setattr__(self, "_scores", scores)
         if self.metric_name.lower() in PERCENT_METRICS:
             for e in self.entries:
                 if not (0.0 <= e.score <= 100.0):
@@ -66,27 +68,21 @@ class ScoreTable:
                     )
 
     def get(self, system: str, task: str, dataset: str, split: str) -> float:
-        for e in self.entries:
-            if e.key() == (system, task, dataset, split):
-                return e.score
-        raise ParseError(
-            f"score table has no entry for system={system!r} task={task!r} "
-            f"dataset={dataset!r} split={split!r}"
-        )
+        try:
+            return self._scores[(system, task, dataset, split)]
+        except KeyError:
+            raise ParseError(
+                f"score table has no entry for system={system!r} task={task!r} "
+                f"dataset={dataset!r} split={split!r}"
+            ) from None
 
     def systems(self, task: str | None = None) -> list[str]:
         """Distinct systems in first-appearance order, optionally per task."""
-        out: list[str] = []
-        for e in self.entries:
-            if task is not None and e.task != task:
-                continue
-            if e.system not in out:
-                out.append(e.system)
-        return out
+        return list(dict.fromkeys(e.system for e in self.entries if task is None or e.task == task))
 
 
 def _is_existing_path(candidate: str | Path) -> bool:
-    if isinstance(candidate, str) and ("\n" in candidate or "," in candidate):
+    if isinstance(candidate, str) and "\n" in candidate:
         return False
     try:
         return Path(candidate).is_file()

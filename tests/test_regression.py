@@ -15,8 +15,11 @@ from domainport.data import load_curve
 from domainport.errors import ComputationError
 from domainport.regression import (
     FitModel,
+    _grid_candidates,
+    _grid_search,
     _jacobian,
     _residuals,
+    _sse,
     curve_points,
     derivative,
     fit,
@@ -131,6 +134,64 @@ def test_fit_determinism_and_permutation_invariance(points, rng):
     assert (m1.a, m1.b, m1.c, m1.sse) == (m2.a, m2.b, m2.c, m2.sse)
     assert m1.b >= 0.0
     assert m1.sse >= 0.0
+
+
+def _reference_solve_linear(e, y):
+    n = e.size
+    mean_e = float(np.sum(e)) / n
+    mean_y = float(np.sum(y)) / n
+    var_e = float(np.sum((e - mean_e) ** 2))
+    if var_e <= 1e-12 * max(float(np.sum(e * e)), 1e-300):
+        return 0.0, mean_y
+    cov_ey = float(np.sum((e - mean_e) * (y - mean_y)))
+    a = cov_ey / var_e
+    return a, mean_y - a * mean_e
+
+
+def _reference_grid_search(x, y):
+    """The grid search as one closed-form solve and SSE per candidate b."""
+    best = None
+    for b in _grid_candidates():
+        a, c = _reference_solve_linear(np.exp(-b * x), y)
+        s = _sse(a, b, c, x, y)
+        if best is None or s < best[3] - 1e-12:
+            best = (a, float(b), c, s)
+    return best
+
+
+def _grid_point_sets(case, rng):
+    n = 3 if case == "n3" else int(rng.integers(4, 12))
+    if case == "repeated_x":
+        # with only two distinct x values every b > 0 fits the two group
+        # means, so the SSE plateaus and the tie rule picks the b
+        pool = rng.uniform(0.0, 3.0, size=int(rng.integers(2, 4)))
+        x = rng.choice(pool, size=n)
+        x[:2] = pool[:2]
+    elif case == "x_to_50":
+        x = rng.uniform(8.0, 50.0, size=n)  # exp(-100 * x) underflows to 0 on every point
+    else:
+        x = rng.uniform(0.0, 5.0, size=n)
+    if case == "constant_y":
+        y = np.full(n, float(rng.uniform(0.0, 100.0)))
+    else:
+        y = rng.uniform(0.0, 100.0, size=n)
+    order = np.lexsort((y, x))  # fit() hands the grid points sorted by (x, y)
+    return x[order], y[order]
+
+
+@pytest.mark.parametrize("case", ["n3", "constant_y", "repeated_x", "x_to_50"])
+def test_grid_search_is_bitwise_equal_to_the_per_candidate_loop(case):
+    rng = np.random.default_rng(["n3", "constant_y", "repeated_x", "x_to_50"].index(case))
+    for _ in range(6):
+        x, y = _grid_point_sets(case, rng)
+        got = _grid_search(x, y)
+        want = _reference_grid_search(x, y)
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        if case == "constant_y":
+            assert got[1] == 0.0
+        if case == "x_to_50":
+            assert not np.any(np.exp(-100.0 * x))  # the largest-b rows are flat
 
 
 # ---------------------------------------------------------------- predict

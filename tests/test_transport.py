@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +216,18 @@ def test_load_score_table_from_text_and_path(tmp_path):
     assert load_score_table(p).entries == from_text.entries
 
 
+def test_load_score_table_from_a_path_with_a_comma(tmp_path):
+    csv_text = "system,task,dataset,split,score\nsys,t,d,train,88.5\n"
+    p = tmp_path / "a,b" / "scores.csv"
+    p.parent.mkdir()
+    p.write_text(csv_text, encoding="utf-8")
+    assert load_score_table(str(p)).entries == load_score_table(csv_text).entries
+    assert load_score_table(p).get("sys", "t", "d", "train") == 88.5
+    # a single-line string that names no file is still read as CSV text
+    with pytest.raises(ParseError, match="no rows"):
+        load_score_table("system,task,dataset,split,score")
+
+
 def test_load_score_table_tolerates_comment_lines():
     csv_text = "#config_hash=abc,tool_version=0\nsystem,task,dataset,split,score\ns,t,d,x,50\n"
     assert load_score_table(csv_text).get("s", "t", "d", "x") == 50.0
@@ -231,6 +244,61 @@ def test_load_score_table_error_cases():
         load_score_table("")
     with pytest.raises(ParseError, match="no rows"):
         load_score_table("system,task,dataset,split,score\n")
+
+
+def grouped_entries(n_systems=60, n_datasets=80):
+    """A system-grouped table (all rows of one system together), tasks interleaved."""
+    rng = random.Random(11)
+    names = [f"sys{i:02d}" for i in range(n_systems)]
+    rng.shuffle(names)  # first-appearance order differs from sorted order
+    return [
+        ScoreEntry(system=s, task=f"t{d % 3}", dataset=f"d{d}", split="test", score=rng.uniform(1.0, 99.0))
+        for s in names
+        for d in range(n_datasets)
+    ]
+
+
+def test_large_table_lookups_match_a_linear_scan():
+    entries = grouped_entries()
+    table = ScoreTable(entries=tuple(entries))
+    assert len(table.entries) == 4800
+    for e in entries[::97] + entries[-3:]:
+        expected = next(f.score for f in entries if f.key() == e.key())
+        assert table.get(*e.key()) == expected
+
+
+def test_large_table_still_rejects_duplicates():
+    entries = grouped_entries()
+    dup = entries[2500]
+    with pytest.raises(ParseError) as excinfo:
+        ScoreTable(entries=tuple(entries) + (dup,))
+    assert str(excinfo.value) == f"duplicate score entry for {dup.key()}"
+
+
+def test_large_table_miss_message_is_unchanged():
+    table = ScoreTable(entries=tuple(grouped_entries()))
+    with pytest.raises(ParseError) as excinfo:
+        table.get("sys07", "t1", "d9999", "test")
+    assert str(excinfo.value) == (
+        "score table has no entry for system='sys07' task='t1' dataset='d9999' split='test'"
+    )
+
+
+def test_large_table_systems_keep_first_appearance_order():
+    entries = grouped_entries()
+    table = ScoreTable(entries=tuple(entries))
+
+    def reference(task=None):
+        out = []
+        for e in entries:
+            if (task is None or e.task == task) and e.system not in out:
+                out.append(e.system)
+        return out
+
+    assert table.systems() == reference()
+    assert table.systems() != sorted(table.systems())
+    for task in ("t0", "t1", "t2", "missing"):
+        assert table.systems(task) == reference(task)
 
 
 def test_bundled_fixture_shapes():
