@@ -23,6 +23,7 @@ GRID_B_MAX = 1e2
 GRID_B_POINTS = 1000
 POLISH_MAX_STEPS = 50
 TIE_TOLERANCE = 1e-12
+GRID_BLOCK_ELEMENTS = 1 << 16  # entries per grid block array (512 KiB of float64)
 
 _REL_STOP = 1e-15  # relative SSE improvement below which polishing stops
 
@@ -142,28 +143,35 @@ def _grid_candidates() -> np.ndarray:
 def _grid_search(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Best (a, b, c, sse) over the decay-rate grid.
 
-    All candidates are evaluated in one (candidates x points) array
-    pass: a closed-form least-squares (a, c) per row, with a = 0 and
-    c = mean(y) on rows where exp(-b*x) is constant (e.g. b = 0), then
-    the row's SSE. The grid is then scanned in ascending b; a candidate
-    replaces the incumbent only when it improves the SSE by more than
-    1e-12, so ties resolve toward the smaller decay rate.
+    Candidates are evaluated as (candidates x points) array blocks of at
+    most GRID_BLOCK_ELEMENTS entries, so memory stays O(n): a closed-form
+    least-squares (a, c) per row, with a = 0 and c = mean(y) on rows
+    where exp(-b*x) is constant (e.g. b = 0), then the row's SSE. The
+    grid is then scanned in ascending b; a candidate replaces the
+    incumbent only when it improves the SSE by more than 1e-12, so ties
+    resolve toward the smaller decay rate.
     """
     bs = _grid_candidates()
     n = x.size
-    e = np.exp(-bs[:, None] * x[None, :])
-    mean_e = np.sum(e, axis=1) / n
     mean_y = float(np.sum(y)) / n
-    d = e - mean_e[:, None]
-    var_e = np.sum(d**2, axis=1)
-    cov_ey = np.sum(d * (y - mean_y), axis=1)
-    flat = var_e <= 1e-12 * np.maximum(np.sum(e * e, axis=1), 1e-300)
-    a = np.where(flat, 0.0, cov_ey / np.where(flat, 1.0, var_e))
-    c = np.where(flat, mean_y, mean_y - a * mean_e)
-    r = y - (a[:, None] * e + c[:, None])
-    # per-row np.dot keeps each SSE bitwise equal to _sse; a batched
-    # product sums in another order and can flip the tie rule
-    sse = [float(np.dot(row, row)) for row in r]
+    rows = max(1, GRID_BLOCK_ELEMENTS // n)
+    a = np.empty_like(bs)
+    c = np.empty_like(bs)
+    sse: list[float] = []
+    for start in range(0, bs.size, rows):
+        block = slice(start, start + rows)
+        e = np.exp(-bs[block, None] * x[None, :])
+        mean_e = np.sum(e, axis=1) / n
+        d = e - mean_e[:, None]
+        var_e = np.sum(d**2, axis=1)
+        cov_ey = np.sum(d * (y - mean_y), axis=1)
+        flat = var_e <= 1e-12 * np.maximum(np.sum(e * e, axis=1), 1e-300)
+        a[block] = np.where(flat, 0.0, cov_ey / np.where(flat, 1.0, var_e))
+        c[block] = np.where(flat, mean_y, mean_y - a[block] * mean_e)
+        r = y - (a[block, None] * e + c[block, None])
+        # per-row np.dot keeps each SSE bitwise equal to _sse; a batched
+        # product sums in another order and can flip the tie rule
+        sse.extend(float(np.dot(row, row)) for row in r)
     best = 0
     for i in range(1, len(sse)):
         if sse[i] < sse[best] - TIE_TOLERANCE:
@@ -226,17 +234,13 @@ def fit(
     if diverged:
         a, b, c, sse = ga, gb, gc, gsse
     log = FitLog(grid_b=gb, grid_sse=gsse, polish_steps=steps, step_rejected=rejected, diverged=diverged)
-    # x and y are already validated, so the MAE can skip predict()'s point checks
-    total = 0.0
-    for xi, yi in zip(x.tolist(), y.tolist()):
-        total += abs(yi - _curve_value(a, b, c, percent_scale, xi))
     return FitModel(
         a=a,
         b=b,
         c=c,
         predictor_name=predictor_name,
         sse=sse,
-        mae=total / x.size,
+        mae=_mae(a, b, c, percent_scale, list(zip(x.tolist(), y.tolist()))),
         n_points=int(x.size),
         percent_scale=percent_scale,
         fit_log=log,
@@ -245,14 +249,14 @@ def fit(
 
 def predict(model: FitModel, x: float) -> float:
     """Predicted score at similarity x, clamped to [0, 100] on percent scales."""
+    return _predict(model.a, model.b, model.c, model.percent_scale, x)
+
+
+def _predict(a: float, b: float, c: float, percent_scale: bool, x: float) -> float:
     if not math.isfinite(x):
         raise ComputationError("similarity value must be finite")
     if x < 0.0:
         raise ComputationError(f"negative similarity value: {x}")
-    return _curve_value(model.a, model.b, model.c, model.percent_scale, x)
-
-
-def _curve_value(a: float, b: float, c: float, percent_scale: bool, x: float) -> float:
     if not all(math.isfinite(v) for v in (a, b, c)):
         raise ComputationError("model parameters are not finite")
     value = a * math.exp(-b * x) + c
@@ -263,11 +267,15 @@ def _curve_value(a: float, b: float, c: float, percent_scale: bool, x: float) ->
 
 def mean_absolute_error(model: FitModel, points: Sequence[tuple[float, float]]) -> float:
     """Mean |y - predict(x)| over the given points."""
+    return _mae(model.a, model.b, model.c, model.percent_scale, points)
+
+
+def _mae(a: float, b: float, c: float, percent_scale: bool, points: Sequence[tuple[float, float]]) -> float:
     if not points:
         raise ComputationError("no points: mean absolute error is undefined")
     total = 0.0
     for x, y in points:
-        total += abs(float(y) - predict(model, float(x)))
+        total += abs(float(y) - _predict(a, b, c, percent_scale, float(x)))
     return total / len(points)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def _reference_grid_search(x, y):
 
 
 def _grid_point_sets(case, rng):
-    n = 3 if case == "n3" else int(rng.integers(4, 12))
+    n = {"n3": 3, "n3000": 3000}.get(case) or int(rng.integers(4, 12))
     if case == "repeated_x":
         # with only two distinct x values every b > 0 fits the two group
         # means, so the SSE plateaus and the tie rule picks the b
@@ -179,10 +180,14 @@ def _grid_point_sets(case, rng):
     return x[order], y[order]
 
 
-@pytest.mark.parametrize("case", ["n3", "constant_y", "repeated_x", "x_to_50"])
+GRID_CASES = ["n3", "constant_y", "repeated_x", "x_to_50", "n3000"]
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
 def test_grid_search_is_bitwise_equal_to_the_per_candidate_loop(case):
-    rng = np.random.default_rng(["n3", "constant_y", "repeated_x", "x_to_50"].index(case))
-    for _ in range(6):
+    # n3000 spreads the grid over several array blocks, the last one partial
+    rng = np.random.default_rng(GRID_CASES.index(case))
+    for _ in range(2 if case == "n3000" else 6):
         x, y = _grid_point_sets(case, rng)
         got = _grid_search(x, y)
         want = _reference_grid_search(x, y)
@@ -192,6 +197,21 @@ def test_grid_search_is_bitwise_equal_to_the_per_candidate_loop(case):
             assert got[1] == 0.0
         if case == "x_to_50":
             assert not np.any(np.exp(-100.0 * x))  # the largest-b rows are flat
+
+
+def test_fit_memory_does_not_scale_with_the_grid():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 5.0, 5000)
+    y = np.clip(40.0 * np.exp(-x) + 20.0 + rng.normal(0.0, 1.0, x.size), 0.0, 100.0)
+    points = list(zip(x.tolist(), y.tolist()))
+    tracemalloc.start()
+    try:
+        fit(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (1001 x 5000) float64 array alone would be 40 MB
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------- predict

@@ -168,10 +168,27 @@ def test_tau_observation_validates_ratio():
 # ---------------------------------------------------------------- score table
 
 
+def grouped_entries(n_systems=60, n_datasets=80):
+    """A system-grouped table (all rows of one system together), tasks interleaved."""
+    rng = random.Random(11)
+    names = [f"sys{i:02d}" for i in range(n_systems)]
+    rng.shuffle(names)  # first-appearance order differs from sorted order
+    return [
+        ScoreEntry(system=s, task=f"t{d % 3}", dataset=f"d{d}", split="test", score=rng.uniform(1.0, 99.0))
+        for s in names
+        for d in range(n_datasets)
+    ]
+
+
 def test_score_table_rejects_duplicates():
     e = ScoreEntry(system="s", task="t", dataset="d", split="train", score=50.0)
     with pytest.raises(ParseError, match="duplicate"):
         ScoreTable(entries=(e, e))
+    entries = grouped_entries()
+    dup = entries[2500]
+    with pytest.raises(ParseError) as excinfo:
+        ScoreTable(entries=(*entries, dup))
+    assert str(excinfo.value) == f"duplicate score entry for {dup.key()}"
 
 
 def test_percent_metric_range_check():
@@ -193,6 +210,16 @@ def test_get_names_the_missing_key():
     table = ScoreTable(entries=tuple(entries_for("s", {"d1": 50.0})))
     with pytest.raises(ParseError, match="dataset='d9'"):
         table.get("s", "t", "d9", "test")
+    entries = grouped_entries()
+    table = ScoreTable(entries=tuple(entries))
+    assert len(table.entries) == 4800
+    for e in entries[::97] + entries[-3:]:
+        assert table.get(*e.key()) == next(f.score for f in entries if f.key() == e.key())
+    with pytest.raises(ParseError) as excinfo:
+        table.get("sys07", "t1", "d9999", "test")
+    assert str(excinfo.value) == (
+        "score table has no entry for system='sys07' task='t1' dataset='d9999' split='test'"
+    )
 
 
 def test_systems_first_appearance_order():
@@ -204,6 +231,20 @@ def test_systems_first_appearance_order():
     table = ScoreTable(entries=entries)
     assert table.systems() == ["b", "a"]
     assert table.systems("t2") == ["b"]
+    entries = grouped_entries()
+    table = ScoreTable(entries=tuple(entries))
+
+    def reference(task=None):
+        out = []
+        for e in entries:
+            if (task is None or e.task == task) and e.system not in out:
+                out.append(e.system)
+        return out
+
+    assert table.systems() == reference()
+    assert table.systems() != sorted(table.systems())
+    for task in ("t0", "t1", "t2", "missing"):
+        assert table.systems(task) == reference(task)
 
 
 def test_load_score_table_from_text_and_path(tmp_path):
@@ -244,61 +285,6 @@ def test_load_score_table_error_cases():
         load_score_table("")
     with pytest.raises(ParseError, match="no rows"):
         load_score_table("system,task,dataset,split,score\n")
-
-
-def grouped_entries(n_systems=60, n_datasets=80):
-    """A system-grouped table (all rows of one system together), tasks interleaved."""
-    rng = random.Random(11)
-    names = [f"sys{i:02d}" for i in range(n_systems)]
-    rng.shuffle(names)  # first-appearance order differs from sorted order
-    return [
-        ScoreEntry(system=s, task=f"t{d % 3}", dataset=f"d{d}", split="test", score=rng.uniform(1.0, 99.0))
-        for s in names
-        for d in range(n_datasets)
-    ]
-
-
-def test_large_table_lookups_match_a_linear_scan():
-    entries = grouped_entries()
-    table = ScoreTable(entries=tuple(entries))
-    assert len(table.entries) == 4800
-    for e in entries[::97] + entries[-3:]:
-        expected = next(f.score for f in entries if f.key() == e.key())
-        assert table.get(*e.key()) == expected
-
-
-def test_large_table_still_rejects_duplicates():
-    entries = grouped_entries()
-    dup = entries[2500]
-    with pytest.raises(ParseError) as excinfo:
-        ScoreTable(entries=tuple(entries) + (dup,))
-    assert str(excinfo.value) == f"duplicate score entry for {dup.key()}"
-
-
-def test_large_table_miss_message_is_unchanged():
-    table = ScoreTable(entries=tuple(grouped_entries()))
-    with pytest.raises(ParseError) as excinfo:
-        table.get("sys07", "t1", "d9999", "test")
-    assert str(excinfo.value) == (
-        "score table has no entry for system='sys07' task='t1' dataset='d9999' split='test'"
-    )
-
-
-def test_large_table_systems_keep_first_appearance_order():
-    entries = grouped_entries()
-    table = ScoreTable(entries=tuple(entries))
-
-    def reference(task=None):
-        out = []
-        for e in entries:
-            if (task is None or e.task == task) and e.system not in out:
-                out.append(e.system)
-        return out
-
-    assert table.systems() == reference()
-    assert table.systems() != sorted(table.systems())
-    for task in ("t0", "t1", "t2", "missing"):
-        assert table.systems(task) == reference(task)
 
 
 def test_bundled_fixture_shapes():
