@@ -99,10 +99,10 @@ def lexical_difference(source: DomainProfile, target: DomainProfile) -> float:
     1 - |V_t intersect V_s| / |V_t|. Asymmetric by design: it reads as
     how much of the target domain the source has never seen.
     """
-    target_vocab = target.vocabulary
+    target_vocab = target.term_freq.keys()
     if not target_vocab:
         raise ComputationError(f"empty target vocabulary for domain {target.domain_id!r}")
-    overlap = len(target_vocab & source.vocabulary)
+    overlap = len(target_vocab & source.term_freq.keys())
     return 1.0 - overlap / len(target_vocab)
 
 
@@ -183,8 +183,8 @@ def _pair_vectors(source: DomainProfile, target: DomainProfile) -> tuple[np.ndar
         and cfg.weighting == "tfidf"
         and source.embedding_source.kind == "builtin"
     ):
-        u = embed_builtin(source.term_freq, cfg, idf_context=target.vocabulary)
-        v = embed_builtin(target.term_freq, cfg, idf_context=source.vocabulary)
+        u = embed_builtin(source.term_freq, cfg, idf_context=target.term_freq.keys())
+        v = embed_builtin(target.term_freq, cfg, idf_context=source.term_freq.keys())
         return u, v
     return source.embedding, target.embedding
 

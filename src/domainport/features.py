@@ -12,14 +12,16 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
-from typing import IO, Any, Collection, Iterable, Mapping
+from typing import IO, Any, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import ComputationError, ConfigError, ParseError
-from .hashing import fnv1a_64, stable_hash
+from .hashing import fnv1a_64_many, slot_and_sign, stable_hash
 
 WEIGHTINGS = ("tf", "tfidf")
 
@@ -109,7 +111,7 @@ class DomainProfile:
     embedding_hash: str
     embedding_config: EmbeddingConfig | None = None  # set for builtin embeddings
 
-    @property
+    @cached_property
     def vocabulary(self) -> frozenset[str]:
         return frozenset(self.term_freq)
 
@@ -136,6 +138,27 @@ def _feature_counts(corpus: Corpus) -> Counter[str]:
     return counts
 
 
+def _hashed_slots(features: Sequence[str], cfg: EmbeddingConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Slot and sign of each feature, from one batched hash of them all."""
+    hashes = fnv1a_64_many(list(map(str.encode, features)), seed=cfg.seed)  # UTF-8
+    slots, signs = slot_and_sign(hashes, cfg.dimension)
+    return slots.astype(np.intp), signs
+
+
+def _project(slots: np.ndarray, signed_weights: np.ndarray, dimension: int) -> np.ndarray:
+    """Sum signed weights into their slots and scale the result to unit norm.
+
+    ``np.bincount`` adds the weights one by one in array order, so with
+    the features in sorted order it makes the same float64 sums as
+    ``vec[slot] += sign * weight`` in a loop over them.
+    """
+    vec = np.bincount(slots, weights=signed_weights, minlength=dimension)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ComputationError("degenerate embedding: projection collapsed to the zero vector")
+    return vec / norm
+
+
 def embed_builtin(
     term_freq: Mapping[str, int],
     config: EmbeddingConfig | None = None,
@@ -153,28 +176,53 @@ def embed_builtin(
     cfg = config or EmbeddingConfig()
     if not term_freq:
         raise ComputationError("no features: empty frequency table")
-    vec = np.zeros(cfg.dimension, dtype=np.float64)
-    any_weight = False
-    for feature in sorted(term_freq):
-        weight = float(term_freq[feature])
-        if weight < 0:
-            raise ComputationError(f"negative count for feature {feature!r}")
-        if weight == 0.0:
-            continue
-        if cfg.weighting == "tfidf" and idf_context is not None:
-            df = 2 if feature in idf_context else 1
-            weight *= math.log(2.0 / df) + 1.0
-        any_weight = True
-        h = fnv1a_64(feature.encode("utf-8"), seed=cfg.seed)
-        index = h % cfg.dimension
-        sign = -1.0 if (h >> 63) & 1 else 1.0
-        vec[index] += sign * weight
-    if not any_weight:
+    features = sorted(term_freq)
+    weights = np.fromiter(map(term_freq.__getitem__, features), dtype=np.float64, count=len(features))
+    negative = weights < 0
+    if negative.any():
+        raise ComputationError(f"negative count for feature {features[int(np.argmax(negative))]!r}")
+    nonzero = weights != 0.0
+    if not nonzero.any():
         raise ComputationError("degenerate embedding: all feature weights are zero")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0 or not math.isfinite(norm):
-        raise ComputationError("degenerate embedding: projection collapsed to the zero vector")
-    return vec / norm
+    features = list(compress(features, nonzero))
+    weights = weights[nonzero]
+    if cfg.weighting == "tfidf" and idf_context is not None:
+        shared = np.fromiter(map(idf_context.__contains__, features), dtype=bool, count=len(features))
+        # df is 2 for a feature the other corpus also has, else 1
+        weights *= np.where(shared, math.log(2.0 / 2) + 1.0, math.log(2.0 / 1) + 1.0)
+    slots, signs = _hashed_slots(features, cfg)
+    return _project(slots, signs * weights, cfg.dimension)
+
+
+def _per_document_embedding(corpus: Corpus, counts: Mapping[str, int], cfg: EmbeddingConfig) -> np.ndarray:
+    """Unit-norm mean of the documents' unit vectors.
+
+    The corpus's distinct features are hashed once; each document then
+    projects its own counts through their positions in that batch.
+    """
+    features = list(counts)
+    slots, signs = _hashed_slots(features, cfg)
+    position = {f: i for i, f in enumerate(features)}
+    order = corpus.tokenizer_config.ngram_order
+    acc = np.zeros(cfg.dimension, dtype=np.float64)
+    contributing = 0
+    for doc in corpus.documents:
+        doc_counts = Counter(ngram_features(doc.tokens, order))
+        if not doc_counts:
+            continue
+        # counts are integers, so every partial sum is exact and the order
+        # of accumulation cannot change the vector
+        at = np.fromiter(map(position.__getitem__, doc_counts), dtype=np.intp, count=len(doc_counts))
+        weights = np.fromiter(doc_counts.values(), dtype=np.float64, count=len(doc_counts))
+        acc += _project(slots[at], signs[at] * weights, cfg.dimension)
+        contributing += 1
+    if contributing == 0:
+        raise ComputationError("no features: no document produced an embedding")
+    acc /= contributing
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        raise ComputationError("degenerate embedding: per-document vectors cancelled out")
+    return acc / norm
 
 
 def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> DomainProfile:
@@ -184,22 +232,7 @@ def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> Doma
     if not counts:
         raise ComputationError(f"no features: corpus {corpus.domain_id!r} has no n-grams of the configured order")
     if cfg.per_document:
-        acc = np.zeros(cfg.dimension, dtype=np.float64)
-        contributing = 0
-        order = corpus.tokenizer_config.ngram_order
-        for doc in corpus.documents:
-            doc_counts = Counter(ngram_features(doc.tokens, order))
-            if not doc_counts:
-                continue
-            acc += embed_builtin(doc_counts, cfg)
-            contributing += 1
-        if contributing == 0:
-            raise ComputationError("no features: no document produced an embedding")
-        acc /= contributing
-        norm = float(np.linalg.norm(acc))
-        if norm == 0.0:
-            raise ComputationError("degenerate embedding: per-document vectors cancelled out")
-        vector = acc / norm
+        vector = _per_document_embedding(corpus, counts, cfg)
     else:
         vector = embed_builtin(counts, cfg)
     return DomainProfile(
@@ -235,7 +268,7 @@ def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> Dom
 
 
 def _is_existing_path(candidate: str | Path) -> bool:
-    if isinstance(candidate, str) and ("\n" in candidate or "{" in candidate):
+    if isinstance(candidate, str) and "\n" in candidate:
         return False
     try:
         return Path(candidate).is_file()

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domainport.corpus import Document, TokenizerConfig, parse_plaintext
@@ -24,6 +25,7 @@ from domainport.features import (
     profile_to_dict,
     profile_to_json,
 )
+from domainport.hashing import fnv1a_64
 
 freq_tables = st.dictionaries(
     st.text(alphabet="abcdefgh ", min_size=1, max_size=8).filter(str.strip),
@@ -37,6 +39,60 @@ def small_corpus(text="a b a\nc d\n", **cfg_kwargs):
     return parse_plaintext(text, TokenizerConfig(**cfg_kwargs), domain_id="d")
 
 
+def reference_embed(term_freq, cfg, idf_context=None):
+    """The per-feature loop that embed_builtin must match bit for bit."""
+    if not term_freq:
+        raise ComputationError("no features: empty frequency table")
+    vec = np.zeros(cfg.dimension, dtype=np.float64)
+    any_weight = False
+    for feature in sorted(term_freq):
+        weight = float(term_freq[feature])
+        if weight < 0:
+            raise ComputationError(f"negative count for feature {feature!r}")
+        if weight == 0.0:
+            continue
+        if cfg.weighting == "tfidf" and idf_context is not None:
+            df = 2 if feature in idf_context else 1
+            weight *= math.log(2.0 / df) + 1.0
+        any_weight = True
+        h = fnv1a_64(feature.encode("utf-8"), seed=cfg.seed)
+        vec[h % cfg.dimension] += (-1.0 if (h >> 63) & 1 else 1.0) * weight
+    if not any_weight:
+        raise ComputationError("degenerate embedding: all feature weights are zero")
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ComputationError("degenerate embedding: projection collapsed to the zero vector")
+    return vec / norm
+
+
+def reference_per_document(corpus, cfg):
+    """The per-document loop that build_profile must match bit for bit."""
+    acc = np.zeros(cfg.dimension, dtype=np.float64)
+    contributing = 0
+    for doc in corpus.documents:
+        doc_counts = Counter(ngram_features(doc.tokens, corpus.tokenizer_config.ngram_order))
+        if doc_counts:
+            acc += reference_embed(doc_counts, cfg)
+            contributing += 1
+    acc /= contributing
+    return acc / float(np.linalg.norm(acc))
+
+
+def outcome(fn, *args, **kwargs):
+    """A function's result, or the message of the ComputationError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ComputationError as exc:
+        return str(exc)
+
+
+def assert_same_outcome(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+    else:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------- embed_builtin
 
 
@@ -48,22 +104,38 @@ def test_single_feature_is_a_signed_basis_vector():
     assert math.isclose(float(np.linalg.norm(vec)), 1.0, abs_tol=1e-9)
 
 
+# "ah" and "adehaddh" share slot 38 with opposite signs at d=64, seed=42,
+# "c" and "ba" share slot 19 with opposite signs at d=32, seed=7: signed
+# slots can cancel exactly, and the collapse must then be reproducible too
 @given(freq_tables)
+@example({"ah": 1, "adehaddh": 1})
 @settings(max_examples=50)
 def test_embedding_is_unit_norm_and_bitwise_deterministic(table):
     cfg = EmbeddingConfig(dimension=64, seed=42)
-    v1 = embed_builtin(table, cfg)
+    try:
+        v1 = embed_builtin(table, cfg)
+    except ComputationError:
+        with pytest.raises(ComputationError):
+            embed_builtin(table, cfg)
+        return
     v2 = embed_builtin(table, cfg)
     assert np.array_equal(v1, v2)
     assert math.isclose(float(np.linalg.norm(v1)), 1.0, abs_tol=1e-9)
 
 
 @given(freq_tables)
+@example({"c": 1, "ba": 1})
 @settings(max_examples=50)
 def test_embedding_ignores_map_insertion_order(table):
     cfg = EmbeddingConfig(dimension=32, seed=7)
     reversed_table = dict(reversed(list(table.items())))
-    assert np.array_equal(embed_builtin(table, cfg), embed_builtin(reversed_table, cfg))
+    try:
+        forward = embed_builtin(table, cfg)
+    except ComputationError:
+        with pytest.raises(ComputationError):
+            embed_builtin(reversed_table, cfg)
+        return
+    assert np.array_equal(forward, embed_builtin(reversed_table, cfg))
 
 
 @given(freq_tables, st.integers(min_value=2, max_value=9))
@@ -79,6 +151,64 @@ def test_scaling_all_counts_leaves_the_embedding_unchanged(table, k):
         return
     scaled = embed_builtin({f: k * c for f, c in table.items()}, cfg)
     assert np.allclose(base, scaled, atol=1e-12)
+
+
+SEEDS = (0, 42, -1, 2**64 - 1, 2**70 + 3)
+MIXED_TABLE = {
+    "alpha": 3,
+    "beta": 0,  # zero counts are skipped
+    "naïve": 2,
+    "東京": 5,
+    "emoji 🙂 bigram": 1,
+    "x" * 40: 7,
+    "a": 1,
+    "caabae": 1,  # cancels "a" at d=32, seed=42
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("dimension", [2, 32, 300])
+@pytest.mark.parametrize("weighting", ["tf", "tfidf"])
+def test_embedding_is_bitwise_equal_to_the_per_feature_loop(seed, dimension, weighting):
+    cfg = EmbeddingConfig(dimension=dimension, seed=seed, weighting=weighting)
+    many = {f"w{i} {'é' * (i % 4)}": i % 9 for i in range(500)}
+    context = {"alpha", "東京", "x" * 40, *(f"w{i} " for i in range(0, 500, 3))}
+    for table in (MIXED_TABLE, many, {"a": 1, "caabae": 1}, {"solo": 4}, {"inf": math.inf, "b": 1}):
+        for idf_context in (None, context, frozenset()):
+            assert_same_outcome(
+                outcome(embed_builtin, table, cfg, idf_context=idf_context),
+                outcome(reference_embed, table, cfg, idf_context=idf_context),
+            )
+
+
+@given(
+    st.dictionaries(st.text(min_size=0, max_size=40), st.integers(min_value=0, max_value=2**40), max_size=60),
+    st.sampled_from(SEEDS),
+    st.integers(min_value=2, max_value=400),
+    st.sampled_from(["tf", "tfidf"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_embedding_matches_the_per_feature_loop_on_any_table(table, seed, dimension, weighting):
+    cfg = EmbeddingConfig(dimension=dimension, seed=seed, weighting=weighting)
+    context = set(list(table)[::2])
+    assert_same_outcome(
+        outcome(embed_builtin, table, cfg, idf_context=context),
+        outcome(reference_embed, table, cfg, idf_context=context),
+    )
+
+
+def test_embedding_of_a_one_megabyte_feature_matches_the_loop():
+    table = {"m" * (1 << 20) + "é": 2, "short": 3, **{f"f{i}": 1 for i in range(40)}}
+    cfg = EmbeddingConfig(dimension=300, seed=42)
+    assert np.array_equal(embed_builtin(table, cfg), reference_embed(table, cfg))
+
+
+def test_negative_count_names_the_first_negative_feature_in_sorted_order():
+    table = {"zeta": -1, "beta": 2, "gamma": -3, "alpha": 0}
+    with pytest.raises(ComputationError, match=r"negative count for feature 'gamma'$"):
+        embed_builtin(table, EmbeddingConfig(dimension=16))
+    with pytest.raises(ComputationError, match=r"negative count for feature 'gamma'$"):
+        reference_embed(table, EmbeddingConfig(dimension=16))
 
 
 def test_exactly_cancelling_features_are_rejected():
@@ -168,6 +298,7 @@ def test_profile_counts_terms():
     profile = build_profile(corpus, EmbeddingConfig(dimension=16))
     assert profile.term_freq == {"a": 2, "b": 1}
     assert profile.vocabulary == {"a", "b"}
+    assert profile.vocabulary is profile.vocabulary  # built once per profile
     assert sum(profile.term_freq.values()) == corpus.token_count
 
 
@@ -201,6 +332,32 @@ def test_per_document_profile_is_unit_norm_and_differs_from_pooled():
     averaged = build_profile(corpus, cfg_doc)
     assert math.isclose(float(np.linalg.norm(averaged.embedding)), 1.0, abs_tol=1e-9)
     assert not np.array_equal(pooled.embedding, averaged.embedding)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        ("a\nb\na\nnaïve\n東京\n", 1),  # one-token documents
+        ("a b a c\nc d\n\nsolo\nb a b a\n", 1),
+        ("a b a c\nc d e\nsolo\nb a b a\n", 2),  # "solo" yields no bigram
+    ],
+)
+def test_per_document_profile_is_bitwise_equal_to_the_per_document_loop(seed, text, order):
+    cfg = EmbeddingConfig(dimension=32, seed=seed, per_document=True)
+    corpus = small_corpus(text, ngram_order=order)
+    assert np.array_equal(build_profile(corpus, cfg).embedding, reference_per_document(corpus, cfg))
+
+
+def test_per_document_profile_rejects_a_document_that_cancels():
+    # "a" and "caabae" cancel in their shared document even though the pooled
+    # table does not collapse; the per-document path keeps that error
+    corpus = small_corpus("a caabae\nother words\n")
+    cfg = EmbeddingConfig(dimension=32, seed=42, per_document=True)
+    with pytest.raises(ComputationError, match="collapsed to the zero vector"):
+        build_profile(corpus, cfg)
+    with pytest.raises(ComputationError, match="collapsed to the zero vector"):
+        reference_per_document(corpus, cfg)
 
 
 def test_profile_rejects_featureless_corpus():
@@ -249,6 +406,16 @@ def test_external_embeddings_from_file(tmp_path):
     p.write_text('{"d1": [3, 4]}', encoding="utf-8")
     vectors = load_external_embeddings(p, expected_domains=["d1"])
     assert np.allclose(vectors["d1"], [0.6, 0.8])
+
+
+def test_external_embeddings_from_a_path_with_a_brace(tmp_path):
+    p = tmp_path / "dir{x}" / "emb.json"
+    p.parent.mkdir()
+    p.write_text('{"d1": [3, 4]}', encoding="utf-8")
+    assert np.allclose(load_external_embeddings(str(p), expected_domains=["d1"])["d1"], [0.6, 0.8])
+    assert np.allclose(load_external_embeddings(p)["d1"], [0.6, 0.8])
+    # a single-line string that names no file is still read as JSON text
+    assert np.allclose(load_external_embeddings('{"d1": [3, 4]}')["d1"], [0.6, 0.8])
 
 
 def test_build_profile_external():

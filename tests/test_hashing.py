@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from domainport.hashing import canonical_json, feature_slot, fnv1a_64, stable_hash
+from domainport.hashing import canonical_json, feature_slot, fnv1a_64, fnv1a_64_many, slot_and_sign, stable_hash
+
+SEEDS = (0, 42, -1, 2**64 - 1, 2**70 + 3)
 
 
 def test_reference_vectors():
@@ -16,6 +20,36 @@ def test_reference_vectors():
     assert fnv1a_64(b"") == 0xCBF29CE484222325
     assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+
+
+def test_batched_reference_vectors():
+    hashes = fnv1a_64_many([b"", b"a", b"foobar"])
+    assert hashes.dtype == np.uint64
+    assert hashes.tolist() == [0xCBF29CE484222325, 0xAF63DC4C8601EC8C, 0x85944171F73967E8]
+    assert fnv1a_64_many([]).tolist() == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_hash_is_bitwise_equal_to_the_scalar_loop(seed):
+    items = [b"", b"a", b"foobar", "naïve 東京 🙂".encode("utf-8"), b"m" * (1 << 20), b"\x00\xff" * 9]
+    items += [f"w{i}".encode("utf-8") * (i % 7) for i in range(300)]
+    assert fnv1a_64_many(items, seed=seed).tolist() == [fnv1a_64(item, seed=seed) for item in items]
+
+
+def test_one_long_item_costs_about_as_much_as_the_scalar_loop():
+    # the long item is finished by the scalar loop, not one array pass per byte
+    items = [b"m" * (1 << 20)] + [b"short"] * 100
+    start = time.process_time()
+    expected = [fnv1a_64(item) for item in items]
+    scalar_seconds = time.process_time() - start
+    start = time.process_time()
+    assert fnv1a_64_many(items).tolist() == expected
+    assert time.process_time() - start < 5 * scalar_seconds + 0.5
+
+
+@given(st.lists(st.binary(max_size=80), max_size=120), st.sampled_from(SEEDS))
+def test_batched_hash_matches_the_scalar_loop_on_any_batch(items, seed):
+    assert fnv1a_64_many(items, seed=seed).tolist() == [fnv1a_64(item, seed=seed) for item in items]
 
 
 def test_seed_changes_the_hash_family():
@@ -46,6 +80,13 @@ def test_feature_slot_range_and_sign(feature, dimension):
     index, sign = feature_slot(feature, dimension, seed=42)
     assert 0 <= index < dimension
     assert sign in (-1.0, 1.0)
+
+
+def test_slot_rule_is_the_same_for_one_hash_and_an_array():
+    features = ["alpha", "beta", "gamma", *(f"f{i}" for i in range(100))]
+    slots, signs = slot_and_sign(fnv1a_64_many([f.encode("utf-8") for f in features], seed=42), 300)
+    assert list(zip(slots.tolist(), signs.tolist()))[:3] == [(81, -1.0), (261, 1.0), (36, -1.0)]
+    assert list(zip(slots.tolist(), signs.tolist())) == [feature_slot(f, 300, 42) for f in features]
 
 
 def test_feature_slot_rejects_nonpositive_dimension():
