@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import click
 
@@ -33,7 +33,8 @@ from .features import (
     profile_from_dict,
     profile_to_dict,
 )
-from .hashing import fnv1a_64, stable_hash
+from .hashing import content_digest, stable_hash
+from .hashing import fnv1a_64  # noqa: F401  unused here, but bench/tracing.py wraps cli.fnv1a_64 by name
 from .regression import FitModel, curve_points, fit as fit_curve, predict
 from .transport import (
     PERCENT_METRICS,
@@ -223,6 +224,7 @@ def load_config(path: str | Path) -> RunConfig:
                 split=item.get("split"),
             )
         )
+    _require_distinct_slugs((c.domain_id for c in corpora), "domain ids")
 
     scores = raw.get("scores") or {}
     _require(isinstance(scores, dict), "scores must be an object")
@@ -344,6 +346,14 @@ def _slug(name: str) -> str:
     return "".join(out) or "x"
 
 
+def _require_distinct_slugs(names: Iterable[str], kind: str) -> None:
+    """Refuse two different names that would share an artifact file name."""
+    by_slug: dict[str, str] = {}
+    for name in names:
+        other = by_slug.setdefault(_slug(name), name)
+        _require(other == name, f"{kind} {other!r} and {name!r} map to the same file name {_slug(name)!r}")
+
+
 def _load_json(path: Path, stage: str) -> dict[str, Any]:
     if not path.is_file():
         raise ConfigError(f"missing {path.name}; run the {stage} stage first")
@@ -356,11 +366,8 @@ def _load_json(path: Path, stage: str) -> dict[str, Any]:
 # ---------------------------------------------------------------- stages
 
 
-def _parse_corpus_spec(cfg: RunConfig, spec: CorpusSpec) -> Corpus:
-    path = cfg.resolve(spec.path)
-    if not path.is_file():
-        raise ConfigError(f"corpus file not found: {spec.path}")
-    raw = path.read_bytes()
+def _parse_corpus_spec(cfg: RunConfig, spec: CorpusSpec, raw: bytes) -> Corpus:
+    """Parse the bytes of ``spec``'s corpus file with its format's parser."""
     if spec.format == "conll":
         return parse_conll(raw, cfg.tokenizer, domain_id=spec.domain_id, source=spec.path)
     if spec.format == "jsonl":
@@ -404,7 +411,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
             path = cfg.resolve(spec.path)
             if not path.is_file():
                 raise ConfigError(f"corpus file not found: {spec.path}")
-            input_hash = f"{fnv1a_64(path.read_bytes()):016x}"
+            raw = path.read_bytes()  # the one read of this file per run: hashed, and parsed on a miss
+            input_hash = content_digest(raw)
             corpus_file = cache / f"corpus-{_slug(spec.domain_id)}.json"
             profile_file = cache / f"profile-{_slug(spec.domain_id)}.json"
             entry = domains.get(spec.domain_id)
@@ -418,7 +426,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
             ):
                 click.echo(f"cache hit: {spec.domain_id}")
                 continue
-            corpus = _parse_corpus_spec(cfg, spec)
+            corpus = _parse_corpus_spec(cfg, spec, raw)
+            del raw  # the file's bytes need not stay alive while the profile is built and written
             if external is not None:
                 profile = build_profile_external(corpus, external[spec.domain_id], cfg.external_embeddings)
             else:
@@ -564,6 +573,7 @@ def cmd_fit(cfg: RunConfig) -> None:
     table = load_score_table(cfg.resolve(cfg.scores_path), metric_name=cfg.scores_metric)
     spec = cfg.transport
     systems = list(spec.systems) if spec.systems is not None else table.systems(spec.task)
+    _require_distinct_slugs(systems, "systems")
     percent = cfg.scores_metric.lower() in PERCENT_METRICS
     by_domain = {c.domain_id: c for c in cfg.corpora}
 

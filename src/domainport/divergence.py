@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ComputationError, ConfigError
-from .features import DomainProfile, embed_builtin
+from .features import DomainProfile, HashedTable, embed_builtin
 from .hashing import stable_hash
 
 KL_METHODS = ("shift", "softmax")
@@ -174,16 +174,17 @@ def kl_divergence(
     return value
 
 
-def _pair_vectors(source: DomainProfile, target: DomainProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding pair for a comparison, re-projected when idf needs pair context."""
+def _pair_vectors(
+    source: DomainProfile, source_table: HashedTable | None, target: DomainProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """Embedding pair for a comparison, re-projected when idf needs pair context.
+
+    ``source_table`` is the source's prepared table when its weighting
+    is tfidf, else None.
+    """
     cfg = source.embedding_config
-    if (
-        cfg is not None
-        and target.embedding_config == cfg
-        and cfg.weighting == "tfidf"
-        and source.embedding_source.kind == "builtin"
-    ):
-        u = embed_builtin(source.term_freq, cfg, idf_context=target.term_freq.keys())
+    if source_table is not None and target.embedding_config == cfg:
+        u = embed_builtin(source_table, cfg, idf_context=target.term_freq.keys())
         v = embed_builtin(target.term_freq, cfg, idf_context=source.term_freq.keys())
         return u, v
     return source.embedding, target.embedding
@@ -209,9 +210,13 @@ def similarity_table(
                 f"tokenizer or embedding configuration than {source.domain_id!r}"
             )
     run_hash = stable_hash({"profile": source.config_hash(), "kl": kl.to_dict()})
+    cfg = source.embedding_config
+    source_table = None
+    if cfg is not None and cfg.weighting == "tfidf" and source.embedding_source.kind == "builtin":
+        source_table = HashedTable.of(source.term_freq, cfg)  # sorted and hashed once for every target
     records = []
     for t in targets:
-        u, v = _pair_vectors(source, t)
+        u, v = _pair_vectors(source, source_table, t)
         records.append(
             SimilarityRecord(
                 source_id=source.domain_id,

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import IO, Any, Collection, Iterable, Mapping, Sequence
 
@@ -138,6 +138,24 @@ def _feature_counts(corpus: Corpus) -> Counter[str]:
     return counts
 
 
+def _document_counts(corpus: Corpus) -> tuple[list[str], np.ndarray, np.ndarray, list[int]]:
+    """Every document's n-gram counts, each document tokenized and counted once.
+
+    Returns the corpus's distinct features in first-seen order, then
+    the (document, feature) pairs of all documents laid end to end, as
+    the feature's index in that list and its count in the document
+    (in ``Counter`` order), and the number of pairs of each document.
+    """
+    order = corpus.tokenizer_config.ngram_order
+    per_document = [Counter(ngram_features(doc.tokens, order)) for doc in corpus.documents]
+    keys = list(chain.from_iterable(per_document))
+    features = list(dict.fromkeys(keys))
+    position = dict(zip(features, range(len(features))))
+    at = np.fromiter(map(position.__getitem__, keys), dtype=np.intp, count=len(keys))
+    weights = np.fromiter(chain.from_iterable(map(Counter.values, per_document)), dtype=np.float64, count=len(keys))
+    return features, at, weights, list(map(len, per_document))
+
+
 def _hashed_slots(features: Sequence[str], cfg: EmbeddingConfig) -> tuple[np.ndarray, np.ndarray]:
     """Slot and sign of each feature, from one batched hash of them all."""
     hashes = fnv1a_64_many(list(map(str.encode, features)), seed=cfg.seed)  # UTF-8
@@ -159,8 +177,42 @@ def _project(slots: np.ndarray, signed_weights: np.ndarray, dimension: int) -> n
     return vec / norm
 
 
+@dataclass(frozen=True, eq=False)
+class HashedTable:
+    """A frequency table ready to embed: sorted non-zero features, weights, slots, signs.
+
+    :func:`embed_builtin` accepts one in place of the mapping, so a
+    tfidf comparison embeds one source against many targets without
+    re-sorting or re-hashing it.
+    """
+
+    features: list[str]
+    weights: np.ndarray
+    slots: np.ndarray
+    signs: np.ndarray
+    config: EmbeddingConfig
+
+    @classmethod
+    def of(cls, term_freq: Mapping[str, int], config: EmbeddingConfig | None = None) -> "HashedTable":
+        """Sort, check and hash ``term_freq``; it fails as :func:`embed_builtin` would."""
+        cfg = config or EmbeddingConfig()
+        if not term_freq:
+            raise ComputationError("no features: empty frequency table")
+        features = sorted(term_freq)
+        weights = np.fromiter(map(term_freq.__getitem__, features), dtype=np.float64, count=len(features))
+        negative = weights < 0
+        if negative.any():
+            raise ComputationError(f"negative count for feature {features[int(np.argmax(negative))]!r}")
+        nonzero = weights != 0.0
+        if not nonzero.any():
+            raise ComputationError("degenerate embedding: all feature weights are zero")
+        features = list(compress(features, nonzero))
+        slots, signs = _hashed_slots(features, cfg)
+        return cls(features, weights[nonzero], slots, signs, cfg)
+
+
 def embed_builtin(
-    term_freq: Mapping[str, int],
+    term_freq: Mapping[str, int] | HashedTable,
     config: EmbeddingConfig | None = None,
     idf_context: Collection[str] | None = None,
 ) -> np.ndarray:
@@ -172,49 +224,42 @@ def embed_builtin(
     tfidf weighting, ``idf_context`` is the other corpus's vocabulary
     in a pairwise comparison; document frequency is then 1 or 2 and
     idf(f) = ln(2/df) + 1. Without a context the idf factor is 1.
+    ``term_freq`` may be a :class:`HashedTable` prepared with ``config``.
     """
-    cfg = config or EmbeddingConfig()
-    if not term_freq:
-        raise ComputationError("no features: empty frequency table")
-    features = sorted(term_freq)
-    weights = np.fromiter(map(term_freq.__getitem__, features), dtype=np.float64, count=len(features))
-    negative = weights < 0
-    if negative.any():
-        raise ComputationError(f"negative count for feature {features[int(np.argmax(negative))]!r}")
-    nonzero = weights != 0.0
-    if not nonzero.any():
-        raise ComputationError("degenerate embedding: all feature weights are zero")
-    features = list(compress(features, nonzero))
-    weights = weights[nonzero]
-    if cfg.weighting == "tfidf" and idf_context is not None:
-        shared = np.fromiter(map(idf_context.__contains__, features), dtype=bool, count=len(features))
+    if isinstance(term_freq, HashedTable):
+        table = term_freq
+        if config is not None and config != table.config:
+            raise ComputationError("hashed table was prepared with a different embedding configuration")
+    else:
+        table = HashedTable.of(term_freq, config)
+    weights = table.weights
+    if table.config.weighting == "tfidf" and idf_context is not None:
+        shared = np.fromiter(map(idf_context.__contains__, table.features), dtype=bool, count=len(table.features))
         # df is 2 for a feature the other corpus also has, else 1
-        weights *= np.where(shared, math.log(2.0 / 2) + 1.0, math.log(2.0 / 1) + 1.0)
-    slots, signs = _hashed_slots(features, cfg)
-    return _project(slots, signs * weights, cfg.dimension)
+        weights = weights * np.where(shared, math.log(2.0 / 2) + 1.0, math.log(2.0 / 1) + 1.0)
+    return _project(table.slots, table.signs * weights, table.config.dimension)
 
 
-def _per_document_embedding(corpus: Corpus, counts: Mapping[str, int], cfg: EmbeddingConfig) -> np.ndarray:
-    """Unit-norm mean of the documents' unit vectors.
+def _per_document_embedding(
+    features: Sequence[str], at: np.ndarray, weights: np.ndarray, sizes: Sequence[int], cfg: EmbeddingConfig
+) -> np.ndarray:
+    """Unit-norm mean of the documents' unit vectors, from :func:`_document_counts`.
 
     The corpus's distinct features are hashed once; each document then
     projects its own counts through their positions in that batch.
     """
-    features = list(counts)
     slots, signs = _hashed_slots(features, cfg)
-    position = {f: i for i, f in enumerate(features)}
-    order = corpus.tokenizer_config.ngram_order
+    slots, signed_weights = slots[at], signs[at] * weights
     acc = np.zeros(cfg.dimension, dtype=np.float64)
     contributing = 0
-    for doc in corpus.documents:
-        doc_counts = Counter(ngram_features(doc.tokens, order))
-        if not doc_counts:
+    end = 0
+    for size in sizes:
+        start, end = end, end + size
+        if not size:
             continue
         # counts are integers, so every partial sum is exact and the order
         # of accumulation cannot change the vector
-        at = np.fromiter(map(position.__getitem__, doc_counts), dtype=np.intp, count=len(doc_counts))
-        weights = np.fromiter(doc_counts.values(), dtype=np.float64, count=len(doc_counts))
-        acc += _project(slots[at], signs[at] * weights, cfg.dimension)
+        acc += _project(slots[start:end], signed_weights[start:end], cfg.dimension)
         contributing += 1
     if contributing == 0:
         raise ComputationError("no features: no document produced an embedding")
@@ -228,11 +273,16 @@ def _per_document_embedding(corpus: Corpus, counts: Mapping[str, int], cfg: Embe
 def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> DomainProfile:
     """Build the feature profile of a corpus with the built-in embedding."""
     cfg = config or EmbeddingConfig()
-    counts = _feature_counts(corpus)
+    if cfg.per_document:
+        features, at, weights, sizes = _document_counts(corpus)
+        totals = np.bincount(at, weights=weights, minlength=len(features))  # integer sums: exact
+        counts = dict(zip(features, totals.astype(np.int64).tolist()))
+    else:
+        counts = _feature_counts(corpus)
     if not counts:
         raise ComputationError(f"no features: corpus {corpus.domain_id!r} has no n-grams of the configured order")
     if cfg.per_document:
-        vector = _per_document_embedding(corpus, counts, cfg)
+        vector = _per_document_embedding(features, at, weights, sizes, cfg)
     else:
         vector = embed_builtin(counts, cfg)
     return DomainProfile(

@@ -1,8 +1,11 @@
 """Deterministic hashing primitives.
 
-Everything that needs a stable identity (feature slots, config hashes,
-cache keys) goes through the 64-bit FNV-1a function defined here, so
-results are reproducible across platforms and process restarts.
+Feature slots and config hashes go through the 64-bit FNV-1a function
+defined here, so results are reproducible across platforms and process
+restarts. Content keys (the ingest cache's ``input_hash``) use
+``content_digest``, a 64-bit BLAKE2b digest from the standard library
+that hashes whole input files at C speed.
+
 ``fnv1a_64`` hashes one byte string; ``fnv1a_64_many`` hashes a batch
 with uint64 array arithmetic and returns the same values bit for bit.
 ``slot_and_sign`` is the one rule that turns a hash into a feature slot
@@ -13,10 +16,16 @@ Reference vectors with seed 0:
     fnv1a_64(b"")       == 0xcbf29ce484222325
     fnv1a_64(b"a")      == 0xaf63dc4c8601ec8c
     fnv1a_64(b"foobar") == 0x85944171f73967e8
+
+and of the content digest (the same as ``b2sum -l 64``):
+
+    content_digest(b"")       == "e4a6a0577479b2b4"
+    content_digest(b"foobar") == "9d212f7f254a51f9"
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any, Sequence
 
@@ -109,3 +118,8 @@ def canonical_json(obj: Any) -> str:
 def stable_hash(obj: Any) -> str:
     """16-hex-digit digest of an object's canonical JSON form."""
     return f"{fnv1a_64(canonical_json(obj).encode('utf-8')):016x}"
+
+
+def content_digest(data: bytes) -> str:
+    """16-hex-digit BLAKE2b digest of ``data``, the cache key of file contents."""
+    return hashlib.blake2b(data, digest_size=8).hexdigest()

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from conftest import run_cli, run_full_pipeline, write_pipeline_tree
+from domainport.hashing import content_digest
 from domainport.regression import FitModel, predict
 
 
@@ -91,6 +95,51 @@ def test_ingest_recomputes_when_input_changes(tmp_path):
     assert code == 0
     assert "ingested: news" in out
     assert out.count("cache hit:") == 3
+
+
+def test_ingest_reingests_an_edit_that_keeps_the_length(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    news = tmp_path / "corpora" / "news.txt"
+    before = news.read_bytes()
+    after = before.replace(b"rejected", b"rejectid", 1)
+    assert len(after) == len(before) and after != before
+    news.write_bytes(after)
+    code, out, _ = run_cli(["ingest", "--config", str(config)])
+    assert code == 0
+    assert "ingested: news" in out
+    assert out.count("cache hit:") == 3
+
+
+def test_ingest_reads_each_corpus_file_once(tmp_path, monkeypatch):
+    config = write_pipeline_tree(tmp_path)
+    reads = Counter()
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    corpora = {"src.txt", "news.txt", "social.txt", "science.txt"}
+    code, out, _ = run_cli(["ingest", "--config", str(config)])  # every corpus a miss
+    assert code == 0 and out.count("ingested:") == 4
+    assert {name: reads[name] for name in corpora} == dict.fromkeys(corpora, 1)
+    reads.clear()
+    code, out, _ = run_cli(["ingest", "--config", str(config)])  # every corpus a hit
+    assert code == 0 and out.count("cache hit:") == 4
+    assert {name: reads[name] for name in corpora} == dict.fromkeys(corpora, 1)
+
+
+def test_manifest_input_hash_is_sixteen_lowercase_hex_digits(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    domains = read_json(tmp_path / "out" / "cache" / "manifest.json")["domains"]
+    assert len(domains) == 4
+    for entry in domains.values():
+        assert re.fullmatch(r"[0-9a-f]{16}", entry["input_hash"]), entry["input_hash"]
+    src = (tmp_path / "corpora" / "src.txt").read_bytes()
+    assert domains["src"]["input_hash"] == content_digest(src)
 
 
 def test_ingest_isolates_a_bad_corpus(tmp_path):
@@ -271,6 +320,36 @@ def test_config_rejects_duplicate_domains(tmp_path):
     code, _, err = run_cli(["ingest", "--config", str(config)])
     assert code == 1
     assert "duplicate domain_id 'src'" in err
+
+
+def test_config_rejects_domain_ids_that_share_a_file_name(tmp_path):
+    # "news feed" and "news-feed" would both be cached as profile-news-feed.json
+    config = write_pipeline_tree(tmp_path)
+
+    def rename(raw):
+        raw["corpora"][1]["domain_id"] = "news feed"
+        raw["corpora"][2]["domain_id"] = "news-feed"
+
+    edit_config(config, rename)
+    code, _, err = run_cli(["ingest", "--config", str(config)])
+    assert code == 1
+    assert "domain ids 'news feed' and 'news-feed' map to the same file name 'news-feed'" in err
+    assert not (tmp_path / "out" / "cache").exists()
+
+
+def test_fit_rejects_systems_that_share_a_file_name(tmp_path):
+    # "alpha sys" and "alpha-sys" would both write fit-alpha-sys-*.json and curve-alpha-sys-*.csv
+    config = write_pipeline_tree(tmp_path)
+    scores = tmp_path / "scores.csv"
+    rows = scores.read_text(encoding="utf-8").splitlines()
+    rows += [row.replace("alpha-sys,", "alpha sys,", 1) for row in rows if row.startswith("alpha-sys,")]
+    scores.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    assert run_cli(["similarity", "--config", str(config)])[0] == 0
+    code, _, err = run_cli(["fit", "--config", str(config)])
+    assert code == 1
+    assert "systems 'alpha-sys' and 'alpha sys' map to the same file name 'alpha-sys'" in err
+    assert not list((tmp_path / "out").glob("fit-*"))
 
 
 def test_config_rejects_unknown_predictors(tmp_path):

@@ -279,6 +279,35 @@ def test_tfidf_tables_reembed_per_pair():
     assert record.cosine_distance != cosine_distance(weighted_src.embedding, weighted_tgt.embedding)
 
 
+SOURCE_TEXT = "alpha beta shared naïve\nbeta beta gamma 東京\nshared words here\n"
+TARGET_TEXTS = (
+    "gamma delta shared\nalpha words\n",
+    "completely other vocabulary\n",
+    "alpha beta shared naïve\nbeta beta gamma 東京\nshared words here\n",  # the source itself
+    "beta\nbeta beta beta\nhere here\n",
+)
+
+
+@pytest.mark.parametrize("weighting", ["tf", "tfidf"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_similarity_table_matches_the_per_pair_embedding(weighting, direction):
+    # the source table is prepared once per call; every record must equal the
+    # one computed from a fresh embed_builtin of both profiles for that pair
+    source = profile_from_text(SOURCE_TEXT, "src", dimension=32, weighting=weighting)
+    targets = [profile_from_text(t, f"t{i}", dimension=32, weighting=weighting) for i, t in enumerate(TARGET_TEXTS)]
+    kl = KLSettings(direction=direction)
+    cfg = source.embedding_config
+    for record, target in zip(similarity_table(source, targets, kl), targets, strict=True):
+        if weighting == "tfidf":
+            u = embed_builtin(source.term_freq, cfg, idf_context=target.term_freq.keys())
+            v = embed_builtin(target.term_freq, cfg, idf_context=source.term_freq.keys())
+        else:
+            u, v = source.embedding, target.embedding
+        assert record.lexical_difference == lexical_difference(source, target)
+        assert record.cosine_distance == cosine_distance(u, v)
+        assert record.kl_divergence == kl_divergence(u, v, kl.epsilon, reverse=(direction == "reverse"))
+
+
 # ---------------------------------------------------------------- records
 
 

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from domainport import features
 from domainport.corpus import Document, TokenizerConfig, parse_plaintext
 from domainport.errors import ComputationError, ConfigError, ParseError
 from domainport.features import (
     DomainProfile,
     EmbeddingConfig,
+    HashedTable,
     build_profile,
     build_profile_external,
     embed_builtin,
@@ -181,6 +183,24 @@ def test_embedding_is_bitwise_equal_to_the_per_feature_loop(seed, dimension, wei
             )
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("weighting", ["tf", "tfidf"])
+def test_a_prepared_table_embeds_like_its_mapping(seed, weighting):
+    # one table embedded against several contexts in turn, as similarity_table
+    # does with its source: no context may leak into the next
+    cfg = EmbeddingConfig(dimension=32, seed=seed, weighting=weighting)
+    contexts = (None, {"alpha", "東京"}, frozenset(), set(MIXED_TABLE), {"x" * 40}, None)
+    for table in (MIXED_TABLE, {"a": 1, "caabae": 1}, {"solo": 4}):
+        prepared = HashedTable.of(table, cfg)
+        for idf_context in contexts:
+            assert_same_outcome(
+                outcome(embed_builtin, prepared, cfg, idf_context=idf_context),
+                outcome(reference_embed, table, cfg, idf_context=idf_context),
+            )
+    with pytest.raises(ComputationError, match="different embedding configuration"):
+        embed_builtin(HashedTable.of(MIXED_TABLE, cfg), EmbeddingConfig(dimension=16, seed=seed))
+
+
 @given(
     st.dictionaries(st.text(min_size=0, max_size=40), st.integers(min_value=0, max_value=2**40), max_size=60),
     st.sampled_from(SEEDS),
@@ -343,10 +363,22 @@ def test_per_document_profile_is_unit_norm_and_differs_from_pooled():
         ("a b a c\nc d e\nsolo\nb a b a\n", 2),  # "solo" yields no bigram
     ],
 )
-def test_per_document_profile_is_bitwise_equal_to_the_per_document_loop(seed, text, order):
+def test_per_document_profile_is_bitwise_equal_to_the_per_document_loop(seed, text, order, monkeypatch):
     cfg = EmbeddingConfig(dimension=32, seed=seed, per_document=True)
     corpus = small_corpus(text, ngram_order=order)
-    assert np.array_equal(build_profile(corpus, cfg).embedding, reference_per_document(corpus, cfg))
+    tokenized = 0
+
+    def counting_ngram_features(tokens, n):
+        nonlocal tokenized
+        tokenized += 1
+        return ngram_features(tokens, n)
+
+    monkeypatch.setattr(features, "ngram_features", counting_ngram_features)
+    profile = build_profile(corpus, cfg)
+    monkeypatch.undo()
+    assert tokenized == len(corpus.documents)  # each document is tokenized into n-grams once
+    assert np.array_equal(profile.embedding, reference_per_document(corpus, cfg))
+    assert profile.term_freq == build_profile(corpus, EmbeddingConfig(dimension=32, seed=seed)).term_freq
 
 
 def test_per_document_profile_rejects_a_document_that_cancels():

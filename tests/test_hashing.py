@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from domainport.hashing import canonical_json, feature_slot, fnv1a_64, fnv1a_64_many, slot_and_sign, stable_hash
+from domainport.hashing import canonical_json, content_digest, feature_slot, fnv1a_64, fnv1a_64_many, slot_and_sign, stable_hash
 
 SEEDS = (0, 42, -1, 2**64 - 1, 2**70 + 3)
 
@@ -20,6 +20,12 @@ def test_reference_vectors():
     assert fnv1a_64(b"") == 0xCBF29CE484222325
     assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a_64(b"foobar") == 0x85944171F73967E8
+
+
+def test_content_digest_reference_values():
+    # 64-bit BLAKE2b, the same digests as `b2sum -l 64`
+    assert content_digest(b"") == "e4a6a0577479b2b4"
+    assert content_digest(b"foobar") == "9d212f7f254a51f9"
 
 
 def test_batched_reference_vectors():
