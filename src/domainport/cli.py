@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -22,7 +22,7 @@ import click
 
 from . import __version__
 from .corpus import Corpus, TokenizerConfig, parse_conll, parse_interchange, parse_jsonl_pairs, parse_plaintext
-from .divergence import CSV_COLUMNS, KLSettings, similarity_table
+from .divergence import CSV_COLUMNS, KLSettings, records_to_csv, similarity_table
 from .errors import ComputationError, ConfigError, ParseError
 from .features import (
     DomainProfile,
@@ -33,7 +33,7 @@ from .features import (
     profile_from_dict,
     profile_to_dict,
 )
-from .hashing import content_digest, stable_hash
+from .hashing import content_digest, dump_json, stable_hash
 from .hashing import fnv1a_64  # noqa: F401  unused here, but bench/tracing.py wraps cli.fnv1a_64 by name
 from .regression import FitModel, curve_points, fit as fit_curve, predict
 from .transport import (
@@ -45,7 +45,6 @@ from .transport import (
     render_report_text,
     report_to_dict,
 )
-from .corpus import corpus_to_json
 
 PREDICTOR_COLUMNS = {
     "lexical": "lexical_difference",
@@ -331,12 +330,16 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _dump_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
 def _meta_comment(config_hash: str) -> str:
     return f"#config_hash={config_hash},tool_version={__version__}\r\n"
+
+
+def _write_csv(path: Path, config_hash: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, _meta_comment(config_hash) + buf.getvalue())
 
 
 def _slug(name: str) -> str:
@@ -413,7 +416,6 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 raise ConfigError(f"corpus file not found: {spec.path}")
             raw = path.read_bytes()  # the one read of this file per run: hashed, and parsed on a miss
             input_hash = content_digest(raw)
-            corpus_file = cache / f"corpus-{_slug(spec.domain_id)}.json"
             profile_file = cache / f"profile-{_slug(spec.domain_id)}.json"
             entry = domains.get(spec.domain_id)
             if (
@@ -421,7 +423,6 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 and entry.get("input_hash") == input_hash
                 and entry.get("tokenizer_hash") == cfg.tokenizer.config_hash()
                 and entry.get("embedding_hash") == emb_hash
-                and corpus_file.is_file()
                 and profile_file.is_file()
             ):
                 click.echo(f"cache hit: {spec.domain_id}")
@@ -432,15 +433,13 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 profile = build_profile_external(corpus, external[spec.domain_id], cfg.external_embeddings)
             else:
                 profile = build_profile(corpus, cfg.embedding)
-            _write_text(corpus_file, corpus_to_json(corpus))
-            _write_text(profile_file, _dump_json(
+            _write_text(profile_file, dump_json(
                 {"config_hash": config_hash, "tool_version": __version__, "profile": profile_to_dict(profile)}
             ))
             domains[spec.domain_id] = {
                 "input_hash": input_hash,
                 "tokenizer_hash": cfg.tokenizer.config_hash(),
                 "embedding_hash": emb_hash,
-                "corpus_file": corpus_file.name,
                 "profile_file": profile_file.name,
                 "path": spec.path,
                 "documents": len(corpus.documents),
@@ -454,7 +453,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
             click.echo(f"failed: {spec.domain_id}: {exc}", err=True)
 
     if changed:
-        _write_text(manifest_path, _dump_json(
+        _write_text(manifest_path, dump_json(
             {"config_hash": config_hash, "tool_version": __version__,
              "domains": {k: domains[k] for k in sorted(domains)}}
         ))
@@ -491,19 +490,18 @@ def cmd_similarity(cfg: RunConfig) -> None:
 
     config_hash = cfg.config_hash()
     out = cfg.out_path
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([r.source_id, r.target_id, repr(r.lexical_difference),
-                         repr(r.cosine_distance), repr(r.kl_divergence)])
-    _write_text(out / "similarity.csv", _meta_comment(config_hash) + buf.getvalue())
-    _write_text(out / "similarity.json", _dump_json({
+    _write_text(out / "similarity.csv", _meta_comment(config_hash) + records_to_csv(records))
+    _write_text(out / "similarity.json", dump_json({
         "config_hash": config_hash,
         "tool_version": __version__,
         "records": [r.to_dict() for r in records],
     }))
     click.echo(f"similarity: {len(records)} record(s) from {source_id!r}")
+
+
+def _group_order(cfg: RunConfig) -> list[str] | None:
+    """Group columns of the transport table in config order; None sorts them."""
+    return list(cfg.transport.groups) if cfg.transport is not None and cfg.transport.groups else None
 
 
 def cmd_transport(cfg: RunConfig) -> None:
@@ -530,12 +528,13 @@ def cmd_transport(cfg: RunConfig) -> None:
 
     config_hash = cfg.config_hash()
     out = cfg.out_path
-    _write_text(out / "transport.json", _dump_json({
+    payloads = [report_to_dict(r) for r in reports]
+    _write_text(out / "transport.json", dump_json({
         "config_hash": config_hash,
         "tool_version": __version__,
-        "reports": [report_to_dict(r) for r in reports],
+        "reports": payloads,
     }))
-    text = render_report_text(reports, group_order=list(spec.groups) if spec.groups else None)
+    text = render_report_text(payloads, group_order=_group_order(cfg))
     header = f"# task={spec.task} metric={table.metric_name}\n# config_hash={config_hash} tool_version={__version__}\n"
     _write_text(out / "transport.txt", header + text)
     click.echo(f"transport: {len(reports)} system report(s)")
@@ -596,7 +595,7 @@ def cmd_fit(cfg: RunConfig) -> None:
                 continue
             model = fit_curve(points, predictor_name=column, percent_scale=percent)
             stem = f"fit-{_slug(system)}-{predictor}"
-            _write_text(out / f"{stem}.json", _dump_json({
+            _write_text(out / f"{stem}.json", dump_json({
                 "config_hash": config_hash,
                 "tool_version": __version__,
                 "system": system,
@@ -607,12 +606,8 @@ def cmd_fit(cfg: RunConfig) -> None:
             }))
             x_max = max(x for x, _ in points)
             curve = curve_points(model, x_max if x_max > 0 else 1.0)
-            cbuf = io.StringIO()
-            cwriter = csv.writer(cbuf)
-            cwriter.writerow([column, "predicted_score"])
-            for xv, yv in curve:
-                cwriter.writerow([repr(xv), repr(yv)])
-            _write_text(out / f"curve-{_slug(system)}-{predictor}.csv", _meta_comment(config_hash) + cbuf.getvalue())
+            _write_csv(out / f"curve-{_slug(system)}-{predictor}.csv", config_hash,
+                       [column, "predicted_score"], [[repr(xv), repr(yv)] for xv, yv in curve])
             summary_fits.setdefault(system, {})[predictor] = {
                 "a": model.a, "b": model.b, "c": model.c,
                 "sse": model.sse, "mae": model.mae, "n": model.n_points,
@@ -621,7 +616,7 @@ def cmd_fit(cfg: RunConfig) -> None:
             mae_by_predictor[predictor].append(model.mae)
             click.echo(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n_points} point(s)")
 
-    _write_text(out / "fit_summary.json", _dump_json({
+    _write_text(out / "fit_summary.json", dump_json({
         "config_hash": config_hash,
         "tool_version": __version__,
         "metric": table.metric_name,
@@ -663,7 +658,7 @@ def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
     if missing and not allow_partial:
         raise ConfigError("missing stage outputs: " + "; ".join(missing))
 
-    _write_text(out / "report.json", _dump_json({
+    _write_text(out / "report.json", dump_json({
         "config_hash": config_hash,
         "tool_version": __version__,
         "similarity": sections["similarity"],
@@ -692,13 +687,7 @@ def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
     lines.append("[transport]")
     tr = sections["transport"]
     if "reports" in tr:
-        txt_path = out / "transport.txt"
-        if txt_path.is_file():
-            body = [ln for ln in txt_path.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
-            lines.extend(body)
-        else:
-            for rep in tr["reports"]:
-                lines.append(f"{rep['system']}: tau_p={rep['tau_p']:.6f} variation={rep['variation']}")
+        lines.extend(render_report_text(tr["reports"], group_order=_group_order(cfg)).splitlines())
     else:
         lines.append("absent")
     lines.append("")
@@ -733,11 +722,8 @@ def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
                 for x, y in fit_payload.get("points", []):
                     rows.append([system, repr(float(x)), repr(float(y))])
             if rows:
-                pbuf = io.StringIO()
-                pwriter = csv.writer(pbuf)
-                pwriter.writerow(["system", PREDICTOR_COLUMNS[predictor], "score"])
-                pwriter.writerows(rows)
-                _write_text(out / f"plot-{predictor}.csv", _meta_comment(config_hash) + pbuf.getvalue())
+                _write_csv(out / f"plot-{predictor}.csv", config_hash,
+                           ["system", PREDICTOR_COLUMNS[predictor], "score"], rows)
     click.echo("report written")
 
 
@@ -755,24 +741,13 @@ def _apply_overrides(
     if out_dir is not None:
         cfg.out_dir = out_dir
     if seed is not None:
-        cfg.embedding = EmbeddingConfig(
-            dimension=cfg.embedding.dimension,
-            seed=seed,
-            weighting=cfg.embedding.weighting,
-            per_document=cfg.embedding.per_document,
-        )
-    if kl_direction is not None or kl_epsilon is not None:
-        cfg.kl = KLSettings(
-            epsilon=kl_epsilon if kl_epsilon is not None else cfg.kl.epsilon,
-            direction=kl_direction if kl_direction is not None else cfg.kl.direction,
-            method=cfg.kl.method,
-        )
+        cfg.embedding = replace(cfg.embedding, seed=seed)
+    if kl_epsilon is not None:
+        cfg.kl = replace(cfg.kl, epsilon=kl_epsilon)
+    if kl_direction is not None:
+        cfg.kl = replace(cfg.kl, direction=kl_direction)
     if bias_corrected is not None and cfg.transport is not None:
-        t = cfg.transport
-        cfg.transport = TransportSpec(
-            task=t.task, source=t.source, targets=t.targets,
-            systems=t.systems, groups=t.groups, bias_corrected=bias_corrected,
-        )
+        cfg.transport = replace(cfg.transport, bias_corrected=bias_corrected)
     return cfg
 
 
@@ -791,7 +766,7 @@ def _cli() -> None:
 @_OUT_OPTION
 @click.option("--seed", type=int, default=None, help="Override the embedding seed.")
 def _ingest_cmd(config_path: str, out_dir: str | None, seed: int | None) -> None:
-    """Parse corpora and cache tokenized forms and domain profiles."""
+    """Parse corpora and cache their domain profiles."""
     cfg = _apply_overrides(load_config(config_path), out_dir, seed, None, None, None)
     with _run_lock(cfg.out_path):
         cmd_ingest(cfg)

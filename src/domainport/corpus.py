@@ -2,9 +2,9 @@
 
 Three input formats are supported (CoNLL token-per-line, JSON-lines
 with text fields, plain text) plus a tokenized JSON interchange form
-that downstream stages and the CLI cache consume. All parsers produce
-the same :class:`Corpus` structure, so later stages never care where
-the text came from.
+(:func:`to_interchange` / :func:`parse_interchange`) for corpora
+tokenized elsewhere. All parsers produce the same :class:`Corpus`
+structure, so later stages never care where the text came from.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import IO, Any, Sequence
 
 from .errors import ConfigError, ParseError
@@ -300,10 +299,6 @@ def to_interchange(corpus: Corpus) -> dict[str, Any]:
     }
 
 
-def corpus_to_json(corpus: Corpus) -> str:
-    return json.dumps(to_interchange(corpus), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
 def parse_interchange(
     data: bytes | str | IO[bytes] | dict[str, Any],
     *,
@@ -347,35 +342,3 @@ def parse_interchange(
         tokenizer_config=cfg,
         provenance=Provenance(source=source, format="interchange", tokenizer_hash=cfg.config_hash()),
     )
-
-
-_FORMAT_PARSERS = {
-    "conll": parse_conll,
-    "jsonl": parse_jsonl_pairs,
-    "text": parse_plaintext,
-    "interchange": None,  # handled separately: ignores tokenizer config
-}
-
-
-def parse_file(
-    path: str | Path,
-    format: str,
-    config: TokenizerConfig | None = None,
-    *,
-    domain_id: str | None = None,
-    source: str | None = None,
-    **kwargs: Any,
-) -> Corpus:
-    """Parse a file by format tag. ``source`` defaults to the given path string."""
-    if format not in _FORMAT_PARSERS:
-        raise ConfigError(f"unknown corpus format {format!r}; expected one of {sorted(_FORMAT_PARSERS)}")
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"corpus file not found: {path}")
-    label = source if source is not None else str(path)
-    name = domain_id if domain_id is not None else p.stem
-    raw = p.read_bytes()
-    if format == "interchange":
-        return parse_interchange(raw, source=label)
-    parser = _FORMAT_PARSERS[format]
-    return parser(raw, config, domain_id=name, source=label, **kwargs)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -242,7 +241,3 @@ def records_to_csv(records: Sequence[SimilarityRecord]) -> str:
             [r.source_id, r.target_id, repr(r.lexical_difference), repr(r.cosine_distance), repr(r.kl_divergence)]
         )
     return buf.getvalue()
-
-
-def records_to_json(records: Sequence[SimilarityRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], sort_keys=True, indent=2, ensure_ascii=False) + "\n"

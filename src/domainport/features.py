@@ -317,15 +317,6 @@ def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> Dom
     )
 
 
-def _is_existing_path(candidate: str | Path) -> bool:
-    if isinstance(candidate, str) and "\n" in candidate:
-        return False
-    try:
-        return Path(candidate).is_file()
-    except OSError:
-        return False
-
-
 def load_external_embeddings(
     data: str | Path | bytes | IO[bytes],
     expected_domains: Collection[str] = (),
@@ -335,16 +326,17 @@ def load_external_embeddings(
     JSON form: ``{"domain": [numbers...], ...}``. CSV form: header
     ``domain_id,v0,...`` with one row per domain. Vectors must share a
     dimension, be finite and nonzero; they are L2-normalized on load
-    (``[3, 4]`` becomes ``[0.6, 0.8]``).
+    (``[3, 4]`` becomes ``[0.6, 0.8]``). A :class:`~pathlib.Path` names
+    the file to read; a ``str``, ``bytes`` or binary stream is the content.
     """
     label = "<stream>"
-    if isinstance(data, (str, Path)) and _is_existing_path(data):
+    if isinstance(data, Path):
+        if not data.is_file():
+            raise ConfigError(f"external embeddings file not found: {data}")
         label = str(data)
-        raw = Path(data).read_bytes()
+        raw = data.read_bytes()
     elif isinstance(data, bytes):
         raw = data
-    elif isinstance(data, Path) or (isinstance(data, str) and "\n" not in data and "{" not in data):
-        raise ConfigError(f"external embeddings file not found: {data}")
     elif isinstance(data, str):
         raw = data.encode("utf-8")
     else:
@@ -426,7 +418,3 @@ def profile_from_dict(data: dict[str, Any]) -> DomainProfile:
         )
     except KeyError as exc:
         raise ParseError(f"profile payload missing key: {exc.args[0]!r}") from exc
-
-
-def profile_to_json(profile: DomainProfile) -> str:
-    return json.dumps(profile_to_dict(profile), sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -11,6 +11,9 @@ with uint64 array arithmetic and returns the same values bit for bit.
 ``slot_and_sign`` is the one rule that turns a hash into a feature slot
 and sign, for a single hash and for an array of them alike.
 
+``canonical_json`` is the encoding config hashes digest; ``dump_json``
+is the encoding of every JSON artifact the pipeline writes.
+
 Reference vectors with seed 0:
 
     fnv1a_64(b"")       == 0xcbf29ce484222325
@@ -113,6 +116,11 @@ def feature_slot(feature: str, dimension: int, seed: int = 0) -> tuple[int, floa
 def canonical_json(obj: Any) -> str:
     """Serialize to a canonical JSON string: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def dump_json(obj: Any) -> str:
+    """Serialize an artifact: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def stable_hash(obj: Any) -> str:

@@ -9,7 +9,6 @@ parameters that never accepts a step increasing the squared error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -95,10 +94,6 @@ class FitModel:
                 diverged=bool(log.get("diverged", False)),
             ),
         )
-
-
-def model_to_json(model: FitModel) -> str:
-    return json.dumps(model.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _validate_points(

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Mapping, Sequence
 
-from .errors import ComputationError, ParseError
+from .errors import ComputationError, ConfigError, ParseError
 
 SCORE_COLUMNS = ("system", "task", "dataset", "split", "score")
 
@@ -81,24 +80,21 @@ class ScoreTable:
         return list(dict.fromkeys(e.system for e in self.entries if task is None or e.task == task))
 
 
-def _is_existing_path(candidate: str | Path) -> bool:
-    if isinstance(candidate, str) and "\n" in candidate:
-        return False
-    try:
-        return Path(candidate).is_file()
-    except OSError:
-        return False
-
-
 def load_score_table(
     data: str | Path | bytes | IO[bytes],
     metric_name: str = "F1",
 ) -> ScoreTable:
-    """Read a score table from CSV with header system,task,dataset,split,score."""
+    """Read a score table from CSV with header system,task,dataset,split,score.
+
+    A :class:`~pathlib.Path` names the file to read; a ``str``, ``bytes``
+    or binary stream is the CSV content itself.
+    """
     label = "<stream>"
-    if isinstance(data, (str, Path)) and _is_existing_path(data):
+    if isinstance(data, Path):
+        if not data.is_file():
+            raise ConfigError(f"score table file not found: {data}")
         label = str(data)
-        text = Path(data).read_text(encoding="utf-8")
+        text = data.read_text(encoding="utf-8")
     elif isinstance(data, bytes):
         text = data.decode("utf-8")
     elif isinstance(data, str):
@@ -295,24 +291,28 @@ def report_to_dict(report: TransportReport) -> dict[str, Any]:
     }
 
 
-def render_report_text(reports: Sequence[TransportReport], group_order: Sequence[str] | None = None) -> str:
-    """Fixed-width text table: one column per system, one row per measure."""
+def render_report_text(reports: Sequence[Mapping[str, Any]], group_order: Sequence[str] | None = None) -> str:
+    """Fixed-width text table: one column per system, one row per measure.
+
+    ``reports`` are in the :func:`report_to_dict` form, as stored in
+    ``transport.json``.
+    """
     if not reports:
         raise ComputationError("nothing to render: no reports")
     groups = list(group_order) if group_order is not None else sorted(
-        {g for rep in reports for g in rep.group_means}
+        {g for rep in reports for g in rep["group_means"]}
     )
     rows: list[tuple[str, list[str]]] = []
-    rows.append(("source", [f"{r.source_key[0]}/{r.source_key[1]}" for r in reports]))
+    rows.append(("source", [f"{r['source']['dataset']}/{r['source']['split']}" for r in reports]))
     for g in groups:
         rows.append(
-            (f"tau_p({g})", ["%.3f" % r.group_means[g] if g in r.group_means else "n/a" for r in reports])
+            (f"tau_p({g})", ["%.3f" % r["group_means"][g] if g in r["group_means"] else "n/a" for r in reports])
         )
-    rows.append(("tau_p(mean)", ["%.3f" % r.tau_p for r in reports]))
+    rows.append(("tau_p(mean)", ["%.3f" % r["tau_p"] for r in reports]))
     rows.append(
-        ("tau_var(%)", ["%.3f" % r.variation if r.variation is not None else "n/a" for r in reports])
+        ("tau_var(%)", ["%.3f" % r["variation"] if r["variation"] is not None else "n/a" for r in reports])
     )
-    header = ["measure"] + [r.system for r in reports]
+    header = ["measure"] + [r["system"] for r in reports]
     table_rows = [header] + [[label] + cells for label, cells in rows]
     widths = [max(len(row[i]) for row in table_rows) for i in range(len(header))]
     lines = []
@@ -321,14 +321,3 @@ def render_report_text(reports: Sequence[TransportReport], group_order: Sequence
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
-
-
-def score_table_to_json(table: ScoreTable) -> str:
-    obj = {
-        "metric": table.metric_name,
-        "entries": [
-            {"system": e.system, "task": e.task, "dataset": e.dataset, "split": e.split, "score": e.score}
-            for e in table.entries
-        ],
-    }
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

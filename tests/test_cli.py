@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from conftest import run_cli, run_full_pipeline, write_pipeline_tree
-from domainport.hashing import content_digest
+from domainport.corpus import parse_plaintext, to_interchange
+from domainport.features import profile_from_dict
+from domainport.hashing import content_digest, dump_json
 from domainport.regression import FitModel, predict
 
 
@@ -35,7 +37,6 @@ def test_full_pipeline_writes_consistent_artifacts(tmp_path):
 
     for name in (
         "cache/manifest.json",
-        "cache/corpus-src.json",
         "cache/profile-src.json",
         "similarity.csv",
         "similarity.json",
@@ -78,13 +79,70 @@ def test_ingest_reuses_cache_without_rewriting(tmp_path):
     cache = tmp_path / "out" / "cache"
     before = {
         p.name: p.stat().st_mtime_ns
-        for p in (cache / "manifest.json", cache / "profile-src.json", cache / "corpus-news.json")
+        for p in (cache / "manifest.json", cache / "profile-src.json", cache / "profile-news.json")
     }
     code, out2, _ = run_cli(["ingest", "--config", str(config)])
     assert code == 0
     assert out2.count("cache hit:") == 4
     after = {p: (cache / p).stat().st_mtime_ns for p in before}
     assert after == before  # nothing rewritten on a clean hit
+
+
+def test_ingest_caches_profiles_only(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    cache = tmp_path / "out" / "cache"
+    assert sorted(p.name for p in cache.iterdir()) == [
+        "manifest.json", "profile-news.json", "profile-science.json", "profile-social.json", "profile-src.json",
+    ]
+    assert all("corpus_file" not in entry for entry in read_json(cache / "manifest.json")["domains"].values())
+
+
+def test_ingest_hits_a_cache_that_also_holds_corpus_files(tmp_path):
+    # caches from versions that also wrote cache/corpus-*.json and a manifest
+    # "corpus_file" key stay valid: both are ignored
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    cache = tmp_path / "out" / "cache"
+    manifest = read_json(cache / "manifest.json")
+    for domain, entry in manifest["domains"].items():
+        entry["corpus_file"] = f"corpus-{domain}.json"
+        (cache / entry["corpus_file"]).write_text("{}\n", encoding="utf-8")
+    (cache / "manifest.json").write_text(dump_json(manifest), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    code, out, _ = run_cli(["ingest", "--config", str(config)])
+    assert code == 0
+    assert out.count("cache hit:") == 4 and "ingested:" not in out
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+
+
+INTERCHANGE_TEXT = dump_json(to_interchange(parse_plaintext("Alpha beta!\nGamma delta beta\n", domain_id="elsewhere")))
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("conll", "Alpha\tX\nbeta\tX\n-DOCSTART-\nGamma\tX\n\ndelta\tX\nbeta\tX\n"),
+    ("jsonl", '{"sentence1": "Alpha beta!"}\n{"sentence1": "Gamma delta", "sentence2": "beta"}\n'),
+    ("interchange", INTERCHANGE_TEXT),
+])
+def test_ingest_reads_each_corpus_format(tmp_path, fmt, text):
+    config = write_pipeline_tree(tmp_path)
+    (tmp_path / "corpora" / "extra").write_text(text, encoding="utf-8")
+    edit_config(config, lambda raw: raw["corpora"].append(
+        {"domain_id": "extra", "path": "corpora/extra", "format": fmt}
+    ))
+    code, out, err = run_cli(["ingest", "--config", str(config)])
+    assert code == 0, err
+    assert "ingested: extra (2 documents, 5 tokens)" in out
+    profile = profile_from_dict(read_json(tmp_path / "out" / "cache" / "profile-extra.json")["profile"])
+    assert profile.term_freq == {"alpha": 1, "beta": 2, "gamma": 1, "delta": 1}
+
+
+def test_config_rejects_unknown_corpus_formats(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, lambda raw: raw["corpora"][1].update({"format": "xml"}))
+    code, _, err = run_cli(["ingest", "--config", str(config)])
+    assert code == 1
+    assert "corpora[1]: unknown format 'xml'" in err
 
 
 def test_ingest_recomputes_when_input_changes(tmp_path):
@@ -167,6 +225,14 @@ def test_ingest_missing_corpus_file_is_a_config_error(tmp_path):
     code, _, err = run_cli(["ingest", "--config", str(config)])
     assert code == 1
     assert "corpus file not found" in err
+
+
+def test_transport_missing_score_table_is_a_config_error(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    (tmp_path / "scores.csv").unlink()
+    code, _, err = run_cli(["transport", "--config", str(config)])
+    assert code == 1
+    assert "score table file not found" in err
 
 
 def test_lock_file_blocks_concurrent_runs(tmp_path):
@@ -301,6 +367,19 @@ def test_report_requires_stages_unless_partial(tmp_path):
     assert report["transport"] == {"status": "absent"}
     assert report["fits"] == {"status": "absent"}
     assert "absent" in (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+
+
+def test_report_renders_the_transport_table_from_transport_json(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    report = (out / "report.txt").read_bytes()
+    table = [ln for ln in (out / "transport.txt").read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
+    assert "\n".join(table) in report.decode("utf-8")
+    assert table[3].startswith("tau_p(near)") and table[4].startswith("tau_p(far)")  # config group order
+    (out / "transport.txt").unlink()
+    assert run_cli(["report", "--config", str(config)])[0] == 0
+    assert (out / "report.txt").read_bytes() == report
 
 
 # ---------------------------------------------------------------- config validation

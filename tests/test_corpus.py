@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from domainport.corpus import (
     Corpus,
     TokenizerConfig,
-    corpus_to_json,
     parse_conll,
-    parse_file,
     parse_interchange,
     parse_jsonl_pairs,
     parse_plaintext,
@@ -21,6 +19,7 @@ from domainport.corpus import (
     tokenize,
 )
 from domainport.errors import ConfigError, ParseError
+from domainport.hashing import dump_json
 
 
 # ---------------------------------------------------------------- tokenize
@@ -238,7 +237,7 @@ def test_parse_plaintext_counts_skipped_segments():
 
 def test_interchange_round_trip_identity():
     original = parse_plaintext("Alpha beta!\nGamma delta\n", domain_id="roundtrip")
-    restored = parse_interchange(corpus_to_json(original))
+    restored = parse_interchange(dump_json(to_interchange(original)))
     assert restored.domain_id == original.domain_id
     assert [d.tokens for d in restored.documents] == [d.tokens for d in original.documents]
     assert restored.tokenizer_config == original.tokenizer_config
@@ -261,7 +260,7 @@ def test_interchange_preserves_tokens_verbatim(docs):
     }
     corpus = parse_interchange(payload)
     assert [list(d.tokens) for d in corpus.documents] == docs
-    again = parse_interchange(json.loads(corpus_to_json(corpus)))
+    again = parse_interchange(json.loads(dump_json(to_interchange(corpus))))
     assert [d.tokens for d in again.documents] == [d.tokens for d in corpus.documents]
 
 
@@ -284,40 +283,8 @@ def test_interchange_rejects_bad_token_lists():
 
 def test_serialization_is_deterministic():
     corpus = parse_plaintext("Some stable text\nAcross two lines\n")
-    assert corpus_to_json(corpus) == corpus_to_json(corpus)
+    assert dump_json(to_interchange(corpus)) == dump_json(to_interchange(corpus))
     assert to_interchange(corpus) == to_interchange(corpus)
-
-
-# ---------------------------------------------------------------- parse_file
-
-
-def test_parse_file_dispatch(tmp_path):
-    p = tmp_path / "data.conll"
-    p.write_text("John NNP\nruns VBZ\n", encoding="utf-8")
-    corpus = parse_file(p, "conll")
-    assert corpus.domain_id == "data"
-    assert corpus.provenance.source == str(p)
-    assert corpus.provenance.format == "conll"
-
-
-def test_parse_file_interchange(tmp_path):
-    original = parse_plaintext("round trip\n", domain_id="rt")
-    p = tmp_path / "c.json"
-    p.write_text(corpus_to_json(original), encoding="utf-8")
-    restored = parse_file(p, "interchange")
-    assert [d.tokens for d in restored.documents] == [d.tokens for d in original.documents]
-
-
-def test_parse_file_unknown_format(tmp_path):
-    p = tmp_path / "x.txt"
-    p.write_text("content\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown corpus format"):
-        parse_file(p, "xml")
-
-
-def test_parse_file_missing(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        parse_file(tmp_path / "absent.txt", "text")
 
 
 def test_corpus_requires_domain_id():

@@ -22,7 +22,6 @@ from domainport.divergence import (
     kl_divergence,
     lexical_difference,
     records_to_csv,
-    records_to_json,
     similarity_table,
 )
 from domainport.errors import ComputationError, ConfigError
@@ -33,6 +32,7 @@ from domainport.features import (
     build_profile,
     embed_builtin,
 )
+from domainport.hashing import dump_json
 
 
 def profile_from_vocab(vocab, domain_id="d"):
@@ -334,6 +334,6 @@ def test_records_serialize_to_csv_and_json():
     # repr round-trips floats exactly
     assert float(rows[1][3]) == records[0].cosine_distance
 
-    payload = json.loads(records_to_json(records))
+    payload = json.loads(dump_json([r.to_dict() for r in records]))
     assert [r["target_id"] for r in payload] == ["t1", "t2"]
     assert payload[0]["kl_divergence"] == records[0].kl_divergence

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +26,8 @@ from domainport.features import (
     ngram_features,
     profile_from_dict,
     profile_to_dict,
-    profile_to_json,
 )
-from domainport.hashing import fnv1a_64
+from domainport.hashing import dump_json, fnv1a_64
 
 freq_tables = st.dictionaries(
     st.text(alphabet="abcdefgh ", min_size=1, max_size=8).filter(str.strip),
@@ -430,6 +430,9 @@ def test_external_embeddings_error_cases():
     with pytest.raises(ParseError, match="zero vector"):
         load_external_embeddings(b'{"d1": [0, 0]}')
     with pytest.raises(ConfigError, match="not found"):
+        load_external_embeddings(Path("no/such/file.json"))
+    # a str is content, never a file name
+    with pytest.raises(ParseError, match="define no domains"):
         load_external_embeddings("no/such/file.json")
 
 
@@ -444,9 +447,10 @@ def test_external_embeddings_from_a_path_with_a_brace(tmp_path):
     p = tmp_path / "dir{x}" / "emb.json"
     p.parent.mkdir()
     p.write_text('{"d1": [3, 4]}', encoding="utf-8")
-    assert np.allclose(load_external_embeddings(str(p), expected_domains=["d1"])["d1"], [0.6, 0.8])
-    assert np.allclose(load_external_embeddings(p)["d1"], [0.6, 0.8])
-    # a single-line string that names no file is still read as JSON text
+    assert np.allclose(load_external_embeddings(p, expected_domains=["d1"])["d1"], [0.6, 0.8])
+    # a str is content, never a file name, even when such a file exists
+    with pytest.raises(ParseError, match="define no domains"):
+        load_external_embeddings(str(p))
     assert np.allclose(load_external_embeddings('{"d1": [3, 4]}')["d1"], [0.6, 0.8])
 
 
@@ -471,7 +475,7 @@ def test_build_profile_external_rejects_zero_vector():
 def test_profile_round_trip():
     corpus = parse_plaintext("round trip text\nwith two lines\n", domain_id="rt")
     profile = build_profile(corpus, EmbeddingConfig(dimension=32, seed=9))
-    restored = profile_from_dict(json.loads(profile_to_json(profile)))
+    restored = profile_from_dict(json.loads(dump_json(profile_to_dict(profile))))
     assert restored.domain_id == profile.domain_id
     assert restored.term_freq == profile.term_freq
     assert np.array_equal(restored.embedding, profile.embedding)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from domainport.data import load_curve
 from domainport.errors import ComputationError
+from domainport.hashing import dump_json
 from domainport.regression import (
     FitModel,
     _grid_candidates,
@@ -25,7 +26,6 @@ from domainport.regression import (
     derivative,
     fit,
     mean_absolute_error,
-    model_to_json,
     predict,
 )
 
@@ -325,7 +325,7 @@ def test_jacobian_matches_central_differences():
 
 def test_model_json_round_trip():
     model = fit(EXACT_POINTS, predictor_name="kl_divergence")
-    payload = json.loads(model_to_json(model))
+    payload = json.loads(dump_json(model.to_dict()))
     assert set(payload) == {"a", "b", "c", "predictor", "sse", "mae", "n", "percent_scale", "fit_log"}
     assert payload["n"] == 5
     assert payload["predictor"] == "kl_divergence"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domainport.data import load_ner_scores, load_nli_scores, transport_spec
-from domainport.errors import ComputationError, ParseError
+from domainport.errors import ComputationError, ConfigError, ParseError
 from domainport.transport import (
     ScoreEntry,
     ScoreTable,
@@ -20,7 +20,6 @@ from domainport.transport import (
     load_score_table,
     render_report_text,
     report_to_dict,
-    score_table_to_json,
     tau_p_mean,
     tau_p_pair,
     tau_var,
@@ -262,8 +261,12 @@ def test_load_score_table_from_a_path_with_a_comma(tmp_path):
     p = tmp_path / "a,b" / "scores.csv"
     p.parent.mkdir()
     p.write_text(csv_text, encoding="utf-8")
-    assert load_score_table(str(p)).entries == load_score_table(csv_text).entries
     assert load_score_table(p).get("sys", "t", "d", "train") == 88.5
+    # a str is content, never a file name, even when such a file exists
+    with pytest.raises(ParseError, match="bad score table header"):
+        load_score_table(str(p))
+    with pytest.raises(ConfigError, match="not found"):
+        load_score_table(tmp_path / "absent.csv")
     # a single-line string that names no file is still read as CSV text
     with pytest.raises(ParseError, match="no rows"):
         load_score_table("system,task,dataset,split,score")
@@ -365,7 +368,7 @@ def test_render_report_text_layout():
         )
         for system in spec["systems"]
     ]
-    text = render_report_text(reports, group_order=["wiki", "wnut"])
+    text = render_report_text([report_to_dict(r) for r in reports], group_order=["wiki", "wnut"])
     lines = text.splitlines()
     assert lines[0].split() == ["measure", "stanford", "spacy", "elmo"]
     assert any(ln.startswith("tau_p(wiki)") for ln in lines)
@@ -376,11 +379,5 @@ def test_render_report_text_layout():
 def test_render_report_text_marks_undefined_variation():
     table = ScoreTable(entries=tuple(entries_for("s", {"src": 80.0, "tgt": 40.0})))
     report = build_report(table, "s", "t", ("src", "test"), [("tgt", "test")])
-    assert "n/a" in render_report_text([report])
+    assert "n/a" in render_report_text([report_to_dict(report)])
 
-
-def test_score_table_to_json_round_trip():
-    table = load_nli_scores()
-    payload = json.loads(score_table_to_json(table))
-    assert payload["metric"] == "accuracy"
-    assert len(payload["entries"]) == len(table.entries)
