@@ -24,7 +24,8 @@ SPLIT_MODES = ("whitespace", "unicode_word")
 
 # word runs, or single non-space punctuation characters
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
-_WORD_START_RE = re.compile(r"\w", re.UNICODE)
+# the word runs alone: _TOKEN_RE's tokens without its punctuation
+_WORD_RE = re.compile(r"\w+", re.UNICODE)
 _EDGE_PUNCT_RE = re.compile(r"^\W+|\W+$", re.UNICODE)
 
 
@@ -116,10 +117,9 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
         if cfg.strip_punctuation:
             parts = [_EDGE_PUNCT_RE.sub("", p) for p in parts]
     else:
-        parts = _TOKEN_RE.findall(text)
-        if cfg.strip_punctuation:
-            parts = [p for p in parts if _WORD_START_RE.match(p)]
+        parts = (_WORD_RE if cfg.strip_punctuation else _TOKEN_RE).findall(text)
     if cfg.lowercase:
+        # per token: lowering the whole text first can split a word ("İ" lowers to "i" + U+0307)
         parts = [p.lower() for p in parts]
     return [p for p in parts if p]
 
@@ -181,11 +181,11 @@ def parse_conll(
     documents = []
     skipped = 0
     for raw_tokens in raw_docs:
-        tokens: list[str] = []
-        for raw in raw_tokens:
-            tokens.extend(tokenize(raw, cfg))
+        # one call per document: no token spans the joining space, in any split mode
+        raw_text = " ".join(raw_tokens)
+        tokens = tokenize(raw_text, cfg)
         if tokens:
-            documents.append(Document(tuple(tokens), raw_length=len(" ".join(raw_tokens))))
+            documents.append(Document(tuple(tokens), raw_length=len(raw_text)))
         else:
             skipped += 1
     if not documents:

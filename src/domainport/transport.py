@@ -5,6 +5,13 @@ target score over source score. Aggregates over a set of targets:
 the mean ratio, and the coefficient of variation of the ratios in
 percent (sample standard deviation over mean, times 100), optionally
 with a small-sample bias correction factor 1 + 1/(4n).
+
+Score tables are loaded a column at a time: the CSV rows are transposed
+into five columns once, each check runs over a whole column, and the
+keys and scores become one ``{(system, task, dataset, split): score}``
+dict. Only when a check fails are the rows walked one by one, to report
+the first bad row with the same message a per-row check gives. No
+:class:`ScoreEntry` is built until :attr:`ScoreTable.entries` is read.
 """
 
 from __future__ import annotations
@@ -14,8 +21,9 @@ import io
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Any, Mapping, Sequence
+from typing import IO, Any, Iterator, Mapping, NoReturn, Sequence
 
 from .errors import ComputationError, ConfigError, ParseError
 
@@ -23,6 +31,8 @@ SCORE_COLUMNS = ("system", "task", "dataset", "split", "score")
 
 # metrics on a 0..100 scale; scores outside it are rejected at load time
 PERCENT_METRICS = {"f1", "accuracy", "precision", "recall"}
+
+Key = tuple[str, str, str, str]  # (system, task, dataset, split)
 
 
 @dataclass(frozen=True)
@@ -42,29 +52,50 @@ class ScoreEntry:
         if not math.isfinite(self.score):
             raise ParseError(f"non-finite score for {self.key()}")
 
-    def key(self) -> tuple[str, str, str, str]:
+    def key(self) -> Key:
         return (self.system, self.task, self.dataset, self.split)
 
 
-@dataclass(frozen=True)
 class ScoreTable:
-    entries: tuple[ScoreEntry, ...]
-    metric_name: str = "F1"
-    _scores: dict[tuple[str, str, str, str], float] = field(init=False, repr=False, compare=False)
+    """Scores keyed by (system, task, dataset, split), in file order.
 
-    def __post_init__(self) -> None:
-        scores: dict[tuple[str, str, str, str], float] = {}
-        for e in self.entries:
-            if e.key() in scores:
-                raise ParseError(f"duplicate score entry for {e.key()}")
-            scores[e.key()] = e.score
-        object.__setattr__(self, "_scores", scores)
-        if self.metric_name.lower() in PERCENT_METRICS:
-            for e in self.entries:
-                if not (0.0 <= e.score <= 100.0):
-                    raise ParseError(
-                        f"{self.metric_name} score out of [0, 100] for {e.key()}: {e.score}"
-                    )
+    The key -> score dict and ``metric_name`` are the table's only state.
+    Construction refuses a repeated key and, for a percent metric, a score
+    outside [0, 100]; :attr:`entries` rebuilds the rows on first use.
+    """
+
+    def __init__(self, entries: Sequence[ScoreEntry], metric_name: str = "F1") -> None:
+        self._fill([e.key() for e in entries], [e.score for e in entries], metric_name)
+
+    @classmethod
+    def _from_columns(cls, keys: list[Key], scores: list[float], metric_name: str) -> "ScoreTable":
+        table = cls.__new__(cls)
+        table._fill(keys, scores, metric_name)
+        return table
+
+    def _fill(self, keys: list[Key], scores: list[float], metric_name: str) -> None:
+        by_key = dict(zip(keys, scores))
+        if len(by_key) != len(keys):
+            seen: set[Key] = set()
+            for key in keys:
+                if key in seen:
+                    raise ParseError(f"duplicate score entry for {key}")
+                seen.add(key)
+        if metric_name.lower() in PERCENT_METRICS and scores and (min(scores) < 0.0 or max(scores) > 100.0):
+            key, score = next((k, s) for k, s in zip(keys, scores) if not 0.0 <= s <= 100.0)
+            raise ParseError(f"{metric_name} score out of [0, 100] for {key}: {score}")
+        self.metric_name = metric_name
+        self._scores = by_key
+
+    @cached_property
+    def entries(self) -> tuple[ScoreEntry, ...]:
+        """The rows as :class:`ScoreEntry` objects, in file order."""
+        return tuple(ScoreEntry(*key, score) for key, score in self._scores.items())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return self.metric_name == other.metric_name and list(self._scores.items()) == list(other._scores.items())
 
     def get(self, system: str, task: str, dataset: str, split: str) -> float:
         try:
@@ -77,7 +108,76 @@ class ScoreTable:
 
     def systems(self, task: str | None = None) -> list[str]:
         """Distinct systems in first-appearance order, optionally per task."""
-        return list(dict.fromkeys(e.system for e in self.entries if task is None or e.task == task))
+        return list(dict.fromkeys(k[0] for k in self._scores if task is None or k[1] == task))
+
+
+def _read_text(data: str | Path | bytes | IO[bytes]) -> tuple[str, str]:
+    """The CSV text of ``data`` and the source label its errors name."""
+    label = "<stream>"
+    if isinstance(data, Path):
+        if not data.is_file():
+            raise ConfigError(f"score table file not found: {data}")
+        label = str(data)
+        data = data.read_bytes()
+    if isinstance(data, str):
+        return data, label
+    raw = data if isinstance(data, bytes) else data.read()
+    try:
+        return raw.decode("utf-8"), label
+    except UnicodeDecodeError as exc:
+        raise ParseError("score table is not valid UTF-8", offset=exc.start, source=label) from exc
+
+
+def _csv_reader(text: str) -> tuple[Iterator[list[str]], list[int]]:
+    """A CSV reader over ``text`` without its ``#`` comment lines, and the
+    physical line number of each line the reader reads."""
+    lines = text.splitlines()
+    numbers = [n for n, line in enumerate(lines, start=1) if not line.startswith("#")]
+    return csv.reader(io.StringIO("\n".join([lines[n - 1] for n in numbers]))), numbers
+
+
+def _columns(rows: list[list[str]]) -> tuple[list[Key], list[float]] | None:
+    """Keys and scores of the data rows, or None if some row fails a per-row check.
+
+    Each check is the column form of one in :func:`_raise_first_bad_row`.
+    """
+    # widths first: zip(*rows) would silently truncate a short row
+    if set(map(len, rows)) != {len(SCORE_COLUMNS)}:
+        return None
+    *fields, score_texts = (list(map(str.strip, column)) for column in zip(*rows))
+    try:
+        scores = list(map(float, score_texts))
+    except ValueError:
+        return None
+    if any("" in field for field in fields) or not all(map(math.isfinite, scores)):
+        return None
+    return list(zip(*fields)), scores
+
+
+def _raise_first_bad_row(text: str, label: str) -> NoReturn:
+    """Raise the error of the first data row that fails a per-row check.
+
+    Rows are checked in file order, each for width, a numeric score,
+    non-empty fields and a finite score; the error names the physical line
+    the row starts on.
+    """
+    reader, numbers = _csv_reader(text)
+    rows: list[tuple[int, list[str]]] = []
+    read = 0
+    for row in reader:
+        if row:
+            rows.append((numbers[read], row))
+        read = reader.line_num
+    for line, row in rows[1:]:
+        if len(row) != len(SCORE_COLUMNS):
+            raise ParseError(f"expected {len(SCORE_COLUMNS)} columns, got {len(row)}", line=line, source=label)
+        *fields, score_text = (cell.strip() for cell in row)
+        try:
+            score = float(score_text)
+        except ValueError as exc:
+            raise ParseError(f"non-numeric score {score_text!r}", line=line, source=label) from exc
+        ScoreEntry(*fields, score)  # raises for an empty field or a non-finite score
+    raise AssertionError("a bulk check failed but no row fails its per-row check")
 
 
 def load_score_table(
@@ -87,24 +187,12 @@ def load_score_table(
     """Read a score table from CSV with header system,task,dataset,split,score.
 
     A :class:`~pathlib.Path` names the file to read; a ``str``, ``bytes``
-    or binary stream is the CSV content itself.
+    or binary stream is the CSV content itself. Lines starting with ``#``
+    are comments. An error names the physical line of the bad row, counting
+    comment and blank lines.
     """
-    label = "<stream>"
-    if isinstance(data, Path):
-        if not data.is_file():
-            raise ConfigError(f"score table file not found: {data}")
-        label = str(data)
-        text = data.read_text(encoding="utf-8")
-    elif isinstance(data, bytes):
-        text = data.decode("utf-8")
-    elif isinstance(data, str):
-        text = data
-    else:
-        text = data.read().decode("utf-8")
-
-    # tolerate leading comment lines (the CLI writes a metadata comment)
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
+    text, label = _read_text(data)
+    reader, _ = _csv_reader(text)
     rows = [row for row in reader if row]
     if not rows:
         raise ParseError("score table is empty", source=label)
@@ -113,19 +201,12 @@ def load_score_table(
         raise ParseError(
             f"bad score table header {list(header)}; expected {list(SCORE_COLUMNS)}", source=label
         )
-    entries = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(SCORE_COLUMNS):
-            raise ParseError(f"expected {len(SCORE_COLUMNS)} columns, got {len(row)}", line=line_no, source=label)
-        system, task, dataset, split, score_text = (cell.strip() for cell in row)
-        try:
-            score = float(score_text)
-        except ValueError as exc:
-            raise ParseError(f"non-numeric score {score_text!r}", line=line_no, source=label) from exc
-        entries.append(ScoreEntry(system=system, task=task, dataset=dataset, split=split, score=score))
-    if not entries:
+    if len(rows) == 1:
         raise ParseError("score table has a header but no rows", source=label)
-    return ScoreTable(entries=tuple(entries), metric_name=metric_name)
+    columns = _columns(rows[1:])
+    if columns is None:
+        _raise_first_bad_row(text, label)
+    return ScoreTable._from_columns(*columns, metric_name)
 
 
 def tau_p_pair(source_score: float, target_score: float) -> float:

@@ -1,0 +1,43 @@
+"""The benchmark's tracer wraps names in ``src/``; a refactor that drops one breaks ``--trace 1``.
+
+These tests import ``bench/tracing.py`` and change nothing under ``bench/``.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    yield tracing
+    assert not tracing.is_instrumented()
+    sys.modules.pop("tracing", None)
+
+
+def test_every_wrapped_name_is_defined_on_its_owner(tracing):
+    for owner, attr, _, _ in tracing._patches():
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"
+
+
+def test_score_table_counters_work_on_a_loaded_table(tracing):
+    from domainport import cli
+
+    text = "#config_hash=abc\nsystem,task,dataset,split,score\ns,t,a,x,50\ns,t,b,x,60\nr,t,a,x,70\n"
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        table = cli.load_score_table(text)
+        assert table.get("r", "t", "a", "x") == 70.0
+        assert table.get("s", "t", "b", "x") == 60.0
+    counts = tracer.counts[""]
+    assert counts["transport.table_rows"] == 3
+    assert counts["transport.lookups"] == 2
+    assert [span[0] for span in tracer.spans] == ["transport.load_table", "transport.lookup", "transport.lookup"]

@@ -235,6 +235,16 @@ def test_transport_missing_score_table_is_a_config_error(tmp_path):
     assert "score table file not found" in err
 
 
+def test_transport_non_utf8_score_table_is_a_data_error(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(scores.read_bytes() + b"alpha\xff,toy,src,train,50\n")
+    code, _, err = run_cli(["transport", "--config", str(config)])
+    assert code == 2
+    assert "data error" in err
+    assert "not valid UTF-8" in err
+
+
 def test_lock_file_blocks_concurrent_runs(tmp_path):
     config = write_pipeline_tree(tmp_path)
     out = tmp_path / "out"

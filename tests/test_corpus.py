@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import re
+import string
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domainport.corpus import (
+    SPLIT_MODES,
     Corpus,
+    Document,
     TokenizerConfig,
     parse_conll,
     parse_interchange,
@@ -63,6 +67,96 @@ def test_tokenize_never_emits_empty_tokens(text):
 def test_tokenize_is_deterministic(text):
     cfg = TokenizerConfig()
     assert tokenize(text, cfg) == tokenize(text, cfg)
+
+
+def reference_tokenize(text, cfg):
+    """The two-pass tokenizer ``tokenize`` replaced: every token, then drop punctuation."""
+    if cfg.split_mode == "whitespace":
+        parts = text.split()
+        if cfg.strip_punctuation:
+            parts = [re.sub(r"^\W+|\W+$", "", p) for p in parts]
+    else:
+        parts = re.findall(r"\w+|[^\w\s]", text)
+        if cfg.strip_punctuation:
+            parts = [p for p in parts if re.match(r"\w", p)]
+    if cfg.lowercase:
+        parts = [p.lower() for p in parts]
+    return [p for p in parts if p]
+
+
+EVERY_TOKENIZER = [
+    TokenizerConfig(split_mode=mode, strip_punctuation=strip, lowercase=lower)
+    for mode in SPLIT_MODES
+    for strip in (True, False)
+    for lower in (True, False)
+]
+# ASCII, punctuation, letters whose case mapping changes length or depends on
+# position (İ lowers to i + U+0307, ß, titlecase ǅ, final sigma), a combining dot, CJK
+TOKEN_ALPHABET = string.ascii_letters + string.digits + string.punctuation + " \t" + "éİßǅΣς\u0307東京中文"
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=80))
+@example("İstanbul STRASSE Straße ǅemal ΣΟΦΟΣ ς x\u0307y 東京, naïve!")
+def test_tokenize_matches_the_two_pass_reference(text):
+    for cfg in EVERY_TOKENIZER:
+        assert tokenize(text, cfg) == reference_tokenize(text, cfg)
+
+
+def reference_parse_conll_documents(text, cfg):
+    """``parse_conll``'s documents and skip count from the per-token loop it replaced."""
+    raw_docs, current = [], []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        first = (line.split("\t", 1)[0] if "\t" in line else line.split(None, 1)[0]).strip()
+        if not first:
+            raise ParseError("malformed line: empty token column", line=line_no, source="<stream>")
+        if first == "-DOCSTART-":
+            raw_docs.append(current)
+            current = []
+        else:
+            current.append(first)
+    raw_docs.append(current)
+    documents, skipped = [], 0
+    for raw_tokens in filter(None, raw_docs):
+        tokens = []
+        for raw in raw_tokens:
+            tokens.extend(reference_tokenize(raw, cfg))
+        if tokens:
+            documents.append(Document(tuple(tokens), raw_length=len(" ".join(raw_tokens))))
+        else:
+            skipped += 1
+    return documents, skipped
+
+
+_conll_lines = st.one_of(
+    st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=12).filter(lambda t: t.strip()),
+    st.sampled_from(["", "-DOCSTART- -X-", "New York\tB-LOC", "!!\tO", "İ\tO"]),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_conll_lines, max_size=25))
+@example(["-DOCSTART- -X-", "İstanbul NNP", "New York\tB-LOC", ", ,", "", "-DOCSTART- -X-", "!! .", "ς"])
+@example(["a", " \tb"])
+def test_parse_conll_matches_the_per_token_reference(lines):
+    text = "\n".join(lines) + "\n"
+    for cfg in EVERY_TOKENIZER:
+        try:
+            documents, skipped = reference_parse_conll_documents(text, cfg)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as excinfo:
+                parse_conll(text, cfg)
+            assert str(excinfo.value) == str(exc)
+            continue
+        if not documents:
+            with pytest.raises(ParseError, match="empty corpus"):
+                parse_conll(text, cfg)
+            continue
+        corpus = parse_conll(text, cfg)
+        assert corpus.documents == tuple(documents)
+        assert corpus.provenance.skipped == skipped
 
 
 def test_tokenizer_config_validation():

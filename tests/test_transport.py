@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domainport.data import load_ner_scores, load_nli_scores, transport_spec
 from domainport.errors import ComputationError, ConfigError, ParseError
 from domainport.transport import (
+    PERCENT_METRICS,
+    SCORE_COLUMNS,
     ScoreEntry,
     ScoreTable,
     TauObservation,
@@ -288,6 +292,185 @@ def test_load_score_table_error_cases():
         load_score_table("")
     with pytest.raises(ParseError, match="no rows"):
         load_score_table("system,task,dataset,split,score\n")
+
+
+def test_load_score_table_errors_name_the_physical_line():
+    # comment and blank lines count
+    with pytest.raises(ParseError) as excinfo:
+        load_score_table("#c\nsystem,task,dataset,split,score\ns,t,d,x,50\n\ns,t,d,y\n")
+    assert str(excinfo.value) == "<stream>: line 5: expected 5 columns, got 4"
+    with pytest.raises(ParseError) as excinfo:
+        load_score_table("system,task,dataset,split,score\n\n\ns,t,d,x,high\n")
+    assert str(excinfo.value) == "<stream>: line 4: non-numeric score 'high'"
+    # a quoted cell spanning lines moves later rows down; a row is named by its first line
+    with pytest.raises(ParseError, match="line 4: expected 5 columns, got 4"):
+        load_score_table('system,task,dataset,split,score\n"a\nb",t,d,x,50\ns,t,d,x\n')
+    with pytest.raises(ParseError, match="line 2: non-numeric score 'x\\\\ny'"):
+        load_score_table('system,task,dataset,split,score\ns,t,d,x,"x\ny"\n')
+
+
+@pytest.mark.parametrize("kind", ["path", "bytes", "stream"])
+def test_load_score_table_rejects_non_utf8_input(tmp_path, kind):
+    raw = b"system,task,dataset,split,score\nalpha\xff,toy,src,train,50\n"
+    path = tmp_path / "scores.csv"
+    path.write_bytes(raw)
+    data = {"path": path, "bytes": raw, "stream": io.BytesIO(raw)}[kind]
+    with pytest.raises(ParseError) as excinfo:
+        load_score_table(data)
+    assert excinfo.value.offset == raw.index(b"\xff")
+    assert excinfo.value.source == (str(path) if kind == "path" else "<stream>")
+    assert "not valid UTF-8" in str(excinfo.value)
+
+
+def test_loading_a_table_builds_no_score_entries(monkeypatch):
+    rng = random.Random(5)
+    rows = ["#config_hash=abc", ",".join(SCORE_COLUMNS)]
+    rows += [f"sys{s},task{t},dom{d},test,{rng.uniform(10.0, 95.0):.2f}"
+             for s in range(12) for t in range(101) for d in range(8)]
+    built = []
+    original = ScoreEntry.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ScoreEntry, "__post_init__", counted)
+
+    table = load_score_table("\n".join(rows) + "\n")
+    assert built == []
+    assert table.get("sys11", "task100", "dom7", "test") == float(rows[-1].rsplit(",", 1)[1])
+    assert table.systems("task3") == [f"sys{s}" for s in range(12)]
+    assert built == []
+    assert len(table.entries) == 9696
+    assert len(built) == 9696
+    assert table.entries is table.entries  # built once, then cached
+    assert [",".join((*e.key(), f"{e.score:.2f}")) for e in table.entries] == rows[2:]
+
+
+def reference_load_score_table(text, metric_name="F1"):
+    """The per-row loader ``load_score_table`` replaced, with physical line numbers.
+
+    Returns the entries in file order after the table checks the old
+    ``ScoreTable`` ran (duplicates, then the percent range).
+    """
+    label = "<stream>"
+    lines = text.splitlines()
+    physical = [n for n, ln in enumerate(lines, start=1) if not ln.startswith("#")]
+    reader = csv.reader(io.StringIO("\n".join(lines[n - 1] for n in physical)))
+    rows = []
+    start = 0
+    for row in reader:
+        if row:
+            rows.append((physical[start], row))
+        start = reader.line_num
+    if not rows:
+        raise ParseError("score table is empty", source=label)
+    header = tuple(cell.strip() for cell in rows[0][1])
+    if header != SCORE_COLUMNS:
+        raise ParseError(
+            f"bad score table header {list(header)}; expected {list(SCORE_COLUMNS)}", source=label
+        )
+    entries = []
+    for line_no, row in rows[1:]:
+        if len(row) != len(SCORE_COLUMNS):
+            raise ParseError(f"expected {len(SCORE_COLUMNS)} columns, got {len(row)}", line=line_no, source=label)
+        system, task, dataset, split, score_text = (cell.strip() for cell in row)
+        try:
+            score = float(score_text)
+        except ValueError as exc:
+            raise ParseError(f"non-numeric score {score_text!r}", line=line_no, source=label) from exc
+        entries.append(ScoreEntry(system=system, task=task, dataset=dataset, split=split, score=score))
+    if not entries:
+        raise ParseError("score table has a header but no rows", source=label)
+    seen = set()
+    for e in entries:
+        if e.key() in seen:
+            raise ParseError(f"duplicate score entry for {e.key()}")
+        seen.add(e.key())
+    if metric_name.lower() in PERCENT_METRICS:
+        for e in entries:
+            if not (0.0 <= e.score <= 100.0):
+                raise ParseError(f"{metric_name} score out of [0, 100] for {e.key()}: {e.score}")
+    return entries
+
+
+def _csv_cell(value, quoted, pad):
+    # a cell holding a delimiter, quote or newline is always quoted, so it stays one cell;
+    # padding goes inside the quotes, where it is part of the cell
+    value = pad + value + pad
+    if quoted or any(c in value for c in ',"\n'):
+        value = '"' + value.replace('"', '""') + '"'
+    return value
+
+
+# small pools per key column, so duplicate keys are common
+_key_pools = (["a", "b", "sys 1", 'q"q'], ["t", "x,y"], ["d", "line\nbreak"], ["x", "y", "z"])
+_scores = st.one_of(
+    st.floats(min_value=-2.0, max_value=102.0).map(lambda x: f"{x:.2f}"),  # past [0, 100] at the edges
+    st.sampled_from(["50", " 7.5 ", "1e2", "100", "0", "-0.0"]),
+)
+_bad_scores = st.sampled_from(["nan", "inf", "-inf", "high", "", "1_0x"])
+_good_rows = st.tuples(*(st.sampled_from(pool) for pool in _key_pools), _scores)
+_bad_rows = st.one_of(
+    st.tuples(*(st.sampled_from(pool) for pool in _key_pools), _bad_scores),
+    st.tuples(_good_rows, st.integers(0, 3)).map(lambda r: r[0][:r[1]] + ("",) + r[0][r[1] + 1:]),
+    # short or long rows; a good row with one more cell would pass if widths were not checked first
+    _good_rows.flatmap(lambda row: st.sampled_from([row[:4], row[:1], (*row, "x"), (*row, "")])),
+    st.lists(st.sampled_from(["a", "t", "50", ""]), min_size=1, max_size=7),
+)
+_line_kinds = {"good": _good_rows, "bad": _bad_rows, "other": st.sampled_from(["", "   ", "#comment", "#a,b,c"])}
+
+
+def _rendered(row):
+    """One CSV line for ``row``, each cell quoted or not and padded or not."""
+    if isinstance(row, str):
+        return st.just(row)
+    cells = st.tuples(*(st.tuples(st.just(cell), st.booleans(), st.sampled_from(["", " "])) for cell in row))
+    return cells.map(lambda drawn: ",".join(_csv_cell(*c) for c in drawn))
+
+
+_lines = st.sampled_from(["good"] * 16 + ["bad", "other"]).flatmap(_line_kinds.get).flatmap(_rendered)
+_headers = st.sampled_from([
+    *["system,task,dataset,split,score"] * 16,
+    " system , task,dataset ,split, score ",
+    '"system",task,dataset,split,score',
+    "system,task,dataset,split",
+    "model,task,dataset,split,score",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(["", "#config_hash=abc"]), max_size=2),
+    _headers,
+    st.lists(_lines, max_size=12),
+    st.sampled_from(["F1", "accuracy", "logloss"]),
+)
+@example([], "system,task,dataset,split,score", ["a,t,d,x,50", "", "#c", "a,t,d,y,nan"], "F1")
+@example(["#c"], "system,task,dataset,split,score", ["a,t,d,x,50", "a , t,d,x,60"], "F1")
+@example([], "system,task,dataset,split,score", ["a,t,d,x,50", "b,t,d,x,101", "a,t,d,x,1"], "F1")
+@example([], "system,task,dataset,split,score", ["b,t,d,x,101", "a,,d,x,50"], "accuracy")
+@example([], "system,task,dataset,split,score", ['"line\nbreak",t,d,x,50', "b,t,d,x,-1", "b,t,d,y"], "logloss")
+@example([], "system,task,dataset,split,score", ["a,t,d,x,50", "b,t,d,x,60,extra"], "F1")
+def test_column_loader_matches_the_per_row_reference(prefix, header, lines, metric):
+    text = "\n".join([*prefix, header, *lines]) + "\n"
+    try:
+        expected = reference_load_score_table(text, metric)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as excinfo:
+            load_score_table(text, metric)
+        assert type(excinfo.value) is type(exc)
+        assert str(excinfo.value) == str(exc)
+        return
+    table = load_score_table(text, metric)
+    assert table.metric_name == metric
+    assert table.entries == tuple(expected)
+    for e in expected:
+        assert table.get(*e.key()) == e.score
+    for task in [None, *{e.task for e in expected}, "absent"]:
+        assert table.systems(task) == list(dict.fromkeys(
+            e.system for e in expected if task is None or e.task == task
+        ))
 
 
 def test_bundled_fixture_shapes():
