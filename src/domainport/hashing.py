@@ -7,9 +7,7 @@ restarts. Content keys (the ingest cache's ``input_hash``) use
 that hashes whole input files at C speed.
 
 ``fnv1a_64`` hashes one byte string; ``fnv1a_64_many`` hashes a batch
-with uint64 array arithmetic and returns the same values bit for bit. A
-batch of at most 16 items is hashed with the scalar loop, which costs less
-than setting up the arrays.
+with uint64 array arithmetic and returns the same values bit for bit.
 ``slot_and_sign`` is the one rule that turns a hash into a feature slot
 and sign, for a single hash and for an array of them alike.
 
@@ -68,17 +66,13 @@ def fnv1a_64_many(items: Sequence[bytes], seed: int = 0) -> np.ndarray:
     xor-multiply over the prefix (uint64 products wrap mod 2**64, as the
     scalar loop masks them). Once at most ``_SCALAR_TAIL`` items remain,
     each finishes with the scalar loop, resumed from its partial hash; a
-    single very long item therefore costs no more than ``fnv1a_64``. A
-    batch of at most ``_SCALAR_TAIL`` items skips the array set-up and
-    takes the scalar loop from the start.
+    single very long item therefore costs no more than ``fnv1a_64``.
     """
     n = len(items)
-    if n <= _SCALAR_TAIL:
-        return np.array([fnv1a_64(item, seed) for item in items], dtype=np.uint64)
     lengths = np.fromiter(map(len, items), dtype=np.int64, count=n)
     order = np.argsort(-lengths, kind="stable")
     h = np.full(n, FNV_OFFSET_BASIS ^ (seed & _MASK64), dtype=np.uint64)
-    columns = int(lengths[order[_SCALAR_TAIL]])
+    columns = int(lengths[order[_SCALAR_TAIL]]) if n > _SCALAR_TAIL else 0
     if columns:
         data = np.frombuffer(b"".join(items), dtype=np.uint8)
         at = (np.cumsum(lengths) - lengths)[order]  # offset of each item's next byte

@@ -6,12 +6,13 @@ the mean ratio, and the coefficient of variation of the ratios in
 percent (sample standard deviation over mean, times 100), optionally
 with a small-sample bias correction factor 1 + 1/(4n).
 
-Score tables are loaded a column at a time: the CSV rows are transposed
-into five columns once, each check runs over a whole column, and the
-keys and scores become one ``{(system, task, dataset, split): score}``
-dict. Only when a check fails are the rows walked one by one, to report
-the first bad row with the same message a per-row check gives. No
-:class:`ScoreEntry` is built until :attr:`ScoreTable.entries` is read.
+Score tables are loaded in one pass over the CSV rows: each row is
+checked for width, a numeric score, non-empty fields and a finite score,
+and its key and score are appended to two columns that become one
+``{(system, task, dataset, split): score}`` dict; repeated keys and the
+percent range are then checked over the whole table. No
+:class:`ScoreEntry` is built until :attr:`ScoreTable.entries` is read,
+except to raise a bad row's error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Any, Iterator, Mapping, NoReturn, Sequence
+from typing import IO, Any, Iterable, Mapping, Sequence
 
 from .errors import ComputationError, ConfigError, ParseError
 
@@ -59,13 +60,19 @@ class ScoreEntry:
 class ScoreTable:
     """Scores keyed by (system, task, dataset, split), in file order.
 
-    The key -> score dict and ``metric_name`` are the table's only state.
-    Construction refuses a repeated key and, for a percent metric, a score
-    outside [0, 100]; :attr:`entries` rebuilds the rows on first use.
+    The key -> score dict and the metric name are the table's only state,
+    and neither changes after construction. Construction refuses a repeated
+    key and, for a percent metric, a score outside [0, 100]; :attr:`entries`
+    rebuilds the rows on first use.
     """
 
-    def __init__(self, entries: Sequence[ScoreEntry], metric_name: str = "F1") -> None:
-        self._fill([e.key() for e in entries], [e.score for e in entries], metric_name)
+    def __init__(self, entries: Iterable[ScoreEntry], metric_name: str = "F1") -> None:
+        keys: list[Key] = []
+        scores: list[float] = []
+        for entry in entries:
+            keys.append(entry.key())
+            scores.append(entry.score)
+        self._fill(keys, scores, metric_name)
 
     @classmethod
     def _from_columns(cls, keys: list[Key], scores: list[float], metric_name: str) -> "ScoreTable":
@@ -84,8 +91,12 @@ class ScoreTable:
         if metric_name.lower() in PERCENT_METRICS and scores and (min(scores) < 0.0 or max(scores) > 100.0):
             key, score = next((k, s) for k, s in zip(keys, scores) if not 0.0 <= s <= 100.0)
             raise ParseError(f"{metric_name} score out of [0, 100] for {key}: {score}")
-        self.metric_name = metric_name
+        self._metric_name = metric_name
         self._scores = by_key
+
+    @property
+    def metric_name(self) -> str:
+        return self._metric_name
 
     @cached_property
     def entries(self) -> tuple[ScoreEntry, ...]:
@@ -128,58 +139,6 @@ def _read_text(data: str | Path | bytes | IO[bytes]) -> tuple[str, str]:
         raise ParseError("score table is not valid UTF-8", offset=exc.start, source=label) from exc
 
 
-def _csv_reader(text: str) -> tuple[Iterator[list[str]], list[int]]:
-    """A CSV reader over ``text`` without its ``#`` comment lines, and the
-    physical line number of each line the reader reads."""
-    lines = text.splitlines()
-    numbers = [n for n, line in enumerate(lines, start=1) if not line.startswith("#")]
-    return csv.reader(io.StringIO("\n".join([lines[n - 1] for n in numbers]))), numbers
-
-
-def _columns(rows: list[list[str]]) -> tuple[list[Key], list[float]] | None:
-    """Keys and scores of the data rows, or None if some row fails a per-row check.
-
-    Each check is the column form of one in :func:`_raise_first_bad_row`.
-    """
-    # widths first: zip(*rows) would silently truncate a short row
-    if set(map(len, rows)) != {len(SCORE_COLUMNS)}:
-        return None
-    *fields, score_texts = (list(map(str.strip, column)) for column in zip(*rows))
-    try:
-        scores = list(map(float, score_texts))
-    except ValueError:
-        return None
-    if any("" in field for field in fields) or not all(map(math.isfinite, scores)):
-        return None
-    return list(zip(*fields)), scores
-
-
-def _raise_first_bad_row(text: str, label: str) -> NoReturn:
-    """Raise the error of the first data row that fails a per-row check.
-
-    Rows are checked in file order, each for width, a numeric score,
-    non-empty fields and a finite score; the error names the physical line
-    the row starts on.
-    """
-    reader, numbers = _csv_reader(text)
-    rows: list[tuple[int, list[str]]] = []
-    read = 0
-    for row in reader:
-        if row:
-            rows.append((numbers[read], row))
-        read = reader.line_num
-    for line, row in rows[1:]:
-        if len(row) != len(SCORE_COLUMNS):
-            raise ParseError(f"expected {len(SCORE_COLUMNS)} columns, got {len(row)}", line=line, source=label)
-        *fields, score_text = (cell.strip() for cell in row)
-        try:
-            score = float(score_text)
-        except ValueError as exc:
-            raise ParseError(f"non-numeric score {score_text!r}", line=line, source=label) from exc
-        ScoreEntry(*fields, score)  # raises for an empty field or a non-finite score
-    raise AssertionError("a bulk check failed but no row fails its per-row check")
-
-
 def load_score_table(
     data: str | Path | bytes | IO[bytes],
     metric_name: str = "F1",
@@ -192,21 +151,38 @@ def load_score_table(
     comment and blank lines.
     """
     text, label = _read_text(data)
-    reader, _ = _csv_reader(text)
-    rows = [row for row in reader if row]
-    if not rows:
+    lines = text.splitlines()
+    # numbers[i]: the physical line of the reader's line i, comment lines skipped
+    numbers = [n for n, line in enumerate(lines, start=1) if not line.startswith("#")]
+    reader = csv.reader(io.StringIO("\n".join([lines[n - 1] for n in numbers])))
+    first = next(filter(None, reader), None)
+    if first is None:
         raise ParseError("score table is empty", source=label)
-    header = tuple(cell.strip() for cell in rows[0])
-    if header != SCORE_COLUMNS:
-        raise ParseError(
-            f"bad score table header {list(header)}; expected {list(SCORE_COLUMNS)}", source=label
-        )
-    if len(rows) == 1:
+    header = [cell.strip() for cell in first]
+    if tuple(header) != SCORE_COLUMNS:
+        raise ParseError(f"bad score table header {header}; expected {list(SCORE_COLUMNS)}", source=label)
+    keys: list[Key] = []
+    scores: list[float] = []
+    read = reader.line_num
+    for row in reader:
+        if row:
+            if len(row) != len(SCORE_COLUMNS):
+                raise ParseError(
+                    f"expected {len(SCORE_COLUMNS)} columns, got {len(row)}", line=numbers[read], source=label
+                )
+            system, task, dataset, split, score_text = map(str.strip, row)
+            try:
+                score = float(score_text)
+            except ValueError as exc:
+                raise ParseError(f"non-numeric score {score_text!r}", line=numbers[read], source=label) from exc
+            if not (system and task and dataset and split and math.isfinite(score)):
+                ScoreEntry(system, task, dataset, split, score)  # raises the row's error
+            keys.append((system, task, dataset, split))
+            scores.append(score)
+        read = reader.line_num
+    if not keys:
         raise ParseError("score table has a header but no rows", source=label)
-    columns = _columns(rows[1:])
-    if columns is None:
-        _raise_first_bad_row(text, label)
-    return ScoreTable._from_columns(*columns, metric_name)
+    return ScoreTable._from_columns(keys, scores, metric_name)
 
 
 def tau_p_pair(source_score: float, target_score: float) -> float:

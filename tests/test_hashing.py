@@ -39,7 +39,7 @@ def test_batched_reference_vectors():
 def test_batched_hash_is_bitwise_equal_to_the_scalar_loop(seed):
     items = [b"", b"a", b"foobar", "naïve 東京 🙂".encode("utf-8"), b"m" * (1 << 20), b"\x00\xff" * 9]
     items += [f"w{i}".encode("utf-8") * (i % 7) for i in range(300)]
-    # 0, 1 and 16 items take the small-batch path, 17 and more the array passes
+    # at most 16 items are all finished by the scalar tail, 17 and more take the array passes
     for batch in (items[:0], items[:1], items[:16], items[:17], items[-16:], items[-17:], items):
         hashes = fnv1a_64_many(batch, seed=seed)
         assert hashes.dtype == np.uint64

@@ -199,7 +199,21 @@ def test_percent_metric_range_check():
     with pytest.raises(ParseError, match="out of \\[0, 100\\]"):
         ScoreTable(entries=(bad,), metric_name="F1")
     # non-percent metrics are unconstrained
-    ScoreTable(entries=(bad,), metric_name="logloss")
+    table = ScoreTable(entries=(bad,), metric_name="logloss")
+    # the metric is fixed at construction, so a later percent name cannot skip the range check
+    with pytest.raises(AttributeError):
+        table.metric_name = "F1"
+    assert table.metric_name == "logloss"
+
+
+def test_score_table_reads_entries_from_a_one_shot_iterable():
+    entries = grouped_entries()
+    table = ScoreTable(entries=(e for e in entries), metric_name="F1")
+    assert table.entries == tuple(entries)
+    assert table == ScoreTable(entries=tuple(entries))
+    dup = entries[2500]
+    with pytest.raises(ParseError, match="duplicate score entry"):
+        ScoreTable(entries=iter([*entries, dup]))
 
 
 def test_score_entry_field_validation():
@@ -302,6 +316,9 @@ def test_load_score_table_errors_name_the_physical_line():
     with pytest.raises(ParseError) as excinfo:
         load_score_table("system,task,dataset,split,score\n\n\ns,t,d,x,high\n")
     assert str(excinfo.value) == "<stream>: line 4: non-numeric score 'high'"
+    with pytest.raises(ParseError) as excinfo:
+        load_score_table("#c\nsystem,task,dataset,split,score\ns,t,d,x,50\n#d\ns,t,d,y,high\n")
+    assert str(excinfo.value) == "<stream>: line 5: non-numeric score 'high'"
     # a quoted cell spanning lines moves later rows down; a row is named by its first line
     with pytest.raises(ParseError, match="line 4: expected 5 columns, got 4"):
         load_score_table('system,task,dataset,split,score\n"a\nb",t,d,x,50\ns,t,d,x\n')
@@ -348,7 +365,7 @@ def test_loading_a_table_builds_no_score_entries(monkeypatch):
 
 
 def reference_load_score_table(text, metric_name="F1"):
-    """The per-row loader ``load_score_table`` replaced, with physical line numbers.
+    """The loader that built a ``ScoreEntry`` per row, with physical line numbers.
 
     Returns the entries in file order after the table checks the old
     ``ScoreTable`` ran (duplicates, then the percent range).
@@ -452,7 +469,8 @@ _headers = st.sampled_from([
 @example([], "system,task,dataset,split,score", ["b,t,d,x,101", "a,,d,x,50"], "accuracy")
 @example([], "system,task,dataset,split,score", ['"line\nbreak",t,d,x,50', "b,t,d,x,-1", "b,t,d,y"], "logloss")
 @example([], "system,task,dataset,split,score", ["a,t,d,x,50", "b,t,d,x,60,extra"], "F1")
-def test_column_loader_matches_the_per_row_reference(prefix, header, lines, metric):
+@example(["#c"], "system,task,dataset,split,score", ["a,t,d,x,50", "#c", "b,t,d,x,high"], "F1")
+def test_loader_matches_the_per_row_reference(prefix, header, lines, metric):
     text = "\n".join([*prefix, header, *lines]) + "\n"
     try:
         expected = reference_load_score_table(text, metric)
