@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -23,7 +23,7 @@ import click
 from . import __version__
 from .corpus import Corpus, TokenizerConfig, parse_conll, parse_interchange, parse_jsonl_pairs, parse_plaintext
 from .divergence import CSV_COLUMNS, KLSettings, records_to_csv, similarity_table
-from .errors import ComputationError, ConfigError, ParseError
+from .errors import ComputationError, ConfigError, ParseError, read_text
 from .features import (
     DomainProfile,
     EmbeddingConfig,
@@ -68,16 +68,7 @@ class CorpusSpec:
     dataset: str | None = None  # join keys into the score table
     split: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "domain_id": self.domain_id,
-            "path": self.path,
-            "format": self.format,
-            "fields": list(self.fields) if self.fields is not None else None,
-            "text_unit": self.text_unit,
-            "dataset": self.dataset,
-            "split": self.split,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -89,15 +80,7 @@ class TransportSpec:
     groups: Mapping[str, tuple[tuple[str, str], ...]]
     bias_corrected: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "task": self.task,
-            "source": list(self.source),
-            "targets": [list(t) for t in self.targets],
-            "systems": list(self.systems) if self.systems is not None else None,
-            "groups": {k: [list(t) for t in v] for k, v in self.groups.items()},
-            "bias_corrected": self.bias_corrected,
-        }
+    to_dict = asdict
 
 
 @dataclass
@@ -139,11 +122,8 @@ class RunConfig:
             "external_embeddings": self.external_embeddings,
             "scores": {"path": self.scores_path, "metric": self.scores_metric},
             "transport": self.transport.to_dict() if self.transport else None,
-            "similarity": {
-                "source": self.similarity_source,
-                "targets": list(self.similarity_targets) if self.similarity_targets is not None else None,
-            },
-            "fit": {"predictors": list(self.predictors)},
+            "similarity": {"source": self.similarity_source, "targets": self.similarity_targets},
+            "fit": {"predictors": self.predictors},
         }
 
     def config_hash(self) -> str:
@@ -180,10 +160,10 @@ def _key_pair(obj: Any, context: str) -> tuple[str, str]:
 
 def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(p, "config")[0])
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc.msg} (line {exc.lineno})") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
@@ -241,12 +221,8 @@ def load_config(path: str | Path) -> RunConfig:
         targets: list[tuple[str, str]] = []
         groups: dict[str, list[tuple[str, str]]] = {}
         for j, tgt in enumerate(t["targets"]):
-            if isinstance(tgt, dict):
-                key = _key_pair(tgt, f"transport.targets[{j}]")
-                group = tgt.get("group")
-            else:
-                key = _key_pair(tgt, f"transport.targets[{j}]")
-                group = None
+            key = _key_pair(tgt, f"transport.targets[{j}]")
+            group = tgt.get("group") if isinstance(tgt, dict) else None
             targets.append(key)
             if group is not None:
                 groups.setdefault(str(group), []).append(key)
@@ -330,6 +306,11 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _write_artifact(path: Path, config_hash: str, **payload: Any) -> None:
+    """Write a JSON artifact stamped with the config hash and the tool version."""
+    _write_text(path, dump_json({"config_hash": config_hash, "tool_version": __version__, **payload}))
+
+
 def _meta_comment(config_hash: str) -> str:
     return f"#config_hash={config_hash},tool_version={__version__}\r\n"
 
@@ -361,7 +342,7 @@ def _load_json(path: Path, stage: str) -> dict[str, Any]:
     if not path.is_file():
         raise ConfigError(f"missing {path.name}; run the {stage} stage first")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(read_text(path, f"artifact {path.name}")[0])
     except json.JSONDecodeError as exc:
         raise ParseError(f"corrupt artifact {path.name}: {exc.msg}") from exc
 
@@ -392,8 +373,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
     manifest: dict[str, Any] = {"domains": {}}
     if manifest_path.is_file():
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+            manifest = json.loads(read_text(manifest_path, "manifest")[0])
+        except (ParseError, json.JSONDecodeError):
             manifest = {"domains": {}}
     domains: dict[str, Any] = dict(manifest.get("domains", {}))
 
@@ -433,9 +414,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 profile = build_profile_external(corpus, external[spec.domain_id], cfg.external_embeddings)
             else:
                 profile = build_profile(corpus, cfg.embedding)
-            _write_text(profile_file, dump_json(
-                {"config_hash": config_hash, "tool_version": __version__, "profile": profile_to_dict(profile)}
-            ))
+            _write_artifact(profile_file, config_hash, profile=profile_to_dict(profile))
             domains[spec.domain_id] = {
                 "input_hash": input_hash,
                 "tokenizer_hash": cfg.tokenizer.config_hash(),
@@ -453,10 +432,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
             click.echo(f"failed: {spec.domain_id}: {exc}", err=True)
 
     if changed:
-        _write_text(manifest_path, dump_json(
-            {"config_hash": config_hash, "tool_version": __version__,
-             "domains": {k: domains[k] for k in sorted(domains)}}
-        ))
+        _write_artifact(manifest_path, config_hash, domains=domains)
     if failures:
         ids = ", ".join(d for d, _ in failures)
         if all(isinstance(e, ConfigError) for _, e in failures):
@@ -491,11 +467,7 @@ def cmd_similarity(cfg: RunConfig) -> None:
     config_hash = cfg.config_hash()
     out = cfg.out_path
     _write_text(out / "similarity.csv", _meta_comment(config_hash) + records_to_csv(records))
-    _write_text(out / "similarity.json", dump_json({
-        "config_hash": config_hash,
-        "tool_version": __version__,
-        "records": [r.to_dict() for r in records],
-    }))
+    _write_artifact(out / "similarity.json", config_hash, records=[r.to_dict() for r in records])
     click.echo(f"similarity: {len(records)} record(s) from {source_id!r}")
 
 
@@ -529,11 +501,7 @@ def cmd_transport(cfg: RunConfig) -> None:
     config_hash = cfg.config_hash()
     out = cfg.out_path
     payloads = [report_to_dict(r) for r in reports]
-    _write_text(out / "transport.json", dump_json({
-        "config_hash": config_hash,
-        "tool_version": __version__,
-        "reports": payloads,
-    }))
+    _write_artifact(out / "transport.json", config_hash, reports=payloads)
     text = render_report_text(payloads, group_order=_group_order(cfg))
     header = f"# task={spec.task} metric={table.metric_name}\n# config_hash={config_hash} tool_version={__version__}\n"
     _write_text(out / "transport.txt", header + text)
@@ -595,15 +563,8 @@ def cmd_fit(cfg: RunConfig) -> None:
                 continue
             model = fit_curve(points, predictor_name=column, percent_scale=percent)
             stem = f"fit-{_slug(system)}-{predictor}"
-            _write_text(out / f"{stem}.json", dump_json({
-                "config_hash": config_hash,
-                "tool_version": __version__,
-                "system": system,
-                "predictor": predictor,
-                "metric": table.metric_name,
-                "model": model.to_dict(),
-                "points": [[x, y] for x, y in sorted(points)],
-            }))
+            _write_artifact(out / f"{stem}.json", config_hash, system=system, predictor=predictor,
+                            metric=table.metric_name, model=model.to_dict(), points=sorted(points))
             x_max = max(x for x, _ in points)
             curve = curve_points(model, x_max if x_max > 0 else 1.0)
             _write_csv(out / f"curve-{_slug(system)}-{predictor}.csv", config_hash,
@@ -616,16 +577,13 @@ def cmd_fit(cfg: RunConfig) -> None:
             mae_by_predictor[predictor].append(model.mae)
             click.echo(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n_points} point(s)")
 
-    _write_text(out / "fit_summary.json", dump_json({
-        "config_hash": config_hash,
-        "tool_version": __version__,
-        "metric": table.metric_name,
-        "fits": {k: summary_fits[k] for k in sorted(summary_fits)},
-        "skipped": sorted(skipped, key=lambda s: (s["system"], s["predictor"])),
-        "mean_mae": {
-            p: (sum(v) / len(v) if v else None) for p, v in sorted(mae_by_predictor.items())
-        },
-    }))
+    _write_artifact(
+        out / "fit_summary.json", config_hash,
+        metric=table.metric_name,
+        fits=summary_fits,
+        skipped=sorted(skipped, key=lambda s: (s["system"], s["predictor"])),
+        mean_mae={p: (sum(v) / len(v) if v else None) for p, v in mae_by_predictor.items()},
+    )
     click.echo(f"fit: {sum(len(v) for v in summary_fits.values())} model(s), {len(skipped)} skipped")
 
 
@@ -658,13 +616,8 @@ def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
     if missing and not allow_partial:
         raise ConfigError("missing stage outputs: " + "; ".join(missing))
 
-    _write_text(out / "report.json", dump_json({
-        "config_hash": config_hash,
-        "tool_version": __version__,
-        "similarity": sections["similarity"],
-        "transport": sections["transport"],
-        "fits": sections["fit_summary"],
-    }))
+    _write_artifact(out / "report.json", config_hash, similarity=sections["similarity"],
+                    transport=sections["transport"], fits=sections["fit_summary"])
 
     lines: list[str] = []
     lines.append("domain transport report")

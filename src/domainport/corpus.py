@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import IO, Any, Sequence
 
-from .errors import ConfigError, ParseError
-from .hashing import stable_hash
+from .errors import ConfigError, ParseError, read_text
+from .hashing import fields_from_dict, stable_hash
 
 logger = logging.getLogger(__name__)
 
@@ -53,21 +53,11 @@ class TokenizerConfig:
         if not isinstance(self.ngram_order, int) or self.ngram_order < 1:
             raise ConfigError("ngram_order must be an integer >= 1")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "lowercase": self.lowercase,
-            "split_mode": self.split_mode,
-            "ngram_order": self.ngram_order,
-            "strip_punctuation": self.strip_punctuation,
-        }
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TokenizerConfig":
-        known = {f: data[f] for f in ("lowercase", "split_mode", "ngram_order", "strip_punctuation") if f in data}
-        extra = set(data) - set(known)
-        if extra:
-            raise ConfigError(f"unknown tokenizer fields: {sorted(extra)}")
-        return cls(**known)
+        return fields_from_dict(cls, data, "tokenizer")
 
     def config_hash(self) -> str:
         return stable_hash(self.to_dict())
@@ -124,24 +114,6 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     return [p for p in parts if p]
 
 
-def _read_bytes(data: bytes | str | IO[bytes]) -> bytes:
-    if isinstance(data, bytes):
-        return data
-    if isinstance(data, str):
-        return data.encode("utf-8")
-    return data.read()
-
-
-def _decode(data: bytes | str | IO[bytes], source: str) -> str:
-    raw = _read_bytes(data)
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            "input is not valid UTF-8", offset=exc.start, source=source
-        ) from exc
-
-
 def parse_conll(
     data: bytes | str | IO[bytes],
     config: TokenizerConfig | None = None,
@@ -156,7 +128,7 @@ def parse_conll(
     marker the whole input is a single document.
     """
     cfg = config or TokenizerConfig()
-    text = _decode(data, source)
+    text, _ = read_text(data, "input", source)
     raw_docs: list[list[str]] = []
     current: list[str] = []
 
@@ -217,7 +189,7 @@ def parse_jsonl_pairs(
     cfg = config or TokenizerConfig()
     if not fields:
         raise ConfigError("fields must name at least one JSON key")
-    text = _decode(data, source)
+    text, _ = read_text(data, "input", source)
     documents = []
     skipped = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -265,7 +237,7 @@ def parse_plaintext(
     cfg = config or TokenizerConfig()
     if unit not in ("line", "paragraph"):
         raise ConfigError(f"unknown text unit {unit!r}; expected 'line' or 'paragraph'")
-    text = _decode(data, source)
+    text, _ = read_text(data, "input", source)
     if unit == "line":
         segments = [ln for ln in text.splitlines() if ln.strip()]
     else:
@@ -312,7 +284,7 @@ def parse_interchange(
     if isinstance(data, dict):
         obj = data
     else:
-        text = _decode(data, source)
+        text, _ = read_text(data, "input", source)
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

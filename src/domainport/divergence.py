@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import ComputationError, ConfigError
 from .features import DomainProfile, HashedTable, embed_builtin
-from .hashing import stable_hash
+from .hashing import fields_from_dict, stable_hash
 
 KL_METHODS = ("shift", "softmax")
 KL_DIRECTIONS = ("forward", "reverse")
@@ -47,16 +47,11 @@ class KLSettings:
         if self.method not in KL_METHODS:
             raise ConfigError(f"unknown KL method {self.method!r}; expected one of {KL_METHODS}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"epsilon": self.epsilon, "direction": self.direction, "method": self.method}
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "KLSettings":
-        known = {f: data[f] for f in ("epsilon", "direction", "method") if f in data}
-        extra = set(data) - set(known)
-        if extra:
-            raise ConfigError(f"unknown KL fields: {sorted(extra)}")
-        return cls(**known)
+        return fields_from_dict(cls, data, "KL")
 
 
 @dataclass(frozen=True)
@@ -78,15 +73,7 @@ class SimilarityRecord:
         if self.kl_divergence < 0.0:
             raise ComputationError(f"negative KL divergence: {self.kl_divergence}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "source_id": self.source_id,
-            "target_id": self.target_id,
-            "lexical_difference": self.lexical_difference,
-            "cosine_distance": self.cosine_distance,
-            "kl_divergence": self.kl_divergence,
-            "config_hash": self.config_hash,
-        }
+    to_dict = asdict
 
 
 CSV_COLUMNS = ("source_id", "target_id", "lexical_difference", "cosine_distance", "kl_divergence")

@@ -1,10 +1,18 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one input reader.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
 ParseError -> 2, ComputationError -> 3.
+
+:func:`read_text` turns every input the toolkit reads (a corpus, the
+score table, external embeddings, the config and the stage artifacts)
+into text, so a missing file and bytes that are not UTF-8 fail the same
+way whatever the input is.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import IO
 
 
 class DomainportError(ValueError):
@@ -46,3 +54,26 @@ class ParseError(DomainportError):
 
 class ComputationError(DomainportError):
     """A numeric operation has no defined result for the given input."""
+
+
+def read_text(data: str | bytes | Path | IO[bytes], what: str, source: str = "<stream>") -> tuple[str, str]:
+    """The text of ``data`` and the source label its errors name.
+
+    A :class:`~pathlib.Path` is a file to read, labelled with its path; a
+    missing file is a :class:`ConfigError`. A ``str``, ``bytes`` or binary
+    stream is the content itself, labelled ``source``. Bytes that are not
+    UTF-8 are a :class:`ParseError` naming ``what`` and the byte offset.
+    """
+    if isinstance(data, Path):
+        if not data.is_file():
+            raise ConfigError(f"{what} file not found: {data}")
+        source = str(data)
+        data = data.read_bytes()
+    elif not isinstance(data, (str, bytes)):
+        data = data.read()
+    if isinstance(data, str):
+        return data, source
+    try:
+        return data.decode("utf-8"), source
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid UTF-8", offset=exc.start, source=source) from exc

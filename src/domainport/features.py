@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain, compress
 from pathlib import Path
@@ -20,8 +20,8 @@ from typing import IO, Any, Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .errors import ComputationError, ConfigError, ParseError
-from .hashing import fnv1a_64_many, slot_and_sign, stable_hash
+from .errors import ComputationError, ConfigError, ParseError, read_text
+from .hashing import fields_from_dict, fnv1a_64_many, slot_and_sign, stable_hash
 
 WEIGHTINGS = ("tf", "tfidf")
 
@@ -47,21 +47,11 @@ class EmbeddingConfig:
             # pairwise idf needs per-document counts that profiles do not keep
             raise ConfigError("per_document averaging supports tf weighting only")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "dimension": self.dimension,
-            "seed": self.seed,
-            "weighting": self.weighting,
-            "per_document": self.per_document,
-        }
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EmbeddingConfig":
-        known = {f: data[f] for f in ("dimension", "seed", "weighting", "per_document") if f in data}
-        extra = set(data) - set(known)
-        if extra:
-            raise ConfigError(f"unknown embedding fields: {sorted(extra)}")
-        return cls(**known)
+        return fields_from_dict(cls, data, "embedding")
 
     def config_hash(self) -> str:
         return stable_hash(self.to_dict())
@@ -81,8 +71,7 @@ class EmbeddingSource:
             return f"builtin(seed={self.seed}, d={self.dimension})"
         return f"external({self.path})"
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "seed": self.seed, "dimension": self.dimension, "path": self.path}
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EmbeddingSource":
@@ -329,23 +318,7 @@ def load_external_embeddings(
     (``[3, 4]`` becomes ``[0.6, 0.8]``). A :class:`~pathlib.Path` names
     the file to read; a ``str``, ``bytes`` or binary stream is the content.
     """
-    label = "<stream>"
-    if isinstance(data, Path):
-        if not data.is_file():
-            raise ConfigError(f"external embeddings file not found: {data}")
-        label = str(data)
-        raw = data.read_bytes()
-    elif isinstance(data, bytes):
-        raw = data
-    elif isinstance(data, str):
-        raw = data.encode("utf-8")
-    else:
-        raw = data.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError("external embeddings are not valid UTF-8", offset=exc.start, source=label) from exc
-
+    text, label = read_text(data, "external embeddings")
     stripped = text.lstrip()
     vectors: dict[str, list[float]] = {}
     if stripped.startswith("{"):
@@ -395,7 +368,7 @@ def load_external_embeddings(
 def profile_to_dict(profile: DomainProfile) -> dict[str, Any]:
     return {
         "domain_id": profile.domain_id,
-        "term_freq": {k: profile.term_freq[k] for k in sorted(profile.term_freq)},
+        "term_freq": dict(profile.term_freq),
         "embedding": [float(x) for x in profile.embedding],
         "embedding_source": profile.embedding_source.to_dict(),
         "tokenizer_hash": profile.tokenizer_hash,

@@ -12,7 +12,10 @@ with uint64 array arithmetic and returns the same values bit for bit.
 and sign, for a single hash and for an array of them alike.
 
 ``canonical_json`` is the encoding config hashes digest; ``dump_json``
-is the encoding of every JSON artifact the pipeline writes.
+is the encoding of every JSON artifact the pipeline writes. Config and
+record dataclasses serialize with ``dataclasses.asdict`` (both encodings
+write its tuples as lists); the strict config loaders go through
+``fields_from_dict``, which refuses keys that are not fields.
 
 Reference vectors with seed 0:
 
@@ -30,9 +33,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Sequence
+from dataclasses import fields
+from typing import Any, Sequence, TypeVar
 
 import numpy as np
+
+from .errors import ConfigError
+
+T = TypeVar("T")
 
 FNV_OFFSET_BASIS = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -131,3 +139,11 @@ def stable_hash(obj: Any) -> str:
 def content_digest(data: bytes) -> str:
     """16-hex-digit BLAKE2b digest of ``data``, the cache key of file contents."""
     return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+
+def fields_from_dict(cls: type[T], data: dict[str, Any], kind: str) -> T:
+    """``cls(**data)`` for a dataclass ``cls``; a key that is not a field is a ConfigError."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {kind} fields: {sorted(unknown)}")
+    return cls(**data)

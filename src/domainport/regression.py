@@ -10,7 +10,7 @@ parameters that never accepts a step increasing the squared error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -37,14 +37,7 @@ class FitLog:
     step_rejected: bool
     diverged: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "grid_b": self.grid_b,
-            "grid_sse": self.grid_sse,
-            "polish_steps": self.polish_steps,
-            "step_rejected": self.step_rejected,
-            "diverged": self.diverged,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
 
-from .errors import ComputationError, ConfigError, ParseError
+from .errors import ComputationError, ParseError, read_text
 
 SCORE_COLUMNS = ("system", "task", "dataset", "split", "score")
 
@@ -122,23 +122,6 @@ class ScoreTable:
         return list(dict.fromkeys(k[0] for k in self._scores if task is None or k[1] == task))
 
 
-def _read_text(data: str | Path | bytes | IO[bytes]) -> tuple[str, str]:
-    """The CSV text of ``data`` and the source label its errors name."""
-    label = "<stream>"
-    if isinstance(data, Path):
-        if not data.is_file():
-            raise ConfigError(f"score table file not found: {data}")
-        label = str(data)
-        data = data.read_bytes()
-    if isinstance(data, str):
-        return data, label
-    raw = data if isinstance(data, bytes) else data.read()
-    try:
-        return raw.decode("utf-8"), label
-    except UnicodeDecodeError as exc:
-        raise ParseError("score table is not valid UTF-8", offset=exc.start, source=label) from exc
-
-
 def load_score_table(
     data: str | Path | bytes | IO[bytes],
     metric_name: str = "F1",
@@ -150,7 +133,7 @@ def load_score_table(
     are comments. An error names the physical line of the bad row, counting
     comment and blank lines.
     """
-    text, label = _read_text(data)
+    text, label = read_text(data, "score table")
     lines = text.splitlines()
     # numbers[i]: the physical line of the reader's line i, comment lines skipped
     numbers = [n for n, line in enumerate(lines, start=1) if not line.startswith("#")]
@@ -176,7 +159,10 @@ def load_score_table(
             except ValueError as exc:
                 raise ParseError(f"non-numeric score {score_text!r}", line=numbers[read], source=label) from exc
             if not (system and task and dataset and split and math.isfinite(score)):
-                ScoreEntry(system, task, dataset, split, score)  # raises the row's error
+                try:
+                    ScoreEntry(system, task, dataset, split, score)  # raises the row's error
+                except ParseError as exc:
+                    raise ParseError(str(exc), line=numbers[read], source=label) from exc
             keys.append((system, task, dataset, split))
             scores.append(score)
         read = reader.line_num
@@ -344,7 +330,7 @@ def report_to_dict(report: TransportReport) -> dict[str, Any]:
         "tau_p": report.tau_p,
         "variation": report.variation,
         "bias_corrected": report.bias_corrected,
-        "group_means": {k: report.group_means[k] for k in sorted(report.group_means)},
+        "group_means": dict(report.group_means),
     }
 
 

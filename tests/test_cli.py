@@ -245,6 +245,40 @@ def test_transport_non_utf8_score_table_is_a_data_error(tmp_path):
     assert "not valid UTF-8" in err
 
 
+def test_config_non_utf8_is_a_config_error(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"out_dir": "o\xff"}')
+    code, _, err = run_cli(["ingest", "--config", str(config)])
+    assert code == 1
+    assert "config error" in err
+    assert "config is not valid UTF-8" in err
+    assert "byte offset 14" in err
+
+
+def test_fit_non_utf8_similarity_artifact_is_a_data_error(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    for stage in ("ingest", "similarity"):
+        assert run_cli([stage, "--config", str(config)])[0] == 0
+    similarity = tmp_path / "out" / "similarity.json"
+    similarity.write_bytes(similarity.read_bytes().replace(b'"src"', b'"src\xff"', 1))
+    code, _, err = run_cli(["fit", "--config", str(config)])
+    assert code == 2
+    assert "data error" in err
+    assert "artifact similarity.json is not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"domains": {"src\xff": {}}}'], ids=["bad-json", "non-utf8"])
+def test_ingest_rebuilds_a_corrupt_manifest(tmp_path, content):
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    manifest = tmp_path / "out" / "cache" / "manifest.json"
+    manifest.write_bytes(content)
+    code, out, err = run_cli(["ingest", "--config", str(config)])
+    assert code == 0, err
+    assert out.count("ingested: ") == 4  # nothing in the unreadable manifest is trusted
+    assert set(read_json(manifest)["domains"]) == {"src", "news", "social", "science"}
+
+
 def test_lock_file_blocks_concurrent_runs(tmp_path):
     config = write_pipeline_tree(tmp_path)
     out = tmp_path / "out"

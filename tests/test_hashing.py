@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
@@ -10,7 +11,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from domainport.hashing import canonical_json, content_digest, feature_slot, fnv1a_64, fnv1a_64_many, slot_and_sign, stable_hash
+from domainport.cli import load_config
+from domainport.corpus import TokenizerConfig
+from domainport.divergence import KLSettings
+from domainport.features import EmbeddingConfig
+from domainport.hashing import (
+    canonical_json,
+    content_digest,
+    feature_slot,
+    fnv1a_64,
+    fnv1a_64_many,
+    slot_and_sign,
+    stable_hash,
+)
 
 SEEDS = (0, 42, -1, 2**64 - 1, 2**70 + 3)
 
@@ -119,3 +132,59 @@ def test_stable_hash_is_16_hex_digits():
     digest = stable_hash(["anything", {"at": "all"}])
     assert len(digest) == 16
     assert set(digest) <= set("0123456789abcdef")
+
+
+# ---------------------------------------------------------------- record codec
+
+# a config that sets every field the config hash covers
+FULL_CONFIG = {
+    "out_dir": "results",
+    "tokenizer": {"lowercase": False, "split_mode": "whitespace", "ngram_order": 2, "strip_punctuation": False},
+    "embedding": {"dimension": 64, "seed": 3, "weighting": "tfidf", "per_document": False},
+    "kl": {"epsilon": 1e-6, "direction": "reverse", "method": "softmax"},
+    "corpora": [
+        {"domain_id": "src", "path": "a.conll", "format": "conll", "dataset": "conll", "split": "train"},
+        {"domain_id": "pairs", "path": "b.jsonl", "format": "jsonl", "fields": ["premise", "hypothesis"],
+         "dataset": "snli", "split": "test"},
+        {"domain_id": "paras", "path": "c.txt", "format": "text", "text_unit": "paragraph",
+         "dataset": "wiki", "split": "dev"},
+    ],
+    "external_embeddings": "vectors.json",
+    "scores": {"path": "scores.csv", "metric": "accuracy"},
+    "transport": {
+        "task": "ner",
+        "source": {"dataset": "conll", "split": "train"},
+        "targets": [{"dataset": "snli", "split": "test", "group": "near"}, ["wiki", "dev"]],
+        "systems": ["sys-a", "sys-b"],
+        "bias_corrected": True,
+    },
+    "similarity": {"source": "src", "targets": ["pairs", "paras"]},
+    "fit": {"predictors": ["kl", "lexical"]},
+}
+
+
+def test_config_hashes_are_pinned():
+    # computed with the earlier hand-written to_dict serializers; the codec must not move them
+    assert TokenizerConfig().config_hash() == "5f975f01acc2b9cc"
+    assert EmbeddingConfig().config_hash() == "bcceb77f1373ff8f"
+    assert stable_hash(KLSettings().to_dict()) == "2726beebe07e76de"
+
+
+def test_full_run_config_hash_is_pinned(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(FULL_CONFIG), encoding="utf-8")
+    assert load_config(path).config_hash() == "6bbbb9b49e2213c9"
+
+
+@pytest.mark.parametrize("cls", [TokenizerConfig, EmbeddingConfig, KLSettings])
+def test_config_records_round_trip(cls):
+    default = cls()
+    changed = dataclasses.replace(default, **{
+        TokenizerConfig: {"lowercase": False, "ngram_order": 3},
+        EmbeddingConfig: {"dimension": 16, "weighting": "tfidf"},
+        KLSettings: {"epsilon": 0.5, "method": "softmax"},
+    }[cls])
+    for record in (default, changed):
+        assert cls.from_dict(record.to_dict()) == record
+        assert cls.from_dict(json.loads(canonical_json(record.to_dict()))) == record
+

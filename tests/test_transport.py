@@ -326,6 +326,17 @@ def test_load_score_table_errors_name_the_physical_line():
         load_score_table('system,task,dataset,split,score\ns,t,d,x,"x\ny"\n')
 
 
+def test_load_score_table_row_errors_name_the_physical_line():
+    # an empty field and a non-finite score are located like the width and numeric errors
+    with pytest.raises(ParseError) as excinfo:
+        load_score_table("#c\nsystem,task,dataset,split,score\ns,t,d,x,50\n\ns,,d,y,60\n")
+    assert str(excinfo.value) == "<stream>: line 5: score entry field 'task' must be non-empty"
+    assert excinfo.value.line == 5
+    with pytest.raises(ParseError) as excinfo:
+        load_score_table(b"system,task,dataset,split,score\n#c\ns,t,d,x,nan\n")
+    assert str(excinfo.value) == "<stream>: line 3: non-finite score for ('s', 't', 'd', 'x')"
+
+
 @pytest.mark.parametrize("kind", ["path", "bytes", "stream"])
 def test_load_score_table_rejects_non_utf8_input(tmp_path, kind):
     raw = b"system,task,dataset,split,score\nalpha\xff,toy,src,train,50\n"
@@ -396,7 +407,10 @@ def reference_load_score_table(text, metric_name="F1"):
             score = float(score_text)
         except ValueError as exc:
             raise ParseError(f"non-numeric score {score_text!r}", line=line_no, source=label) from exc
-        entries.append(ScoreEntry(system=system, task=task, dataset=dataset, split=split, score=score))
+        try:
+            entries.append(ScoreEntry(system=system, task=task, dataset=dataset, split=split, score=score))
+        except ParseError as exc:
+            raise ParseError(str(exc), line=line_no, source=label) from exc
     if not entries:
         raise ParseError("score table has a header but no rows", source=label)
     seen = set()
