@@ -23,7 +23,7 @@ import click
 from . import __version__
 from .corpus import Corpus, TokenizerConfig, parse_conll, parse_interchange, parse_jsonl_pairs, parse_plaintext
 from .divergence import CSV_COLUMNS, KLSettings, records_to_csv, similarity_table
-from .errors import ComputationError, ConfigError, ParseError, read_text
+from .errors import ComputationError, ConfigError, ParseError, read_file, read_text
 from .features import (
     DomainProfile,
     EmbeddingConfig,
@@ -300,27 +300,101 @@ def _run_lock(out_dir: Path) -> Iterator[None]:
             pass
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str) -> bytes:
+    """Write ``text`` to ``path`` as UTF-8 and return the bytes written.
+
+    The bytes go to a temporary file in the same directory that then
+    replaces ``path``, so a failed write leaves the old file intact and no
+    temporary file behind.
+    """
+    data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # the run lock keeps the name unique
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return data
 
 
-def _write_artifact(path: Path, config_hash: str, **payload: Any) -> None:
-    """Write a JSON artifact stamped with the config hash and the tool version."""
-    _write_text(path, dump_json({"config_hash": config_hash, "tool_version": __version__, **payload}))
+def _artifact_text(config_hash: str, **payload: Any) -> str:
+    """The text of a JSON artifact stamped with the config hash and the tool version."""
+    return dump_json({"config_hash": config_hash, "tool_version": __version__, **payload})
 
 
 def _meta_comment(config_hash: str) -> str:
     return f"#config_hash={config_hash},tool_version={__version__}\r\n"
 
 
-def _write_csv(path: Path, config_hash: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+def _csv_text(config_hash: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(path, _meta_comment(config_hash) + buf.getvalue())
+    return _meta_comment(config_hash) + buf.getvalue()
+
+
+class _Stamp:
+    """The content-keyed cache of one stage, kept in ``cache/stage-<stage>.json``.
+
+    The key digests the stage name, the tool version, the config hash, any
+    run setting outside that hash, and the content digest of every input
+    passed to :meth:`input` under its name (relative to the output
+    directory, or ``scores`` for the score table). The stamp holds the key
+    and the digest of every file the stage wrote through :meth:`write`.
+
+    :meth:`up_to_date` is a hit when the stamp's key matches and every
+    output it lists still has its digest. On a miss it deletes the stamp,
+    which :meth:`finish` writes again after the stage's last write, so a
+    run that fails leaves none.
+    """
+
+    def __init__(self, out: Path, stage: str, config_hash: str, **settings: Any) -> None:
+        self.out = out
+        self.stage = stage
+        self.path = out / "cache" / f"stage-{stage}.json"
+        self.key = ""
+        self._fields = {"stage": stage, "tool_version": __version__, "config_hash": config_hash, **settings}
+        self._inputs: dict[str, str] = {}
+        self._outputs: dict[str, str] = {}
+
+    def input(self, name: str, raw: bytes) -> bytes:
+        """Add input ``name`` with contents ``raw`` to the key; returns ``raw``."""
+        self._inputs[name] = content_digest(raw)
+        return raw
+
+    def up_to_date(self) -> bool:
+        """True, after saying so, when the stamp matches; else delete the stamp."""
+        self.key = stable_hash({**self._fields, "inputs": self._inputs})
+        if self._matches():
+            click.echo(f"{self.stage}: up to date")
+            return True
+        self.path.unlink(missing_ok=True)
+        return False
+
+    def _matches(self) -> bool:
+        try:
+            stamp = json.loads(self.path.read_bytes())
+        except (OSError, ValueError):  # absent, unreadable, not UTF-8 or not JSON
+            return False
+        if not (isinstance(stamp, dict) and stamp.get("key") == self.key and isinstance(stamp.get("outputs"), dict)):
+            return False
+        for name, digest in stamp["outputs"].items():
+            path = self.out / name
+            if not path.is_file() or content_digest(path.read_bytes()) != digest:
+                return False
+        return True
+
+    def write(self, name: str, text: str) -> None:
+        """Write output ``name`` under the output directory and record its digest."""
+        self._outputs[name] = content_digest(_write_text(self.out / name, text))
+
+    def finish(self) -> None:
+        """Write the stamp: the key and the digest of every output written."""
+        _write_text(self.path, dump_json({"key": self.key, "outputs": self._outputs}))
 
 
 def _slug(name: str) -> str:
@@ -338,13 +412,19 @@ def _require_distinct_slugs(names: Iterable[str], kind: str) -> None:
         _require(other == name, f"{kind} {other!r} and {name!r} map to the same file name {_slug(name)!r}")
 
 
-def _load_json(path: Path, stage: str) -> dict[str, Any]:
-    if not path.is_file():
-        raise ConfigError(f"missing {path.name}; run the {stage} stage first")
+def _parse_artifact(raw: bytes, path: Path) -> dict[str, Any]:
+    """The JSON object that ``raw``, the bytes of artifact ``path``, holds."""
     try:
-        return json.loads(read_text(path, f"artifact {path.name}")[0])
+        payload = json.loads(read_text(raw, f"artifact {path.name}", str(path))[0])
     except json.JSONDecodeError as exc:
         raise ParseError(f"corrupt artifact {path.name}: {exc.msg}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"corrupt artifact {path.name}: expected a JSON object")
+    return payload
+
+
+def _profile_path(out: Path, domain_id: str) -> Path:
+    return out / "cache" / f"profile-{_slug(domain_id)}.json"
 
 
 # ---------------------------------------------------------------- stages
@@ -370,13 +450,14 @@ def cmd_ingest(cfg: RunConfig) -> None:
     config_hash = cfg.config_hash()
 
     manifest_path = cache / "manifest.json"
-    manifest: dict[str, Any] = {"domains": {}}
+    domains: dict[str, Any] = {}
     if manifest_path.is_file():
         try:
             manifest = json.loads(read_text(manifest_path, "manifest")[0])
         except (ParseError, json.JSONDecodeError):
-            manifest = {"domains": {}}
-    domains: dict[str, Any] = dict(manifest.get("domains", {}))
+            manifest = None  # unreadable: rebuilt, like one that is not an object
+        if isinstance(manifest, dict) and isinstance(manifest.get("domains"), dict):
+            domains = dict(manifest["domains"])
 
     external = None
     if cfg.external_embeddings:
@@ -397,10 +478,10 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 raise ConfigError(f"corpus file not found: {spec.path}")
             raw = path.read_bytes()  # the one read of this file per run: hashed, and parsed on a miss
             input_hash = content_digest(raw)
-            profile_file = cache / f"profile-{_slug(spec.domain_id)}.json"
+            profile_file = _profile_path(out, spec.domain_id)
             entry = domains.get(spec.domain_id)
             if (
-                entry
+                isinstance(entry, dict)
                 and entry.get("input_hash") == input_hash
                 and entry.get("tokenizer_hash") == cfg.tokenizer.config_hash()
                 and entry.get("embedding_hash") == emb_hash
@@ -414,7 +495,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 profile = build_profile_external(corpus, external[spec.domain_id], cfg.external_embeddings)
             else:
                 profile = build_profile(corpus, cfg.embedding)
-            _write_artifact(profile_file, config_hash, profile=profile_to_dict(profile))
+            _write_text(profile_file, _artifact_text(config_hash, profile=profile_to_dict(profile)))
             domains[spec.domain_id] = {
                 "input_hash": input_hash,
                 "tokenizer_hash": cfg.tokenizer.config_hash(),
@@ -432,7 +513,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
             click.echo(f"failed: {spec.domain_id}: {exc}", err=True)
 
     if changed:
-        _write_artifact(manifest_path, config_hash, domains=domains)
+        _write_text(manifest_path, _artifact_text(config_hash, domains=domains))
     if failures:
         ids = ", ".join(d for d, _ in failures)
         if all(isinstance(e, ConfigError) for _, e in failures):
@@ -440,11 +521,8 @@ def cmd_ingest(cfg: RunConfig) -> None:
         raise ParseError(f"ingest failed for: {ids}")
 
 
-def _load_profile(cfg: RunConfig, domain_id: str) -> DomainProfile:
-    path = cfg.out_path / "cache" / f"profile-{_slug(domain_id)}.json"
-    if not path.is_file():
-        raise ConfigError(f"no cached profile for domain {domain_id!r}; run the ingest stage first")
-    payload = _load_json(path, "ingest")
+def _parse_profile(raw: bytes, path: Path, domain_id: str) -> DomainProfile:
+    payload = _parse_artifact(raw, path)
     if "profile" not in payload:
         raise ParseError(f"corrupt profile artifact for domain {domain_id!r}")
     return profile_from_dict(payload["profile"])
@@ -460,15 +538,31 @@ def cmd_similarity(cfg: RunConfig) -> None:
     for d in [source_id, *target_ids]:
         _require(d in known, f"similarity references unknown domain {d!r}")
 
-    source = _load_profile(cfg, source_id)
-    targets = [_load_profile(cfg, t) for t in target_ids]
-    records = similarity_table(source, targets, cfg.kl)
-
     config_hash = cfg.config_hash()
     out = cfg.out_path
-    _write_text(out / "similarity.csv", _meta_comment(config_hash) + records_to_csv(records))
-    _write_artifact(out / "similarity.json", config_hash, records=[r.to_dict() for r in records])
+    stamp = _Stamp(out, "similarity", config_hash)
+    paths = {d: _profile_path(out, d) for d in dict.fromkeys([source_id, *target_ids])}
+    raw: dict[str, bytes] = {}
+    for d, path in paths.items():
+        if not path.is_file():
+            raise ConfigError(f"no cached profile for domain {d!r}; run the ingest stage first")
+        raw[d] = stamp.input(f"cache/{path.name}", path.read_bytes())
+    if stamp.up_to_date():
+        return
+    profiles = {d: _parse_profile(raw.pop(d), path, d) for d, path in paths.items()}  # pop: bytes die once parsed
+    records = similarity_table(profiles[source_id], [profiles[t] for t in target_ids], cfg.kl)
+
+    stamp.write("similarity.csv", _meta_comment(config_hash) + records_to_csv(records))
+    stamp.write("similarity.json", _artifact_text(config_hash, records=[r.to_dict() for r in records]))
+    stamp.finish()
     click.echo(f"similarity: {len(records)} record(s) from {source_id!r}")
+
+
+def _read_scores(cfg: RunConfig, stamp: _Stamp) -> tuple[str, str]:
+    """The score table's text and source label; its bytes join ``stamp``'s key and are then dropped."""
+    path = cfg.resolve(cfg.scores_path)
+    raw = read_file(path, f"score table file not found: {path}")
+    return read_text(stamp.input("scores", raw), "score table", str(path))
 
 
 def _group_order(cfg: RunConfig) -> list[str] | None:
@@ -480,7 +574,12 @@ def cmd_transport(cfg: RunConfig) -> None:
     _require(cfg.scores_path is not None, "no score table configured (scores.path)")
     _require(cfg.transport is not None, "no transport block configured")
     spec = cfg.transport
-    table = load_score_table(cfg.resolve(cfg.scores_path), metric_name=cfg.scores_metric)
+    config_hash = cfg.config_hash()
+    stamp = _Stamp(cfg.out_path, "transport", config_hash)
+    scores, label = _read_scores(cfg, stamp)
+    if stamp.up_to_date():
+        return
+    table = load_score_table(scores, metric_name=cfg.scores_metric, source=label)
     systems = list(spec.systems) if spec.systems is not None else table.systems(spec.task)
     _require(len(systems) > 0, f"score table has no systems for task {spec.task!r}")
 
@@ -498,13 +597,12 @@ def cmd_transport(cfg: RunConfig) -> None:
             )
         )
 
-    config_hash = cfg.config_hash()
-    out = cfg.out_path
     payloads = [report_to_dict(r) for r in reports]
-    _write_artifact(out / "transport.json", config_hash, reports=payloads)
+    stamp.write("transport.json", _artifact_text(config_hash, reports=payloads))
     text = render_report_text(payloads, group_order=_group_order(cfg))
     header = f"# task={spec.task} metric={table.metric_name}\n# config_hash={config_hash} tool_version={__version__}\n"
-    _write_text(out / "transport.txt", header + text)
+    stamp.write("transport.txt", header + text)
+    stamp.finish()
     click.echo(f"transport: {len(reports)} system report(s)")
 
 
@@ -533,18 +631,23 @@ def _join_points(
 def cmd_fit(cfg: RunConfig) -> None:
     _require(cfg.scores_path is not None, "no score table configured (scores.path)")
     _require(cfg.transport is not None, "no transport block configured (fit needs its task and systems)")
+    config_hash = cfg.config_hash()
     out = cfg.out_path
-    sim = _load_json(out / "similarity.json", "similarity")
-    records = sim.get("records", [])
+    stamp = _Stamp(out, "fit", config_hash)
+    sim_path = out / "similarity.json"
+    sim = stamp.input(sim_path.name, read_file(sim_path, "missing similarity.json; run the similarity stage first"))
+    scores, label = _read_scores(cfg, stamp)
+    if stamp.up_to_date():
+        return
+    records = _parse_artifact(sim, sim_path).get("records", [])
     _require(isinstance(records, list) and records, "similarity.json has no records")
-    table = load_score_table(cfg.resolve(cfg.scores_path), metric_name=cfg.scores_metric)
+    table = load_score_table(scores, metric_name=cfg.scores_metric, source=label)
     spec = cfg.transport
     systems = list(spec.systems) if spec.systems is not None else table.systems(spec.task)
     _require_distinct_slugs(systems, "systems")
     percent = cfg.scores_metric.lower() in PERCENT_METRICS
     by_domain = {c.domain_id: c for c in cfg.corpora}
 
-    config_hash = cfg.config_hash()
     summary_fits: dict[str, Any] = {}
     skipped: list[dict[str, Any]] = []
     mae_by_predictor: dict[str, list[float]] = {p: [] for p in cfg.predictors}
@@ -563,12 +666,13 @@ def cmd_fit(cfg: RunConfig) -> None:
                 continue
             model = fit_curve(points, predictor_name=column, percent_scale=percent)
             stem = f"fit-{_slug(system)}-{predictor}"
-            _write_artifact(out / f"{stem}.json", config_hash, system=system, predictor=predictor,
-                            metric=table.metric_name, model=model.to_dict(), points=sorted(points))
+            stamp.write(f"{stem}.json", _artifact_text(config_hash, system=system, predictor=predictor,
+                                                       metric=table.metric_name, model=model.to_dict(),
+                                                       points=sorted(points)))
             x_max = max(x for x, _ in points)
             curve = curve_points(model, x_max if x_max > 0 else 1.0)
-            _write_csv(out / f"curve-{_slug(system)}-{predictor}.csv", config_hash,
-                       [column, "predicted_score"], [[repr(xv), repr(yv)] for xv, yv in curve])
+            stamp.write(f"curve-{_slug(system)}-{predictor}.csv", _csv_text(
+                config_hash, [column, "predicted_score"], [[repr(xv), repr(yv)] for xv, yv in curve]))
             summary_fits.setdefault(system, {})[predictor] = {
                 "a": model.a, "b": model.b, "c": model.c,
                 "sse": model.sse, "mae": model.mae, "n": model.n_points,
@@ -577,18 +681,19 @@ def cmd_fit(cfg: RunConfig) -> None:
             mae_by_predictor[predictor].append(model.mae)
             click.echo(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n_points} point(s)")
 
-    _write_artifact(
-        out / "fit_summary.json", config_hash,
+    stamp.write("fit_summary.json", _artifact_text(
+        config_hash,
         metric=table.metric_name,
         fits=summary_fits,
         skipped=sorted(skipped, key=lambda s: (s["system"], s["predictor"])),
         mean_mae={p: (sum(v) / len(v) if v else None) for p, v in mae_by_predictor.items()},
-    )
+    ))
+    stamp.finish()
     click.echo(f"fit: {sum(len(v) for v in summary_fits.values())} model(s), {len(skipped)} skipped")
 
 
 def cmd_predict(model_path: Path, x: float) -> None:
-    payload = _load_json(model_path, "fit")
+    payload = _parse_artifact(read_file(model_path, f"missing {model_path.name}; run the fit stage first"), model_path)
     data = payload.get("model", payload)
     try:
         model = FitModel.from_dict(data)
@@ -597,27 +702,65 @@ def cmd_predict(model_path: Path, x: float) -> None:
     click.echo(repr(predict(model, x)))
 
 
+def _fit_files(fits: Any, predictors: Sequence[str]) -> list[tuple[str, str, str]]:
+    """(predictor, system, fit file) for each fit that fit_summary.json's ``fits`` names, in plot order."""
+    corrupt = ParseError("corrupt artifact fit_summary.json: 'fits' must map systems to fit entries")
+    if not (isinstance(fits, dict) and all(isinstance(entries, dict) for entries in fits.values())):
+        raise corrupt
+    found: list[tuple[str, str, str]] = []
+    for predictor in predictors:
+        for system in sorted(fits):
+            entry = fits[system].get(predictor)
+            if entry is None:
+                continue
+            if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
+                raise corrupt
+            found.append((predictor, system, entry["file"]))
+    return found
+
+
 def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
     out = cfg.out_path
     config_hash = cfg.config_hash()
-    sections: dict[str, Any] = {}
+    stamp = _Stamp(out, "report", config_hash, allow_partial=allow_partial)
+    raw: dict[str, bytes] = {}
     missing: list[str] = []
-
     for name, stage in (("similarity", "similarity"), ("transport", "transport"), ("fit_summary", "fit")):
         path = out / f"{name}.json"
         if path.is_file():
-            payload = _load_json(path, stage)
-            payload.pop("config_hash", None)
-            payload.pop("tool_version", None)
-            sections[name] = payload
+            raw[name] = stamp.input(path.name, path.read_bytes())
         else:
             missing.append(f"{name}.json (run the {stage} stage)")
-            sections[name] = {"status": "absent"}
     if missing and not allow_partial:
         raise ConfigError("missing stage outputs: " + "; ".join(missing))
 
-    _write_artifact(out / "report.json", config_hash, similarity=sections["similarity"],
-                    transport=sections["transport"], fits=sections["fit_summary"])
+    def section(name: str) -> dict[str, Any]:
+        if name not in raw:
+            return {"status": "absent"}
+        payload = _parse_artifact(raw.pop(name), out / f"{name}.json")
+        payload.pop("config_hash", None)
+        payload.pop("tool_version", None)
+        return payload
+
+    # fit_summary.json names the fit files, so it alone is parsed before the stamp check
+    fits = section("fit_summary")
+    fit_raw: list[tuple[str, str, Path, bytes]] = []  # predictor, system, fit file and its bytes
+    for predictor, system, name in _fit_files(fits.get("fits", {}), cfg.predictors):
+        path = out / name
+        fit_raw.append((predictor, system, path,
+                        stamp.input(name, read_file(path, f"missing {path.name}; run the fit stage first"))))
+    if stamp.up_to_date():
+        return
+    sections = {"similarity": section("similarity"), "transport": section("transport")}
+
+    # joined scatter data per predictor, for external plotting
+    plots: dict[str, list[list[str]]] = {}
+    for predictor, system, path, fit_bytes in fit_raw:
+        for x, y in _parse_artifact(fit_bytes, path).get("points", []):
+            plots.setdefault(predictor, []).append([system, repr(float(x)), repr(float(y))])
+
+    stamp.write("report.json", _artifact_text(config_hash, similarity=sections["similarity"],
+                                              transport=sections["transport"], fits=fits))
 
     lines: list[str] = []
     lines.append("domain transport report")
@@ -645,7 +788,6 @@ def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
         lines.append("absent")
     lines.append("")
     lines.append("[fit]")
-    fits = sections["fit_summary"]
     if "fits" in fits:
         lines.append("system  predictor  a  b  c  sse  mae  n")
         for system in sorted(fits["fits"]):
@@ -661,22 +803,11 @@ def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
                 lines.append(f"mean_mae[{predictor}] = {mm[predictor]:.6f}")
     else:
         lines.append("absent")
-    _write_text(out / "report.txt", "\n".join(lines) + "\n")
-
-    # joined scatter data per predictor, for external plotting
-    if "fits" in fits:
-        for predictor in cfg.predictors:
-            rows: list[list[str]] = []
-            for system in sorted(fits["fits"]):
-                entry = fits["fits"][system].get(predictor)
-                if entry is None:
-                    continue
-                fit_payload = _load_json(out / entry["file"], "fit")
-                for x, y in fit_payload.get("points", []):
-                    rows.append([system, repr(float(x)), repr(float(y))])
-            if rows:
-                _write_csv(out / f"plot-{predictor}.csv", config_hash,
-                           ["system", PREDICTOR_COLUMNS[predictor], "score"], rows)
+    stamp.write("report.txt", "\n".join(lines) + "\n")
+    for predictor, rows in plots.items():
+        stamp.write(f"plot-{predictor}.csv",
+                    _csv_text(config_hash, ["system", PREDICTOR_COLUMNS[predictor], "score"], rows))
+    stamp.finish()
     click.echo("report written")
 
 

@@ -56,6 +56,13 @@ class ComputationError(DomainportError):
     """A numeric operation has no defined result for the given input."""
 
 
+def read_file(path: Path, missing: str) -> bytes:
+    """The bytes of file ``path``; a missing file is a :class:`ConfigError` with message ``missing``."""
+    if not path.is_file():
+        raise ConfigError(missing)
+    return path.read_bytes()
+
+
 def read_text(data: str | bytes | Path | IO[bytes], what: str, source: str = "<stream>") -> tuple[str, str]:
     """The text of ``data`` and the source label its errors name.
 
@@ -65,10 +72,8 @@ def read_text(data: str | bytes | Path | IO[bytes], what: str, source: str = "<s
     UTF-8 are a :class:`ParseError` naming ``what`` and the byte offset.
     """
     if isinstance(data, Path):
-        if not data.is_file():
-            raise ConfigError(f"{what} file not found: {data}")
         source = str(data)
-        data = data.read_bytes()
+        data = read_file(data, f"{what} file not found: {data}")
     elif not isinstance(data, (str, bytes)):
         data = data.read()
     if isinstance(data, str):

@@ -247,6 +247,11 @@ def _predict(a: float, b: float, c: float, percent_scale: bool, x: float) -> flo
         raise ComputationError(f"negative similarity value: {x}")
     if not all(math.isfinite(v) for v in (a, b, c)):
         raise ComputationError("model parameters are not finite")
+    return _curve(a, b, c, percent_scale, x)
+
+
+def _curve(a: float, b: float, c: float, percent_scale: bool, x: float) -> float:
+    """The unchecked model formula a * exp(-b * x) + c, clamped to [0, 100] on percent scales."""
     value = a * math.exp(-b * x) + c
     if percent_scale:
         value = min(max(value, 0.0), 100.0)
@@ -280,5 +285,7 @@ def curve_points(model: FitModel, x_max: float, n: int = 101, x_min: float = 0.0
         raise ComputationError("need at least 2 curve points")
     if not (math.isfinite(x_min) and math.isfinite(x_max)) or x_max <= x_min:
         raise ComputationError("bad curve range")
-    xs = np.linspace(x_min, x_max, n)
-    return [(float(xi), predict(model, float(xi))) for xi in xs]
+    xs = np.linspace(x_min, x_max, n).tolist()
+    a, b, c, percent_scale = model.a, model.b, model.c, model.percent_scale
+    _predict(a, b, c, percent_scale, xs[0])  # checks the model and the smallest x, once
+    return [(x, _curve(a, b, c, percent_scale, x)) for x in xs]

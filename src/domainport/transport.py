@@ -125,15 +125,16 @@ class ScoreTable:
 def load_score_table(
     data: str | Path | bytes | IO[bytes],
     metric_name: str = "F1",
+    source: str = "<stream>",
 ) -> ScoreTable:
     """Read a score table from CSV with header system,task,dataset,split,score.
 
     A :class:`~pathlib.Path` names the file to read; a ``str``, ``bytes``
-    or binary stream is the CSV content itself. Lines starting with ``#``
-    are comments. An error names the physical line of the bad row, counting
-    comment and blank lines.
+    or binary stream is the CSV content itself, labelled ``source`` in
+    errors. Lines starting with ``#`` are comments. An error names the
+    physical line of the bad row, counting comment and blank lines.
     """
-    text, label = read_text(data, "score table")
+    text, label = read_text(data, "score table", source)
     lines = text.splitlines()
     # numbers[i]: the physical line of the reader's line i, comment lines skipped
     numbers = [n for n, line in enumerate(lines, start=1) if not line.startswith("#")]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import run_cli, run_full_pipeline, write_pipeline_tree
+from domainport import cli
 from domainport.corpus import parse_plaintext, to_interchange
 from domainport.features import profile_from_dict
 from domainport.hashing import content_digest, dump_json
@@ -267,7 +269,8 @@ def test_fit_non_utf8_similarity_artifact_is_a_data_error(tmp_path):
     assert "artifact similarity.json is not valid UTF-8" in err
 
 
-@pytest.mark.parametrize("content", [b"{not json", b'{"domains": {"src\xff": {}}}'], ids=["bad-json", "non-utf8"])
+@pytest.mark.parametrize("content", [b"{not json", b'{"domains": {"src\xff": {}}}', b"[]", b'{"domains": []}'],
+                         ids=["bad-json", "non-utf8", "list", "domains-list"])
 def test_ingest_rebuilds_a_corrupt_manifest(tmp_path, content):
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
@@ -277,6 +280,53 @@ def test_ingest_rebuilds_a_corrupt_manifest(tmp_path, content):
     assert code == 0, err
     assert out.count("ingested: ") == 4  # nothing in the unreadable manifest is trusted
     assert set(read_json(manifest)["domains"]) == {"src", "news", "social", "science"}
+
+
+def break_fit_list(summary):
+    summary["fits"]["alpha-sys"] = []
+    return summary
+
+
+def break_fit_file(summary):
+    summary["fits"]["alpha-sys"]["kl"]["file"] = 5
+    return summary
+
+
+@pytest.mark.parametrize("stage, name, edit, message", [
+    ("fit", "similarity.json", lambda _: [], "similarity.json: expected a JSON object"),
+    ("report", "similarity.json", lambda _: [], "similarity.json: expected a JSON object"),
+    ("report", "fit_summary.json", break_fit_list, "fit_summary.json: 'fits' must map systems to fit entries"),
+    ("report", "fit_summary.json", break_fit_file, "fit_summary.json: 'fits' must map systems to fit entries"),
+], ids=["fit-similarity-list", "report-similarity-list", "report-fits-list", "report-fit-file-number"])
+def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, message):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    path = tmp_path / "out" / name
+    path.write_text(json.dumps(edit(read_json(path))), encoding="utf-8")
+    code, _, err = run_cli([stage, "--config", str(config)])
+    assert code == 2
+    assert "data error" in err
+    assert f"corrupt artifact {message}" in err
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    before = (out / "transport.json").read_bytes()
+    files = sorted(p.relative_to(out) for p in out.rglob("*"))
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        run_cli(["transport", "--config", str(config), "--bias-corrected"])
+    assert (out / "transport.json").read_bytes() == before
+    # no temporary file is left, and the failed run removed the stage's stamp
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == [
+        f for f in files if f.as_posix() != "cache/stage-transport.json"
+    ]
 
 
 def test_lock_file_blocks_concurrent_runs(tmp_path):
@@ -367,6 +417,117 @@ def test_identical_corpora_make_fitting_impossible(tmp_path):
     assert "no predictor variation" in err
 
 
+# ---------------------------------------------------------------- stage stamps
+
+STAMPED = ("similarity", "transport", "fit", "report")
+
+
+def snapshot(root):
+    return {p.relative_to(root).as_posix(): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_second_run_is_up_to_date_and_writes_nothing(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    before = snapshot(out)
+    assert {f"cache/stage-{stage}.json" for stage in STAMPED} <= set(before)
+    for stage in STAMPED:
+        code, stdout, _ = run_cli([stage, "--config", str(config)])
+        assert code == 0
+        assert stdout == f"{stage}: up to date\n"
+    assert snapshot(out) == before
+
+
+def test_each_stage_reads_each_file_once(tmp_path, monkeypatch):
+    config = write_pipeline_tree(tmp_path)
+    reads = Counter()
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    for _ in ("miss", "hit"):
+        for stage in ("ingest", *STAMPED):
+            reads.clear()
+            assert run_cli([stage, "--config", str(config)])[0] == 0
+            assert reads and max(reads.values()) == 1, (stage, reads)
+
+
+def rewrite_profile(root):
+    profile = root / "out" / "cache" / "profile-news.json"
+    profile.write_text(json.dumps(read_json(profile)), encoding="utf-8")  # same content, new bytes
+
+
+def comment_score_table(root):
+    scores = root / "scores.csv"
+    scores.write_bytes(b"# rescored\n" + scores.read_bytes())
+
+
+@pytest.mark.parametrize("stage, args, mutate", [
+    ("similarity", [], rewrite_profile),
+    ("transport", [], comment_score_table),
+    ("fit", [], comment_score_table),
+    ("similarity", ["--kl-direction", "reverse"], None),
+    ("transport", ["--bias-corrected"], None),
+    ("fit", ["--predictor", "kl"], None),
+    ("report", ["--allow-partial"], None),
+    ("transport", [], lambda root: (root / "out" / "transport.txt").write_text("edited\n", encoding="utf-8")),
+    ("fit", [], lambda root: (root / "out" / "curve-beta-sys-kl.csv").unlink()),
+], ids=["profile", "scores-transport", "scores-fit", "kl-direction", "bias-corrected", "predictor",
+        "allow-partial", "edited-output", "deleted-output"])
+def test_a_changed_input_setting_or_output_reruns_the_stage(tmp_path, stage, args, mutate):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    if mutate is not None:
+        mutate(tmp_path)
+    code, stdout, err = run_cli([stage, "--config", str(config), *args])
+    assert code == 0, err
+    assert "up to date" not in stdout
+    code, stdout, _ = run_cli([stage, "--config", str(config), *args])
+    assert (code, stdout) == (0, f"{stage}: up to date\n")
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"key": "\xff"}', b"[]", b"{}"],
+                         ids=["bad-json", "non-utf8", "list", "no-keys"])
+def test_a_malformed_stamp_is_a_miss(tmp_path, content):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    stamp = tmp_path / "out" / "cache" / "stage-transport.json"
+    good = stamp.read_bytes()
+    stamp.write_bytes(content)
+    code, stdout, err = run_cli(["transport", "--config", str(config)])
+    assert code == 0, err
+    assert stdout == "transport: 2 system report(s)\n"
+    assert stamp.read_bytes() == good
+
+
+def test_a_failed_stage_leaves_no_stamp(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    src_text = (tmp_path / "corpora" / "src.txt").read_text(encoding="utf-8")
+    for name in ("news", "social", "science"):
+        (tmp_path / "corpora" / f"{name}.txt").write_text(src_text, encoding="utf-8")
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    assert run_cli(["similarity", "--config", str(config)])[0] == 0
+    assert run_cli(["fit", "--config", str(config)])[0] == 3
+    assert not (tmp_path / "out" / "cache" / "stage-fit.json").exists()
+
+
+def test_rerunning_without_stamps_gives_the_same_tree(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    before = {name: data for name, (data, _) in snapshot(out).items()}
+    for stamp in (out / "cache").glob("stage-*.json"):
+        stamp.unlink()
+    run_full_pipeline(config)
+    assert {name: data for name, (data, _) in snapshot(out).items()} == before
+
+
 # ---------------------------------------------------------------- predict
 
 
@@ -411,6 +572,21 @@ def test_report_requires_stages_unless_partial(tmp_path):
     assert report["transport"] == {"status": "absent"}
     assert report["fits"] == {"status": "absent"}
     assert "absent" in (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+
+
+def test_a_report_hit_parses_only_the_fit_summary(tmp_path, monkeypatch):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    parsed = []
+    parse = cli._parse_artifact
+
+    def recording_parse(raw, path):
+        parsed.append(path.name)
+        return parse(raw, path)
+
+    monkeypatch.setattr(cli, "_parse_artifact", recording_parse)
+    assert run_cli(["report", "--config", str(config)]) == (0, "report: up to date\n", "")
+    assert parsed == ["fit_summary.json"]
 
 
 def test_report_renders_the_transport_table_from_transport_json(tmp_path):

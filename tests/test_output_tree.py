@@ -21,6 +21,10 @@ GOLDEN = {
     "cache/profile-science.json": "069e204f14d59c0ea1f62e119dabad720f5bf911d0b80ee44a9e2db8c1b9c76c",
     "cache/profile-social.json": "3938eb67239326ccbfa13bdc6aeda1058e45d695f0718f25fa375268da3bbf34",
     "cache/profile-src.json": "58e216b79563bb006c2fa809b41195b65ee9b0fdd0a42433f93f00551a369c9e",
+    "cache/stage-fit.json": "9f6d30c7d0247895e688d599cac6014b72b19721c74407c4c420a0f610a37b52",
+    "cache/stage-report.json": "1e2b7d5941bb30ba64d18a11d006741b4c3b3898f1f5ec12c765f6adcc48ed6a",
+    "cache/stage-similarity.json": "0b290f55f69ddd89c2efdac857900cd458f93018e19790d6a85bfe588d1e3e7a",
+    "cache/stage-transport.json": "24d9bbe4922e72312bae0882bc7351ffb8608453600aa9e259753c97569001cc",
     "curve-alpha-sys-cosine.csv": "134c12d7273de6cba5f4b87af63d79a39f357866f30ee506ca28f7f57d04f8df",
     "curve-alpha-sys-kl.csv": "117dfe919e2250903a27ca723d969bc5d0e85981f6a4f16f399fd9b929e7ddd8",
     "curve-alpha-sys-lexical.csv": "da6edf76bd490deafea7b8424d7559ddc223928e2b59f1b61288f2ba920e4d5c",
