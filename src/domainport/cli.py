@@ -9,6 +9,7 @@ the effective configuration plus the tool version.
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import json
 import os
@@ -279,25 +280,35 @@ def load_config(path: str | Path) -> RunConfig:
 
 @contextmanager
 def _run_lock(out_dir: Path) -> Iterator[None]:
-    """Advisory lock file guarding concurrent runs on one output directory."""
+    """Advisory lock guarding concurrent runs on one output directory.
+
+    A run holds ``flock`` on ``out_dir/.lock``, which the kernel releases
+    when the run's process ends, however it ends: a ``.lock`` that a dead
+    run left behind blocks nothing. The file is removed on exit.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock_path = out_dir / ".lock"
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory is locked by another run: {lock_path} exists; "
-            "remove the file if that run is no longer alive"
-        ) from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+    while True:
+        fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
+            raise ConfigError(f"output directory is locked by another run: {lock_path}") from None
+        try:
+            if os.path.samestat(os.fstat(fd), os.stat(lock_path)):
+                break
+        except FileNotFoundError:
+            pass
+        # the run that held the lock removed the file we opened: lock the path afresh
         os.close(fd)
+    try:
         yield
     finally:
         try:
-            lock_path.unlink()
-        except FileNotFoundError:
-            pass
+            lock_path.unlink(missing_ok=True)  # while still held, so no other run locks the removed file
+        finally:
+            os.close(fd)
 
 
 def _write_text(path: Path, text: str) -> bytes:
@@ -496,6 +507,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
             else:
                 profile = build_profile(corpus, cfg.embedding)
             _write_text(profile_file, _artifact_text(config_hash, profile=profile_to_dict(profile)))
+            tokens = corpus.token_count
             domains[spec.domain_id] = {
                 "input_hash": input_hash,
                 "tokenizer_hash": cfg.tokenizer.config_hash(),
@@ -503,11 +515,11 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 "profile_file": profile_file.name,
                 "path": spec.path,
                 "documents": len(corpus.documents),
-                "tokens": corpus.token_count,
+                "tokens": tokens,
                 "skipped": corpus.provenance.skipped,
             }
             changed = True
-            click.echo(f"ingested: {spec.domain_id} ({len(corpus.documents)} documents, {corpus.token_count} tokens)")
+            click.echo(f"ingested: {spec.domain_id} ({len(corpus.documents)} documents, {tokens} tokens)")
         except (ConfigError, ParseError, ComputationError) as exc:
             failures.append((spec.domain_id, exc))
             click.echo(f"failed: {spec.domain_id}: {exc}", err=True)
@@ -702,21 +714,35 @@ def cmd_predict(model_path: Path, x: float) -> None:
     click.echo(repr(predict(model, x)))
 
 
-def _fit_files(fits: Any, predictors: Sequence[str]) -> list[tuple[str, str, str]]:
-    """(predictor, system, fit file) for each fit that fit_summary.json's ``fits`` names, in plot order."""
-    corrupt = ParseError("corrupt artifact fit_summary.json: 'fits' must map systems to fit entries")
+def _is_number(value: Any) -> bool:
+    return type(value) in (int, float)  # a bool is not a number here
+
+
+def _fit_files(summary: dict[str, Any], predictors: Sequence[str]) -> list[tuple[str, str, str]]:
+    """(predictor, system, fit file) for each fit that fit_summary.json names, in plot order.
+
+    Every field of the summary that ``report.txt`` renders is checked
+    first, so a corrupt summary is refused before anything is written.
+    """
+    def corrupt(what: str) -> ParseError:
+        return ParseError(f"corrupt artifact fit_summary.json: {what}")
+
+    fits = summary.get("fits", {})
     if not (isinstance(fits, dict) and all(isinstance(entries, dict) for entries in fits.values())):
-        raise corrupt
-    found: list[tuple[str, str, str]] = []
-    for predictor in predictors:
-        for system in sorted(fits):
-            entry = fits[system].get(predictor)
-            if entry is None:
-                continue
+        raise corrupt("'fits' must map systems to fit entries")
+    for system, entries in fits.items():
+        for predictor, entry in entries.items():
             if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
-                raise corrupt
-            found.append((predictor, system, entry["file"]))
-    return found
+                raise corrupt("'fits' must map systems to fit entries")
+            for field in ("a", "b", "c", "sse", "mae"):
+                if not _is_number(entry.get(field)):
+                    raise corrupt(f"fit {system}/{predictor}: {field!r} must be a number")
+            if type(entry.get("n")) is not int:
+                raise corrupt(f"fit {system}/{predictor}: 'n' must be an integer")
+    mean_mae = summary.get("mean_mae", {})
+    if not (isinstance(mean_mae, dict) and all(v is None or _is_number(v) for v in mean_mae.values())):
+        raise corrupt("'mean_mae' must map predictors to numbers or null")
+    return [(p, system, fits[system][p]["file"]) for p in predictors for system in sorted(fits) if p in fits[system]]
 
 
 def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
@@ -745,7 +771,7 @@ def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
     # fit_summary.json names the fit files, so it alone is parsed before the stamp check
     fits = section("fit_summary")
     fit_raw: list[tuple[str, str, Path, bytes]] = []  # predictor, system, fit file and its bytes
-    for predictor, system, name in _fit_files(fits.get("fits", {}), cfg.predictors):
+    for predictor, system, name in _fit_files(fits, cfg.predictors):
         path = out / name
         fit_raw.append((predictor, system, path,
                         stamp.input(name, read_file(path, f"missing {path.name}; run the fit stage first"))))

@@ -5,6 +5,12 @@ with text fields, plain text) plus a tokenized JSON interchange form
 (:func:`to_interchange` / :func:`parse_interchange`) for corpora
 tokenized elsewhere. All parsers produce the same :class:`Corpus`
 structure, so later stages never care where the text came from.
+
+A CoNLL document and a JSON-lines record are each tokenized in one
+call, on their tokens or text fields joined by single spaces. With
+lowercasing on, :func:`tokenize` lowers ASCII text once before splitting
+it, and any other text token by token after, so a token's case mapping
+never depends on its neighbours.
 """
 
 from __future__ import annotations
@@ -99,19 +105,26 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     """Split ``text`` into tokens according to ``config``.
 
     Empty tokens never appear in the output; with lowercasing enabled
-    no output token contains an uppercase character.
+    no output token contains an uppercase character. ASCII text is
+    lowered once, before it is split: on ASCII, lowering changes no
+    character's class, so the tokens are those of lowering each one.
     """
     cfg = config or TokenizerConfig()
+    lower_text = cfg.lowercase and text.isascii()
+    if lower_text:
+        text = text.lower()
     if cfg.split_mode == "whitespace":
         parts = text.split()
         if cfg.strip_punctuation:
-            parts = [_EDGE_PUNCT_RE.sub("", p) for p in parts]
+            # a token of punctuation alone strips to nothing
+            parts = [q for q in (_EDGE_PUNCT_RE.sub("", p) for p in parts) if q]
     else:
+        # neither pattern matches an empty string
         parts = (_WORD_RE if cfg.strip_punctuation else _TOKEN_RE).findall(text)
-    if cfg.lowercase:
+    if cfg.lowercase and not lower_text:
         # per token: lowering the whole text first can split a word ("İ" lowers to "i" + U+0307)
         parts = [p.lower() for p in parts]
-    return [p for p in parts if p]
+    return parts
 
 
 def parse_conll(
@@ -205,14 +218,13 @@ def parse_jsonl_pairs(
         if not texts:
             skipped += 1
             continue
-        tokens: list[str] = []
-        for t in texts:
-            tokens.extend(tokenize(t, cfg))
+        # one call per record: no token spans the joining space, in any split mode
+        joined = " ".join(texts)
+        tokens = tokenize(joined, cfg)
         if not tokens:
             skipped += 1
             continue
-        raw_length = sum(len(t) for t in texts) + (len(texts) - 1)
-        documents.append(Document(tuple(tokens), raw_length=raw_length))
+        documents.append(Document(tuple(tokens), raw_length=len(joined)))
     if not documents:
         raise ParseError("empty corpus: no usable records", source=source)
     if skipped:

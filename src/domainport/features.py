@@ -4,6 +4,11 @@ A profile summarizes one corpus: its n-gram frequency table plus a
 single unit-norm embedding vector. Embeddings come either from the
 built-in deterministic projection (signed feature hashing, so no model
 download is ever needed) or from user-supplied external vectors.
+
+A profile keeps its frequency table in sorted feature order, the order
+in which the projection accumulates features and the artifact encoder
+writes them. Under tfidf weighting, the features two tables share are
+found by walking the smaller of the two vocabularies.
 """
 
 from __future__ import annotations
@@ -121,10 +126,17 @@ def ngram_features(tokens: Iterable[str], order: int) -> list[str]:
 
 def _feature_counts(corpus: Corpus) -> Counter[str]:
     order = corpus.tokenizer_config.ngram_order
-    counts: Counter[str] = Counter()
-    for doc in corpus.documents:
-        counts.update(ngram_features(doc.tokens, order))
-    return counts
+    return Counter(chain.from_iterable(ngram_features(doc.tokens, order) for doc in corpus.documents))
+
+
+def _sorted_table(counts: Mapping[str, int]) -> dict[str, int]:
+    """``counts`` in sorted feature order: the order profiles keep their term tables in.
+
+    The artifact encoder and :meth:`HashedTable.of` both sort the table
+    again, and a sort of sorted input is one linear pass.
+    """
+    features = sorted(counts)
+    return dict(zip(features, map(counts.__getitem__, features)))
 
 
 def _document_counts(corpus: Corpus) -> tuple[list[str], np.ndarray, np.ndarray, list[int]]:
@@ -181,6 +193,11 @@ class HashedTable:
     signs: np.ndarray
     config: EmbeddingConfig
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each feature's position in :attr:`features`."""
+        return dict(zip(self.features, range(len(self.features))))
+
     @classmethod
     def of(cls, term_freq: Mapping[str, int], config: EmbeddingConfig | None = None) -> "HashedTable":
         """Sort, check and hash ``term_freq``; it fails as :func:`embed_builtin` would."""
@@ -223,7 +240,14 @@ def embed_builtin(
         table = HashedTable.of(term_freq, config)
     weights = table.weights
     if table.config.weighting == "tfidf" and idf_context is not None:
-        shared = np.fromiter(map(idf_context.__contains__, table.features), dtype=bool, count=len(table.features))
+        # walk the smaller side: look each context feature up in the table's
+        # cached index, or look each table feature up in the context
+        if len(idf_context) < len(table.features):
+            common = table.index.keys() & idf_context
+            shared = np.zeros(len(table.features), dtype=bool)
+            shared[np.fromiter(map(table.index.__getitem__, common), dtype=np.intp, count=len(common))] = True
+        else:
+            shared = np.fromiter(map(idf_context.__contains__, table.features), dtype=bool, count=len(table.features))
         # df is 2 for a feature the other corpus also has, else 1
         weights = weights * np.where(shared, math.log(2.0 / 2) + 1.0, math.log(2.0 / 1) + 1.0)
     return _project(table.slots, table.signs * weights, table.config.dimension)
@@ -265,9 +289,9 @@ def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> Doma
     if cfg.per_document:
         features, at, weights, sizes = _document_counts(corpus)
         totals = np.bincount(at, weights=weights, minlength=len(features))  # integer sums: exact
-        counts = dict(zip(features, totals.astype(np.int64).tolist()))
+        counts = _sorted_table(dict(zip(features, totals.astype(np.int64).tolist())))
     else:
-        counts = _feature_counts(corpus)
+        counts = _sorted_table(_feature_counts(corpus))
     if not counts:
         raise ComputationError(f"no features: corpus {corpus.domain_id!r} has no n-grams of the configured order")
     if cfg.per_document:
@@ -276,7 +300,7 @@ def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> Doma
         vector = embed_builtin(counts, cfg)
     return DomainProfile(
         domain_id=corpus.domain_id,
-        term_freq=dict(counts),
+        term_freq=counts,
         embedding=vector,
         embedding_source=EmbeddingSource(kind="builtin", seed=cfg.seed, dimension=cfg.dimension),
         tokenizer_hash=corpus.tokenizer_config.config_hash(),
@@ -287,7 +311,7 @@ def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> Doma
 
 def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> DomainProfile:
     """Build a profile whose embedding comes from a user-supplied vector."""
-    counts = _feature_counts(corpus)
+    counts = _sorted_table(_feature_counts(corpus))
     if not counts:
         raise ComputationError(f"no features: corpus {corpus.domain_id!r} has no n-grams of the configured order")
     v = np.asarray(vector, dtype=np.float64)
@@ -298,7 +322,7 @@ def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> Dom
     source = EmbeddingSource(kind="external", dimension=int(v.size), path=path)
     return DomainProfile(
         domain_id=corpus.domain_id,
-        term_freq=dict(counts),
+        term_freq=counts,
         embedding=v,
         embedding_source=source,
         tokenizer_hash=corpus.tokenizer_config.config_hash(),
@@ -377,13 +401,38 @@ def profile_to_dict(profile: DomainProfile) -> dict[str, Any]:
     }
 
 
+def _term_freq_from(value: Any) -> dict[str, int]:
+    """A stored term table: an object whose every count is an ``int`` (not a ``bool``)."""
+    if not isinstance(value, dict):
+        raise ParseError("profile term_freq must be an object mapping features to counts")
+    if not set(map(type, value.values())) <= {int}:
+        feature, count = next((k, v) for k, v in value.items() if type(v) is not int)
+        raise ParseError(f"profile term_freq count for feature {feature!r} is not an integer: {count!r}")
+    return dict(zip(map(str, value), value.values()))
+
+
+def _embedding_from(value: Any) -> np.ndarray:
+    """A stored embedding: a list of finite numbers."""
+    corrupt = ParseError("profile embedding must be a list of finite numbers")
+    if not (isinstance(value, list) and set(map(type, value)) <= {int, float}):
+        raise corrupt
+    try:
+        vector = np.asarray(value, dtype=np.float64)
+    except OverflowError:  # an integer beyond float64's range
+        raise corrupt from None
+    if not np.isfinite(vector).all():
+        raise corrupt
+    return vector
+
+
 def profile_from_dict(data: dict[str, Any]) -> DomainProfile:
+    """Rebuild a profile from :func:`profile_to_dict`'s form; a malformed payload is a ParseError."""
     try:
         emb_cfg = EmbeddingConfig.from_dict(data["embedding_config"]) if data.get("embedding_config") else None
         return DomainProfile(
             domain_id=data["domain_id"],
-            term_freq={str(k): int(v) for k, v in data["term_freq"].items()},
-            embedding=np.asarray(data["embedding"], dtype=np.float64),
+            term_freq=_term_freq_from(data["term_freq"]),
+            embedding=_embedding_from(data["embedding"]),
             embedding_source=EmbeddingSource.from_dict(data["embedding_source"]),
             tokenizer_hash=data["tokenizer_hash"],
             embedding_hash=data["embedding_hash"],

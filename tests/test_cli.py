@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -292,21 +294,62 @@ def break_fit_file(summary):
     return summary
 
 
+def break_fit_field(field, value):
+    def edit(summary):
+        summary["fits"]["alpha-sys"]["kl"][field] = value
+        return summary
+    return edit
+
+
+def break_mean_mae(summary):
+    summary["mean_mae"]["kl"] = "x"
+    return summary
+
+
 @pytest.mark.parametrize("stage, name, edit, message", [
     ("fit", "similarity.json", lambda _: [], "similarity.json: expected a JSON object"),
     ("report", "similarity.json", lambda _: [], "similarity.json: expected a JSON object"),
     ("report", "fit_summary.json", break_fit_list, "fit_summary.json: 'fits' must map systems to fit entries"),
     ("report", "fit_summary.json", break_fit_file, "fit_summary.json: 'fits' must map systems to fit entries"),
-], ids=["fit-similarity-list", "report-similarity-list", "report-fits-list", "report-fit-file-number"])
+    ("report", "fit_summary.json", break_fit_field("a", "x"), "fit_summary.json: fit alpha-sys/kl: 'a' must be a number"),
+    ("report", "fit_summary.json", break_fit_field("mae", None), "fit_summary.json: fit alpha-sys/kl: 'mae' must be a number"),
+    ("report", "fit_summary.json", break_fit_field("sse", True), "fit_summary.json: fit alpha-sys/kl: 'sse' must be a number"),
+    ("report", "fit_summary.json", break_fit_field("n", 2.5), "fit_summary.json: fit alpha-sys/kl: 'n' must be an integer"),
+    ("report", "fit_summary.json", break_mean_mae, "fit_summary.json: 'mean_mae' must map predictors to numbers or null"),
+], ids=["fit-similarity-list", "report-similarity-list", "report-fits-list", "report-fit-file-number",
+        "report-a-string", "report-mae-null", "report-sse-bool", "report-n-float", "report-mean-mae-string"])
 def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, message):
     config = write_pipeline_tree(tmp_path)
     run_full_pipeline(config)
-    path = tmp_path / "out" / name
+    out = tmp_path / "out"
+    reports = {n: (out / n).read_bytes() for n in ("report.json", "report.txt")}
+    path = out / name
     path.write_text(json.dumps(edit(read_json(path))), encoding="utf-8")
     code, _, err = run_cli([stage, "--config", str(config)])
     assert code == 2
     assert "data error" in err
     assert f"corrupt artifact {message}" in err
+    # refused before the first write: the last good report is left as it was
+    assert {n: (out / n).read_bytes() for n in reports} == reports
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("term_freq", {"w1": "x"}, "profile term_freq count for feature 'w1' is not an integer: 'x'"),
+    ("term_freq", [], "profile term_freq must be an object"),
+    ("term_freq", {"w1": 2.7}, "profile term_freq count for feature 'w1' is not an integer: 2.7"),
+    ("embedding", [0.6, "x"], "profile embedding must be a list of finite numbers"),
+], ids=["string-count", "list", "float-count", "string-component"])
+def test_similarity_refuses_a_malformed_cached_profile(tmp_path, field, value, message):
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    path = tmp_path / "out" / "cache" / "profile-news.json"
+    artifact = read_json(path)
+    artifact["profile"][field] = value
+    path.write_text(json.dumps(artifact), encoding="utf-8")
+    code, _, err = run_cli(["similarity", "--config", str(config)])
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "out" / "similarity.json").exists()
 
 
 def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monkeypatch):
@@ -329,16 +372,43 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
     ]
 
 
+# holds flock on the path in argv[1] until its standard input closes
+HOLD_LOCK = """\
+import fcntl, os, sys
+fd = os.open(sys.argv[1], os.O_CREAT | os.O_WRONLY)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+sys.stdin.read()
+"""
+
+
 def test_lock_file_blocks_concurrent_runs(tmp_path):
     config = write_pipeline_tree(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".lock").write_text("12345\n", encoding="ascii")
-    code, _, err = run_cli(["ingest", "--config", str(config)])
-    assert code == 1
-    assert "locked by another run" in err
-    (out / ".lock").unlink()
+    holder = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(out / ".lock")],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "locked\n"
+        code, _, err = run_cli(["ingest", "--config", str(config)])
+        assert code == 1
+        assert "locked by another run" in err
+        assert not (out / "cache").exists()
+    finally:
+        holder.stdin.close()
+        holder.wait(timeout=30)
+    assert holder.returncode == 0
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    assert not (out / ".lock").exists()
+
+
+def test_a_lock_file_left_by_a_dead_run_blocks_nothing(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").write_text("12345\n", encoding="ascii")  # no process holds it
+    code, _, err = run_cli(["ingest", "--config", str(config)])
+    assert code == 0, err
     assert not (out / ".lock").exists()
 
 

@@ -95,9 +95,15 @@ EVERY_TOKENIZER = [
 TOKEN_ALPHABET = string.ascii_letters + string.digits + string.punctuation + " \t" + "éİßǅΣς\u0307東京中文"
 
 
-@settings(max_examples=300)
-@given(st.text(alphabet=TOKEN_ALPHABET, max_size=80))
+# ASCII text is lowered in one pass, any other text token by token: both must match the reference
+@settings(max_examples=300, derandomize=True)
+@given(st.one_of(st.text(alphabet=string.printable, max_size=80), st.text(alphabet=TOKEN_ALPHABET, max_size=80)))
 @example("İstanbul STRASSE Straße ǅemal ΣΟΦΟΣ ς x\u0307y 東京, naïve!")
+@example("It's A-OK, MR. Smith!\tSee: HTTP/2 (RFC 7540) -- x_Y_z __init__ ...")
+@example("İSTANBUL")
+@example("STRASSE ß")
+@example("ǅEMAL ǄX")
+@example("X\u0307Y ABC")
 def test_tokenize_matches_the_two_pass_reference(text):
     for cfg in EVERY_TOKENIZER:
         assert tokenize(text, cfg) == reference_tokenize(text, cfg)
@@ -287,6 +293,26 @@ def test_parse_jsonl_non_object_line_is_an_error():
 def test_parse_jsonl_all_skipped_is_empty_corpus():
     with pytest.raises(ParseError, match="empty corpus"):
         parse_jsonl_pairs('{"other": 1}\n{"other": 2}\n')
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.text(alphabet=TOKEN_ALPHABET, max_size=20), min_size=1, max_size=3))
+@example(["Hello, World", "AGAIN!"])
+@example(["İstanbul", "STRASSE"])
+@example(["ends with a space ", " ", "\tleads"])
+@example(["!!", "..."])
+def test_a_jsonl_record_tokenizes_as_its_fields_do(texts):
+    fields = [f"f{i}" for i in range(len(texts))]
+    line = json.dumps(dict(zip(fields, texts)))
+    for cfg in EVERY_TOKENIZER:
+        tokens = [t for text in texts for t in tokenize(text, cfg)]
+        if not tokens:
+            with pytest.raises(ParseError, match="empty corpus"):
+                parse_jsonl_pairs(line, cfg, fields=fields)
+            continue
+        (document,) = parse_jsonl_pairs(line, cfg, fields=fields).documents
+        assert document.tokens == tuple(tokens)
+        assert document.raw_length == sum(map(len, texts)) + len(texts) - 1
 
 
 def test_parse_jsonl_requires_fields():

@@ -175,8 +175,12 @@ def test_embedding_is_bitwise_equal_to_the_per_feature_loop(seed, dimension, wei
     cfg = EmbeddingConfig(dimension=dimension, seed=seed, weighting=weighting)
     many = {f"w{i} {'é' * (i % 4)}": i % 9 for i in range(500)}
     context = {"alpha", "東京", "x" * 40, *(f"w{i} " for i in range(0, 500, 3))}
+    larger = {f"w{i} {'é' * (i % 4)}" for i in range(0, 2000, 2)} | {"naïve", "unseen"}  # more than `many`
+    # the overlap walks the smaller side: contexts smaller and larger than each table, in each form
+    contexts = [None, frozenset()] + [form(c) for c in (context, larger)
+                                      for form in (set, list, lambda c: dict.fromkeys(c).keys())]
     for table in (MIXED_TABLE, many, {"a": 1, "caabae": 1}, {"solo": 4}, {"inf": math.inf, "b": 1}):
-        for idf_context in (None, context, frozenset()):
+        for idf_context in contexts:
             assert_same_outcome(
                 outcome(embed_builtin, table, cfg, idf_context=idf_context),
                 outcome(reference_embed, table, cfg, idf_context=idf_context),
@@ -189,7 +193,8 @@ def test_a_prepared_table_embeds_like_its_mapping(seed, weighting):
     # one table embedded against several contexts in turn, as similarity_table
     # does with its source: no context may leak into the next
     cfg = EmbeddingConfig(dimension=32, seed=seed, weighting=weighting)
-    contexts = (None, {"alpha", "東京"}, frozenset(), set(MIXED_TABLE), {"x" * 40}, None)
+    contexts = (None, {"alpha", "東京"}, frozenset(), set(MIXED_TABLE), {"x" * 40}, list(MIXED_TABLE),
+                dict.fromkeys(["naïve", "b"]).keys(), None)
     for table in (MIXED_TABLE, {"a": 1, "caabae": 1}, {"solo": 4}):
         prepared = HashedTable.of(table, cfg)
         for idf_context in contexts:
@@ -486,6 +491,46 @@ def test_profile_round_trip():
 def test_profile_from_dict_reports_missing_keys():
     with pytest.raises(ParseError, match="missing key"):
         profile_from_dict({"domain_id": "x"})
+
+
+@pytest.mark.parametrize("term_freq", [{"w1": "x"}, [], {"w1": 2.7}, {"w1": True}, {"w1": None}, "w1"],
+                         ids=["string-count", "list", "float-count", "bool-count", "null-count", "string"])
+def test_profile_from_dict_refuses_a_malformed_term_table(term_freq):
+    payload = profile_to_dict(build_profile(small_corpus(), EmbeddingConfig(dimension=8)))
+    payload["term_freq"] = term_freq
+    with pytest.raises(ParseError, match="profile term_freq"):
+        profile_from_dict(payload)
+
+
+@pytest.mark.parametrize("embedding", [{"0": 1.0}, [1.0, "x"], [1.0, math.nan], [math.inf, 0.0], [True, 0.5],
+                                       [1.0, None], [[1.0, 0.0]], [10**400, 1.0], "1.0"],
+                         ids=["object", "string", "nan", "inf", "bool", "null", "nested", "huge-int", "text"])
+def test_profile_from_dict_refuses_a_malformed_embedding(embedding):
+    payload = profile_to_dict(build_profile(small_corpus(), EmbeddingConfig(dimension=8)))
+    payload["embedding"] = embedding
+    with pytest.raises(ParseError, match="profile embedding must be a list of finite numbers"):
+        profile_from_dict(payload)
+
+
+def test_profile_from_dict_reads_integer_embedding_components():
+    payload = profile_to_dict(build_profile(small_corpus(), EmbeddingConfig(dimension=2)))
+    payload["embedding"] = [0, 1]
+    restored = profile_from_dict(payload)
+    assert restored.embedding.dtype == np.float64 and restored.embedding.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: build_profile(c, EmbeddingConfig(dimension=8)),
+    lambda c: build_profile(c, EmbeddingConfig(dimension=8, per_document=True)),
+    lambda c: build_profile_external(c, np.array([3.0, 4.0]), "emb.json"),
+], ids=["tf", "per-document", "external"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_profiles_keep_their_term_table_in_sorted_order(build, order):
+    corpus = small_corpus("zeta alpha beta alpha\nmu delta zeta\nbeta\n", ngram_order=order)
+    term_freq = build(corpus).term_freq
+    assert list(term_freq) == sorted(term_freq)
+    expected = Counter(f for doc in corpus.documents for f in ngram_features(doc.tokens, order))
+    assert term_freq == expected
 
 
 def test_profiles_with_different_tokenizers_are_incomparable():
