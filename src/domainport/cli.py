@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -34,13 +34,12 @@ from .features import (
     profile_from_dict,
     profile_to_dict,
 )
-from .hashing import content_digest, dump_json, stable_hash
+from .hashing import content_digest, dump_json, fields_from_dict, stable_hash
 from .hashing import fnv1a_64  # noqa: F401  unused here, but bench/tracing.py wraps cli.fnv1a_64 by name
 from .regression import FitModel, curve_points, fit as fit_curve, predict
 from .transport import (
     PERCENT_METRICS,
     ScoreTable,
-    TransportReport,
     build_report,
     load_score_table,
     render_report_text,
@@ -59,6 +58,40 @@ CORPUS_FORMATS = ("conll", "jsonl", "text", "interchange")
 # ---------------------------------------------------------------- config
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+def _require_unique(values: Sequence[Any], what: str) -> None:
+    for i, value in enumerate(values):
+        _require(value not in values[:i], f"duplicate {what} {value!r}")
+
+
+def _strings(value: Any, message: str) -> tuple[str, ...] | None:
+    """``value``, None or a list of strings, as None or a tuple; anything else is ConfigError ``message``."""
+    _require(value is None or isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value), message)
+    return None if value is None else tuple(value)
+
+
+def _normalize(record: Any, **values: Any) -> None:
+    """Set fields of a frozen config record in its ``__post_init__``, which ``replace`` reruns on these values."""
+    for name, value in values.items():
+        object.__setattr__(record, name, value)
+
+
+def _key_pair(obj: Any, context: str, *extra: str) -> tuple[str, str]:
+    """A (dataset, split) key from a two-item list or an object with those keys (and ``extra`` ones)."""
+    if isinstance(obj, dict):
+        unknown = set(obj) - {"dataset", "split", *extra}
+        _require(not unknown, f"unknown {context} fields: {sorted(unknown)}")
+        _require("dataset" in obj and "split" in obj, f"{context} needs 'dataset' and 'split'")
+        return str(obj["dataset"]), str(obj["split"])
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        return str(obj[0]), str(obj[1])
+    raise ConfigError(f"{context} must be a dataset/split pair")
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     domain_id: str
@@ -69,42 +102,95 @@ class CorpusSpec:
     dataset: str | None = None  # join keys into the score table
     split: str | None = None
 
-    to_dict = asdict
+    def __post_init__(self) -> None:
+        fmt = str(self.format)
+        _require(fmt in CORPUS_FORMATS, f"unknown format {fmt!r}; expected one of {CORPUS_FORMATS}")
+        _normalize(self, domain_id=str(self.domain_id), path=str(self.path), format=fmt,
+                   fields=_strings(self.fields, "fields must be a list of strings"), text_unit=str(self.text_unit))
+
+
+@dataclass(frozen=True)
+class ScoresSpec:
+    path: str | None = None
+    metric: str = "F1"
+
+    def __post_init__(self) -> None:
+        _normalize(self, metric=str(self.metric))
 
 
 @dataclass(frozen=True)
 class TransportSpec:
+    """The transport block; ``groups`` collects the targets' ``group`` labels and is not a key."""
+
     task: str
     source: tuple[str, str]
     targets: tuple[tuple[str, str], ...]
-    systems: tuple[str, ...] | None
-    groups: Mapping[str, tuple[tuple[str, str], ...]]
-    bias_corrected: bool
+    systems: tuple[str, ...] | None = None
+    bias_corrected: bool = False
+    groups: Mapping[str, tuple[tuple[str, str], ...]] = field(default_factory=dict, metadata={"derived": True})
 
-    to_dict = asdict
+    def __post_init__(self) -> None:
+        _require(isinstance(self.targets, (list, tuple)), "transport.targets must be a list")
+        targets = [_key_pair(t, f"transport.targets[{j}]", "group") for j, t in enumerate(self.targets)]
+        _require(len(targets) > 0, "transport.targets must be non-empty")
+        systems = _strings(self.systems, "transport.systems must be a list of strings")
+        _require_unique(systems or (), "system")
+        groups = {name: list(keys) for name, keys in self.groups.items()}  # set when replace() copies a spec
+        for key, t in zip(targets, self.targets):
+            if isinstance(t, dict) and t.get("group") is not None:
+                groups.setdefault(str(t["group"]), []).append(key)
+        _normalize(self, task=str(self.task), source=_key_pair(self.source, "transport.source"), targets=tuple(targets),
+                   systems=systems, groups={name: tuple(keys) for name, keys in groups.items()},
+                   bias_corrected=bool(self.bias_corrected))
 
 
-@dataclass
+@dataclass(frozen=True)
+class SimilaritySpec:
+    source: str | None = None  # None: the first corpus
+    targets: tuple[str, ...] | None = None  # None: every corpus
+
+    def __post_init__(self) -> None:
+        _normalize(self, targets=_strings(self.targets, "similarity.targets must be a list of domain ids"))
+
+
+@dataclass(frozen=True)
+class FitSpec:
+    predictors: tuple[str, ...] = tuple(PREDICTOR_COLUMNS)
+
+    def __post_init__(self) -> None:
+        _require(isinstance(self.predictors, (list, tuple)) and len(self.predictors) > 0,
+                 "fit.predictors must be a non-empty list")
+        for pred in self.predictors:
+            _require(isinstance(pred, str) and pred in PREDICTOR_COLUMNS,
+                     f"unknown predictor {pred!r}; expected one of {sorted(PREDICTOR_COLUMNS)}")
+        _require_unique(self.predictors, "predictor")
+        _normalize(self, predictors=tuple(self.predictors))
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Effective configuration for one pipeline run.
+    """Effective configuration for one pipeline run: one field per top-level config key, plus ``config_dir``.
 
     ``out_dir`` is deliberately excluded from the config hash: the
     same analysis written to two directories is the same analysis.
     """
 
     config_dir: Path
-    out_dir: str
-    tokenizer: TokenizerConfig
-    embedding: EmbeddingConfig
-    kl: KLSettings
-    corpora: tuple[CorpusSpec, ...]
-    external_embeddings: str | None
-    scores_path: str | None
-    scores_metric: str
-    transport: TransportSpec | None
-    similarity_source: str | None
-    similarity_targets: tuple[str, ...] | None
-    predictors: tuple[str, ...]
+    out_dir: str = "out"
+    tokenizer: TokenizerConfig = TokenizerConfig()
+    embedding: EmbeddingConfig = EmbeddingConfig()
+    kl: KLSettings = KLSettings()
+    corpora: tuple[CorpusSpec, ...] = ()
+    external_embeddings: str | None = None
+    scores: ScoresSpec = ScoresSpec()
+    transport: TransportSpec | None = None
+    similarity: SimilaritySpec = SimilaritySpec()
+    fit: FitSpec = FitSpec()
+
+    def __post_init__(self) -> None:
+        ids = [c.domain_id for c in self.corpora]
+        _require_unique(ids, "domain_id")
+        _require_distinct_slugs(ids, "domain ids")
 
     def resolve(self, path: str) -> Path:
         p = Path(path)
@@ -114,49 +200,27 @@ class RunConfig:
     def out_path(self) -> Path:
         return self.resolve(self.out_dir)
 
-    def hashable_dict(self) -> dict[str, Any]:
-        return {
-            "tokenizer": self.tokenizer.to_dict(),
-            "embedding": self.embedding.to_dict(),
-            "kl": self.kl.to_dict(),
-            "corpora": [c.to_dict() for c in self.corpora],
-            "external_embeddings": self.external_embeddings,
-            "scores": {"path": self.scores_path, "metric": self.scores_metric},
-            "transport": self.transport.to_dict() if self.transport else None,
-            "similarity": {"source": self.similarity_source, "targets": self.similarity_targets},
-            "fit": {"predictors": self.predictors},
-        }
-
     def config_hash(self) -> str:
-        return stable_hash(self.hashable_dict())
+        config = asdict(self)
+        del config["config_dir"], config["out_dir"]
+        return stable_hash(config)
 
 
-_TOP_LEVEL_KEYS = {
-    "out_dir",
-    "tokenizer",
-    "embedding",
-    "kl",
-    "corpora",
-    "external_embeddings",
-    "scores",
-    "transport",
-    "similarity",
-    "fit",
-}
+_BLOCKS = {"tokenizer": TokenizerConfig, "embedding": EmbeddingConfig, "kl": KLSettings, "scores": ScoresSpec,
+           "transport": TransportSpec, "similarity": SimilaritySpec, "fit": FitSpec}
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+def _block(cls: type[Any], value: Any, kind: str) -> Any:
+    """The ``cls`` record that config block ``kind`` holds."""
+    _require(isinstance(value, dict), f"{kind} must be an object")
+    return fields_from_dict(cls, value, kind)
 
 
-def _key_pair(obj: Any, context: str) -> tuple[str, str]:
-    if isinstance(obj, dict):
-        _require("dataset" in obj and "split" in obj, f"{context} needs 'dataset' and 'split'")
-        return str(obj["dataset"]), str(obj["split"])
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return str(obj[0]), str(obj[1])
-    raise ConfigError(f"{context} must be a dataset/split pair")
+def _corpus(i: int, item: Any) -> CorpusSpec:
+    try:
+        return _block(CorpusSpec, item, "corpus")
+    except ConfigError as exc:
+        raise ConfigError(f"corpora[{i}]: {exc}") from None
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -168,110 +232,18 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc.msg} (line {exc.lineno})") from exc
     _require(isinstance(raw, dict), "config must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
+    unknown = set(raw) - {f.name for f in fields(RunConfig) if f.name != "config_dir"}
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-
-    tokenizer = TokenizerConfig.from_dict(raw.get("tokenizer", {}))
-    embedding = EmbeddingConfig.from_dict(raw.get("embedding", {}))
-    kl = KLSettings.from_dict(raw.get("kl", {}))
-
-    corpora: list[CorpusSpec] = []
-    seen_ids: set[str] = set()
-    for i, item in enumerate(raw.get("corpora", [])):
-        _require(isinstance(item, dict), f"corpora[{i}] must be an object")
-        _require("domain_id" in item and "path" in item and "format" in item,
-                 f"corpora[{i}] needs domain_id, path and format")
-        fmt = str(item["format"])
-        _require(fmt in CORPUS_FORMATS, f"corpora[{i}]: unknown format {fmt!r}; expected one of {CORPUS_FORMATS}")
-        domain_id = str(item["domain_id"])
-        _require(domain_id not in seen_ids, f"duplicate domain_id {domain_id!r}")
-        seen_ids.add(domain_id)
-        fields = item.get("fields")
-        if fields is not None:
-            _require(isinstance(fields, list) and all(isinstance(f, str) for f in fields),
-                     f"corpora[{i}]: fields must be a list of strings")
-            fields = tuple(fields)
-        unknown_c = set(item) - {"domain_id", "path", "format", "fields", "text_unit", "dataset", "split"}
-        _require(not unknown_c, f"corpora[{i}]: unknown keys {sorted(unknown_c)}")
-        corpora.append(
-            CorpusSpec(
-                domain_id=domain_id,
-                path=str(item["path"]),
-                format=fmt,
-                fields=fields,
-                text_unit=str(item.get("text_unit", "line")),
-                dataset=item.get("dataset"),
-                split=item.get("split"),
-            )
-        )
-    _require_distinct_slugs((c.domain_id for c in corpora), "domain ids")
-
-    scores = raw.get("scores") or {}
-    _require(isinstance(scores, dict), "scores must be an object")
-    scores_path = scores.get("path")
-    scores_metric = str(scores.get("metric", "F1"))
-
-    transport = None
-    if raw.get("transport") is not None:
-        t = raw["transport"]
-        _require(isinstance(t, dict), "transport must be an object")
-        _require("task" in t and "source" in t and "targets" in t,
-                 "transport needs 'task', 'source' and 'targets'")
-        unknown_t = set(t) - {"task", "source", "targets", "systems", "bias_corrected"}
-        _require(not unknown_t, f"transport: unknown keys {sorted(unknown_t)}")
-        targets: list[tuple[str, str]] = []
-        groups: dict[str, list[tuple[str, str]]] = {}
-        for j, tgt in enumerate(t["targets"]):
-            key = _key_pair(tgt, f"transport.targets[{j}]")
-            group = tgt.get("group") if isinstance(tgt, dict) else None
-            targets.append(key)
-            if group is not None:
-                groups.setdefault(str(group), []).append(key)
-        _require(len(targets) > 0, "transport.targets must be non-empty")
-        systems = t.get("systems")
-        if systems is not None:
-            _require(isinstance(systems, list) and all(isinstance(s, str) for s in systems),
-                     "transport.systems must be a list of strings")
-            systems = tuple(systems)
-        transport = TransportSpec(
-            task=str(t["task"]),
-            source=_key_pair(t["source"], "transport.source"),
-            targets=tuple(targets),
-            systems=systems,
-            groups={k: tuple(v) for k, v in groups.items()},
-            bias_corrected=bool(t.get("bias_corrected", False)),
-        )
-
-    similarity = raw.get("similarity") or {}
-    _require(isinstance(similarity, dict), "similarity must be an object")
-    sim_source = similarity.get("source")
-    sim_targets = similarity.get("targets")
-    if sim_targets is not None:
-        _require(isinstance(sim_targets, list) and all(isinstance(s, str) for s in sim_targets),
-                 "similarity.targets must be a list of domain ids")
-        sim_targets = tuple(sim_targets)
-
-    fit_block = raw.get("fit") or {}
-    _require(isinstance(fit_block, dict), "fit must be an object")
-    predictors = fit_block.get("predictors", ["lexical", "cosine", "kl"])
-    _require(isinstance(predictors, list) and predictors, "fit.predictors must be a non-empty list")
-    for pred in predictors:
-        _require(pred in PREDICTOR_COLUMNS, f"unknown predictor {pred!r}; expected one of {sorted(PREDICTOR_COLUMNS)}")
-
+    if raw.get("transport") is None:
+        raw.pop("transport", None)  # null: no transport block
+    corpora = raw.get("corpora", [])
+    _require(isinstance(corpora, list), "corpora must be a list")
     return RunConfig(
         config_dir=p.parent.resolve(),
         out_dir=str(raw.get("out_dir", "out")),
-        tokenizer=tokenizer,
-        embedding=embedding,
-        kl=kl,
-        corpora=tuple(corpora),
+        corpora=tuple(_corpus(i, item) for i, item in enumerate(corpora)),
         external_embeddings=raw.get("external_embeddings"),
-        scores_path=scores_path,
-        scores_metric=scores_metric,
-        transport=transport,
-        similarity_source=sim_source,
-        similarity_targets=sim_targets,
-        predictors=tuple(predictors),
+        **{key: _block(cls, raw[key], key) for key, cls in _BLOCKS.items() if key in raw},
     )
 
 
@@ -542,8 +514,8 @@ def _parse_profile(raw: bytes, path: Path, domain_id: str) -> DomainProfile:
 
 def cmd_similarity(cfg: RunConfig) -> None:
     _require(len(cfg.corpora) > 0, "no corpora configured")
-    source_id = cfg.similarity_source or cfg.corpora[0].domain_id
-    target_ids = list(cfg.similarity_targets) if cfg.similarity_targets is not None else [
+    source_id = cfg.similarity.source or cfg.corpora[0].domain_id
+    target_ids = list(cfg.similarity.targets) if cfg.similarity.targets is not None else [
         c.domain_id for c in cfg.corpora
     ]
     known = {c.domain_id for c in cfg.corpora}
@@ -572,7 +544,7 @@ def cmd_similarity(cfg: RunConfig) -> None:
 
 def _read_scores(cfg: RunConfig, stamp: _Stamp) -> tuple[str, str]:
     """The score table's text and source label; its bytes join ``stamp``'s key and are then dropped."""
-    path = cfg.resolve(cfg.scores_path)
+    path = cfg.resolve(cfg.scores.path)
     raw = read_file(path, f"score table file not found: {path}")
     return read_text(stamp.input("scores", raw), "score table", str(path))
 
@@ -583,7 +555,7 @@ def _group_order(cfg: RunConfig) -> list[str] | None:
 
 
 def cmd_transport(cfg: RunConfig) -> None:
-    _require(cfg.scores_path is not None, "no score table configured (scores.path)")
+    _require(cfg.scores.path is not None, "no score table configured (scores.path)")
     _require(cfg.transport is not None, "no transport block configured")
     spec = cfg.transport
     config_hash = cfg.config_hash()
@@ -591,23 +563,12 @@ def cmd_transport(cfg: RunConfig) -> None:
     scores, label = _read_scores(cfg, stamp)
     if stamp.up_to_date():
         return
-    table = load_score_table(scores, metric_name=cfg.scores_metric, source=label)
+    table = load_score_table(scores, metric_name=cfg.scores.metric, source=label)
     systems = list(spec.systems) if spec.systems is not None else table.systems(spec.task)
     _require(len(systems) > 0, f"score table has no systems for task {spec.task!r}")
 
-    reports: list[TransportReport] = []
-    for system in systems:
-        reports.append(
-            build_report(
-                table,
-                system,
-                spec.task,
-                spec.source,
-                spec.targets,
-                bias_corrected=spec.bias_corrected,
-                groups=spec.groups or None,
-            )
-        )
+    reports = [build_report(table, system, spec.task, spec.source, spec.targets,
+                            bias_corrected=spec.bias_corrected, groups=spec.groups or None) for system in systems]
 
     payloads = [report_to_dict(r) for r in reports]
     stamp.write("transport.json", _artifact_text(config_hash, reports=payloads))
@@ -641,7 +602,7 @@ def _join_points(
 
 
 def cmd_fit(cfg: RunConfig) -> None:
-    _require(cfg.scores_path is not None, "no score table configured (scores.path)")
+    _require(cfg.scores.path is not None, "no score table configured (scores.path)")
     _require(cfg.transport is not None, "no transport block configured (fit needs its task and systems)")
     config_hash = cfg.config_hash()
     out = cfg.out_path
@@ -651,30 +612,27 @@ def cmd_fit(cfg: RunConfig) -> None:
     scores, label = _read_scores(cfg, stamp)
     if stamp.up_to_date():
         return
-    records = _parse_artifact(sim, sim_path).get("records", [])
-    _require(isinstance(records, list) and records, "similarity.json has no records")
-    table = load_score_table(scores, metric_name=cfg.scores_metric, source=label)
+    records = _similarity_records(_parse_artifact(sim, sim_path))
+    _require(len(records) > 0, "similarity.json has no records")
+    table = load_score_table(scores, metric_name=cfg.scores.metric, source=label)
     spec = cfg.transport
     systems = list(spec.systems) if spec.systems is not None else table.systems(spec.task)
     _require_distinct_slugs(systems, "systems")
-    percent = cfg.scores_metric.lower() in PERCENT_METRICS
+    percent = cfg.scores.metric.lower() in PERCENT_METRICS
     by_domain = {c.domain_id: c for c in cfg.corpora}
 
     summary_fits: dict[str, Any] = {}
     skipped: list[dict[str, Any]] = []
-    mae_by_predictor: dict[str, list[float]] = {p: [] for p in cfg.predictors}
+    mae_by_predictor: dict[str, list[float]] = {p: [] for p in cfg.fit.predictors}
 
     for system in systems:
-        for predictor in cfg.predictors:
+        for predictor in cfg.fit.predictors:
             column = PREDICTOR_COLUMNS[predictor]
             points = _join_points(by_domain, records, table, system, spec.task, column)
             if len(points) < 3:
                 skipped.append({"system": system, "predictor": predictor, "points": len(points)})
-                click.echo(
-                    f"warning: skipping fit for {system}/{predictor}: "
-                    f"only {len(points)} joinable point(s), need 3",
-                    err=True,
-                )
+                click.echo(f"warning: skipping fit for {system}/{predictor}: "
+                           f"only {len(points)} joinable point(s), need 3", err=True)
                 continue
             model = fit_curve(points, predictor_name=column, percent_scale=percent)
             stem = f"fit-{_slug(system)}-{predictor}"
@@ -686,10 +644,8 @@ def cmd_fit(cfg: RunConfig) -> None:
             stamp.write(f"curve-{_slug(system)}-{predictor}.csv", _csv_text(
                 config_hash, [column, "predicted_score"], [[repr(xv), repr(yv)] for xv, yv in curve]))
             summary_fits.setdefault(system, {})[predictor] = {
-                "a": model.a, "b": model.b, "c": model.c,
-                "sse": model.sse, "mae": model.mae, "n": model.n_points,
-                "file": f"{stem}.json",
-            }
+                "a": model.a, "b": model.b, "c": model.c, "sse": model.sse, "mae": model.mae, "n": model.n_points,
+                "file": f"{stem}.json"}
             mae_by_predictor[predictor].append(model.mae)
             click.echo(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n_points} point(s)")
 
@@ -718,30 +674,44 @@ def _is_number(value: Any) -> bool:
     return type(value) in (int, float)  # a bool is not a number here
 
 
+_KINDS = {"a number": _is_number, "an integer": lambda v: type(v) is int, "a string": lambda v: isinstance(v, str)}
+
+
+def _check_fields(artifact: str, where: str, entry: dict[str, Any], **kinds: str) -> None:
+    """Refuse ``entry`` of ``artifact`` unless each field ``name`` is of its kind, one of :data:`_KINDS`."""
+    for name, kind in kinds.items():
+        if not _KINDS[kind](entry.get(name)):
+            raise ParseError(f"corrupt artifact {artifact}: {where}: {name!r} must be {kind}")
+
+
+def _similarity_records(payload: dict[str, Any]) -> list[dict[str, Any]]:
+    """The records of similarity.json, each checked for the fields ``fit`` and ``report`` read."""
+    records = payload.get("records", [])
+    if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
+        raise ParseError("corrupt artifact similarity.json: 'records' must be a list of objects")
+    for i, rec in enumerate(records):
+        _check_fields("similarity.json", f"record {i}", rec, source_id="a string", target_id="a string",
+                      **dict.fromkeys(CSV_COLUMNS[2:], "a number"))
+    return records
+
+
 def _fit_files(summary: dict[str, Any], predictors: Sequence[str]) -> list[tuple[str, str, str]]:
     """(predictor, system, fit file) for each fit that fit_summary.json names, in plot order.
 
     Every field of the summary that ``report.txt`` renders is checked
     first, so a corrupt summary is refused before anything is written.
     """
-    def corrupt(what: str) -> ParseError:
-        return ParseError(f"corrupt artifact fit_summary.json: {what}")
-
     fits = summary.get("fits", {})
-    if not (isinstance(fits, dict) and all(isinstance(entries, dict) for entries in fits.values())):
-        raise corrupt("'fits' must map systems to fit entries")
+    if not (isinstance(fits, dict) and all(isinstance(entries, dict) for entries in fits.values())
+            and all(isinstance(e, dict) and isinstance(e.get("file"), str) for v in fits.values() for e in v.values())):
+        raise ParseError("corrupt artifact fit_summary.json: 'fits' must map systems to fit entries")
     for system, entries in fits.items():
         for predictor, entry in entries.items():
-            if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
-                raise corrupt("'fits' must map systems to fit entries")
-            for field in ("a", "b", "c", "sse", "mae"):
-                if not _is_number(entry.get(field)):
-                    raise corrupt(f"fit {system}/{predictor}: {field!r} must be a number")
-            if type(entry.get("n")) is not int:
-                raise corrupt(f"fit {system}/{predictor}: 'n' must be an integer")
+            _check_fields("fit_summary.json", f"fit {system}/{predictor}", entry,
+                          **dict.fromkeys(("a", "b", "c", "sse", "mae"), "a number"), n="an integer")
     mean_mae = summary.get("mean_mae", {})
     if not (isinstance(mean_mae, dict) and all(v is None or _is_number(v) for v in mean_mae.values())):
-        raise corrupt("'mean_mae' must map predictors to numbers or null")
+        raise ParseError("corrupt artifact fit_summary.json: 'mean_mae' must map predictors to numbers or null")
     return [(p, system, fits[system][p]["file"]) for p in predictors for system in sorted(fits) if p in fits[system]]
 
 
@@ -771,49 +741,42 @@ def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
     # fit_summary.json names the fit files, so it alone is parsed before the stamp check
     fits = section("fit_summary")
     fit_raw: list[tuple[str, str, Path, bytes]] = []  # predictor, system, fit file and its bytes
-    for predictor, system, name in _fit_files(fits, cfg.predictors):
+    for predictor, system, name in _fit_files(fits, cfg.fit.predictors):
         path = out / name
         fit_raw.append((predictor, system, path,
                         stamp.input(name, read_file(path, f"missing {path.name}; run the fit stage first"))))
     if stamp.up_to_date():
         return
     sections = {"similarity": section("similarity"), "transport": section("transport")}
+    records = _similarity_records(sections["similarity"]) if "records" in sections["similarity"] else None
 
     # joined scatter data per predictor, for external plotting
     plots: dict[str, list[list[str]]] = {}
     for predictor, system, path, fit_bytes in fit_raw:
-        for x, y in _parse_artifact(fit_bytes, path).get("points", []):
+        points = _parse_artifact(fit_bytes, path).get("points", [])
+        pairs = isinstance(points, list) and all(isinstance(pt, list) and len(pt) == 2 for pt in points)
+        if not (pairs and all(_is_number(v) for pt in points for v in pt)):
+            raise ParseError(f"corrupt artifact {path.name}: 'points' must be a list of [x, y] number pairs")
+        for x, y in points:
             plots.setdefault(predictor, []).append([system, repr(float(x)), repr(float(y))])
 
     stamp.write("report.json", _artifact_text(config_hash, similarity=sections["similarity"],
                                               transport=sections["transport"], fits=fits))
 
-    lines: list[str] = []
-    lines.append("domain transport report")
-    lines.append(f"config_hash={config_hash} tool_version={__version__}")
-    lines.append("")
-    lines.append("[similarity]")
-    sim = sections["similarity"]
-    if "records" in sim:
+    lines = ["domain transport report", f"config_hash={config_hash} tool_version={__version__}", "", "[similarity]"]
+    if records is not None:
         lines.append("  ".join(CSV_COLUMNS))
-        for rec in sim["records"]:
-            lines.append("  ".join([
-                rec["source_id"], rec["target_id"],
-                "%.6f" % rec["lexical_difference"],
-                "%.6f" % rec["cosine_distance"],
-                "%.6f" % rec["kl_divergence"],
-            ]))
+        for rec in records:
+            lines.append("  ".join([rec["source_id"], rec["target_id"], *("%.6f" % rec[c] for c in CSV_COLUMNS[2:])]))
     else:
         lines.append("absent")
-    lines.append("")
-    lines.append("[transport]")
+    lines += ["", "[transport]"]
     tr = sections["transport"]
     if "reports" in tr:
         lines.extend(render_report_text(tr["reports"], group_order=_group_order(cfg)).splitlines())
     else:
         lines.append("absent")
-    lines.append("")
-    lines.append("[fit]")
+    lines += ["", "[fit]"]
     if "fits" in fits:
         lines.append("system  predictor  a  b  c  sse  mae  n")
         for system in sorted(fits["fits"]):
@@ -840,25 +803,15 @@ def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
 # ---------------------------------------------------------------- click wiring
 
 
-def _apply_overrides(
-    cfg: RunConfig,
-    out_dir: str | None,
-    seed: int | None,
-    kl_direction: str | None,
-    kl_epsilon: float | None,
-    bias_corrected: bool | None,
-) -> RunConfig:
-    if out_dir is not None:
-        cfg.out_dir = out_dir
-    if seed is not None:
-        cfg.embedding = replace(cfg.embedding, seed=seed)
-    if kl_epsilon is not None:
-        cfg.kl = replace(cfg.kl, epsilon=kl_epsilon)
-    if kl_direction is not None:
-        cfg.kl = replace(cfg.kl, direction=kl_direction)
-    if bias_corrected is not None and cfg.transport is not None:
-        cfg.transport = replace(cfg.transport, bias_corrected=bias_corrected)
-    return cfg
+def _apply_overrides(config_path: str, out_dir: str | None, **blocks: dict[str, Any]) -> RunConfig:
+    """The config at ``config_path`` with ``--out`` and, in each named block, the flag values given (not None)."""
+    cfg = load_config(config_path)
+    changes: dict[str, Any] = {} if out_dir is None else {"out_dir": out_dir}
+    for name, values in blocks.items():
+        given = {key: value for key, value in values.items() if value is not None}
+        if given and getattr(cfg, name) is not None:  # a flag for an absent transport block does nothing
+            changes[name] = replace(getattr(cfg, name), **given)
+    return replace(cfg, **changes)
 
 
 _CONFIG_OPTION = click.option("--config", "config_path", required=True, type=str, help="Path to the JSON run configuration.")
@@ -877,7 +830,7 @@ def _cli() -> None:
 @click.option("--seed", type=int, default=None, help="Override the embedding seed.")
 def _ingest_cmd(config_path: str, out_dir: str | None, seed: int | None) -> None:
     """Parse corpora and cache their domain profiles."""
-    cfg = _apply_overrides(load_config(config_path), out_dir, seed, None, None, None)
+    cfg = _apply_overrides(config_path, out_dir, embedding={"seed": seed})
     with _run_lock(cfg.out_path):
         cmd_ingest(cfg)
 
@@ -901,13 +854,12 @@ def _similarity_cmd(
     kl_epsilon: float | None,
 ) -> None:
     """Compute the similarity table from cached profiles."""
-    cfg = _apply_overrides(load_config(config_path), out_dir, None, kl_direction, kl_epsilon, None)
-    if source_id is not None:
-        cfg.similarity_source = source_id
+    targets = None
     if target_ids is not None:
-        parsed = tuple(t.strip() for t in target_ids.split(",") if t.strip())
-        _require(len(parsed) > 0, "--targets must name at least one domain id")
-        cfg.similarity_targets = parsed
+        targets = tuple(t.strip() for t in target_ids.split(",") if t.strip())
+        _require(len(targets) > 0, "--targets must name at least one domain id")
+    cfg = _apply_overrides(config_path, out_dir, kl={"direction": kl_direction, "epsilon": kl_epsilon},
+                           similarity={"source": source_id, "targets": targets})
     with _run_lock(cfg.out_path):
         cmd_similarity(cfg)
 
@@ -919,7 +871,7 @@ def _similarity_cmd(
               help="Override the small-sample bias correction for the variation measure.")
 def _transport_cmd(config_path: str, out_dir: str | None, bias_corrected: bool | None) -> None:
     """Compute transport ratios and variation from the score table."""
-    cfg = _apply_overrides(load_config(config_path), out_dir, None, None, None, bias_corrected)
+    cfg = _apply_overrides(config_path, out_dir, transport={"bias_corrected": bias_corrected})
     with _run_lock(cfg.out_path):
         cmd_transport(cfg)
 
@@ -931,9 +883,7 @@ def _transport_cmd(config_path: str, out_dir: str | None, bias_corrected: bool |
               help="Restrict fitting to the named predictor(s); repeatable.")
 def _fit_cmd(config_path: str, out_dir: str | None, predictors: tuple[str, ...]) -> None:
     """Fit decay curves of score against each similarity measure."""
-    cfg = _apply_overrides(load_config(config_path), out_dir, None, None, None, None)
-    if predictors:
-        cfg.predictors = tuple(dict.fromkeys(predictors))
+    cfg = _apply_overrides(config_path, out_dir, fit={"predictors": tuple(dict.fromkeys(predictors)) or None})
     with _run_lock(cfg.out_path):
         cmd_fit(cfg)
 
@@ -953,7 +903,7 @@ def _predict_cmd(model_path: str, x_value: float) -> None:
               help="Render whatever stages have run instead of failing on gaps.")
 def _report_cmd(config_path: str, out_dir: str | None, allow_partial: bool) -> None:
     """Combine stage outputs into one report."""
-    cfg = _apply_overrides(load_config(config_path), out_dir, None, None, None, None)
+    cfg = _apply_overrides(config_path, out_dir)
     with _run_lock(cfg.out_path):
         cmd_report(cfg, allow_partial=allow_partial)
 

@@ -40,7 +40,7 @@ class KLSettings:
     method: str = "shift"
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+        if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigError("epsilon must be a positive finite number")
         if self.direction not in KL_DIRECTIONS:
             raise ConfigError(f"unknown KL direction {self.direction!r}; expected one of {KL_DIRECTIONS}")

@@ -14,8 +14,9 @@ and sign, for a single hash and for an array of them alike.
 ``canonical_json`` is the encoding config hashes digest; ``dump_json``
 is the encoding of every JSON artifact the pipeline writes. Config and
 record dataclasses serialize with ``dataclasses.asdict`` (both encodings
-write its tuples as lists); the strict config loaders go through
-``fields_from_dict``, which refuses keys that are not fields.
+write its tuples as lists); every config block is read by
+``fields_from_dict``, which refuses keys that are not fields and required
+fields that are missing.
 
 Reference vectors with seed 0:
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from typing import Any, Sequence, TypeVar
 
 import numpy as np
@@ -142,8 +143,15 @@ def content_digest(data: bytes) -> str:
 
 
 def fields_from_dict(cls: type[T], data: dict[str, Any], kind: str) -> T:
-    """``cls(**data)`` for a dataclass ``cls``; a key that is not a field is a ConfigError."""
-    unknown = set(data) - {f.name for f in fields(cls)}
+    """``cls(**data)`` for a dataclass ``cls``; an unknown key or a missing required field is a ConfigError.
+
+    A field whose metadata marks it ``derived`` is computed by ``cls``, so it is not a key.
+    """
+    keys = [f for f in fields(cls) if not f.metadata.get("derived")]
+    unknown = set(data) - {f.name for f in keys}
     if unknown:
         raise ConfigError(f"unknown {kind} fields: {sorted(unknown)}")
+    missing = [f.name for f in keys if f.default is MISSING and f.default_factory is MISSING and f.name not in data]
+    if missing:
+        raise ConfigError(f"missing {kind} fields: {missing}")
     return cls(**data)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -12,12 +13,16 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli, run_full_pipeline, write_pipeline_tree
 from domainport import cli
-from domainport.corpus import parse_plaintext, to_interchange
-from domainport.features import profile_from_dict
-from domainport.hashing import content_digest, dump_json
+from domainport.corpus import TokenizerConfig, parse_plaintext, to_interchange
+from domainport.divergence import KLSettings
+from domainport.errors import ConfigError, ParseError, read_text
+from domainport.features import EmbeddingConfig, profile_from_dict
+from domainport.hashing import content_digest, dump_json, stable_hash
 from domainport.regression import FitModel, predict
 
 
@@ -306,9 +311,39 @@ def break_mean_mae(summary):
     return summary
 
 
+def break_record(field, value):
+    def edit(similarity):
+        similarity["records"][0][field] = value
+        return similarity
+    return edit
+
+
+def break_records(similarity):
+    similarity["records"] = {"0": similarity["records"][0]}
+    return similarity
+
+
+def break_points(fit):
+    fit["points"][0] = ["x", fit["points"][0][1]]
+    return fit
+
+
 @pytest.mark.parametrize("stage, name, edit, message", [
     ("fit", "similarity.json", lambda _: [], "similarity.json: expected a JSON object"),
     ("report", "similarity.json", lambda _: [], "similarity.json: expected a JSON object"),
+    ("fit", "similarity.json", break_record("lexical_difference", "x"),
+     "similarity.json: record 0: 'lexical_difference' must be a number"),
+    ("report", "similarity.json", break_record("lexical_difference", "x"),
+     "similarity.json: record 0: 'lexical_difference' must be a number"),
+    ("fit", "similarity.json", break_record("target_id", 5), "similarity.json: record 0: 'target_id' must be a string"),
+    ("report", "similarity.json", break_record("target_id", 5),
+     "similarity.json: record 0: 'target_id' must be a string"),
+    ("report", "similarity.json", break_record("kl_divergence", None),
+     "similarity.json: record 0: 'kl_divergence' must be a number"),
+    ("fit", "similarity.json", break_records, "similarity.json: 'records' must be a list of objects"),
+    ("report", "similarity.json", break_records, "similarity.json: 'records' must be a list of objects"),
+    ("report", "fit-alpha-sys-kl.json", break_points,
+     "fit-alpha-sys-kl.json: 'points' must be a list of [x, y] number pairs"),
     ("report", "fit_summary.json", break_fit_list, "fit_summary.json: 'fits' must map systems to fit entries"),
     ("report", "fit_summary.json", break_fit_file, "fit_summary.json: 'fits' must map systems to fit entries"),
     ("report", "fit_summary.json", break_fit_field("a", "x"), "fit_summary.json: fit alpha-sys/kl: 'a' must be a number"),
@@ -316,13 +351,15 @@ def break_mean_mae(summary):
     ("report", "fit_summary.json", break_fit_field("sse", True), "fit_summary.json: fit alpha-sys/kl: 'sse' must be a number"),
     ("report", "fit_summary.json", break_fit_field("n", 2.5), "fit_summary.json: fit alpha-sys/kl: 'n' must be an integer"),
     ("report", "fit_summary.json", break_mean_mae, "fit_summary.json: 'mean_mae' must map predictors to numbers or null"),
-], ids=["fit-similarity-list", "report-similarity-list", "report-fits-list", "report-fit-file-number",
+], ids=["fit-similarity-list", "report-similarity-list", "fit-record-string-x", "report-record-string-x",
+        "fit-record-int-target", "report-record-int-target", "report-record-null-kl", "fit-records-object",
+        "report-records-object", "report-fit-points-string", "report-fits-list", "report-fit-file-number",
         "report-a-string", "report-mae-null", "report-sse-bool", "report-n-float", "report-mean-mae-string"])
 def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, message):
     config = write_pipeline_tree(tmp_path)
     run_full_pipeline(config)
     out = tmp_path / "out"
-    reports = {n: (out / n).read_bytes() for n in ("report.json", "report.txt")}
+    reports = {n: (out / n).read_bytes() for n in ("report.json", "report.txt", "fit_summary.json") if n != name}
     path = out / name
     path.write_text(json.dumps(edit(read_json(path))), encoding="utf-8")
     code, _, err = run_cli([stage, "--config", str(config)])
@@ -743,6 +780,301 @@ def test_config_rejects_bad_json(tmp_path):
     code, _, err = run_cli(["ingest", "--config", str(config)])
     assert code == 1
     assert "config is not valid JSON" in err
+
+
+def set_key(*keys, value):
+    def edit(raw):
+        block = raw
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (set_key("scores", "metrc", value="F1"), "unknown scores fields: ['metrc']"),
+    (set_key("similarity", "target", value=["news"]), "unknown similarity fields: ['target']"),
+    (set_key("fit", "predictor", value=["kl"]), "unknown fit fields: ['predictor']"),
+    (set_key("transport", "targets", 0, "grp", value="far"), "unknown transport.targets[0] fields: ['grp']"),
+    (set_key("transport", "source", value={"dataset": "src", "split": "train", "group": "near"}),
+     "unknown transport.source fields: ['group']"),
+    (set_key("fit", value=[]), "fit must be an object"),
+    (set_key("scores", value=None), "scores must be an object"),
+    (set_key("corpora", value=5), "corpora must be a list"),
+    (set_key("transport", "targets", value=5), "transport.targets must be a list"),
+    (set_key("tokenizer", value=[]), "tokenizer must be an object"),
+    (set_key("kl", value={"epsilon": "x"}), "epsilon must be a positive finite number"),
+    (set_key("fit", "predictors", value=["kl", "kl"]), "duplicate predictor 'kl'"),
+    (set_key("transport", "systems", value=["alpha-sys", "beta-sys", "alpha-sys"]), "duplicate system 'alpha-sys'"),
+    (set_key("corpora", 2, "encoding", value="utf-8"), "corpora[2]: unknown corpus fields: ['encoding']"),
+    (lambda raw: raw["transport"].pop("task"), "missing transport fields: ['task']"),
+], ids=["scores-key", "similarity-key", "fit-key", "target-key", "source-key", "fit-list", "scores-null",
+        "corpora-number", "targets-number", "tokenizer-list", "kl-epsilon-string", "duplicate-predictor",
+        "duplicate-system", "corpus-key", "transport-task-missing"])
+def test_config_rejects_a_malformed_block(tmp_path, edit, message):
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, edit)
+    for stage in ("ingest", "fit"):
+        code, _, err = run_cli([stage, "--config", str(config)])
+        assert code == 1
+        assert f"config error: {message}\n" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_override_keeps_the_transport_groups(tmp_path):
+    cfg = cli.load_config(write_pipeline_tree(tmp_path))
+    corrected = dataclasses.replace(cfg.transport, bias_corrected=True)
+    assert corrected.groups == cfg.transport.groups == {
+        "near": (("news", "test"),), "far": (("social", "test"), ("science", "test"))}
+    assert dataclasses.replace(corrected, bias_corrected=False) == cfg.transport
+
+
+README_CONFIGURATION = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").split(
+    "### Configuration", 1)[1].split("\n### ", 1)[0]
+
+
+def test_the_readme_example_config_loads(tmp_path):
+    raw = json.loads(README_CONFIGURATION.split("```json\n", 1)[1].split("```", 1)[0])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = cli.load_config(path)
+    assert set(raw) == {f.name for f in dataclasses.fields(cli.RunConfig)} - {"config_dir"}
+    assert [c.domain_id for c in cfg.corpora] == ["src", "web"]
+    assert cfg.transport.groups == {"web": (("web", "test"),)}
+    assert cfg.fit.predictors == ("lexical", "cosine", "kl")
+
+
+@pytest.mark.parametrize("block, record", [
+    ("tokenizer", TokenizerConfig), ("embedding", EmbeddingConfig), ("kl", KLSettings), ("corpora", cli.CorpusSpec),
+    ("scores", cli.ScoresSpec), ("transport", cli.TransportSpec), ("similarity", cli.SimilaritySpec),
+])
+def test_the_readme_key_table_lists_each_record_field(block, record):
+    rows = dict(re.findall(r"^\| `([\w.\[\]]+)` \| (.*) \|$", README_CONFIGURATION, re.MULTILINE))
+    keys = [f for f in dataclasses.fields(record) if not f.metadata.get("derived")]
+    required = {f.name for f in keys if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    assert set(re.findall(r"`(\w+)`", rows[block])) == {f.name for f in keys}
+    assert set(re.findall(r"\*\*`(\w+)`\*\*", rows[block])) == required
+
+
+def reference_load_config(path):
+    """The loader before config blocks were records: hand-written checks for each block.
+
+    Returns what it resolved in ``dataclasses.asdict`` form, without
+    ``config_dir``. Some malformed shapes make it raise ``TypeError``.
+    """
+    def require(condition, message):
+        if not condition:
+            raise ConfigError(message)
+
+    def key_pair(obj, context):
+        if isinstance(obj, dict):
+            require("dataset" in obj and "split" in obj, f"{context} needs 'dataset' and 'split'")
+            return str(obj["dataset"]), str(obj["split"])
+        if isinstance(obj, (list, tuple)) and len(obj) == 2:
+            return str(obj[0]), str(obj[1])
+        raise ConfigError(f"{context} must be a dataset/split pair")
+
+    p = Path(path)
+    try:
+        raw = json.loads(read_text(p, "config")[0])
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc.msg} (line {exc.lineno})") from exc
+    require(isinstance(raw, dict), "config must be a JSON object")
+    top_level = {"out_dir", "tokenizer", "embedding", "kl", "corpora", "external_embeddings", "scores",
+                 "transport", "similarity", "fit"}
+    unknown = set(raw) - top_level
+    require(not unknown, f"unknown config keys: {sorted(unknown)}")
+
+    tokenizer = TokenizerConfig.from_dict(raw.get("tokenizer", {}))
+    embedding = EmbeddingConfig.from_dict(raw.get("embedding", {}))
+    kl = KLSettings.from_dict(raw.get("kl", {}))
+
+    corpora = []
+    seen_ids = set()
+    for i, item in enumerate(raw.get("corpora", [])):
+        require(isinstance(item, dict), f"corpora[{i}] must be an object")
+        require("domain_id" in item and "path" in item and "format" in item,
+                f"corpora[{i}] needs domain_id, path and format")
+        fmt = str(item["format"])
+        require(fmt in cli.CORPUS_FORMATS, f"corpora[{i}]: unknown format {fmt!r}")
+        domain_id = str(item["domain_id"])
+        require(domain_id not in seen_ids, f"duplicate domain_id {domain_id!r}")
+        seen_ids.add(domain_id)
+        fields = item.get("fields")
+        if fields is not None:
+            require(isinstance(fields, list) and all(isinstance(f, str) for f in fields),
+                    f"corpora[{i}]: fields must be a list of strings")
+            fields = tuple(fields)
+        unknown_c = set(item) - {"domain_id", "path", "format", "fields", "text_unit", "dataset", "split"}
+        require(not unknown_c, f"corpora[{i}]: unknown keys {sorted(unknown_c)}")
+        corpora.append({"domain_id": domain_id, "path": str(item["path"]), "format": fmt, "fields": fields,
+                        "text_unit": str(item.get("text_unit", "line")), "dataset": item.get("dataset"),
+                        "split": item.get("split")})
+    by_slug = {}
+    for c in corpora:
+        other = by_slug.setdefault(cli._slug(c["domain_id"]), c["domain_id"])
+        require(other == c["domain_id"], "domain ids map to the same file name")
+
+    scores = raw.get("scores") or {}
+    require(isinstance(scores, dict), "scores must be an object")
+
+    transport = None
+    if raw.get("transport") is not None:
+        t = raw["transport"]
+        require(isinstance(t, dict), "transport must be an object")
+        require("task" in t and "source" in t and "targets" in t, "transport needs 'task', 'source' and 'targets'")
+        unknown_t = set(t) - {"task", "source", "targets", "systems", "bias_corrected"}
+        require(not unknown_t, f"transport: unknown keys {sorted(unknown_t)}")
+        targets = []
+        groups = {}
+        for j, tgt in enumerate(t["targets"]):
+            key = key_pair(tgt, f"transport.targets[{j}]")
+            group = tgt.get("group") if isinstance(tgt, dict) else None
+            targets.append(key)
+            if group is not None:
+                groups.setdefault(str(group), []).append(key)
+        require(len(targets) > 0, "transport.targets must be non-empty")
+        systems = t.get("systems")
+        if systems is not None:
+            require(isinstance(systems, list) and all(isinstance(s, str) for s in systems),
+                    "transport.systems must be a list of strings")
+            systems = tuple(systems)
+        transport = {"task": str(t["task"]), "source": key_pair(t["source"], "transport.source"),
+                     "targets": tuple(targets), "systems": systems, "groups": {k: tuple(v) for k, v in groups.items()},
+                     "bias_corrected": bool(t.get("bias_corrected", False))}
+
+    similarity = raw.get("similarity") or {}
+    require(isinstance(similarity, dict), "similarity must be an object")
+    sim_targets = similarity.get("targets")
+    if sim_targets is not None:
+        require(isinstance(sim_targets, list) and all(isinstance(s, str) for s in sim_targets),
+                "similarity.targets must be a list of domain ids")
+        sim_targets = tuple(sim_targets)
+
+    fit_block = raw.get("fit") or {}
+    require(isinstance(fit_block, dict), "fit must be an object")
+    predictors = fit_block.get("predictors", ["lexical", "cosine", "kl"])
+    require(isinstance(predictors, list) and predictors, "fit.predictors must be a non-empty list")
+    for pred in predictors:
+        require(pred in cli.PREDICTOR_COLUMNS, f"unknown predictor {pred!r}")
+
+    return {
+        "out_dir": str(raw.get("out_dir", "out")),
+        "tokenizer": dataclasses.asdict(tokenizer),
+        "embedding": dataclasses.asdict(embedding),
+        "kl": dataclasses.asdict(kl),
+        "corpora": tuple(corpora),
+        "external_embeddings": raw.get("external_embeddings"),
+        "scores": {"path": scores.get("path"), "metric": str(scores.get("metric", "F1"))},
+        "transport": transport,
+        "similarity": {"source": similarity.get("source"), "targets": sim_targets},
+        "fit": {"predictors": tuple(predictors)},
+    }
+
+
+# shapes the reference accepted (often by ignoring them) and load_config now refuses, on purpose
+NEWLY_REJECTED = re.compile(
+    r"unknown (scores|similarity|fit|transport\.targets\[\d+\]|transport\.source) fields: "
+    r"|(scores|similarity|fit) must be an object$|corpora must be a list$|duplicate (predictor|system) "
+)
+
+def _mostly(valid, malformed=()):
+    """Values of one config field: each valid one weighs four times as much as each malformed one."""
+    return st.sampled_from([*valid * 4, *malformed])
+
+
+def _mostly_from(valid, malformed):
+    """Draws from strategy ``valid`` four times as often as from strategy ``malformed``."""
+    return st.one_of(*[valid] * 4, malformed)
+
+
+def _with_stray_key(objects):
+    """Objects from strategy ``objects``, one in five with an extra key that no config block has."""
+    return st.tuples(objects, _mostly([False], [True])).map(lambda t: {**t[0], "stray": 1} if t[1] else t[0])
+
+
+CORPUS = {"domain_id": "src", "path": "c.txt", "format": "text"}
+_corpus_items = _mostly_from(
+    _with_stray_key(st.fixed_dictionaries(
+        {"domain_id": _mostly(["src", "news", "a b"], [7]), "path": st.just("c.txt"),
+         "format": _mostly(["text", "conll", "jsonl", "interchange"], ["xml"])},
+        optional={"fields": _mostly([None, ["premise"]], [[1], "premise"]), "text_unit": _mostly(["line"], [None]),
+                  "dataset": _mostly(["d", None], [3]), "split": _mostly(["x"])},
+    )),
+    st.sampled_from([5, [], {"domain_id": "x", "format": "text"}]),
+)
+_target_items = _mostly([["a", "b"], {"dataset": "a", "split": "b"}, {"dataset": "c", "split": "d", "group": "g"},
+                         {"dataset": "e", "split": "f", "group": 2}],
+                        [["c", "d", "e"], {"dataset": "e", "split": "f", "grp": "g"}, {"dataset": "e"}, "ab", 5])
+_transport = _with_stray_key(st.fixed_dictionaries(
+    {"task": _mostly(["ner"], [5]),
+     "targets": _mostly_from(st.lists(_target_items, min_size=1, max_size=3), st.sampled_from([[], 5, {}, {"a": "b"}])),
+     "source": _mostly([["s", "x"], {"dataset": "s", "split": "x"}],
+                       [{"dataset": "s"}, {"dataset": "s", "split": "x", "group": "g"}, "sx"])},
+    optional={"systems": _mostly([None, ["sys-a"]], [[1], "sys-a", ["sys-a", "sys-a"]]),
+              "bias_corrected": _mostly([True, False], ["no"])},
+))
+_configs = _with_stray_key(st.fixed_dictionaries({}, optional={
+    "out_dir": _mostly(["results"], [5, None]),
+    "tokenizer": _mostly([{}, {"ngram_order": 2, "lowercase": False}], [{"ngram_order": 0}, {"mystery": 1}, [], None]),
+    "embedding": _mostly([{}, {"dimension": 8, "seed": 3}, {"weighting": "tfidf"}], [{"dimension": 1}, {"x": 1}]),
+    "kl": _mostly([{}, {"direction": "reverse", "epsilon": 1e-6}], [{"epsilon": 0}, {"epsilon": "x"}, {"mode": "x"}]),
+    "corpora": _mostly_from(
+        st.lists(_corpus_items, max_size=3, unique_by=lambda c: str(c.get("domain_id")) if isinstance(c, dict) else 0),
+        st.sampled_from([5, {}, "", None, {"a": 1}, [dict(CORPUS, domain_id="a b"), dict(CORPUS, domain_id="a-b")],
+                         [CORPUS, CORPUS]]),
+    ),
+    "external_embeddings": _mostly([None, "vectors.json"]),
+    "scores": _mostly([{}, {"path": "s.csv", "metric": "accuracy"}, {"metric": 5}], [{"metrc": "F1"}, None, [], "s"]),
+    "transport": _mostly_from(_transport, st.sampled_from([None, [], False, "t", {}])),
+    "similarity": _mostly([{}, {"source": "src"}, {"targets": ["news"]}, {"targets": None}],
+                          [{"targets": "news"}, {"target": ["x"]}, None, []]),
+    "fit": _mostly([{}, {"predictors": ["kl"]}, {"predictors": ["cosine", "lexical"]}],
+                   [{"predictors": ["kl", "lexical", "kl"]}, {"predictors": []}, {"predictors": ["levenshtein"]},
+                    {"predictors": [["kl"]]}, {"predictor": ["kl"]}, [], None]),
+}))
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_configs)
+@example({})
+@example({"fit": {"predictor": ["kl"]}})
+@example({"fit": {"predictors": ["kl", "kl"]}})
+@example({"fit": [], "similarity": None})
+@example({"corpora": 5})
+@example({"tokenizer": []})
+@example({"kl": {"epsilon": "x"}})
+@example({"transport": {"task": "t", "source": ["s", "x"], "targets": 5}})
+@example({"transport": None, "corpora": [dict(CORPUS, domain_id="a b"), dict(CORPUS, domain_id="a-b")]})
+@example({"corpora": [CORPUS, dict(CORPUS, domain_id="news", fields=["premise"], dataset=3, text_unit=None)]})
+@example({"out_dir": 5, "scores": {"path": "s.csv", "metric": 5}, "transport": {
+    "task": 5, "source": {"dataset": "s", "split": "x"}, "bias_corrected": "no", "systems": ["sys-a"],
+    "targets": [{"dataset": "a", "split": "b", "group": 2}, ["c", "d"], {"dataset": "e", "split": "f", "group": "g"}]}})
+def test_the_loader_matches_the_hand_written_reference(config_file, raw):
+    config_file.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        expected = reference_load_config(config_file)
+    except (ConfigError, TypeError):  # refused, or a crash that load_config turns into a refusal
+        with pytest.raises(ConfigError):
+            cli.load_config(config_file)
+        return
+    try:
+        cfg = cli.load_config(config_file)
+    except ConfigError as exc:
+        assert NEWLY_REJECTED.match(str(exc)), str(exc)
+        return
+    resolved = dataclasses.asdict(cfg)
+    assert resolved.pop("config_dir") == config_file.parent.resolve()
+    assert resolved == expected
+    del expected["out_dir"]
+    assert cfg.config_hash() == stable_hash(expected)
 
 
 # ---------------------------------------------------------------- overrides
