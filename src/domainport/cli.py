@@ -1,23 +1,28 @@
 """Command-line pipeline: ingest, similarity, transport, fit, predict, report.
 
 Stages communicate only through files in the output directory, so any
-stage can be rerun in isolation. All outputs are deterministic: no
-timestamps, stable key order, and every artifact embeds the hash of
-the effective configuration plus the tool version.
+stage can be rerun in isolation. One table, :data:`STAGES`, lists for
+each stage the config blocks its outputs depend on and the files it
+reads. All outputs are deterministic: no timestamps, stable key order,
+and every artifact embeds the tool version and its stage's hash, which
+covers the stage's config blocks and the hashes of the stages it reads
+from. A stage refuses an input artifact whose hash is not the one the
+current config gives.
 """
 
 from __future__ import annotations
 
 import csv
 import fcntl
+import functools
 import io
 import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import click
 
@@ -115,6 +120,7 @@ class ScoresSpec:
     metric: str = "F1"
 
     def __post_init__(self) -> None:
+        _require(self.path is None or isinstance(self.path, str), "scores.path must be a path or null")
         _normalize(self, metric=str(self.metric))
 
 
@@ -130,6 +136,8 @@ class TransportSpec:
     groups: Mapping[str, tuple[tuple[str, str], ...]] = field(default_factory=dict, metadata={"derived": True})
 
     def __post_init__(self) -> None:
+        _require(isinstance(self.task, str), "transport.task must be a string")
+        _require(isinstance(self.bias_corrected, bool), "transport.bias_corrected must be true or false")
         _require(isinstance(self.targets, (list, tuple)), "transport.targets must be a list")
         targets = [_key_pair(t, f"transport.targets[{j}]", "group") for j, t in enumerate(self.targets)]
         _require(len(targets) > 0, "transport.targets must be non-empty")
@@ -139,9 +147,8 @@ class TransportSpec:
         for key, t in zip(targets, self.targets):
             if isinstance(t, dict) and t.get("group") is not None:
                 groups.setdefault(str(t["group"]), []).append(key)
-        _normalize(self, task=str(self.task), source=_key_pair(self.source, "transport.source"), targets=tuple(targets),
-                   systems=systems, groups={name: tuple(keys) for name, keys in groups.items()},
-                   bias_corrected=bool(self.bias_corrected))
+        _normalize(self, source=_key_pair(self.source, "transport.source"), targets=tuple(targets), systems=systems,
+                   groups={name: tuple(keys) for name, keys in groups.items()})
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,8 @@ class FitSpec:
 class RunConfig:
     """Effective configuration for one pipeline run: one field per top-level config key, plus ``config_dir``.
 
-    ``out_dir`` is deliberately excluded from the config hash: the
-    same analysis written to two directories is the same analysis.
+    No stage hash covers ``out_dir`` (or ``config_dir``): the same
+    analysis written to two directories is the same analysis.
     """
 
     config_dir: Path
@@ -188,6 +195,9 @@ class RunConfig:
     fit: FitSpec = FitSpec()
 
     def __post_init__(self) -> None:
+        _require(isinstance(self.out_dir, str), "out_dir must be a path")
+        _require(self.external_embeddings is None or isinstance(self.external_embeddings, str),
+                 "external_embeddings must be a path or null")
         ids = [c.domain_id for c in self.corpora]
         _require_unique(ids, "domain_id")
         _require_distinct_slugs(ids, "domain ids")
@@ -199,11 +209,6 @@ class RunConfig:
     @property
     def out_path(self) -> Path:
         return self.resolve(self.out_dir)
-
-    def config_hash(self) -> str:
-        config = asdict(self)
-        del config["config_dir"], config["out_dir"]
-        return stable_hash(config)
 
 
 _BLOCKS = {"tokenizer": TokenizerConfig, "embedding": EmbeddingConfig, "kl": KLSettings, "scores": ScoresSpec,
@@ -240,7 +245,7 @@ def load_config(path: str | Path) -> RunConfig:
     _require(isinstance(corpora, list), "corpora must be a list")
     return RunConfig(
         config_dir=p.parent.resolve(),
-        out_dir=str(raw.get("out_dir", "out")),
+        out_dir=raw.get("out_dir", "out"),
         corpora=tuple(_corpus(i, item) for i, item in enumerate(corpora)),
         external_embeddings=raw.get("external_embeddings"),
         **{key: _block(cls, raw[key], key) for key, cls in _BLOCKS.items() if key in raw},
@@ -320,71 +325,8 @@ def _csv_text(config_hash: str, header: Sequence[str], rows: Iterable[Sequence[s
     return _meta_comment(config_hash) + buf.getvalue()
 
 
-class _Stamp:
-    """The content-keyed cache of one stage, kept in ``cache/stage-<stage>.json``.
-
-    The key digests the stage name, the tool version, the config hash, any
-    run setting outside that hash, and the content digest of every input
-    passed to :meth:`input` under its name (relative to the output
-    directory, or ``scores`` for the score table). The stamp holds the key
-    and the digest of every file the stage wrote through :meth:`write`.
-
-    :meth:`up_to_date` is a hit when the stamp's key matches and every
-    output it lists still has its digest. On a miss it deletes the stamp,
-    which :meth:`finish` writes again after the stage's last write, so a
-    run that fails leaves none.
-    """
-
-    def __init__(self, out: Path, stage: str, config_hash: str, **settings: Any) -> None:
-        self.out = out
-        self.stage = stage
-        self.path = out / "cache" / f"stage-{stage}.json"
-        self.key = ""
-        self._fields = {"stage": stage, "tool_version": __version__, "config_hash": config_hash, **settings}
-        self._inputs: dict[str, str] = {}
-        self._outputs: dict[str, str] = {}
-
-    def input(self, name: str, raw: bytes) -> bytes:
-        """Add input ``name`` with contents ``raw`` to the key; returns ``raw``."""
-        self._inputs[name] = content_digest(raw)
-        return raw
-
-    def up_to_date(self) -> bool:
-        """True, after saying so, when the stamp matches; else delete the stamp."""
-        self.key = stable_hash({**self._fields, "inputs": self._inputs})
-        if self._matches():
-            click.echo(f"{self.stage}: up to date")
-            return True
-        self.path.unlink(missing_ok=True)
-        return False
-
-    def _matches(self) -> bool:
-        try:
-            stamp = json.loads(self.path.read_bytes())
-        except (OSError, ValueError):  # absent, unreadable, not UTF-8 or not JSON
-            return False
-        if not (isinstance(stamp, dict) and stamp.get("key") == self.key and isinstance(stamp.get("outputs"), dict)):
-            return False
-        for name, digest in stamp["outputs"].items():
-            path = self.out / name
-            if not path.is_file() or content_digest(path.read_bytes()) != digest:
-                return False
-        return True
-
-    def write(self, name: str, text: str) -> None:
-        """Write output ``name`` under the output directory and record its digest."""
-        self._outputs[name] = content_digest(_write_text(self.out / name, text))
-
-    def finish(self) -> None:
-        """Write the stamp: the key and the digest of every output written."""
-        _write_text(self.path, dump_json({"key": self.key, "outputs": self._outputs}))
-
-
 def _slug(name: str) -> str:
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch in "._-" else "-")
-    return "".join(out) or "x"
+    return "".join(ch if ch.isalnum() or ch in "._-" else "-" for ch in name) or "x"
 
 
 def _require_distinct_slugs(names: Iterable[str], kind: str) -> None:
@@ -406,8 +348,158 @@ def _parse_artifact(raw: bytes, path: Path) -> dict[str, Any]:
     return payload
 
 
-def _profile_path(out: Path, domain_id: str) -> Path:
-    return out / "cache" / f"profile-{_slug(domain_id)}.json"
+def _profile_name(domain_id: str) -> str:
+    return f"cache/profile-{_slug(domain_id)}.json"
+
+
+# ---------------------------------------------------------------- stage table
+
+
+@dataclass(frozen=True)
+class _Stage:
+    blocks: tuple[str, ...]  # the config blocks the stage's outputs depend on
+    reads: tuple[str, ...] = ()  # "scores" (the score table), or artifacts under out_dir named as in _WRITERS
+    settings: tuple[str, ...] = ()  # run flags outside the config; allow_partial lets unwritten artifacts be absent
+    per_corpus: tuple[str, ...] = ()  # corpus fields that the hash of each corpus's own output adds
+
+
+STAGES = {
+    "ingest": _Stage(("tokenizer", "embedding", "external_embeddings"), per_corpus=("format", "fields", "text_unit")),
+    "similarity": _Stage(("kl", "similarity", "corpora"), ("cache/profile-*.json",)),
+    "transport": _Stage(("scores", "transport"), ("scores",)),
+    "fit": _Stage(("scores", "transport", "fit", "corpora"), ("similarity.json", "scores")),
+    "report": _Stage(("fit", "transport"), ("similarity.json", "transport.json", "fit_summary.json", "fit-*.json"),
+                     ("allow_partial",)),
+}
+
+_WRITERS = {"cache/profile-*.json": "ingest", "similarity.json": "similarity", "transport.json": "transport",
+            "fit_summary.json": "fit", "fit-*.json": "fit"}  # the stage that writes each artifact a stage reads
+
+
+class _Run:
+    """One run of a stage of :data:`STAGES`: the hashes the config gives, the inputs and the stamp.
+
+    A stage's hash covers its config blocks, each hashed at most once per
+    run, and the hashes of the stages that write what it reads. Every
+    artifact it writes carries that hash as ``config_hash``, but a profile
+    carries its corpus's ingest hash, which adds the ``per_corpus`` fields.
+    An input artifact that carries another hash is stale, and refused.
+
+    The stamp ``cache/stage-<stage>.json`` holds a key and the digest of
+    each output. The key digests the stage name, the tool version, the
+    stage's hash, its settings and the content of every file its row
+    lists, each read once. On a miss the stamp is deleted until
+    :meth:`finish`, so a failed run leaves none.
+    """
+
+    def __init__(self, stage: str, cfg: RunConfig, settings: dict[str, Any]) -> None:
+        self.stage, self.cfg, self.out = stage, cfg, cfg.out_path
+        self.path = self.out / "cache" / f"stage-{stage}.json"
+        self._hashes: dict[tuple[str, str], str] = {}  # ("block" or "stage", name) -> hash
+        self.hash = self.stage_hash(stage)
+        row = STAGES[stage]
+        self.settings = {**dict.fromkeys(row.settings, False), **settings}
+        self.inputs: dict[str, Any] = {}  # name -> bytes (the score table: text and label) until handed out
+        self._expected: dict[str, tuple[str, str]] = {}  # artifact -> its writer and the hash it carries if current
+        self._digests: dict[str, str] = {}
+        self._outputs: dict[str, str] = {}
+        absent: list[str] = []
+        for name in row.reads:
+            if name == "scores":
+                _require(cfg.scores.path is not None, "no score table configured (scores.path)")
+                path = cfg.resolve(cfg.scores.path)
+                raw = read_file(path, f"score table file not found: {path}")
+                self._digests[name] = content_digest(raw)
+                self.inputs[name] = read_text(raw, "score table", str(path))  # decoded now, so the bytes die here
+            elif name == "cache/profile-*.json":
+                by_id = {c.domain_id: c for c in cfg.corpora}
+                for d in dict.fromkeys(_similarity_domains(cfg)):
+                    self._read(_profile_name(d), "ingest", self.corpus_hash(by_id[d]))
+            elif name == "fit-*.json":  # the files fit_summary.json names: it alone is parsed before the stamp check
+                summary = self.inputs["fit_summary.json"] = self.artifact("fit_summary.json")
+                for _, _, fit_file in _fit_files(summary or {}, cfg.fit.predictors):
+                    self._read(fit_file, "fit", self.stage_hash("fit"))
+            elif "allow_partial" in row.settings and not (self.out / name).is_file():
+                absent.append(f"{name} (run the {_WRITERS[name]} stage)")
+            else:
+                self._read(name, _WRITERS[name], self.stage_hash(_WRITERS[name]))
+        _require(not absent or self.settings["allow_partial"], "missing stage outputs: " + "; ".join(absent))
+
+    def block_hash(self, name: str) -> str:
+        if ("block", name) not in self._hashes:
+            unused = name == "embedding" and self.cfg.external_embeddings  # external vectors replace the projection
+            self._hashes["block", name] = stable_hash(None if unused else getattr(self.cfg, name))
+        return self._hashes["block", name]
+
+    def stage_hash(self, stage: str) -> str:
+        if ("stage", stage) not in self._hashes:
+            row = STAGES[stage]
+            upstream = sorted({_WRITERS[name] for name in row.reads if name in _WRITERS})
+            self._hashes["stage", stage] = stable_hash({
+                "stage": stage, "blocks": {b: self.block_hash(b) for b in row.blocks},
+                "reads": {s: self.stage_hash(s) for s in upstream}})
+        return self._hashes["stage", stage]
+
+    def corpus_hash(self, spec: CorpusSpec) -> str:
+        fields = {name: getattr(spec, name) for name in STAGES["ingest"].per_corpus}
+        return stable_hash({"ingest": self.stage_hash("ingest"), **fields})
+
+    def _read(self, name: str, writer: str, expected: str) -> None:
+        self.inputs[name] = read_file(self.out / name, f"missing {name}; run the {writer} stage first")
+        self._digests[name] = content_digest(self.inputs[name])
+        self._expected[name] = (writer, expected)
+
+    def artifact(self, name: str, absent: Any = None) -> Any:
+        """Input artifact ``name`` parsed, or ``absent`` if it was not read; a stale one is refused."""
+        raw = self.inputs.pop(name, None)
+        if not isinstance(raw, bytes):  # not read, or parsed already
+            return absent if raw is None else raw
+        payload = _parse_artifact(raw, self.out / name)
+        writer, expected = self._expected[name]
+        _require(payload.get("config_hash") == expected, f"stale: rerun {writer} ({name} has other settings)")
+        return payload
+
+    def score_table(self) -> ScoreTable:
+        text, label = self.inputs.pop("scores")
+        return load_score_table(text, metric_name=self.cfg.scores.metric, source=label)
+
+    def up_to_date(self) -> bool:
+        """True, after saying so, when the stamp matches; else delete the stamp."""
+        self.key = stable_hash({"stage": self.stage, "tool_version": __version__, "config_hash": self.hash,
+                                **self.settings, "inputs": self._digests})
+        try:
+            stamp = json.loads(self.path.read_bytes())
+            hit = stamp["key"] == self.key and all(
+                content_digest((self.out / name).read_bytes()) == digest for name, digest in stamp["outputs"].items())
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):  # absent, unreadable or malformed
+            hit = False
+        if hit:
+            click.echo(f"{self.stage}: up to date")
+        else:
+            self.path.unlink(missing_ok=True)
+        return hit
+
+    def write(self, name: str, text: str) -> None:
+        """Write output ``name`` under the output directory and record its digest."""
+        self._outputs[name] = content_digest(_write_text(self.out / name, text))
+
+    def finish(self) -> None:
+        """Write the stamp: the key and the digest of every output written."""
+        _write_text(self.path, dump_json({"key": self.key, "outputs": self._outputs}))
+
+
+def _stage(work: Callable[[RunConfig, _Run], None]) -> Callable[..., None]:
+    """``cmd_<stage>``, the one driver of a stamped stage: ``work`` runs only on a stamp miss."""
+    stage = work.__name__.removeprefix("cmd_")
+
+    @functools.wraps(work)
+    def cmd(cfg: RunConfig, **settings: Any) -> None:
+        run = _Run(stage, cfg, settings)
+        if not run.up_to_date():
+            work(cfg, run)
+            run.finish()
+
+    return cmd
 
 
 # ---------------------------------------------------------------- stages
@@ -430,7 +522,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
     out = cfg.out_path
     cache = out / "cache"
     cache.mkdir(parents=True, exist_ok=True)
-    config_hash = cfg.config_hash()
+    hashes = _Run("ingest", cfg, {})  # its hashes: ingest keeps its manifest, not a stamp
 
     manifest_path = cache / "manifest.json"
     domains: dict[str, Any] = {}
@@ -444,13 +536,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
     external = None
     if cfg.external_embeddings:
-        external = load_external_embeddings(
-            cfg.resolve(cfg.external_embeddings), [c.domain_id for c in cfg.corpora]
-        )
-        emb_hash = stable_hash({"kind": "external", "path": cfg.external_embeddings,
-                                "dimension": int(next(iter(external.values())).size)})
-    else:
-        emb_hash = cfg.embedding.config_hash()
+        external = load_external_embeddings(cfg.resolve(cfg.external_embeddings), [c.domain_id for c in cfg.corpora])
 
     failures: list[tuple[str, Exception]] = []
     changed = not manifest_path.is_file()
@@ -461,15 +547,11 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 raise ConfigError(f"corpus file not found: {spec.path}")
             raw = path.read_bytes()  # the one read of this file per run: hashed, and parsed on a miss
             input_hash = content_digest(raw)
-            profile_file = _profile_path(out, spec.domain_id)
+            config_hash = hashes.corpus_hash(spec)
+            profile_file = out / _profile_name(spec.domain_id)
             entry = domains.get(spec.domain_id)
-            if (
-                isinstance(entry, dict)
-                and entry.get("input_hash") == input_hash
-                and entry.get("tokenizer_hash") == cfg.tokenizer.config_hash()
-                and entry.get("embedding_hash") == emb_hash
-                and profile_file.is_file()
-            ):
+            fresh = isinstance(entry, dict) and entry.get("input_hash") == input_hash
+            if fresh and entry.get("config_hash") == config_hash and profile_file.is_file():
                 click.echo(f"cache hit: {spec.domain_id}")
                 continue
             corpus = _parse_corpus_spec(cfg, spec, raw)
@@ -481,9 +563,10 @@ def cmd_ingest(cfg: RunConfig) -> None:
             _write_text(profile_file, _artifact_text(config_hash, profile=profile_to_dict(profile)))
             tokens = corpus.token_count
             domains[spec.domain_id] = {
+                "config_hash": config_hash,
                 "input_hash": input_hash,
-                "tokenizer_hash": cfg.tokenizer.config_hash(),
-                "embedding_hash": emb_hash,
+                "tokenizer_hash": profile.tokenizer_hash,
+                "embedding_hash": profile.embedding_hash,
                 "profile_file": profile_file.name,
                 "path": spec.path,
                 "documents": len(corpus.documents),
@@ -497,7 +580,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
             click.echo(f"failed: {spec.domain_id}: {exc}", err=True)
 
     if changed:
-        _write_text(manifest_path, _artifact_text(config_hash, domains=domains))
+        _write_text(manifest_path, _artifact_text(hashes.hash, domains=domains))
     if failures:
         ids = ", ".join(d for d, _ in failures)
         if all(isinstance(e, ConfigError) for _, e in failures):
@@ -505,48 +588,30 @@ def cmd_ingest(cfg: RunConfig) -> None:
         raise ParseError(f"ingest failed for: {ids}")
 
 
-def _parse_profile(raw: bytes, path: Path, domain_id: str) -> DomainProfile:
-    payload = _parse_artifact(raw, path)
-    if "profile" not in payload:
-        raise ParseError(f"corrupt profile artifact for domain {domain_id!r}")
-    return profile_from_dict(payload["profile"])
-
-
-def cmd_similarity(cfg: RunConfig) -> None:
+def _similarity_domains(cfg: RunConfig) -> list[str]:
+    """The similarity source's domain id, then its targets'."""
     _require(len(cfg.corpora) > 0, "no corpora configured")
-    source_id = cfg.similarity.source or cfg.corpora[0].domain_id
-    target_ids = list(cfg.similarity.targets) if cfg.similarity.targets is not None else [
-        c.domain_id for c in cfg.corpora
-    ]
-    known = {c.domain_id for c in cfg.corpora}
-    for d in [source_id, *target_ids]:
-        _require(d in known, f"similarity references unknown domain {d!r}")
+    ids = [c.domain_id for c in cfg.corpora]
+    domains = [cfg.similarity.source or ids[0], *(ids if cfg.similarity.targets is None else cfg.similarity.targets)]
+    for d in domains:
+        _require(d in ids, f"similarity references unknown domain {d!r}")
+    return domains
 
-    config_hash = cfg.config_hash()
-    out = cfg.out_path
-    stamp = _Stamp(out, "similarity", config_hash)
-    paths = {d: _profile_path(out, d) for d in dict.fromkeys([source_id, *target_ids])}
-    raw: dict[str, bytes] = {}
-    for d, path in paths.items():
-        if not path.is_file():
-            raise ConfigError(f"no cached profile for domain {d!r}; run the ingest stage first")
-        raw[d] = stamp.input(f"cache/{path.name}", path.read_bytes())
-    if stamp.up_to_date():
-        return
-    profiles = {d: _parse_profile(raw.pop(d), path, d) for d, path in paths.items()}  # pop: bytes die once parsed
+
+@_stage
+def cmd_similarity(cfg: RunConfig, run: _Run) -> None:
+    source_id, *target_ids = _similarity_domains(cfg)
+    profiles: dict[str, DomainProfile] = {}
+    for d in dict.fromkeys([source_id, *target_ids]):  # each profile is parsed, and its bytes dropped, in turn
+        payload = run.artifact(_profile_name(d))
+        if "profile" not in payload:
+            raise ParseError(f"corrupt profile artifact for domain {d!r}")
+        profiles[d] = profile_from_dict(payload.pop("profile"))  # popped: the parsed JSON dies with the call
     records = similarity_table(profiles[source_id], [profiles[t] for t in target_ids], cfg.kl)
 
-    stamp.write("similarity.csv", _meta_comment(config_hash) + records_to_csv(records))
-    stamp.write("similarity.json", _artifact_text(config_hash, records=[r.to_dict() for r in records]))
-    stamp.finish()
+    run.write("similarity.csv", _meta_comment(run.hash) + records_to_csv(records))
+    run.write("similarity.json", _artifact_text(run.hash, records=[r.to_dict() for r in records]))
     click.echo(f"similarity: {len(records)} record(s) from {source_id!r}")
-
-
-def _read_scores(cfg: RunConfig, stamp: _Stamp) -> tuple[str, str]:
-    """The score table's text and source label; its bytes join ``stamp``'s key and are then dropped."""
-    path = cfg.resolve(cfg.scores.path)
-    raw = read_file(path, f"score table file not found: {path}")
-    return read_text(stamp.input("scores", raw), "score table", str(path))
 
 
 def _group_order(cfg: RunConfig) -> list[str] | None:
@@ -554,16 +619,11 @@ def _group_order(cfg: RunConfig) -> list[str] | None:
     return list(cfg.transport.groups) if cfg.transport is not None and cfg.transport.groups else None
 
 
-def cmd_transport(cfg: RunConfig) -> None:
-    _require(cfg.scores.path is not None, "no score table configured (scores.path)")
+@_stage
+def cmd_transport(cfg: RunConfig, run: _Run) -> None:
     _require(cfg.transport is not None, "no transport block configured")
     spec = cfg.transport
-    config_hash = cfg.config_hash()
-    stamp = _Stamp(cfg.out_path, "transport", config_hash)
-    scores, label = _read_scores(cfg, stamp)
-    if stamp.up_to_date():
-        return
-    table = load_score_table(scores, metric_name=cfg.scores.metric, source=label)
+    table = run.score_table()
     systems = list(spec.systems) if spec.systems is not None else table.systems(spec.task)
     _require(len(systems) > 0, f"score table has no systems for task {spec.task!r}")
 
@@ -571,22 +631,15 @@ def cmd_transport(cfg: RunConfig) -> None:
                             bias_corrected=spec.bias_corrected, groups=spec.groups or None) for system in systems]
 
     payloads = [report_to_dict(r) for r in reports]
-    stamp.write("transport.json", _artifact_text(config_hash, reports=payloads))
+    run.write("transport.json", _artifact_text(run.hash, reports=payloads))
     text = render_report_text(payloads, group_order=_group_order(cfg))
-    header = f"# task={spec.task} metric={table.metric_name}\n# config_hash={config_hash} tool_version={__version__}\n"
-    stamp.write("transport.txt", header + text)
-    stamp.finish()
+    header = f"# task={spec.task} metric={table.metric_name}\n# config_hash={run.hash} tool_version={__version__}\n"
+    run.write("transport.txt", header + text)
     click.echo(f"transport: {len(reports)} system report(s)")
 
 
-def _join_points(
-    by_domain: Mapping[str, CorpusSpec],
-    records: Sequence[dict[str, Any]],
-    table: ScoreTable,
-    system: str,
-    task: str,
-    predictor_column: str,
-) -> list[tuple[float, float]]:
+def _join_points(by_domain: Mapping[str, CorpusSpec], records: Sequence[dict[str, Any]], table: ScoreTable,
+                 system: str, task: str, predictor_column: str) -> list[tuple[float, float]]:
     """Join similarity records to scores: x from the record, y from the table."""
     points: list[tuple[float, float]] = []
     for rec in records:
@@ -601,20 +654,12 @@ def _join_points(
     return points
 
 
-def cmd_fit(cfg: RunConfig) -> None:
-    _require(cfg.scores.path is not None, "no score table configured (scores.path)")
+@_stage
+def cmd_fit(cfg: RunConfig, run: _Run) -> None:
     _require(cfg.transport is not None, "no transport block configured (fit needs its task and systems)")
-    config_hash = cfg.config_hash()
-    out = cfg.out_path
-    stamp = _Stamp(out, "fit", config_hash)
-    sim_path = out / "similarity.json"
-    sim = stamp.input(sim_path.name, read_file(sim_path, "missing similarity.json; run the similarity stage first"))
-    scores, label = _read_scores(cfg, stamp)
-    if stamp.up_to_date():
-        return
-    records = _similarity_records(_parse_artifact(sim, sim_path))
+    records = _similarity_records(run.artifact("similarity.json"))
     _require(len(records) > 0, "similarity.json has no records")
-    table = load_score_table(scores, metric_name=cfg.scores.metric, source=label)
+    table = run.score_table()
     spec = cfg.transport
     systems = list(spec.systems) if spec.systems is not None else table.systems(spec.task)
     _require_distinct_slugs(systems, "systems")
@@ -636,27 +681,23 @@ def cmd_fit(cfg: RunConfig) -> None:
                 continue
             model = fit_curve(points, predictor_name=column, percent_scale=percent)
             stem = f"fit-{_slug(system)}-{predictor}"
-            stamp.write(f"{stem}.json", _artifact_text(config_hash, system=system, predictor=predictor,
-                                                       metric=table.metric_name, model=model.to_dict(),
-                                                       points=sorted(points)))
+            run.write(f"{stem}.json", _artifact_text(run.hash, system=system, predictor=predictor,
+                                                     metric=table.metric_name, model=model.to_dict(),
+                                                     points=sorted(points)))
             x_max = max(x for x, _ in points)
             curve = curve_points(model, x_max if x_max > 0 else 1.0)
-            stamp.write(f"curve-{_slug(system)}-{predictor}.csv", _csv_text(
-                config_hash, [column, "predicted_score"], [[repr(xv), repr(yv)] for xv, yv in curve]))
+            run.write(f"curve-{_slug(system)}-{predictor}.csv", _csv_text(
+                run.hash, [column, "predicted_score"], [[repr(xv), repr(yv)] for xv, yv in curve]))
             summary_fits.setdefault(system, {})[predictor] = {
                 "a": model.a, "b": model.b, "c": model.c, "sse": model.sse, "mae": model.mae, "n": model.n_points,
                 "file": f"{stem}.json"}
             mae_by_predictor[predictor].append(model.mae)
             click.echo(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n_points} point(s)")
 
-    stamp.write("fit_summary.json", _artifact_text(
-        config_hash,
-        metric=table.metric_name,
-        fits=summary_fits,
+    run.write("fit_summary.json", _artifact_text(
+        run.hash, metric=table.metric_name, fits=summary_fits,
         skipped=sorted(skipped, key=lambda s: (s["system"], s["predictor"])),
-        mean_mae={p: (sum(v) / len(v) if v else None) for p, v in mae_by_predictor.items()},
-    ))
-    stamp.finish()
+        mean_mae={p: (sum(v) / len(v) if v else None) for p, v in mae_by_predictor.items()}))
     click.echo(f"fit: {sum(len(v) for v in summary_fits.values())} model(s), {len(skipped)} skipped")
 
 
@@ -715,103 +756,72 @@ def _fit_files(summary: dict[str, Any], predictors: Sequence[str]) -> list[tuple
     return [(p, system, fits[system][p]["file"]) for p in predictors for system in sorted(fits) if p in fits[system]]
 
 
-def cmd_report(cfg: RunConfig, allow_partial: bool = False) -> None:
-    out = cfg.out_path
-    config_hash = cfg.config_hash()
-    stamp = _Stamp(out, "report", config_hash, allow_partial=allow_partial)
-    raw: dict[str, bytes] = {}
-    missing: list[str] = []
-    for name, stage in (("similarity", "similarity"), ("transport", "transport"), ("fit_summary", "fit")):
-        path = out / f"{name}.json"
-        if path.is_file():
-            raw[name] = stamp.input(path.name, path.read_bytes())
-        else:
-            missing.append(f"{name}.json (run the {stage} stage)")
-    if missing and not allow_partial:
-        raise ConfigError("missing stage outputs: " + "; ".join(missing))
-
-    def section(name: str) -> dict[str, Any]:
-        if name not in raw:
-            return {"status": "absent"}
-        payload = _parse_artifact(raw.pop(name), out / f"{name}.json")
-        payload.pop("config_hash", None)
-        payload.pop("tool_version", None)
-        return payload
-
-    # fit_summary.json names the fit files, so it alone is parsed before the stamp check
-    fits = section("fit_summary")
-    fit_raw: list[tuple[str, str, Path, bytes]] = []  # predictor, system, fit file and its bytes
-    for predictor, system, name in _fit_files(fits, cfg.fit.predictors):
-        path = out / name
-        fit_raw.append((predictor, system, path,
-                        stamp.input(name, read_file(path, f"missing {path.name}; run the fit stage first"))))
-    if stamp.up_to_date():
-        return
-    sections = {"similarity": section("similarity"), "transport": section("transport")}
+@_stage
+def cmd_report(cfg: RunConfig, run: _Run) -> None:
+    sections: dict[str, dict[str, Any]] = {}
+    for name in ("similarity", "transport", "fit_summary"):
+        sections[name] = run.artifact(f"{name}.json", {"status": "absent"})
+        sections[name].pop("config_hash", None)
+        sections[name].pop("tool_version", None)
+    fits = sections.pop("fit_summary")
     records = _similarity_records(sections["similarity"]) if "records" in sections["similarity"] else None
 
     # joined scatter data per predictor, for external plotting
     plots: dict[str, list[list[str]]] = {}
-    for predictor, system, path, fit_bytes in fit_raw:
-        points = _parse_artifact(fit_bytes, path).get("points", [])
+    for predictor, system, name in _fit_files(fits, cfg.fit.predictors):
+        points = run.artifact(name).get("points", [])
         pairs = isinstance(points, list) and all(isinstance(pt, list) and len(pt) == 2 for pt in points)
         if not (pairs and all(_is_number(v) for pt in points for v in pt)):
-            raise ParseError(f"corrupt artifact {path.name}: 'points' must be a list of [x, y] number pairs")
+            raise ParseError(f"corrupt artifact {name}: 'points' must be a list of [x, y] number pairs")
         for x, y in points:
             plots.setdefault(predictor, []).append([system, repr(float(x)), repr(float(y))])
 
-    stamp.write("report.json", _artifact_text(config_hash, similarity=sections["similarity"],
-                                              transport=sections["transport"], fits=fits))
+    run.write("report.json", _artifact_text(run.hash, **sections, fits=fits))
 
-    lines = ["domain transport report", f"config_hash={config_hash} tool_version={__version__}", "", "[similarity]"]
+    tables: dict[str, list[str] | None] = dict.fromkeys(("similarity", "transport", "fit"))  # None: absent
     if records is not None:
-        lines.append("  ".join(CSV_COLUMNS))
-        for rec in records:
-            lines.append("  ".join([rec["source_id"], rec["target_id"], *("%.6f" % rec[c] for c in CSV_COLUMNS[2:])]))
-    else:
-        lines.append("absent")
-    lines += ["", "[transport]"]
-    tr = sections["transport"]
-    if "reports" in tr:
-        lines.extend(render_report_text(tr["reports"], group_order=_group_order(cfg)).splitlines())
-    else:
-        lines.append("absent")
-    lines += ["", "[fit]"]
+        tables["similarity"] = ["  ".join(CSV_COLUMNS)] + ["  ".join(
+            [rec["source_id"], rec["target_id"], *("%.6f" % rec[c] for c in CSV_COLUMNS[2:])]) for rec in records]
+    if "reports" in sections["transport"]:
+        tables["transport"] = render_report_text(sections["transport"]["reports"], group_order=_group_order(cfg))
+        tables["transport"] = tables["transport"].splitlines()
     if "fits" in fits:
-        lines.append("system  predictor  a  b  c  sse  mae  n")
-        for system in sorted(fits["fits"]):
-            for predictor in sorted(fits["fits"][system]):
-                m = fits["fits"][system][predictor]
-                lines.append(
-                    f"{system}  {predictor}  "
-                    f"{m['a']:.6f}  {m['b']:.6f}  {m['c']:.6f}  {m['sse']:.6f}  {m['mae']:.6f}  {m['n']}"
-                )
-        mm = fits.get("mean_mae", {})
-        for predictor in sorted(mm):
-            if mm[predictor] is not None:
-                lines.append(f"mean_mae[{predictor}] = {mm[predictor]:.6f}")
-    else:
-        lines.append("absent")
-    stamp.write("report.txt", "\n".join(lines) + "\n")
+        tables["fit"] = ["system  predictor  a  b  c  sse  mae  n"]
+        for system, entries in sorted(fits["fits"].items()):
+            for predictor, m in sorted(entries.items()):
+                numbers = "  ".join(f"{m[k]:.6f}" for k in ("a", "b", "c", "sse", "mae"))
+                tables["fit"].append(f"{system}  {predictor}  {numbers}  {m['n']}")
+        mean_mae = sorted(fits.get("mean_mae", {}).items())
+        tables["fit"] += [f"mean_mae[{predictor}] = {mae:.6f}" for predictor, mae in mean_mae if mae is not None]
+    lines = ["domain transport report", f"config_hash={run.hash} tool_version={__version__}"]
+    for name, rows in tables.items():
+        lines += ["", f"[{name}]", *(rows if rows is not None else ["absent"])]
+    run.write("report.txt", "\n".join(lines) + "\n")
     for predictor, rows in plots.items():
-        stamp.write(f"plot-{predictor}.csv",
-                    _csv_text(config_hash, ["system", PREDICTOR_COLUMNS[predictor], "score"], rows))
-    stamp.finish()
+        header = ["system", PREDICTOR_COLUMNS[predictor], "score"]
+        run.write(f"plot-{predictor}.csv", _csv_text(run.hash, header, rows))
     click.echo("report written")
 
 
 # ---------------------------------------------------------------- click wiring
 
 
-def _apply_overrides(config_path: str, out_dir: str | None, **blocks: dict[str, Any]) -> RunConfig:
-    """The config at ``config_path`` with ``--out`` and, in each named block, the flag values given (not None)."""
+def _run(cmd: Callable[..., None], config_path: str, out_dir: str | None, blocks: dict[str, dict[str, Any]],
+         **settings: Any) -> None:
+    """Run stage ``cmd`` under the run lock.
+
+    The config is the one at ``config_path`` with ``--out`` and, in each
+    block of ``blocks``, the flag values given (not None).
+    """
     cfg = load_config(config_path)
     changes: dict[str, Any] = {} if out_dir is None else {"out_dir": out_dir}
     for name, values in blocks.items():
         given = {key: value for key, value in values.items() if value is not None}
         if given and getattr(cfg, name) is not None:  # a flag for an absent transport block does nothing
             changes[name] = replace(getattr(cfg, name), **given)
-    return replace(cfg, **changes)
+    cfg = replace(cfg, **changes)
+    with _run_lock(cfg.out_path):
+        cmd(cfg, **settings)
 
 
 _CONFIG_OPTION = click.option("--config", "config_path", required=True, type=str, help="Path to the JSON run configuration.")
@@ -830,9 +840,7 @@ def _cli() -> None:
 @click.option("--seed", type=int, default=None, help="Override the embedding seed.")
 def _ingest_cmd(config_path: str, out_dir: str | None, seed: int | None) -> None:
     """Parse corpora and cache their domain profiles."""
-    cfg = _apply_overrides(config_path, out_dir, embedding={"seed": seed})
-    with _run_lock(cfg.out_path):
-        cmd_ingest(cfg)
+    _run(cmd_ingest, config_path, out_dir, {"embedding": {"seed": seed}})
 
 
 @_cli.command("similarity")
@@ -845,23 +853,15 @@ def _ingest_cmd(config_path: str, out_dir: str | None, seed: int | None) -> None
 @click.option("--kl-direction", type=click.Choice(["forward", "reverse"]), default=None,
               help="Override the KL direction.")
 @click.option("--kl-epsilon", type=float, default=None, help="Override the KL smoothing epsilon.")
-def _similarity_cmd(
-    config_path: str,
-    out_dir: str | None,
-    source_id: str | None,
-    target_ids: str | None,
-    kl_direction: str | None,
-    kl_epsilon: float | None,
-) -> None:
+def _similarity_cmd(config_path: str, out_dir: str | None, source_id: str | None, target_ids: str | None,
+                    kl_direction: str | None, kl_epsilon: float | None) -> None:
     """Compute the similarity table from cached profiles."""
     targets = None
     if target_ids is not None:
         targets = tuple(t.strip() for t in target_ids.split(",") if t.strip())
         _require(len(targets) > 0, "--targets must name at least one domain id")
-    cfg = _apply_overrides(config_path, out_dir, kl={"direction": kl_direction, "epsilon": kl_epsilon},
-                           similarity={"source": source_id, "targets": targets})
-    with _run_lock(cfg.out_path):
-        cmd_similarity(cfg)
+    _run(cmd_similarity, config_path, out_dir, {"kl": {"direction": kl_direction, "epsilon": kl_epsilon},
+                                                  "similarity": {"source": source_id, "targets": targets}})
 
 
 @_cli.command("transport")
@@ -871,9 +871,7 @@ def _similarity_cmd(
               help="Override the small-sample bias correction for the variation measure.")
 def _transport_cmd(config_path: str, out_dir: str | None, bias_corrected: bool | None) -> None:
     """Compute transport ratios and variation from the score table."""
-    cfg = _apply_overrides(config_path, out_dir, transport={"bias_corrected": bias_corrected})
-    with _run_lock(cfg.out_path):
-        cmd_transport(cfg)
+    _run(cmd_transport, config_path, out_dir, {"transport": {"bias_corrected": bias_corrected}})
 
 
 @_cli.command("fit")
@@ -883,9 +881,7 @@ def _transport_cmd(config_path: str, out_dir: str | None, bias_corrected: bool |
               help="Restrict fitting to the named predictor(s); repeatable.")
 def _fit_cmd(config_path: str, out_dir: str | None, predictors: tuple[str, ...]) -> None:
     """Fit decay curves of score against each similarity measure."""
-    cfg = _apply_overrides(config_path, out_dir, fit={"predictors": tuple(dict.fromkeys(predictors)) or None})
-    with _run_lock(cfg.out_path):
-        cmd_fit(cfg)
+    _run(cmd_fit, config_path, out_dir, {"fit": {"predictors": tuple(dict.fromkeys(predictors)) or None}})
 
 
 @_cli.command("predict")
@@ -903,9 +899,7 @@ def _predict_cmd(model_path: str, x_value: float) -> None:
               help="Render whatever stages have run instead of failing on gaps.")
 def _report_cmd(config_path: str, out_dir: str | None, allow_partial: bool) -> None:
     """Combine stage outputs into one report."""
-    cfg = _apply_overrides(config_path, out_dir)
-    with _run_lock(cfg.out_path):
-        cmd_report(cfg, allow_partial=allow_partial)
+    _run(cmd_report, config_path, out_dir, {}, allow_partial=allow_partial)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

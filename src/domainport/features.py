@@ -46,6 +46,8 @@ class EmbeddingConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.dimension, int) or self.dimension < 2:
             raise ConfigError("embedding dimension must be an integer >= 2")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigError("embedding seed must be an integer")
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(f"unknown weighting {self.weighting!r}; expected one of {WEIGHTINGS}")
         if self.per_document and self.weighting == "tfidf":
@@ -125,8 +127,9 @@ def ngram_features(tokens: Iterable[str], order: int) -> list[str]:
 
 
 def _feature_counts(corpus: Corpus) -> Counter[str]:
-    order = corpus.tokenizer_config.ngram_order
-    return Counter(chain.from_iterable(ngram_features(doc.tokens, order) for doc in corpus.documents))
+    order = corpus.tokenizer_config.ngram_order  # order 1: the tokens are the features, counted without a copy
+    docs = (doc.tokens if order == 1 else ngram_features(doc.tokens, order) for doc in corpus.documents)
+    return Counter(chain.from_iterable(docs))
 
 
 def _sorted_table(counts: Mapping[str, int]) -> dict[str, int]:

@@ -123,8 +123,8 @@ def feature_slot(feature: str, dimension: int, seed: int = 0) -> tuple[int, floa
 
 
 def canonical_json(obj: Any) -> str:
-    """Serialize to a canonical JSON string: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    """Serialize to a canonical JSON string: sorted keys, no whitespace; a config record as its fields."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=vars)
 
 
 def dump_json(obj: Any) -> str:

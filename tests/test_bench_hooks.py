@@ -41,3 +41,21 @@ def test_score_table_counters_work_on_a_loaded_table(tracing):
     assert counts["transport.table_rows"] == 3
     assert counts["transport.lookups"] == 2
     assert [span[0] for span in tracer.spans] == ["transport.load_table", "transport.lookup", "transport.lookup"]
+
+
+def test_the_stage_table_names_the_traced_stages(tracing):
+    from domainport import cli
+
+    assert tuple(cli.STAGES) == tracing.STAGES
+
+
+def test_a_traced_run_records_a_span_for_each_stage_cold_and_warm(tracing, tmp_path):
+    from conftest import run_full_pipeline, write_pipeline_tree
+
+    config = write_pipeline_tree(tmp_path)
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        run_full_pipeline(config)  # cold: every stage does its work
+        run_full_pipeline(config)  # warm: every stage is a cache hit
+    spans = [span[0] for span in tracer.spans]
+    assert {stage: spans.count(f"cli.{stage}") for stage in tracing.STAGES} == dict.fromkeys(tracing.STAGES, 2)

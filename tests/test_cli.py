@@ -36,7 +36,21 @@ def edit_config(config_path, mutate):
     config_path.write_text(json.dumps(raw, indent=2), encoding="utf-8")
 
 
+def set_key(*keys, value):
+    def edit(raw):
+        block = raw
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+    return edit
+
+
 # ---------------------------------------------------------------- pipeline
+
+
+# the stage hashes of the shared test tree's config, and the ingest hash of its corpus "src"
+PIPELINE_HASHES = {"ingest": "98c64559bd5869fe", "similarity": "5cf749467a1a6c0a", "transport": "afea773cab37b66d",
+                   "fit": "22ee7b8c3f235bb6", "report": "980798e86ab9f485", "src": "a2058d1e399eca79"}
 
 
 def test_full_pipeline_writes_consistent_artifacts(tmp_path):
@@ -60,15 +74,13 @@ def test_full_pipeline_writes_consistent_artifacts(tmp_path):
     ):
         assert (out / name).is_file(), name
 
-    # every JSON artifact carries the same configuration hash
-    hashes = {
-        read_json(out / name)["config_hash"]
-        for name in ("cache/manifest.json", "similarity.json", "transport.json",
-                     "fit_summary.json", "report.json")
-    }
-    assert len(hashes) == 1
-    meta = next(iter(hashes))
-    assert f"#config_hash={meta}" in (out / "similarity.csv").read_text(encoding="utf-8")
+    # every artifact carries the hash of the stage that wrote it; a profile, its corpus's ingest hash
+    for name, stage in (("cache/manifest.json", "ingest"), ("cache/profile-src.json", "src"),
+                        ("similarity.json", "similarity"), ("transport.json", "transport"),
+                        ("fit-alpha-sys-kl.json", "fit"), ("fit_summary.json", "fit"), ("report.json", "report")):
+        assert read_json(out / name)["config_hash"] == PIPELINE_HASHES[stage], name
+    for name, stage in (("similarity.csv", "similarity"), ("curve-alpha-sys-kl.csv", "fit"), ("plot-kl.csv", "report")):
+        assert (out / name).read_text(encoding="utf-8").startswith(f"#config_hash={PIPELINE_HASHES[stage]},"), name
 
     # the advisory lock never outlives a run
     assert not (out / ".lock").exists()
@@ -635,6 +647,113 @@ def test_rerunning_without_stamps_gives_the_same_tree(tmp_path):
     assert {name: data for name, (data, _) in snapshot(out).items()} == before
 
 
+# ---------------------------------------------------------------- stage table
+
+
+def test_ingest_reingests_a_corpus_whose_text_unit_changes(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    edit_config(config, lambda raw: raw["corpora"][1].update({"text_unit": "paragraph"}))
+    code, out, _ = run_cli(["ingest", "--config", str(config)])
+    assert code == 0
+    assert "ingested: news (1 documents, " in out  # the three lines are one paragraph
+    assert out.count("cache hit:") == 3
+
+
+def test_ingest_reingests_a_jsonl_corpus_whose_fields_change(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    (tmp_path / "corpora" / "pairs.jsonl").write_text('{"premise": "alpha beta", "hypothesis": "gamma"}\n',
+                                                     encoding="utf-8")
+    edit_config(config, lambda raw: raw["corpora"].append(
+        {"domain_id": "pairs", "path": "corpora/pairs.jsonl", "format": "jsonl", "fields": ["premise"]}))
+    profile = tmp_path / "out" / "cache" / "profile-pairs.json"
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    assert read_json(profile)["profile"]["term_freq"] == {"alpha": 1, "beta": 1}
+    edit_config(config, lambda raw: raw["corpora"][4].update({"fields": ["premise", "hypothesis"]}))
+    code, out, _ = run_cli(["ingest", "--config", str(config)])
+    assert code == 0
+    assert "ingested: pairs" in out and out.count("cache hit:") == 4
+    assert read_json(profile)["profile"]["term_freq"] == {"alpha": 1, "beta": 1, "gamma": 1}
+
+
+# report reads fit_summary.json first, and fit's hash covers those of similarity and transport
+@pytest.mark.parametrize("stage, edit, upstream, reruns", [
+    ("similarity", set_key("embedding", "seed", value=99), "ingest", ["ingest"]),
+    ("similarity", set_key("tokenizer", value={"lowercase": False}), "ingest", ["ingest"]),
+    ("similarity", set_key("corpora", 1, "text_unit", value="paragraph"), "ingest", ["ingest"]),
+    ("fit", set_key("kl", value={"direction": "reverse"}), "similarity", ["similarity"]),
+    ("report", set_key("kl", value={"direction": "reverse"}), "fit", ["similarity", "fit"]),
+    ("report", set_key("transport", "bias_corrected", value=True), "fit", ["transport", "fit"]),
+    ("report", set_key("fit", "predictors", value=["kl"]), "fit", ["fit"]),
+], ids=["similarity-seed", "similarity-tokenizer", "similarity-text-unit", "fit-kl", "report-kl", "report-transport",
+        "report-predictors"])
+def test_a_stage_refuses_an_input_written_under_other_settings(tmp_path, stage, edit, upstream, reruns):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    before = {name: data for name, (data, _) in snapshot(out).items()}
+    edit_config(config, edit)
+    code, stdout, err = run_cli([stage, "--config", str(config)])
+    assert (code, stdout) == (1, "")
+    assert f"config error: stale: rerun {upstream} (" in err
+    after = {name: data for name, (data, _) in snapshot(out).items()}
+    assert {name: data for name, data in after.items() if not name.startswith("cache/stage-")} == {
+        name: data for name, data in before.items() if not name.startswith("cache/stage-")}
+    for rerun in [*reruns, stage]:
+        assert run_cli([rerun, "--config", str(config)])[0] == 0, rerun
+
+
+def test_a_new_seed_reruns_every_stage_downstream_of_ingest(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    edit_config(config, set_key("embedding", "seed", value=99))
+    assert "stale: rerun ingest" in run_cli(["similarity", "--config", str(config)])[2]
+    code, out, _ = run_cli(["ingest", "--config", str(config)])
+    assert code == 0 and out.count("ingested:") == 4
+    for stage in STAMPED:
+        code, stdout, err = run_cli([stage, "--config", str(config)])
+        assert code == 0, err
+        assert (stdout == f"{stage}: up to date\n") == (stage == "transport"), stage
+
+
+def test_new_predictors_leave_similarity_and_transport_up_to_date(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    edit_config(config, set_key("fit", "predictors", value=["lexical", "cosine"]))
+    for stage in STAMPED:
+        code, stdout, err = run_cli([stage, "--config", str(config)])
+        assert code == 0, err
+        assert (stdout == f"{stage}: up to date\n") == (stage in ("similarity", "transport")), stage
+    assert set(read_json(tmp_path / "out" / "report.json")["fits"]["mean_mae"]) == {"lexical", "cosine"}
+
+
+@pytest.mark.parametrize("stage", ["similarity", "transport", "fit"])
+def test_a_hit_parses_no_input(tmp_path, monkeypatch, stage):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    parsed = []
+    monkeypatch.setattr(cli, "_parse_artifact", lambda raw, path: parsed.append(path.name))
+    monkeypatch.setattr(cli, "profile_from_dict", lambda data: parsed.append("profile"))
+    monkeypatch.setattr(cli, "load_score_table", lambda *args, **kwargs: parsed.append("scores"))
+    assert run_cli([stage, "--config", str(config)]) == (0, f"{stage}: up to date\n", "")
+    assert parsed == []
+
+
+README_PIPELINE = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").split(
+    "## Command-line pipeline", 1)[1].split("\n### ", 1)[0]
+
+
+def test_the_readme_stage_table_matches_the_stage_table():
+    rows = {stage: (blocks, reads) for stage, blocks, reads in
+            re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|$", README_PIPELINE, re.MULTILINE)}
+    assert list(rows) == list(cli.STAGES)
+    for stage, row in cli.STAGES.items():
+        blocks, reads = rows[stage]
+        flags = {"--" + setting.replace("_", "-") for setting in row.settings}
+        assert set(re.findall(r"`([\w-]+)`", blocks)) == {*row.blocks, *row.per_corpus, *flags}, stage
+        assert re.findall(r"`([^`]+)`", reads) == list(row.reads), stage
+
+
 # ---------------------------------------------------------------- predict
 
 
@@ -782,15 +901,6 @@ def test_config_rejects_bad_json(tmp_path):
     assert "config is not valid JSON" in err
 
 
-def set_key(*keys, value):
-    def edit(raw):
-        block = raw
-        for key in keys[:-1]:
-            block = block[key]
-        block[keys[-1]] = value
-    return edit
-
-
 @pytest.mark.parametrize("edit, message", [
     (set_key("scores", "metrc", value="F1"), "unknown scores fields: ['metrc']"),
     (set_key("similarity", "target", value=["news"]), "unknown similarity fields: ['target']"),
@@ -808,9 +918,16 @@ def set_key(*keys, value):
     (set_key("transport", "systems", value=["alpha-sys", "beta-sys", "alpha-sys"]), "duplicate system 'alpha-sys'"),
     (set_key("corpora", 2, "encoding", value="utf-8"), "corpora[2]: unknown corpus fields: ['encoding']"),
     (lambda raw: raw["transport"].pop("task"), "missing transport fields: ['task']"),
+    (set_key("scores", "path", value=5), "scores.path must be a path or null"),
+    (set_key("external_embeddings", value=5), "external_embeddings must be a path or null"),
+    (set_key("embedding", "seed", value="x"), "embedding seed must be an integer"),
+    (set_key("transport", "bias_corrected", value="no"), "transport.bias_corrected must be true or false"),
+    (set_key("out_dir", value=None), "out_dir must be a path"),
+    (set_key("transport", "task", value=5), "transport.task must be a string"),
 ], ids=["scores-key", "similarity-key", "fit-key", "target-key", "source-key", "fit-list", "scores-null",
         "corpora-number", "targets-number", "tokenizer-list", "kl-epsilon-string", "duplicate-predictor",
-        "duplicate-system", "corpus-key", "transport-task-missing"])
+        "duplicate-system", "corpus-key", "transport-task-missing", "scores-path-number", "external-number",
+        "seed-string", "bias-corrected-string", "out-dir-null", "task-number"])
 def test_config_rejects_a_malformed_block(tmp_path, edit, message):
     config = write_pipeline_tree(tmp_path)
     edit_config(config, edit)
@@ -974,10 +1091,12 @@ def reference_load_config(path):
     }
 
 
-# shapes the reference accepted (often by ignoring them) and load_config now refuses, on purpose
+# shapes the reference accepted (often by ignoring them or by coercing a scalar) and load_config now refuses, on purpose
 NEWLY_REJECTED = re.compile(
     r"unknown (scores|similarity|fit|transport\.targets\[\d+\]|transport\.source) fields: "
     r"|(scores|similarity|fit) must be an object$|corpora must be a list$|duplicate (predictor|system) "
+    r"|out_dir must be a path$|(scores\.path|external_embeddings) must be a path or null$"
+    r"|transport\.task must be a string$|transport\.bias_corrected must be true or false$"
 )
 
 def _mostly(valid, malformed=()):
@@ -1019,15 +1138,17 @@ _transport = _with_stray_key(st.fixed_dictionaries(
 _configs = _with_stray_key(st.fixed_dictionaries({}, optional={
     "out_dir": _mostly(["results"], [5, None]),
     "tokenizer": _mostly([{}, {"ngram_order": 2, "lowercase": False}], [{"ngram_order": 0}, {"mystery": 1}, [], None]),
-    "embedding": _mostly([{}, {"dimension": 8, "seed": 3}, {"weighting": "tfidf"}], [{"dimension": 1}, {"x": 1}]),
+    "embedding": _mostly([{}, {"dimension": 8, "seed": 3}, {"weighting": "tfidf"}],
+                         [{"dimension": 1}, {"x": 1}, {"seed": "x"}]),
     "kl": _mostly([{}, {"direction": "reverse", "epsilon": 1e-6}], [{"epsilon": 0}, {"epsilon": "x"}, {"mode": "x"}]),
     "corpora": _mostly_from(
         st.lists(_corpus_items, max_size=3, unique_by=lambda c: str(c.get("domain_id")) if isinstance(c, dict) else 0),
         st.sampled_from([5, {}, "", None, {"a": 1}, [dict(CORPUS, domain_id="a b"), dict(CORPUS, domain_id="a-b")],
                          [CORPUS, CORPUS]]),
     ),
-    "external_embeddings": _mostly([None, "vectors.json"]),
-    "scores": _mostly([{}, {"path": "s.csv", "metric": "accuracy"}, {"metric": 5}], [{"metrc": "F1"}, None, [], "s"]),
+    "external_embeddings": _mostly([None, "vectors.json"], [5]),
+    "scores": _mostly([{}, {"path": "s.csv", "metric": "accuracy"}, {"metric": 5}],
+                      [{"metrc": "F1"}, None, [], "s", {"path": 5}]),
     "transport": _mostly_from(_transport, st.sampled_from([None, [], False, "t", {}])),
     "similarity": _mostly([{}, {"source": "src"}, {"targets": ["news"]}, {"targets": None}],
                           [{"targets": "news"}, {"target": ["x"]}, None, []]),
@@ -1073,8 +1194,11 @@ def test_the_loader_matches_the_hand_written_reference(config_file, raw):
     resolved = dataclasses.asdict(cfg)
     assert resolved.pop("config_dir") == config_file.parent.resolve()
     assert resolved == expected
-    del expected["out_dir"]
-    assert cfg.config_hash() == stable_hash(expected)
+    if expected["external_embeddings"]:
+        expected["embedding"] = None  # external vectors stand in for the projection
+    hashes = cli._Run("ingest", cfg, {})
+    assert {block: hashes.block_hash(block) for block in expected if block != "out_dir"} == {
+        block: stable_hash(value) for block, value in expected.items() if block != "out_dir"}
 
 
 # ---------------------------------------------------------------- overrides

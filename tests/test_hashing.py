@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from domainport import cli
 from domainport.cli import load_config
 from domainport.corpus import TokenizerConfig
 from domainport.divergence import KLSettings
@@ -170,10 +171,54 @@ def test_config_hashes_are_pinned():
     assert stable_hash(KLSettings().to_dict()) == "2726beebe07e76de"
 
 
-def test_full_run_config_hash_is_pinned(tmp_path):
+def stage_hashes(tmp_path, config):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(FULL_CONFIG), encoding="utf-8")
-    assert load_config(path).config_hash() == "6bbbb9b49e2213c9"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    cfg = load_config(path)
+    hashes = cli._Run("ingest", cfg, {})
+    return {stage: hashes.stage_hash(stage) for stage in cli.STAGES}, {c.domain_id: hashes.corpus_hash(c)
+                                                                         for c in cfg.corpora}
+
+
+def test_stage_hashes_are_pinned(tmp_path):
+    stages, corpora = stage_hashes(tmp_path, FULL_CONFIG)
+    assert stages == {"ingest": "e9aa949158abaa05", "similarity": "b0645af661d23fa9", "transport": "5183cd9fed54800f",
+                      "fit": "628d481ebc9606b8", "report": "543a272c1a16eedc"}
+    assert corpora == {"src": "e0190c9796f73a30", "pairs": "8514cc541aaaf7d4", "paras": "b16c08ec8703c83f"}
+
+
+def edited(key, value, *path):
+    config = json.loads(json.dumps(FULL_CONFIG))
+    block = config
+    for step in path:
+        block = block[step]
+    block[key] = value
+    return config
+
+
+INGESTED = {"ingest", "src", "pairs", "paras"}  # the ingest hash and each corpus's
+
+
+@pytest.mark.parametrize("config, moved", [
+    (edited("predictors", ["kl"], "fit"), {"fit", "report"}),
+    (edited("direction", "forward", "kl"), {"similarity", "fit", "report"}),
+    (edited("targets", ["pairs"], "similarity"), {"similarity", "fit", "report"}),
+    (edited("bias_corrected", False, "transport"), {"transport", "fit", "report"}),
+    (edited("metric", "F1", "scores"), {"transport", "fit", "report"}),
+    (edited("ngram_order", 1, "tokenizer"), {*INGESTED, "similarity", "fit", "report"}),
+    (edited("external_embeddings", "other.json"), {*INGESTED, "similarity", "fit", "report"}),
+    (edited("seed", 4, "embedding"), set()),  # unused: external vectors stand in for the projection
+    (edited("external_embeddings", None), {*INGESTED, "similarity", "fit", "report"}),
+    (edited("dataset", "wiki2", "corpora", 2), {"similarity", "fit", "report"}),
+    (edited("text_unit", "line", "corpora", 2), {"similarity", "fit", "report", "paras"}),
+    (edited("fields", ["premise"], "corpora", 1), {"similarity", "fit", "report", "pairs"}),
+    (edited("out_dir", "elsewhere"), set()),
+], ids=["fit", "kl", "similarity", "transport", "scores", "tokenizer", "external", "unused-embedding",
+        "no-external", "corpus-dataset", "corpus-text-unit", "corpus-fields", "out-dir"])
+def test_a_config_block_moves_the_hashes_of_the_stages_that_depend_on_it(tmp_path, config, moved):
+    before = stage_hashes(tmp_path, FULL_CONFIG)
+    after = stage_hashes(tmp_path, config)
+    assert {name for old, new in zip(before, after) for name in old if old[name] != new[name]} == moved
 
 
 @pytest.mark.parametrize("cls", [TokenizerConfig, EmbeddingConfig, KLSettings])

@@ -16,37 +16,37 @@ import hashlib
 from conftest import run_full_pipeline, write_pipeline_tree
 
 GOLDEN = {
-    "cache/manifest.json": "9cbe6bc76a462bddd72470c31dea661e49ce03fc1e343d1814f0384d412c8b4b",
-    "cache/profile-news.json": "b32a98c342b090fabd910859f043a48c3275825bd40ff2641ba961492f84c646",
-    "cache/profile-science.json": "069e204f14d59c0ea1f62e119dabad720f5bf911d0b80ee44a9e2db8c1b9c76c",
-    "cache/profile-social.json": "3938eb67239326ccbfa13bdc6aeda1058e45d695f0718f25fa375268da3bbf34",
-    "cache/profile-src.json": "58e216b79563bb006c2fa809b41195b65ee9b0fdd0a42433f93f00551a369c9e",
-    "cache/stage-fit.json": "9f6d30c7d0247895e688d599cac6014b72b19721c74407c4c420a0f610a37b52",
-    "cache/stage-report.json": "1e2b7d5941bb30ba64d18a11d006741b4c3b3898f1f5ec12c765f6adcc48ed6a",
-    "cache/stage-similarity.json": "0b290f55f69ddd89c2efdac857900cd458f93018e19790d6a85bfe588d1e3e7a",
-    "cache/stage-transport.json": "24d9bbe4922e72312bae0882bc7351ffb8608453600aa9e259753c97569001cc",
-    "curve-alpha-sys-cosine.csv": "134c12d7273de6cba5f4b87af63d79a39f357866f30ee506ca28f7f57d04f8df",
-    "curve-alpha-sys-kl.csv": "117dfe919e2250903a27ca723d969bc5d0e85981f6a4f16f399fd9b929e7ddd8",
-    "curve-alpha-sys-lexical.csv": "da6edf76bd490deafea7b8424d7559ddc223928e2b59f1b61288f2ba920e4d5c",
-    "curve-beta-sys-cosine.csv": "ab662728b77973bf531924befb9b423268c0d24b0b252aef6b9b0797d5ead27b",
-    "curve-beta-sys-kl.csv": "f8d387812d39622fb1be9b5be99f81f59f6a36fcae7373d54f5898530d21bbeb",
-    "curve-beta-sys-lexical.csv": "0ab9cab1cbe7301b24d2c75bf35179e521876b2795ba88aaa40a54bbc800215b",
-    "fit-alpha-sys-cosine.json": "559487e1b7e54e49266a2c732acb61be5870b9be3377cbf4dd553d60dbf8adc1",
-    "fit-alpha-sys-kl.json": "4bc458cd1dc1888f0bab98395b8f3d35c322d4b67af9f863c1e8ef67b90a9c48",
-    "fit-alpha-sys-lexical.json": "42ba768725d28e82fa8efaa2f75fb22fbdeeb865a6bbfe81a8650bb11a9fbc0e",
-    "fit-beta-sys-cosine.json": "2c874fc31674def9602b622e995f102a8079b4befe543c544d513a2497ef8c6c",
-    "fit-beta-sys-kl.json": "ac155640b9ee945413eea75376f77642a2fcab220c1d4e8543f4d328b3a24b1a",
-    "fit-beta-sys-lexical.json": "a22f6d705607f20e486dabf4268cfd75f6bc07fe86bb2bf6068326986c8f1460",
-    "fit_summary.json": "e9f296063ddc6bd34e09b403c5dee3187fb13577185d5aae32243e6054d6649d",
-    "plot-cosine.csv": "a4fe1572bc8f55afee6d1c597de284e5cdf4a4f35f18af86aef781f3522501a0",
-    "plot-kl.csv": "e4bf4ca04cdcb44039d501014a18101e3a2f6d82fde4b3aef1a5a3c57983294e",
-    "plot-lexical.csv": "5f7371994cae8ca9dd125e2db71405d3910218b920718fb1f85d500c0067f1c5",
-    "report.json": "a88ffa9f3ca251f09b8139148b2c9e5656df33291df40ba37a0cb24d516c535b",
-    "report.txt": "1bc0e9209ed06db9a9842b2665ebabe963b84dd24ef92003a07806dbff031619",
-    "similarity.csv": "37eae0419d12ad4656ff8d4542278100492b4357e60ea3461a66ed1a4fc4b2c3",
-    "similarity.json": "81f1735c2f989d0c56a4d14af956fe7efcf49cdeb4cb8209734ea6eb52fd2a71",
-    "transport.json": "504abdb97fa5af0d0d25b0aec3f0eb53981613153e5ed75bcdfcbc3b9fb5a27d",
-    "transport.txt": "8099f174269ee17b314666bd8ae053d61e31d77c0fe22dd8705e9983ca5169df",
+    "cache/manifest.json": "e575c4b7a40b64e6be74676589db978fd29c0cd3c24d7b4b49c4d6b566d1ea9f",
+    "cache/profile-news.json": "ad4ba81fe77cbb0df88207c9200cd14494504e19d21fdd2623ec2d387f81a7aa",
+    "cache/profile-science.json": "b3684d2ba3ec9dfafe0a25c10248e6148fe8f898dd1085293958ea7713ff210d",
+    "cache/profile-social.json": "96abd3d222911e186677022a7b94c72b9e942308b13fc6892c343581a5bff030",
+    "cache/profile-src.json": "95f35c0437ae053827eff0e5d4e0c875b6a703bfa7767e47f72261ff7ff768e8",
+    "cache/stage-fit.json": "bb796de63bae07d6ebfb068f67880792537ecd351f74befac0663b7084ea57f9",
+    "cache/stage-report.json": "28ad990ff2ea82a2d97f0b64a04aead74f9f409593ec9c44567143fa4cf1bb0c",
+    "cache/stage-similarity.json": "607efa8eef1dcfc8e808fdee4ecefd0c9e4c05922b7d360d5f38f4808ab19559",
+    "cache/stage-transport.json": "af86ec248eb2b67af58e99ef25e870fe544cb64eb8fd7a7c77a04bf9f9db75d4",
+    "curve-alpha-sys-cosine.csv": "5fff5158cadfce06565c3b2de18ca2a4cc25fbcba57e7dbce610a4f1cc21a45b",
+    "curve-alpha-sys-kl.csv": "e6f61e9ddf3a202bd5efcb37b2298f2c372dbb82b5e3b806e7b48321172acab9",
+    "curve-alpha-sys-lexical.csv": "0828a0156eb69a314170b472144f3e0e6ae0e3785d0e79d53986058bc54826cc",
+    "curve-beta-sys-cosine.csv": "7367b67259c36a5125760ee127f844de242bc4b6965432d7281c0f1c3ffc8b32",
+    "curve-beta-sys-kl.csv": "91e57ee0e0444a5e31b966047733a68fcd32e4c49831f2ae16a3c1a04366710b",
+    "curve-beta-sys-lexical.csv": "5bce1d70918dd167df35c90ae0c26a5374f21c568029f0befde8bab727f16710",
+    "fit-alpha-sys-cosine.json": "71496b3b9b0e1812b12dca0f4418092313dbf5d6ec9ed14887309b00e9c0925b",
+    "fit-alpha-sys-kl.json": "61dc53b85b4da980b13a403da0334710b041157e3adb4c2717dd1e700265a146",
+    "fit-alpha-sys-lexical.json": "484ba1ba6ee0c8fdae3f29ad170ff05526af13566773d7d3481d310d61394961",
+    "fit-beta-sys-cosine.json": "f0c5f6f3b87f1fd1a68652734ad59c6d875134e81a65150f11bb60a2142100e7",
+    "fit-beta-sys-kl.json": "1664bbbb2e97598d132dc4742aa3ab325c2d447b93948eebc1bf20ed8101a79a",
+    "fit-beta-sys-lexical.json": "c08fa74f77d401d0014debd8684a2323a3a7456a6d131f6fb64dc8e9ad8bba77",
+    "fit_summary.json": "d6ff506db5ea7a490fefaa3ea464724f42b010006769ba81fb0264f80297cd18",
+    "plot-cosine.csv": "c89bfb3f71c3d34823536ecd5b8d9d7202b027a12aa8437cda880b31dbacc167",
+    "plot-kl.csv": "a08dc04131b971b684fc9e32fa84a8a76aeffc168e69b4dc438a5ae371ede9a3",
+    "plot-lexical.csv": "34053a58b423657971a8a65b1464289615d43a667139c4161d7dbf272dadfe84",
+    "report.json": "81d58952b254288161a4fe7f0ac0792fed4ffac68866021fee59470b4ddb15d2",
+    "report.txt": "b48a5ff510ac6e5ca0c22b12ae0b0c0a0cd531f396bbfcf260f75a1715dae631",
+    "similarity.csv": "23602b0269e5d553dd77864cf7f7f052f74a0571bcd6a17e30d2ee826d33c793",
+    "similarity.json": "80865ed8f4e8f3c315f05d917bd1345cce3753b6df99de78445d61b1ca2e653a",
+    "transport.json": "24b5df1f13ae897358e04ff850a4f6e8fef6fc82783912e9b3f00cccc4400455",
+    "transport.txt": "7b36ab68dac3d80b948f11b27f2c542cb6a32393bcebf6cdf75c7ac8eea6c41a",
 }
 
 
