@@ -6,8 +6,9 @@ each stage the config blocks its outputs depend on and the files it
 reads. All outputs are deterministic: no timestamps, stable key order,
 and every artifact embeds the tool version and its stage's hash, which
 covers the stage's config blocks and the hashes of the stages it reads
-from. A stage refuses an input artifact whose hash is not the one the
-current config gives.
+from. An artifact written under flag overrides records them. A stage
+refuses an input artifact whose hash is not the one that the current
+config, with those overrides, gives.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import click
 
@@ -35,6 +36,7 @@ from .features import (
     EmbeddingConfig,
     build_profile,
     build_profile_external,
+    external_embedding_hash,
     load_external_embeddings,
     profile_from_dict,
     profile_to_dict,
@@ -308,9 +310,10 @@ def _write_text(path: Path, text: str) -> bytes:
     return data
 
 
-def _artifact_text(config_hash: str, **payload: Any) -> str:
-    """The text of a JSON artifact stamped with the config hash and the tool version."""
-    return dump_json({"config_hash": config_hash, "tool_version": __version__, **payload})
+def _artifact_text(config_hash: str, overrides: Mapping[str, Any], **payload: Any) -> str:
+    """The text of a JSON artifact stamped with its stage's hash, the flag overrides behind it and the tool version."""
+    lineage = {"overrides": overrides} if overrides else {}
+    return dump_json({"config_hash": config_hash, **lineage, "tool_version": __version__, **payload})
 
 
 def _meta_comment(config_hash: str) -> str:
@@ -325,8 +328,207 @@ def _csv_text(config_hash: str, header: Sequence[str], rows: Iterable[Sequence[s
     return _meta_comment(config_hash) + buf.getvalue()
 
 
+# ---------------------------------------------------------------- stage table
+
+
+class _Stage(NamedTuple):
+    blocks: tuple[str, ...]  # the config blocks the stage's outputs depend on
+    reads: Mapping[str, str | None] = {}  # file -> the stage that writes it; "scores" (the score table) -> None
+
+
+STAGES = {
+    "ingest": _Stage(("tokenizer", "embedding", "external_embeddings")),
+    "similarity": _Stage(("kl", "similarity", "corpora"), {"cache/profile-*.json": "ingest"}),
+    "transport": _Stage(("scores", "transport"), {"scores": None}),
+    "fit": _Stage(("scores", "transport", "fit", "corpora"), {"similarity.json": "similarity", "scores": None}),
+    "report": _Stage(("fit", "transport"), {"similarity.json": "similarity", "transport.json": "transport",
+                                           "fit_summary.json": "fit", "fit-*.json": "fit"}),
+}
+
+Overrides = Mapping[str, Mapping[str, Any]]  # flag values by config block and field
+
+
+def _record_fields(record: Any) -> dict[str, Any]:
+    """A config record as its fields, for hashing; ``fields`` refuses any other object."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+class _Hashes(dict):
+    """Stage name -> the hash that ``cfg`` gives the stage, computed on first use.
+
+    A stage's hash covers its config blocks and the hashes of the stages
+    that write what it reads. Each block is hashed at most once.
+    """
+
+    def __init__(self, cfg: RunConfig, blocks: Mapping[str, str] = {}) -> None:
+        super().__init__()
+        self.cfg = cfg
+        self.blocks = dict(blocks)
+
+    def block(self, name: str) -> str:
+        if name not in self.blocks:
+            unused = name == "embedding" and self.cfg.external_embeddings  # external vectors replace the projection
+            self.blocks[name] = stable_hash(None if unused else getattr(self.cfg, name), default=_record_fields)
+        return self.blocks[name]
+
+    def __missing__(self, stage: str) -> str:
+        row = STAGES[stage]
+        upstream = sorted({writer for writer in row.reads.values() if writer})
+        self[stage] = stable_hash({"stage": stage, "blocks": {b: self.block(b) for b in row.blocks},
+                                   "reads": {s: self[s] for s in upstream}})
+        return self[stage]
+
+    def corpus(self, spec: CorpusSpec) -> str:
+        """The hash a profile of ``spec`` carries: the ingest hash and the corpus's own parse settings."""
+        parse = {"format": spec.format, "fields": spec.fields, "text_unit": spec.text_unit}
+        return stable_hash({"ingest": self["ingest"], **parse})
+
+    def under(self, overrides: Overrides) -> _Hashes:
+        """The hashes of ``cfg`` with flag ``overrides`` applied."""
+        if not overrides:
+            return self
+        changes = {name: replace(getattr(self.cfg, name), **values) for name, values in overrides.items()}
+        return _Hashes(replace(self.cfg, **changes), {b: h for b, h in self.blocks.items() if b not in changes})
+
+
+class _Run:
+    """One run of a stamped stage: its inputs, its stamp and its outputs.
+
+    Each file the stage's row lists is read once, before the stamp check,
+    and parsed only on a miss. The stamp ``cache/stage-<stage>.json`` holds
+    a key (the stage, the tool version, the stage's hash, the flags,
+    ``allow_partial`` and the digest of every input) and the digest of each
+    output; it is deleted on a miss until :meth:`finish`. An input artifact
+    is stale unless its ``config_hash`` is the one the current config, with
+    the flag overrides the artifact records, gives the stage that wrote it.
+    The outputs record those overrides and the run's flags, and carry the
+    hash under them.
+    """
+
+    def __init__(self, stage: str, cfg: RunConfig, flags: Overrides, allow_partial: bool) -> None:
+        self.stage, self.cfg, self.out = stage, cfg, cfg.out_path
+        self.path = self.out / "cache" / f"stage-{stage}.json"
+        self.hashes = _Hashes(cfg)
+        self.overrides = {block: dict(values) for block, values in flags.items()}  # grows by the inputs' overrides
+        self.inputs: dict[str, Any] = {}  # name -> bytes (the score table: text and label) until handed out
+        self._sources: dict[str, tuple[str, CorpusSpec | None]] = {}  # artifact -> its writer and, if a profile, corpus
+        self._lineage: dict[str, Overrides] = {}  # writer -> the overrides its artifacts record
+        self._digests: dict[str, str] = {}
+        self._outputs: dict[str, str] = {}
+        for name, writer in STAGES[stage].reads.items():
+            if name == "scores":
+                _require(cfg.scores.path is not None, "no score table configured (scores.path)")
+                path = cfg.resolve(cfg.scores.path)
+                raw = read_file(path, f"score table file not found: {path}")
+                self._digests[name] = content_digest(raw)
+                self.inputs[name] = read_text(raw, "score table", str(path))  # decoded now, so the bytes die here
+            elif name == "cache/profile-*.json":
+                specs = {c.domain_id: c for c in cfg.corpora}
+                for d in dict.fromkeys(_similarity_domains(cfg)):
+                    self._read(_profile_name(d), writer, specs[d])
+            elif name == "fit-*.json":  # the files fit_summary.json names: it alone is parsed before the stamp check
+                self.inputs["fit_summary.json"] = self.artifact("fit_summary.json", {"status": "absent"})
+                for _, _, fit_file in _fit_files(self.inputs["fit_summary.json"]):
+                    self._read(fit_file, writer)
+            else:
+                self._read(name, writer)
+        missing = [self._missing(name) for name in self._sources if name not in self._digests]
+        _require(not missing or allow_partial, "missing stage outputs: " + "; ".join(missing))
+        self.key = stable_hash({"stage": stage, "tool_version": __version__, "config_hash": self.hashes[stage],
+                                "flags": flags, "allow_partial": allow_partial, "inputs": self._digests})
+
+    def _read(self, name: str, writer: str, spec: CorpusSpec | None = None) -> None:
+        self._sources[name] = (writer, spec)
+        if (self.out / name).is_file():
+            self.inputs[name] = (self.out / name).read_bytes()
+            self._digests[name] = content_digest(self.inputs[name])
+
+    def _missing(self, name: str) -> str:
+        return f"{name} (run the {self._sources[name][0]} stage first)"
+
+    def artifact(self, name: str, absent: Any = None) -> Any:
+        """Input artifact ``name`` parsed, without its stamp fields, or ``absent`` if it is missing.
+
+        A stale artifact is refused.
+        """
+        raw = self.inputs.pop(name, absent)
+        if raw is None:  # missing, and not optional: a fit file that fit_summary.json names
+            raise ConfigError("missing stage outputs: " + self._missing(name))
+        if not isinstance(raw, bytes):  # absent, or parsed already
+            return raw
+        payload = _parse_artifact(raw, self.out / name)
+        writer, spec = self._sources[name]
+        config_hash = payload.pop("config_hash", None)
+        overrides = payload.pop("overrides", None) or {}
+        payload.pop("tool_version", None)
+        stale = ConfigError(f"stale: rerun {writer} ({name} has other settings)")
+        try:
+            hashes = self.hashes.under(overrides)
+        except (AttributeError, TypeError, ConfigError):  # overrides that do not apply to this config
+            raise stale from None
+        if config_hash != (hashes.corpus(spec) if spec else hashes[writer]):
+            raise stale
+        if self._lineage.setdefault(writer, overrides) != overrides:  # the artifacts of one stage must agree
+            raise stale
+        for block, values in overrides.items():  # the run's own flags, merged first, keep their values
+            self.overrides[block] = {**values, **self.overrides.get(block, {})}
+        return payload
+
+    @functools.cached_property
+    def hash(self) -> str:
+        """The hash the outputs carry; read it only after the inputs are parsed."""
+        return self.hashes.under(self.overrides)[self.stage]
+
+    def score_table(self) -> ScoreTable:
+        text, label = self.inputs.pop("scores")
+        return load_score_table(text, metric_name=self.cfg.scores.metric, source=label)
+
+    def up_to_date(self) -> bool:
+        """True, after saying so, when the stamp matches; else delete the stamp."""
+        try:
+            stamp = json.loads(self.path.read_bytes())
+            hit = stamp["key"] == self.key and all(
+                content_digest((self.out / name).read_bytes()) == digest for name, digest in stamp["outputs"].items())
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):  # absent, unreadable or malformed
+            hit = False
+        if hit:
+            click.echo(f"{self.stage}: up to date")
+        else:
+            self.path.unlink(missing_ok=True)
+        return hit
+
+    def write(self, name: str, text: str) -> None:
+        """Write output ``name`` under the output directory and record its digest."""
+        self._outputs[name] = content_digest(_write_text(self.out / name, text))
+
+    def write_json(self, name: str, **payload: Any) -> None:
+        """Write JSON artifact ``name`` with the run's hash and overrides."""
+        self.write(name, _artifact_text(self.hash, self.overrides, **payload))
+
+    def finish(self) -> None:
+        """Write the stamp: the key and the digest of every output written."""
+        _write_text(self.path, dump_json({"key": self.key, "outputs": self._outputs}))
+
+
+def _stage(work: Callable[[RunConfig, _Run], None]) -> Callable[..., None]:
+    """``cmd_<stage>``, the one driver of a stamped stage: ``work`` runs only on a stamp miss."""
+    stage = work.__name__.removeprefix("cmd_")
+
+    @functools.wraps(work)
+    def cmd(cfg: RunConfig, flags: Overrides, allow_partial: bool = False) -> None:
+        run = _Run(stage, cfg, flags, allow_partial)
+        if not run.up_to_date():
+            work(cfg, run)
+            run.finish()
+
+    return cmd
+
+
 def _slug(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "._-" else "-" for ch in name) or "x"
+    out = []
+    for ch in name:
+        out.append(ch if ch.isalnum() or ch in "._-" else "-")
+    return "".join(out) or "x"
 
 
 def _require_distinct_slugs(names: Iterable[str], kind: str) -> None:
@@ -352,156 +554,6 @@ def _profile_name(domain_id: str) -> str:
     return f"cache/profile-{_slug(domain_id)}.json"
 
 
-# ---------------------------------------------------------------- stage table
-
-
-@dataclass(frozen=True)
-class _Stage:
-    blocks: tuple[str, ...]  # the config blocks the stage's outputs depend on
-    reads: tuple[str, ...] = ()  # "scores" (the score table), or artifacts under out_dir named as in _WRITERS
-    settings: tuple[str, ...] = ()  # run flags outside the config; allow_partial lets unwritten artifacts be absent
-    per_corpus: tuple[str, ...] = ()  # corpus fields that the hash of each corpus's own output adds
-
-
-STAGES = {
-    "ingest": _Stage(("tokenizer", "embedding", "external_embeddings"), per_corpus=("format", "fields", "text_unit")),
-    "similarity": _Stage(("kl", "similarity", "corpora"), ("cache/profile-*.json",)),
-    "transport": _Stage(("scores", "transport"), ("scores",)),
-    "fit": _Stage(("scores", "transport", "fit", "corpora"), ("similarity.json", "scores")),
-    "report": _Stage(("fit", "transport"), ("similarity.json", "transport.json", "fit_summary.json", "fit-*.json"),
-                     ("allow_partial",)),
-}
-
-_WRITERS = {"cache/profile-*.json": "ingest", "similarity.json": "similarity", "transport.json": "transport",
-            "fit_summary.json": "fit", "fit-*.json": "fit"}  # the stage that writes each artifact a stage reads
-
-
-class _Run:
-    """One run of a stage of :data:`STAGES`: the hashes the config gives, the inputs and the stamp.
-
-    A stage's hash covers its config blocks, each hashed at most once per
-    run, and the hashes of the stages that write what it reads. Every
-    artifact it writes carries that hash as ``config_hash``, but a profile
-    carries its corpus's ingest hash, which adds the ``per_corpus`` fields.
-    An input artifact that carries another hash is stale, and refused.
-
-    The stamp ``cache/stage-<stage>.json`` holds a key and the digest of
-    each output. The key digests the stage name, the tool version, the
-    stage's hash, its settings and the content of every file its row
-    lists, each read once. On a miss the stamp is deleted until
-    :meth:`finish`, so a failed run leaves none.
-    """
-
-    def __init__(self, stage: str, cfg: RunConfig, settings: dict[str, Any]) -> None:
-        self.stage, self.cfg, self.out = stage, cfg, cfg.out_path
-        self.path = self.out / "cache" / f"stage-{stage}.json"
-        self._hashes: dict[tuple[str, str], str] = {}  # ("block" or "stage", name) -> hash
-        self.hash = self.stage_hash(stage)
-        row = STAGES[stage]
-        self.settings = {**dict.fromkeys(row.settings, False), **settings}
-        self.inputs: dict[str, Any] = {}  # name -> bytes (the score table: text and label) until handed out
-        self._expected: dict[str, tuple[str, str]] = {}  # artifact -> its writer and the hash it carries if current
-        self._digests: dict[str, str] = {}
-        self._outputs: dict[str, str] = {}
-        absent: list[str] = []
-        for name in row.reads:
-            if name == "scores":
-                _require(cfg.scores.path is not None, "no score table configured (scores.path)")
-                path = cfg.resolve(cfg.scores.path)
-                raw = read_file(path, f"score table file not found: {path}")
-                self._digests[name] = content_digest(raw)
-                self.inputs[name] = read_text(raw, "score table", str(path))  # decoded now, so the bytes die here
-            elif name == "cache/profile-*.json":
-                by_id = {c.domain_id: c for c in cfg.corpora}
-                for d in dict.fromkeys(_similarity_domains(cfg)):
-                    self._read(_profile_name(d), "ingest", self.corpus_hash(by_id[d]))
-            elif name == "fit-*.json":  # the files fit_summary.json names: it alone is parsed before the stamp check
-                summary = self.inputs["fit_summary.json"] = self.artifact("fit_summary.json")
-                for _, _, fit_file in _fit_files(summary or {}, cfg.fit.predictors):
-                    self._read(fit_file, "fit", self.stage_hash("fit"))
-            elif "allow_partial" in row.settings and not (self.out / name).is_file():
-                absent.append(f"{name} (run the {_WRITERS[name]} stage)")
-            else:
-                self._read(name, _WRITERS[name], self.stage_hash(_WRITERS[name]))
-        _require(not absent or self.settings["allow_partial"], "missing stage outputs: " + "; ".join(absent))
-
-    def block_hash(self, name: str) -> str:
-        if ("block", name) not in self._hashes:
-            unused = name == "embedding" and self.cfg.external_embeddings  # external vectors replace the projection
-            self._hashes["block", name] = stable_hash(None if unused else getattr(self.cfg, name))
-        return self._hashes["block", name]
-
-    def stage_hash(self, stage: str) -> str:
-        if ("stage", stage) not in self._hashes:
-            row = STAGES[stage]
-            upstream = sorted({_WRITERS[name] for name in row.reads if name in _WRITERS})
-            self._hashes["stage", stage] = stable_hash({
-                "stage": stage, "blocks": {b: self.block_hash(b) for b in row.blocks},
-                "reads": {s: self.stage_hash(s) for s in upstream}})
-        return self._hashes["stage", stage]
-
-    def corpus_hash(self, spec: CorpusSpec) -> str:
-        fields = {name: getattr(spec, name) for name in STAGES["ingest"].per_corpus}
-        return stable_hash({"ingest": self.stage_hash("ingest"), **fields})
-
-    def _read(self, name: str, writer: str, expected: str) -> None:
-        self.inputs[name] = read_file(self.out / name, f"missing {name}; run the {writer} stage first")
-        self._digests[name] = content_digest(self.inputs[name])
-        self._expected[name] = (writer, expected)
-
-    def artifact(self, name: str, absent: Any = None) -> Any:
-        """Input artifact ``name`` parsed, or ``absent`` if it was not read; a stale one is refused."""
-        raw = self.inputs.pop(name, None)
-        if not isinstance(raw, bytes):  # not read, or parsed already
-            return absent if raw is None else raw
-        payload = _parse_artifact(raw, self.out / name)
-        writer, expected = self._expected[name]
-        _require(payload.get("config_hash") == expected, f"stale: rerun {writer} ({name} has other settings)")
-        return payload
-
-    def score_table(self) -> ScoreTable:
-        text, label = self.inputs.pop("scores")
-        return load_score_table(text, metric_name=self.cfg.scores.metric, source=label)
-
-    def up_to_date(self) -> bool:
-        """True, after saying so, when the stamp matches; else delete the stamp."""
-        self.key = stable_hash({"stage": self.stage, "tool_version": __version__, "config_hash": self.hash,
-                                **self.settings, "inputs": self._digests})
-        try:
-            stamp = json.loads(self.path.read_bytes())
-            hit = stamp["key"] == self.key and all(
-                content_digest((self.out / name).read_bytes()) == digest for name, digest in stamp["outputs"].items())
-        except (OSError, ValueError, LookupError, TypeError, AttributeError):  # absent, unreadable or malformed
-            hit = False
-        if hit:
-            click.echo(f"{self.stage}: up to date")
-        else:
-            self.path.unlink(missing_ok=True)
-        return hit
-
-    def write(self, name: str, text: str) -> None:
-        """Write output ``name`` under the output directory and record its digest."""
-        self._outputs[name] = content_digest(_write_text(self.out / name, text))
-
-    def finish(self) -> None:
-        """Write the stamp: the key and the digest of every output written."""
-        _write_text(self.path, dump_json({"key": self.key, "outputs": self._outputs}))
-
-
-def _stage(work: Callable[[RunConfig, _Run], None]) -> Callable[..., None]:
-    """``cmd_<stage>``, the one driver of a stamped stage: ``work`` runs only on a stamp miss."""
-    stage = work.__name__.removeprefix("cmd_")
-
-    @functools.wraps(work)
-    def cmd(cfg: RunConfig, **settings: Any) -> None:
-        run = _Run(stage, cfg, settings)
-        if not run.up_to_date():
-            work(cfg, run)
-            run.finish()
-
-    return cmd
-
-
 # ---------------------------------------------------------------- stages
 
 
@@ -517,12 +569,12 @@ def _parse_corpus_spec(cfg: RunConfig, spec: CorpusSpec, raw: bytes) -> Corpus:
     return parse_interchange(raw, source=spec.path)
 
 
-def cmd_ingest(cfg: RunConfig) -> None:
+def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
     _require(len(cfg.corpora) > 0, "no corpora configured; nothing to ingest")
     out = cfg.out_path
     cache = out / "cache"
     cache.mkdir(parents=True, exist_ok=True)
-    hashes = _Run("ingest", cfg, {})  # its hashes: ingest keeps its manifest, not a stamp
+    hashes = _Hashes(cfg)
 
     manifest_path = cache / "manifest.json"
     domains: dict[str, Any] = {}
@@ -536,7 +588,9 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
     external = None
     if cfg.external_embeddings:
-        external = load_external_embeddings(cfg.resolve(cfg.external_embeddings), [c.domain_id for c in cfg.corpora])
+        external = load_external_embeddings(
+            cfg.resolve(cfg.external_embeddings), [c.domain_id for c in cfg.corpora]
+        )
 
     failures: list[tuple[str, Exception]] = []
     changed = not manifest_path.is_file()
@@ -547,11 +601,18 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 raise ConfigError(f"corpus file not found: {spec.path}")
             raw = path.read_bytes()  # the one read of this file per run: hashed, and parsed on a miss
             input_hash = content_digest(raw)
-            config_hash = hashes.corpus_hash(spec)
+            config_hash = hashes.corpus(spec)
             profile_file = out / _profile_name(spec.domain_id)
             entry = domains.get(spec.domain_id)
-            fresh = isinstance(entry, dict) and entry.get("input_hash") == input_hash
-            if fresh and entry.get("config_hash") == config_hash and profile_file.is_file():
+            emb_hash = external_embedding_hash(cfg.external_embeddings, external[spec.domain_id]) if external else None
+            if (
+                isinstance(entry, dict)
+                and entry.get("input_hash") == input_hash
+                and entry.get("config_hash") == config_hash
+                and entry.get("overrides", {}) == flags
+                and (emb_hash is None or entry.get("embedding_hash") == emb_hash)
+                and profile_file.is_file()
+            ):
                 click.echo(f"cache hit: {spec.domain_id}")
                 continue
             corpus = _parse_corpus_spec(cfg, spec, raw)
@@ -560,10 +621,11 @@ def cmd_ingest(cfg: RunConfig) -> None:
                 profile = build_profile_external(corpus, external[spec.domain_id], cfg.external_embeddings)
             else:
                 profile = build_profile(corpus, cfg.embedding)
-            _write_text(profile_file, _artifact_text(config_hash, profile=profile_to_dict(profile)))
+            _write_text(profile_file, _artifact_text(config_hash, flags, profile=profile_to_dict(profile)))
             tokens = corpus.token_count
             domains[spec.domain_id] = {
                 "config_hash": config_hash,
+                **({"overrides": flags} if flags else {}),
                 "input_hash": input_hash,
                 "tokenizer_hash": profile.tokenizer_hash,
                 "embedding_hash": profile.embedding_hash,
@@ -580,7 +642,7 @@ def cmd_ingest(cfg: RunConfig) -> None:
             click.echo(f"failed: {spec.domain_id}: {exc}", err=True)
 
     if changed:
-        _write_text(manifest_path, _artifact_text(hashes.hash, domains=domains))
+        _write_text(manifest_path, _artifact_text(hashes["ingest"], flags, domains=domains))
     if failures:
         ids = ", ".join(d for d, _ in failures)
         if all(isinstance(e, ConfigError) for _, e in failures):
@@ -610,7 +672,7 @@ def cmd_similarity(cfg: RunConfig, run: _Run) -> None:
     records = similarity_table(profiles[source_id], [profiles[t] for t in target_ids], cfg.kl)
 
     run.write("similarity.csv", _meta_comment(run.hash) + records_to_csv(records))
-    run.write("similarity.json", _artifact_text(run.hash, records=[r.to_dict() for r in records]))
+    run.write_json("similarity.json", records=[r.to_dict() for r in records])
     click.echo(f"similarity: {len(records)} record(s) from {source_id!r}")
 
 
@@ -631,15 +693,21 @@ def cmd_transport(cfg: RunConfig, run: _Run) -> None:
                             bias_corrected=spec.bias_corrected, groups=spec.groups or None) for system in systems]
 
     payloads = [report_to_dict(r) for r in reports]
-    run.write("transport.json", _artifact_text(run.hash, reports=payloads))
+    run.write_json("transport.json", reports=payloads)
     text = render_report_text(payloads, group_order=_group_order(cfg))
     header = f"# task={spec.task} metric={table.metric_name}\n# config_hash={run.hash} tool_version={__version__}\n"
     run.write("transport.txt", header + text)
     click.echo(f"transport: {len(reports)} system report(s)")
 
 
-def _join_points(by_domain: Mapping[str, CorpusSpec], records: Sequence[dict[str, Any]], table: ScoreTable,
-                 system: str, task: str, predictor_column: str) -> list[tuple[float, float]]:
+def _join_points(
+    by_domain: Mapping[str, CorpusSpec],
+    records: Sequence[dict[str, Any]],
+    table: ScoreTable,
+    system: str,
+    task: str,
+    predictor_column: str,
+) -> list[tuple[float, float]]:
     """Join similarity records to scores: x from the record, y from the table."""
     points: list[tuple[float, float]] = []
     for rec in records:
@@ -681,9 +749,8 @@ def cmd_fit(cfg: RunConfig, run: _Run) -> None:
                 continue
             model = fit_curve(points, predictor_name=column, percent_scale=percent)
             stem = f"fit-{_slug(system)}-{predictor}"
-            run.write(f"{stem}.json", _artifact_text(run.hash, system=system, predictor=predictor,
-                                                     metric=table.metric_name, model=model.to_dict(),
-                                                     points=sorted(points)))
+            run.write_json(f"{stem}.json", system=system, predictor=predictor, metric=table.metric_name,
+                           model=model.to_dict(), points=sorted(points))
             x_max = max(x for x, _ in points)
             curve = curve_points(model, x_max if x_max > 0 else 1.0)
             run.write(f"curve-{_slug(system)}-{predictor}.csv", _csv_text(
@@ -694,10 +761,11 @@ def cmd_fit(cfg: RunConfig, run: _Run) -> None:
             mae_by_predictor[predictor].append(model.mae)
             click.echo(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n_points} point(s)")
 
-    run.write("fit_summary.json", _artifact_text(
-        run.hash, metric=table.metric_name, fits=summary_fits,
-        skipped=sorted(skipped, key=lambda s: (s["system"], s["predictor"])),
-        mean_mae={p: (sum(v) / len(v) if v else None) for p, v in mae_by_predictor.items()}))
+    run.write_json("fit_summary.json",
+                   metric=table.metric_name,
+                   fits=summary_fits,
+                   skipped=sorted(skipped, key=lambda s: (s["system"], s["predictor"])),
+                   mean_mae={p: (sum(v) / len(v) if v else None) for p, v in mae_by_predictor.items()})
     click.echo(f"fit: {sum(len(v) for v in summary_fits.values())} model(s), {len(skipped)} skipped")
 
 
@@ -736,7 +804,7 @@ def _similarity_records(payload: dict[str, Any]) -> list[dict[str, Any]]:
     return records
 
 
-def _fit_files(summary: dict[str, Any], predictors: Sequence[str]) -> list[tuple[str, str, str]]:
+def _fit_files(summary: dict[str, Any]) -> list[tuple[str, str, str]]:
     """(predictor, system, fit file) for each fit that fit_summary.json names, in plot order.
 
     Every field of the summary that ``report.txt`` renders is checked
@@ -753,22 +821,18 @@ def _fit_files(summary: dict[str, Any], predictors: Sequence[str]) -> list[tuple
     mean_mae = summary.get("mean_mae", {})
     if not (isinstance(mean_mae, dict) and all(v is None or _is_number(v) for v in mean_mae.values())):
         raise ParseError("corrupt artifact fit_summary.json: 'mean_mae' must map predictors to numbers or null")
-    return [(p, system, fits[system][p]["file"]) for p in predictors for system in sorted(fits) if p in fits[system]]
+    return [(p, s, fits[s][p]["file"]) for p in PREDICTOR_COLUMNS for s in sorted(fits) if p in fits[s]]
 
 
 @_stage
 def cmd_report(cfg: RunConfig, run: _Run) -> None:
-    sections: dict[str, dict[str, Any]] = {}
-    for name in ("similarity", "transport", "fit_summary"):
-        sections[name] = run.artifact(f"{name}.json", {"status": "absent"})
-        sections[name].pop("config_hash", None)
-        sections[name].pop("tool_version", None)
-    fits = sections.pop("fit_summary")
+    sections = {name: run.artifact(f"{name}.json", {"status": "absent"}) for name in ("similarity", "transport")}
+    fits = run.artifact("fit_summary.json", {"status": "absent"})
     records = _similarity_records(sections["similarity"]) if "records" in sections["similarity"] else None
 
     # joined scatter data per predictor, for external plotting
     plots: dict[str, list[list[str]]] = {}
-    for predictor, system, name in _fit_files(fits, cfg.fit.predictors):
+    for predictor, system, name in _fit_files(fits):
         points = run.artifact(name).get("points", [])
         pairs = isinstance(points, list) and all(isinstance(pt, list) and len(pt) == 2 for pt in points)
         if not (pairs and all(_is_number(v) for pt in points for v in pt)):
@@ -776,30 +840,41 @@ def cmd_report(cfg: RunConfig, run: _Run) -> None:
         for x, y in points:
             plots.setdefault(predictor, []).append([system, repr(float(x)), repr(float(y))])
 
-    run.write("report.json", _artifact_text(run.hash, **sections, fits=fits))
+    run.write_json("report.json", similarity=sections["similarity"], transport=sections["transport"], fits=fits)
 
-    tables: dict[str, list[str] | None] = dict.fromkeys(("similarity", "transport", "fit"))  # None: absent
+    lines = ["domain transport report", f"config_hash={run.hash} tool_version={__version__}", "", "[similarity]"]
     if records is not None:
-        tables["similarity"] = ["  ".join(CSV_COLUMNS)] + ["  ".join(
-            [rec["source_id"], rec["target_id"], *("%.6f" % rec[c] for c in CSV_COLUMNS[2:])]) for rec in records]
-    if "reports" in sections["transport"]:
-        tables["transport"] = render_report_text(sections["transport"]["reports"], group_order=_group_order(cfg))
-        tables["transport"] = tables["transport"].splitlines()
+        lines.append("  ".join(CSV_COLUMNS))
+        for rec in records:
+            lines.append("  ".join([rec["source_id"], rec["target_id"], *("%.6f" % rec[c] for c in CSV_COLUMNS[2:])]))
+    else:
+        lines.append("absent")
+    lines += ["", "[transport]"]
+    tr = sections["transport"]
+    if "reports" in tr:
+        lines.extend(render_report_text(tr["reports"], group_order=_group_order(cfg)).splitlines())
+    else:
+        lines.append("absent")
+    lines += ["", "[fit]"]
     if "fits" in fits:
-        tables["fit"] = ["system  predictor  a  b  c  sse  mae  n"]
-        for system, entries in sorted(fits["fits"].items()):
-            for predictor, m in sorted(entries.items()):
-                numbers = "  ".join(f"{m[k]:.6f}" for k in ("a", "b", "c", "sse", "mae"))
-                tables["fit"].append(f"{system}  {predictor}  {numbers}  {m['n']}")
-        mean_mae = sorted(fits.get("mean_mae", {}).items())
-        tables["fit"] += [f"mean_mae[{predictor}] = {mae:.6f}" for predictor, mae in mean_mae if mae is not None]
-    lines = ["domain transport report", f"config_hash={run.hash} tool_version={__version__}"]
-    for name, rows in tables.items():
-        lines += ["", f"[{name}]", *(rows if rows is not None else ["absent"])]
+        lines.append("system  predictor  a  b  c  sse  mae  n")
+        for system in sorted(fits["fits"]):
+            for predictor in sorted(fits["fits"][system]):
+                m = fits["fits"][system][predictor]
+                lines.append(
+                    f"{system}  {predictor}  "
+                    f"{m['a']:.6f}  {m['b']:.6f}  {m['c']:.6f}  {m['sse']:.6f}  {m['mae']:.6f}  {m['n']}"
+                )
+        mm = fits.get("mean_mae", {})
+        for predictor in sorted(mm):
+            if mm[predictor] is not None:
+                lines.append(f"mean_mae[{predictor}] = {mm[predictor]:.6f}")
+    else:
+        lines.append("absent")
     run.write("report.txt", "\n".join(lines) + "\n")
     for predictor, rows in plots.items():
-        header = ["system", PREDICTOR_COLUMNS[predictor], "score"]
-        run.write(f"plot-{predictor}.csv", _csv_text(run.hash, header, rows))
+        run.write(f"plot-{predictor}.csv",
+                  _csv_text(run.hash, ["system", PREDICTOR_COLUMNS[predictor], "score"], rows))
     click.echo("report written")
 
 
@@ -811,17 +886,20 @@ def _run(cmd: Callable[..., None], config_path: str, out_dir: str | None, blocks
     """Run stage ``cmd`` under the run lock.
 
     The config is the one at ``config_path`` with ``--out`` and, in each
-    block of ``blocks``, the flag values given (not None).
+    block of ``blocks``, the flag values given (not None). Those values
+    are the run's flag overrides, which its artifacts record.
     """
     cfg = load_config(config_path)
     changes: dict[str, Any] = {} if out_dir is None else {"out_dir": out_dir}
+    flags: dict[str, dict[str, Any]] = {}
     for name, values in blocks.items():
         given = {key: value for key, value in values.items() if value is not None}
         if given and getattr(cfg, name) is not None:  # a flag for an absent transport block does nothing
             changes[name] = replace(getattr(cfg, name), **given)
+            flags[name] = given
     cfg = replace(cfg, **changes)
     with _run_lock(cfg.out_path):
-        cmd(cfg, **settings)
+        cmd(cfg, flags, **settings)
 
 
 _CONFIG_OPTION = click.option("--config", "config_path", required=True, type=str, help="Path to the JSON run configuration.")
@@ -853,8 +931,14 @@ def _ingest_cmd(config_path: str, out_dir: str | None, seed: int | None) -> None
 @click.option("--kl-direction", type=click.Choice(["forward", "reverse"]), default=None,
               help="Override the KL direction.")
 @click.option("--kl-epsilon", type=float, default=None, help="Override the KL smoothing epsilon.")
-def _similarity_cmd(config_path: str, out_dir: str | None, source_id: str | None, target_ids: str | None,
-                    kl_direction: str | None, kl_epsilon: float | None) -> None:
+def _similarity_cmd(
+    config_path: str,
+    out_dir: str | None,
+    source_id: str | None,
+    target_ids: str | None,
+    kl_direction: str | None,
+    kl_epsilon: float | None,
+) -> None:
     """Compute the similarity table from cached profiles."""
     targets = None
     if target_ids is not None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import ComputationError, ConfigError, ParseError, read_text
-from .hashing import fields_from_dict, fnv1a_64_many, slot_and_sign, stable_hash
+from .hashing import content_digest, fields_from_dict, fnv1a_64_many, slot_and_sign, stable_hash
 
 WEIGHTINGS = ("tf", "tfidf")
 
@@ -329,8 +329,14 @@ def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> Dom
         embedding=v,
         embedding_source=source,
         tokenizer_hash=corpus.tokenizer_config.config_hash(),
-        embedding_hash=stable_hash({"kind": "external", "path": path, "dimension": int(v.size)}),
+        embedding_hash=external_embedding_hash(path, vector),
     )
+
+
+def external_embedding_hash(path: str, vector: np.ndarray) -> str:
+    """The ``embedding_hash`` of a profile whose ``vector`` was read from file ``path``: its dimension and digest."""
+    v = np.asarray(vector, dtype=np.float64)
+    return stable_hash({"kind": "external", "path": path, "dimension": v.size, "vector": content_digest(v.tobytes())})
 
 
 def load_external_embeddings(

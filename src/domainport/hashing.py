@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import MISSING, fields
-from typing import Any, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -122,9 +122,9 @@ def feature_slot(feature: str, dimension: int, seed: int = 0) -> tuple[int, floa
     return slot_and_sign(fnv1a_64(feature.encode("utf-8"), seed=seed), dimension)
 
 
-def canonical_json(obj: Any) -> str:
-    """Serialize to a canonical JSON string: sorted keys, no whitespace; a config record as its fields."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=vars)
+def canonical_json(obj: Any, default: Callable[[Any], Any] | None = None) -> str:
+    """Serialize to a canonical JSON string: sorted keys, no whitespace; ``default`` as in ``json.dumps``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, default=default)
 
 
 def dump_json(obj: Any) -> str:
@@ -132,9 +132,9 @@ def dump_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def stable_hash(obj: Any) -> str:
+def stable_hash(obj: Any, default: Callable[[Any], Any] | None = None) -> str:
     """16-hex-digit digest of an object's canonical JSON form."""
-    return f"{fnv1a_64(canonical_json(obj).encode('utf-8')):016x}"
+    return f"{fnv1a_64(canonical_json(obj, default).encode('utf-8')):016x}"
 
 
 def content_digest(data: bytes) -> str:

@@ -470,7 +470,7 @@ def test_stages_demand_their_prerequisites(tmp_path):
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
     code, _, err = run_cli(["fit", "--config", str(config)])
     assert code == 1
-    assert "missing similarity.json; run the similarity stage first" in err
+    assert "config error: missing stage outputs: similarity.json (run the similarity stage first)\n" == err
 
 
 # ---------------------------------------------------------------- fit stage
@@ -739,6 +739,113 @@ def test_a_hit_parses_no_input(tmp_path, monkeypatch, stage):
     assert parsed == []
 
 
+@pytest.mark.parametrize("stage, flags, downstream", [
+    ("ingest", ["--seed", "7"], "similarity"),
+    ("similarity", ["--kl-direction", "reverse"], "fit"),
+    ("similarity", ["--targets", "news,social,science"], "fit"),
+    ("transport", ["--bias-corrected"], "report"),
+    ("fit", ["--predictor", "kl"], "report"),
+], ids=["seed-similarity", "kl-direction-fit", "targets-fit", "bias-corrected-report", "predictor-report"])
+def test_a_stage_reads_what_a_flag_override_wrote(tmp_path, stage, flags, downstream):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    assert run_cli([stage, "--config", str(config), *flags])[0] == 0
+    code, stdout, err = run_cli([downstream, "--config", str(config)])
+    assert code == 0, err
+    assert stdout != f"{downstream}: up to date\n"
+    assert run_cli([downstream, "--config", str(config)]) == (0, f"{downstream}: up to date\n", "")
+
+
+def test_the_overrides_an_artifact_records_travel_downstream(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    out = tmp_path / "out"
+    run_full_pipeline(config)
+    assert "overrides" not in read_json(out / "similarity.json")
+    assert run_cli(["ingest", "--config", str(config), "--seed", "7"])[0] == 0
+    for stage in ("similarity", "fit", "report"):
+        flags = ["--predictor", "kl"] if stage == "fit" else []
+        assert run_cli([stage, "--config", str(config), *flags])[0] == 0, stage
+    seed = {"embedding": {"seed": 7}}
+    assert read_json(out / "cache" / "profile-src.json")["overrides"] == seed
+    assert read_json(out / "cache" / "manifest.json")["domains"]["src"]["overrides"] == seed
+    assert read_json(out / "similarity.json")["overrides"] == seed
+    assert read_json(out / "fit_summary.json")["overrides"] == {**seed, "fit": {"predictors": ["kl"]}}
+    assert read_json(out / "report.json")["overrides"] == {**seed, "fit": {"predictors": ["kl"]}}
+    assert "overrides" not in read_json(out / "transport.json")
+    assert (out / "plot-kl.csv").read_text(encoding="utf-8").startswith(
+        f"#config_hash={read_json(out / 'report.json')['config_hash']},")
+
+    # the flag pins the seed, so a new seed in the config changes no output; a new dimension is refused
+    similarity = (out / "similarity.json").read_bytes()
+    edit_config(config, set_key("embedding", "seed", value=99))
+    assert run_cli(["similarity", "--config", str(config)])[0] == 0
+    assert (out / "similarity.json").read_bytes() == similarity
+    edit_config(config, set_key("embedding", "dimension", value=16))
+    assert "config error: stale: rerun ingest (" in run_cli(["similarity", "--config", str(config)])[2]
+
+
+def test_a_seed_flag_equal_to_the_config_seed_still_reingests(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    code, out, _ = run_cli(["ingest", "--config", str(config), "--seed", "42"])
+    assert code == 0 and out.count("ingested:") == 4  # the profiles now record the flag
+    assert run_cli(["ingest", "--config", str(config), "--seed", "42"])[1].count("cache hit:") == 4
+
+
+def test_a_flag_equal_to_the_config_value_still_reruns_its_stage(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    code, out, _ = run_cli(["similarity", "--config", str(config), "--kl-direction", "forward"])
+    assert code == 0 and out != "similarity: up to date\n"  # similarity.json now records the flag
+    edit_config(config, set_key("kl", value={"direction": "reverse"}))
+    assert run_cli(["fit", "--config", str(config)])[0] == 0
+
+
+@pytest.mark.parametrize("overrides", [{"kl": {"mystery": 1}}, {"kl": 5}, {"nothing": {}}, {"kl": {"epsilon": "x"}},
+                                       "x", {"kl": {"direction": "reverse"}}])
+def test_overrides_that_do_not_apply_are_stale(tmp_path, overrides):
+    config = write_pipeline_tree(tmp_path)
+    for stage in ("ingest", "similarity"):
+        assert run_cli([stage, "--config", str(config)])[0] == 0
+    path = tmp_path / "out" / "similarity.json"
+    path.write_text(json.dumps({**read_json(path), "overrides": overrides}), encoding="utf-8")
+    code, stdout, err = run_cli(["fit", "--config", str(config)])
+    assert (code, stdout) == (1, "")
+    assert err == "config error: stale: rerun similarity (similarity.json has other settings)\n"
+
+
+def test_similarity_refuses_profiles_from_two_ingest_runs_with_other_flags(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config), "--seed", "7"])[0] == 0
+    news = tmp_path / "corpora" / "news.txt"
+    text = news.read_bytes()
+    news.unlink()  # the next ingest fails for news, whose seed-7 profile stays
+    assert run_cli(["ingest", "--config", str(config)])[0] == 1
+    news.write_bytes(text)
+    code, _, err = run_cli(["similarity", "--config", str(config)])
+    assert code == 1
+    assert "config error: stale: rerun ingest (cache/profile-news.json has other settings)" in err
+
+
+def test_ingest_reingests_the_corpora_whose_external_vectors_change(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    vectors = tmp_path / "vectors.json"
+    ids = ("src", "news", "social", "science")
+    vectors.write_text(json.dumps({d: [1.0, float(i), 2.0] for i, d in enumerate(ids)}), encoding="utf-8")
+    edit_config(config, set_key("external_embeddings", value="vectors.json"))
+    assert run_cli(["ingest", "--config", str(config)])[1].count("ingested:") == 4
+    assert run_cli(["ingest", "--config", str(config)])[1].count("cache hit:") == 4
+    vectors.write_text(json.dumps({d: [1.0, float(i), 2.0 + (d == "news")] for i, d in enumerate(ids)}),
+                       encoding="utf-8")
+    code, out, _ = run_cli(["ingest", "--config", str(config)])
+    assert code == 0 and out.count("cache hit:") == 3 and "ingested: news" in out
+    assert read_json(tmp_path / "out" / "cache" / "profile-news.json")["profile"]["embedding"] == [
+        pytest.approx(x / 11 ** 0.5) for x in (1.0, 1.0, 3.0)]
+    vectors.write_text(json.dumps({d: [1.0, float(i)] for i, d in enumerate(ids)}), encoding="utf-8")
+    assert run_cli(["ingest", "--config", str(config)])[1].count("ingested:") == 4
+    assert len(read_json(tmp_path / "out" / "cache" / "profile-src.json")["profile"]["embedding"]) == 2
+
+
 README_PIPELINE = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").split(
     "## Command-line pipeline", 1)[1].split("\n### ", 1)[0]
 
@@ -749,8 +856,7 @@ def test_the_readme_stage_table_matches_the_stage_table():
     assert list(rows) == list(cli.STAGES)
     for stage, row in cli.STAGES.items():
         blocks, reads = rows[stage]
-        flags = {"--" + setting.replace("_", "-") for setting in row.settings}
-        assert set(re.findall(r"`([\w-]+)`", blocks)) == {*row.blocks, *row.per_corpus, *flags}, stage
+        assert set(re.findall(r"`([\w-]+)`", blocks)) == set(row.blocks), stage
         assert re.findall(r"`([^`]+)`", reads) == list(row.reads), stage
 
 
@@ -1196,8 +1302,8 @@ def test_the_loader_matches_the_hand_written_reference(config_file, raw):
     assert resolved == expected
     if expected["external_embeddings"]:
         expected["embedding"] = None  # external vectors stand in for the projection
-    hashes = cli._Run("ingest", cfg, {})
-    assert {block: hashes.block_hash(block) for block in expected if block != "out_dir"} == {
+    hashes = cli._Hashes(cfg)
+    assert {block: hashes.block(block) for block in expected if block != "out_dir"} == {
         block: stable_hash(value) for block, value in expected.items() if block != "out_dir"}
 
 

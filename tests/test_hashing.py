@@ -175,9 +175,8 @@ def stage_hashes(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     cfg = load_config(path)
-    hashes = cli._Run("ingest", cfg, {})
-    return {stage: hashes.stage_hash(stage) for stage in cli.STAGES}, {c.domain_id: hashes.corpus_hash(c)
-                                                                         for c in cfg.corpora}
+    hashes = cli._Hashes(cfg)
+    return {stage: hashes[stage] for stage in cli.STAGES}, {c.domain_id: hashes.corpus(c) for c in cfg.corpora}
 
 
 def test_stage_hashes_are_pinned(tmp_path):
@@ -219,6 +218,14 @@ def test_a_config_block_moves_the_hashes_of_the_stages_that_depend_on_it(tmp_pat
     before = stage_hashes(tmp_path, FULL_CONFIG)
     after = stage_hashes(tmp_path, config)
     assert {name for old, new in zip(before, after) for name in old if old[name] != new[name]} == moved
+
+
+def test_stable_hash_refuses_an_object_it_cannot_encode():
+    with pytest.raises(TypeError):
+        stable_hash(TokenizerConfig())  # a record is hashed only through an explicit ``default``
+    assert stable_hash(TokenizerConfig(), default=cli._record_fields) == stable_hash(TokenizerConfig().to_dict())
+    with pytest.raises(TypeError):
+        stable_hash(object(), default=cli._record_fields)
 
 
 @pytest.mark.parametrize("cls", [TokenizerConfig, EmbeddingConfig, KLSettings])

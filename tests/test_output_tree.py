@@ -21,10 +21,10 @@ GOLDEN = {
     "cache/profile-science.json": "b3684d2ba3ec9dfafe0a25c10248e6148fe8f898dd1085293958ea7713ff210d",
     "cache/profile-social.json": "96abd3d222911e186677022a7b94c72b9e942308b13fc6892c343581a5bff030",
     "cache/profile-src.json": "95f35c0437ae053827eff0e5d4e0c875b6a703bfa7767e47f72261ff7ff768e8",
-    "cache/stage-fit.json": "bb796de63bae07d6ebfb068f67880792537ecd351f74befac0663b7084ea57f9",
-    "cache/stage-report.json": "28ad990ff2ea82a2d97f0b64a04aead74f9f409593ec9c44567143fa4cf1bb0c",
-    "cache/stage-similarity.json": "607efa8eef1dcfc8e808fdee4ecefd0c9e4c05922b7d360d5f38f4808ab19559",
-    "cache/stage-transport.json": "af86ec248eb2b67af58e99ef25e870fe544cb64eb8fd7a7c77a04bf9f9db75d4",
+    "cache/stage-fit.json": "820285dc6101af3d47bad722156d8473aff5be298a2a782d158d8d860be4d4e9",
+    "cache/stage-report.json": "36a1913632ce6747b45514c779dd9887ed578948c1d6194f86827b81a2ae49a8",
+    "cache/stage-similarity.json": "516a451c10c42ee741c7245e35cc06cf9746e906f0b3bd26d3d11b33496e7850",
+    "cache/stage-transport.json": "c8faf1cdc318d762ea44f6834797d58f2ba4eac64e2fd14e63a508c2807f9db7",
     "curve-alpha-sys-cosine.csv": "5fff5158cadfce06565c3b2de18ca2a4cc25fbcba57e7dbce610a4f1cc21a45b",
     "curve-alpha-sys-kl.csv": "e6f61e9ddf3a202bd5efcb37b2298f2c372dbb82b5e3b806e7b48321172acab9",
     "curve-alpha-sys-lexical.csv": "0828a0156eb69a314170b472144f3e0e6ae0e3785d0e79d53986058bc54826cc",
