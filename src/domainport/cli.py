@@ -398,7 +398,8 @@ class _Run:
     and parsed only on a miss. The stamp ``cache/stage-<stage>.json`` holds
     a key (the stage, the tool version, the stage's hash, the flags,
     ``allow_partial`` and the digest of every input) and the digest of each
-    output; it is deleted on a miss until :meth:`finish`. An input artifact
+    output; it is deleted on a miss until :meth:`finish`, which also removes
+    the outputs it named that the rerun did not write. An input artifact
     is stale unless its ``config_hash`` is the one the current config, with
     the flag overrides the artifact records, gives the stage that wrote it.
     The outputs record those overrides and the run's flags, and carry the
@@ -415,6 +416,7 @@ class _Run:
         self._lineage: dict[str, Overrides] = {}  # writer -> the overrides its artifacts record
         self._digests: dict[str, str] = {}
         self._outputs: dict[str, str] = {}
+        self._previous: list[str] = []  # the outputs a missed stamp named
         for name, writer in STAGES[stage].reads.items():
             if name == "scores":
                 _require(cfg.scores.path is not None, "no score table configured (scores.path)")
@@ -487,8 +489,10 @@ class _Run:
         """True, after saying so, when the stamp matches; else delete the stamp."""
         try:
             stamp = json.loads(self.path.read_bytes())
+            outputs = stamp["outputs"]
+            self._previous = list(outputs) if isinstance(outputs, dict) else []
             hit = stamp["key"] == self.key and all(
-                content_digest((self.out / name).read_bytes()) == digest for name, digest in stamp["outputs"].items())
+                content_digest((self.out / name).read_bytes()) == digest for name, digest in outputs.items())
         except (OSError, ValueError, LookupError, TypeError, AttributeError):  # absent, unreadable or malformed
             hit = False
         if hit:
@@ -506,7 +510,15 @@ class _Run:
         self.write(name, _artifact_text(self.hash, self.overrides, **payload))
 
     def finish(self) -> None:
-        """Write the stamp: the key and the digest of every output written."""
+        """Remove the earlier outputs not written again, then write the stamp: the key and each output's digest.
+
+        A stamp is outside input, so only names inside the output directory are removed.
+        """
+        out = self.out.resolve()
+        for name in set(self._previous) - set(self._outputs):
+            path = (self.out / name).resolve()
+            if path.is_relative_to(out) and path.is_file():
+                path.unlink()
         _write_text(self.path, dump_json({"key": self.key, "outputs": self._outputs}))
 
 

@@ -7,10 +7,15 @@ tokenized elsewhere. All parsers produce the same :class:`Corpus`
 structure, so later stages never care where the text came from.
 
 A CoNLL document and a JSON-lines record are each tokenized in one
-call, on their tokens or text fields joined by single spaces. With
-lowercasing on, :func:`tokenize` lowers ASCII text once before splitting
-it, and any other text token by token after, so a token's case mapping
-never depends on its neighbours.
+call, on their tokens or text fields joined by single spaces. In the
+default mode (``unicode_word`` with ``strip_punctuation``) an ASCII text
+is tokenized by one byte-table pass: ``bytes.translate`` maps ``[0-9A-Za-z_]``
+to itself (lowered when lowercasing is on) and every other byte to a
+space, and ``split`` returns exactly the regex's word runs. The regex runs only
+on the text of a call that is not ASCII, and in the other modes. There,
+with lowercasing on, an ASCII text is lowered once before it is split and
+any other text token by token after, so a token's case mapping never
+depends on its neighbours.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import string
 from dataclasses import asdict, dataclass
 from typing import IO, Any, Sequence
 
@@ -33,6 +39,10 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 # the word runs alone: _TOKEN_RE's tokens without its punctuation
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 _EDGE_PUNCT_RE = re.compile(r"^\W+|\W+$", re.UNICODE)
+# On ASCII, \w is [0-9A-Za-z_]: these bytes map to themselves, every other byte to a space.
+_WORD_CHARS = (string.ascii_letters + string.digits + "_").encode("ascii")
+_WORD_BYTES = bytes(b if b in _WORD_CHARS else 0x20 for b in range(256))
+_LOWER_WORD_BYTES = _WORD_BYTES.lower()
 
 
 @dataclass(frozen=True)
@@ -106,10 +116,13 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
 
     Empty tokens never appear in the output; with lowercasing enabled
     no output token contains an uppercase character. ASCII text is
-    lowered once, before it is split: on ASCII, lowering changes no
-    character's class, so the tokens are those of lowering each one.
+    lowered before it is split: on ASCII, lowering changes no character's
+    class, so the tokens are those of lowering each one.
     """
     cfg = config or TokenizerConfig()
+    if cfg.split_mode == "unicode_word" and cfg.strip_punctuation and text.isascii():
+        table = _LOWER_WORD_BYTES if cfg.lowercase else _WORD_BYTES
+        return text.encode("ascii").translate(table).decode("ascii").split()
     lower_text = cfg.lowercase and text.isascii()
     if lower_text:
         text = text.lower()

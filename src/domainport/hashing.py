@@ -12,7 +12,12 @@ with uint64 array arithmetic and returns the same values bit for bit.
 and sign, for a single hash and for an array of them alike.
 
 ``canonical_json`` is the encoding config hashes digest; ``dump_json``
-is the encoding of every JSON artifact the pipeline writes. Config and
+is the encoding of every JSON artifact the pipeline writes, byte for
+byte ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``
+plus a newline. ``indent`` keeps ``json.dumps`` on its pure-Python
+encoder, so ``dump_json`` hands each dict or list whose values are all
+leaves (a profile's term table and embedding) to the C encoder, with the
+indented line break as its item separator. Config and
 record dataclasses serialize with ``dataclasses.asdict`` (both encodings
 write its tuples as lists); every config block is read by
 ``fields_from_dict``, which refuses keys that are not fields and required
@@ -129,7 +134,33 @@ def canonical_json(obj: Any, default: Callable[[Any], Any] | None = None) -> str
 
 def dump_json(obj: Any) -> str:
     """Serialize an artifact: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _indented(obj, 0) + "\n"
+
+
+_LEAVES = frozenset({str, int, float, bool, type(None)})
+
+
+def _indented(obj: Any, level: int) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` as it appears ``level`` deep."""
+    kind = type(obj)
+    if kind in _LEAVES:
+        return json.dumps(obj, ensure_ascii=False)
+    if kind in (list, tuple) or (kind is dict and set(map(type, obj)) <= {str}):
+        brackets = "{}" if kind is dict else "[]"
+        if not obj:
+            return brackets
+        newline = "\n" + "  " * (level + 1)
+        if set(map(type, obj.values() if kind is dict else obj)) <= _LEAVES:
+            # one C-encoder call, whose item separator is the indented line break
+            body = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=("," + newline, ": "))[1:-1]
+        elif kind is dict:
+            body = ("," + newline).join(
+                f"{json.dumps(k, ensure_ascii=False)}: {_indented(v, level + 1)}" for k, v in sorted(obj.items()))
+        else:
+            body = ("," + newline).join(_indented(v, level + 1) for v in obj)
+        return brackets[0] + newline + body + newline[:-2] + brackets[1]
+    # anything else (non-str keys, subclasses) as json.dumps writes it; no encoded string holds a raw newline
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
 
 
 def stable_hash(obj: Any, default: Callable[[Any], Any] | None = None) -> str:

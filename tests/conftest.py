@@ -107,6 +107,72 @@ def write_pipeline_tree(root: Path, *, seed: int = 42, dimension: int = 32) -> P
     return config_path
 
 
+# domain id -> file, format and text: mixed case, punctuation, `_`/digit tokens and
+# non-ASCII words; each corpus also holds a unit of punctuation alone, which is skipped
+MIXED_CORPORA = {
+    "src": ("src.conll", "conll", """\
+-DOCSTART- -X- O O
+
+The\tDT\tO
+Committee\tNNP\tB-ORG
+APPROVED\tVBD\tO
+the\tDT\tO
+annual_budget\tNN\tO
+of\tIN\tO
+2024\tCD\tO
+.\t.\tO
+
+-DOCSTART- -X- O O
+
+...\t:\tO
+!!\t.\tO
+
+-DOCSTART- -X- O O
+
+İstanbul\tNNP\tB-LOC
+and\tCC\tO
+Straße\tNNP\tB-LOC
+DEBATED\tVBD\tO
+the\tDT\tO
+Labour-Law\tNN\tO
+"""),
+    "news": ("news.jsonl", "jsonl", """\
+{"sentence1": "The Committee REJECTED the annual budget!", "sentence2": "Vote_count: 42-17 (final)."}
+{"sentence1": "...!?", "sentence2": "--"}
+{"sentence1": "Parliament passed a labour reform in 東京, then İstanbul.", "sentence2": "MINISTERS agree"}
+{"other": "no text field"}
+"""),
+    "social": ("social.txt", "text", """\
+OMG!!! the new phone_X2 drops 2morrow :)
+--- ... !!!
+cant wait 4 the WEEKEND tbh
+İSTANBUL vs STRASSE vs Straße #travel
+"""),
+    "science": ("science.txt", "text", """\
+The enzyme catalyzes the HYDROLYSIS reaction (pH 7.4).
+We measured protein_expression in mutant cells.
+
+;;; ---
+
+Results indicate 東京 binding-affinity, Straße et al.
+"""),
+}
+
+
+def write_mixed_text_tree(root: Path) -> Path:
+    """``write_pipeline_tree`` with the corpora of :data:`MIXED_CORPORA`, "science" split by paragraph."""
+    config_path = write_pipeline_tree(root)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    for spec in config["corpora"]:
+        name, spec["format"], text = MIXED_CORPORA[spec["domain_id"]]
+        spec["path"] = f"corpora/{name}"
+        (root / spec["path"]).write_text(text, encoding="utf-8")
+        if spec["domain_id"] == "science":
+            spec["text_unit"] = "paragraph"
+    config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    return config_path
+
+
 def run_full_pipeline(config_path: Path, out_dir: str | None = None) -> None:
     """Run every stage, asserting each exits 0."""
     extra = ["--out", out_dir] if out_dir is not None else []

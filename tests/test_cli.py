@@ -727,6 +727,35 @@ def test_new_predictors_leave_similarity_and_transport_up_to_date(tmp_path):
     assert set(read_json(tmp_path / "out" / "report.json")["fits"]["mean_mae"]) == {"lexical", "cosine"}
 
 
+def test_a_rerun_removes_the_outputs_it_no_longer_writes(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    kl_files = {"fit-alpha-sys-kl.json", "fit-beta-sys-kl.json", "curve-alpha-sys-kl.csv",
+                "curve-beta-sys-kl.csv", "plot-kl.csv"}
+    before = {p.name for p in out.iterdir()}
+    assert kl_files <= before
+    edit_config(config, set_key("fit", "predictors", value=["lexical", "cosine"]))
+    run_full_pipeline(config)
+    assert {p.name for p in out.iterdir()} == before - kl_files
+
+
+def test_a_stamp_naming_a_file_outside_the_output_directory_removes_nothing(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    outside = tmp_path / "x"
+    outside.write_text("keep me", encoding="utf-8")
+    stamp_path = tmp_path / "out" / "cache" / "stage-fit.json"
+    stamp = read_json(stamp_path)
+    stamp["outputs"].update({"../x": "0" * 16, str(outside): "0" * 16})
+    stamp_path.write_text(json.dumps(stamp), encoding="utf-8")
+    code, stdout, err = run_cli(["fit", "--config", str(config)])
+    assert code == 0, err
+    assert stdout != "fit: up to date\n"
+    assert outside.read_text(encoding="utf-8") == "keep me"
+    assert set(read_json(stamp_path)["outputs"]) == set(stamp["outputs"]) - {"../x", str(outside)}
+
+
 @pytest.mark.parametrize("stage", ["similarity", "transport", "fit"])
 def test_a_hit_parses_no_input(tmp_path, monkeypatch, stage):
     config = write_pipeline_tree(tmp_path)

@@ -95,7 +95,8 @@ EVERY_TOKENIZER = [
 TOKEN_ALPHABET = string.ascii_letters + string.digits + string.punctuation + " \t" + "éİßǅΣς\u0307東京中文"
 
 
-# ASCII text is lowered in one pass, any other text token by token: both must match the reference
+# ASCII text goes through the byte table or is lowered in one pass, any other text token by token:
+# every path must match the reference
 @settings(max_examples=300, derandomize=True)
 @given(st.one_of(st.text(alphabet=string.printable, max_size=80), st.text(alphabet=TOKEN_ALPHABET, max_size=80)))
 @example("İstanbul STRASSE Straße ǅemal ΣΟΦΟΣ ς x\u0307y 東京, naïve!")
@@ -104,6 +105,8 @@ TOKEN_ALPHABET = string.ascii_letters + string.digits + string.punctuation + " \
 @example("STRASSE ß")
 @example("ǅEMAL ǄX")
 @example("X\u0307Y ABC")
+@example("".join(map(chr, range(128))))  # every ASCII code point: _, digits, \x0b, \x0c, \x1c-\x1f, \x7f
+@example("Plain ASCII_words 42, then Wörter: STRASSE/Straße, İstanbul & 東京x2 -- done.")
 def test_tokenize_matches_the_two_pass_reference(text):
     for cfg in EVERY_TOKENIZER:
         assert tokenize(text, cfg) == reference_tokenize(text, cfg)

@@ -7,13 +7,19 @@ with SHA-256 digests recorded from an earlier version of the pipeline
 sums, so a platform whose numpy rounds them differently fails here even
 when criterion 08 passes. A change that alters the output on purpose
 updates the map and says so in CHANGES.md.
+
+The second map is of a tree whose CoNLL, JSON-lines and text corpora mix
+case, punctuation, units of punctuation alone, ``_`` and digit tokens and
+non-ASCII words, so it pins the tokenizer's ASCII and non-ASCII paths and
+profile keys outside ASCII.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from conftest import run_full_pipeline, write_pipeline_tree
+import pytest
+from conftest import run_full_pipeline, write_mixed_text_tree, write_pipeline_tree
 
 GOLDEN = {
     "cache/manifest.json": "e575c4b7a40b64e6be74676589db978fd29c0cd3c24d7b4b49c4d6b566d1ea9f",
@@ -49,13 +55,49 @@ GOLDEN = {
     "transport.txt": "7b36ab68dac3d80b948f11b27f2c542cb6a32393bcebf6cdf75c7ac8eea6c41a",
 }
 
+GOLDEN_MIXED = {
+    "cache/manifest.json": "1fb86ea7bd741bd3af49c7f8e8d96c576bfefb4907128cce1c25990430692797",
+    "cache/profile-news.json": "04bb72287f52ac495bdbc2b8fe1285d628c953e0ff28a7d9e819d20e47abc142",
+    "cache/profile-science.json": "91bb7063f4bb659a35326d9c8a4840c220773a19098a98f54fd82efd4b614cba",
+    "cache/profile-social.json": "871963c02bd1adb1d89b85001ceb7415bc9de518e122e4e42bd972e343766079",
+    "cache/profile-src.json": "8352d921c7a5363bd12430417b33e7d544f839a7044d31b795db68a25598ab10",
+    "cache/stage-fit.json": "04a450e130392b5adbc83203a4271ff72e6fe926f1ac65eb67cb7cd0390dc65e",
+    "cache/stage-report.json": "cdb7cf3ec7b7ae12a08bcbc48bd4617df2a7c12d7cbf2f2d212c70208250a56e",
+    "cache/stage-similarity.json": "46c9eb0eef1aefbf768ca9d0fea618c16b678b17bceb5bcfb28ee47aa6345dc7",
+    "cache/stage-transport.json": "c8faf1cdc318d762ea44f6834797d58f2ba4eac64e2fd14e63a508c2807f9db7",
+    "curve-alpha-sys-cosine.csv": "26aedc6c085d3a192a2033773bd78e9c272550427cb99712447b2fe0dbaf2180",
+    "curve-alpha-sys-kl.csv": "2f87097e2dd06b9c51fede19466438c23460beb0364616a13fa6e365100cfd1e",
+    "curve-alpha-sys-lexical.csv": "112a073c2e021a3b7a15b8959c1e534b09ea8637948587f49359d8ca1f7ab704",
+    "curve-beta-sys-cosine.csv": "05388b58b8d097e06e0ab805e6f8e38446e400167841f521be3d576f8d0d2e36",
+    "curve-beta-sys-kl.csv": "fc9458fda211a959738e00678296ea5edf885a03c101aaea0901e966dd95110b",
+    "curve-beta-sys-lexical.csv": "2b53b2c1acd442f1d1314986cbcfe8d76e6fb8b2004e0628ac7582ceb8f2e274",
+    "fit-alpha-sys-cosine.json": "e916a36269107727d06c68c22ff2a6ee28ad3b51f456e8ee71a9956c5ecd8213",
+    "fit-alpha-sys-kl.json": "8c187b0134a86ebe550a132458b1553493c103d2d8ccddd8ff0d43f82b692f80",
+    "fit-alpha-sys-lexical.json": "16d09b018324ba7fa2d426b39b4edebe1b535f3e4df403a451d52a647063bbdf",
+    "fit-beta-sys-cosine.json": "bf920b433e829cf01c7bfcd9ec1434e42ed4bac45a5263143c08bf0bad502abd",
+    "fit-beta-sys-kl.json": "15e571a842c37efe67b81143fea388e0721635702ad0673dc7697a1198704a25",
+    "fit-beta-sys-lexical.json": "3e8389a583e80f45c876cc0ebbe9497b2a0508e784db231d857e43aab67fa415",
+    "fit_summary.json": "2ffad33697a2c390c12825535548bb6d393f42f33cb1074c801091f54890dc94",
+    "plot-cosine.csv": "3686a153b3bac4e300a181da38d7a296d8ea923e3d53237cc3a94a5146eef0ae",
+    "plot-kl.csv": "a703ec9d66e46b8963d09b30917aa12d16be57e8b30678dc510e376d5fbf84d5",
+    "plot-lexical.csv": "751e016d736bd32f15743cd919fe7e987557399a1e3c3c279c2a3fb5d7156871",
+    "report.json": "73b089e3d63ea094989e3c5897c822fd9a99bf696257c5bea0b331ef2f6539e3",
+    "report.txt": "3955d2f2c210b5bad3516e383984ef7ecb3dd870600feb11898f4b445c4b2593",
+    "similarity.csv": "8a2999f84fc02a2546401ff9f12dab7b4c0ea63eca18ef2c997a5640663f7d66",
+    "similarity.json": "90ccf2f6549d56f85ed50dc07d6dfe5131956e9907e6d0925d898b98d2f6db27",
+    "transport.json": "24b5df1f13ae897358e04ff850a4f6e8fef6fc82783912e9b3f00cccc4400455",
+    "transport.txt": "7b36ab68dac3d80b948f11b27f2c542cb6a32393bcebf6cdf75c7ac8eea6c41a",
+}
 
-def test_output_tree_matches_the_golden_digests(tmp_path):
-    run_full_pipeline(write_pipeline_tree(tmp_path))
+
+@pytest.mark.parametrize(("write_tree", "golden"), [(write_pipeline_tree, GOLDEN), (write_mixed_text_tree, GOLDEN_MIXED)],
+                         ids=["lowercase-ascii", "mixed-text"])
+def test_output_tree_matches_the_golden_digests(tmp_path, write_tree, golden):
+    run_full_pipeline(write_tree(tmp_path))
     out = tmp_path / "out"
     got = {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*")) if p.is_file()
     }
-    assert sorted(got) == sorted(GOLDEN)
-    assert {name: digest for name, digest in got.items() if digest != GOLDEN[name]} == {}
+    assert sorted(got) == sorted(golden)
+    assert {name: digest for name, digest in got.items() if digest != golden[name]} == {}
