@@ -29,7 +29,7 @@ import click
 
 from . import __version__
 from .corpus import Corpus, TokenizerConfig, parse_conll, parse_interchange, parse_jsonl_pairs, parse_plaintext
-from .divergence import CSV_COLUMNS, KLSettings, records_to_csv, similarity_table
+from .divergence import CSV_COLUMNS, KLSettings, similarity_table
 from .errors import ComputationError, ConfigError, ParseError, read_file, read_text
 from .features import (
     DomainProfile,
@@ -217,15 +217,9 @@ _BLOCKS = {"tokenizer": TokenizerConfig, "embedding": EmbeddingConfig, "kl": KLS
            "transport": TransportSpec, "similarity": SimilaritySpec, "fit": FitSpec}
 
 
-def _block(cls: type[Any], value: Any, kind: str) -> Any:
-    """The ``cls`` record that config block ``kind`` holds."""
-    _require(isinstance(value, dict), f"{kind} must be an object")
-    return fields_from_dict(cls, value, kind)
-
-
 def _corpus(i: int, item: Any) -> CorpusSpec:
     try:
-        return _block(CorpusSpec, item, "corpus")
+        return fields_from_dict(CorpusSpec, item, "corpus")
     except ConfigError as exc:
         raise ConfigError(f"corpora[{i}]: {exc}") from None
 
@@ -250,7 +244,7 @@ def load_config(path: str | Path) -> RunConfig:
         out_dir=raw.get("out_dir", "out"),
         corpora=tuple(_corpus(i, item) for i, item in enumerate(corpora)),
         external_embeddings=raw.get("external_embeddings"),
-        **{key: _block(cls, raw[key], key) for key, cls in _BLOCKS.items() if key in raw},
+        **{key: fields_from_dict(cls, raw[key], key) for key, cls in _BLOCKS.items() if key in raw},
     )
 
 
@@ -316,16 +310,14 @@ def _artifact_text(config_hash: str, overrides: Mapping[str, Any], **payload: An
     return dump_json({"config_hash": config_hash, **lineage, "tool_version": __version__, **payload})
 
 
-def _meta_comment(config_hash: str) -> str:
-    return f"#config_hash={config_hash},tool_version={__version__}\r\n"
-
-
 def _csv_text(config_hash: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """RFC-4180 CSV text under a comment line with its stage's hash and the tool version."""
     buf = io.StringIO()
+    buf.write(f"#config_hash={config_hash},tool_version={__version__}\r\n")
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    return _meta_comment(config_hash) + buf.getvalue()
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------- stage table
@@ -398,12 +390,12 @@ class _Run:
     and parsed only on a miss. The stamp ``cache/stage-<stage>.json`` holds
     a key (the stage, the tool version, the stage's hash, the flags,
     ``allow_partial`` and the digest of every input) and the digest of each
-    output; it is deleted on a miss until :meth:`finish`, which also removes
-    the outputs it named that the rerun did not write. An input artifact
-    is stale unless its ``config_hash`` is the one the current config, with
-    the flag overrides the artifact records, gives the stage that wrote it.
-    The outputs record those overrides and the run's flags, and carry the
-    hash under them.
+    output. Only :meth:`finish` replaces it, after removing the outputs it
+    named that the rerun did not write: a failed rerun leaves it in place.
+    An input artifact is stale unless its ``config_hash`` is the one the
+    current config, with the flag overrides the artifact records, gives the
+    stage that wrote it. The outputs record those overrides and the run's
+    flags, and carry the hash under them.
     """
 
     def __init__(self, stage: str, cfg: RunConfig, flags: Overrides, allow_partial: bool) -> None:
@@ -417,6 +409,7 @@ class _Run:
         self._digests: dict[str, str] = {}
         self._outputs: dict[str, str] = {}
         self._previous: list[str] = []  # the outputs a missed stamp named
+        self.fit_files: list[tuple[str, str, str]] = []  # (predictor, system, fit file) that fit_summary.json names
         for name, writer in STAGES[stage].reads.items():
             if name == "scores":
                 _require(cfg.scores.path is not None, "no score table configured (scores.path)")
@@ -430,7 +423,8 @@ class _Run:
                     self._read(_profile_name(d), writer, specs[d])
             elif name == "fit-*.json":  # the files fit_summary.json names: it alone is parsed before the stamp check
                 self.inputs["fit_summary.json"] = self.artifact("fit_summary.json", {"status": "absent"})
-                for _, _, fit_file in _fit_files(self.inputs["fit_summary.json"]):
+                self.fit_files = _fit_files(self.inputs["fit_summary.json"])
+                for _, _, fit_file in self.fit_files:
                     self._read(fit_file, writer)
             else:
                 self._read(name, writer)
@@ -486,7 +480,7 @@ class _Run:
         return load_score_table(text, metric_name=self.cfg.scores.metric, source=label)
 
     def up_to_date(self) -> bool:
-        """True, after saying so, when the stamp matches; else delete the stamp."""
+        """True, after saying so, when the stamp matches."""
         try:
             stamp = json.loads(self.path.read_bytes())
             outputs = stamp["outputs"]
@@ -497,8 +491,6 @@ class _Run:
             hit = False
         if hit:
             click.echo(f"{self.stage}: up to date")
-        else:
-            self.path.unlink(missing_ok=True)
         return hit
 
     def write(self, name: str, text: str) -> None:
@@ -678,12 +670,13 @@ def cmd_similarity(cfg: RunConfig, run: _Run) -> None:
     profiles: dict[str, DomainProfile] = {}
     for d in dict.fromkeys([source_id, *target_ids]):  # each profile is parsed, and its bytes dropped, in turn
         payload = run.artifact(_profile_name(d))
-        if "profile" not in payload:
+        if not isinstance(payload.get("profile"), dict):
             raise ParseError(f"corrupt profile artifact for domain {d!r}")
         profiles[d] = profile_from_dict(payload.pop("profile"))  # popped: the parsed JSON dies with the call
     records = similarity_table(profiles[source_id], [profiles[t] for t in target_ids], cfg.kl)
 
-    run.write("similarity.csv", _meta_comment(run.hash) + records_to_csv(records))
+    rows = [[r.source_id, r.target_id, *(repr(getattr(r, c)) for c in CSV_COLUMNS[2:])] for r in records]
+    run.write("similarity.csv", _csv_text(run.hash, CSV_COLUMNS, rows))
     run.write_json("similarity.json", records=[r.to_dict() for r in records])
     click.echo(f"similarity: {len(records)} record(s) from {source_id!r}")
 
@@ -788,6 +781,9 @@ def cmd_predict(model_path: Path, x: float) -> None:
         model = FitModel.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"corrupt model file {model_path.name}: {exc}") from exc
+    except AttributeError:  # a record that is not an object: the model, or its fit log
+        field = "fit_log" if isinstance(data, dict) else "model"
+        raise ParseError(f"corrupt model file {model_path.name}: {field!r} must be an object") from None
     click.echo(repr(predict(model, x)))
 
 
@@ -840,11 +836,24 @@ def _fit_files(summary: dict[str, Any]) -> list[tuple[str, str, str]]:
 def cmd_report(cfg: RunConfig, run: _Run) -> None:
     sections = {name: run.artifact(f"{name}.json", {"status": "absent"}) for name in ("similarity", "transport")}
     fits = run.artifact("fit_summary.json", {"status": "absent"})
-    records = _similarity_records(sections["similarity"]) if "records" in sections["similarity"] else None
+    tables: dict[str, list[str]] = {}  # the lines of each report.txt section whose input is present
+    if "records" in sections["similarity"]:
+        tables["similarity"] = ["  ".join(CSV_COLUMNS)] + [
+            "  ".join([rec["source_id"], rec["target_id"], *("%.6f" % rec[c] for c in CSV_COLUMNS[2:])])
+            for rec in _similarity_records(sections["similarity"])]
+    if "reports" in sections["transport"]:
+        tables["transport"] = render_report_text(sections["transport"]["reports"],
+                                                 group_order=_group_order(cfg)).splitlines()
+    if "fits" in fits:
+        tables["fit"] = ["system  predictor  a  b  c  sse  mae  n"] + [
+            f"{system}  {predictor}  " + "  ".join(f"{m[k]:.6f}" for k in ("a", "b", "c", "sse", "mae")) + f"  {m['n']}"
+            for system, entries in sorted(fits["fits"].items()) for predictor, m in sorted(entries.items())]
+        mean_mae = fits.get("mean_mae", {})
+        tables["fit"] += [f"mean_mae[{p}] = {mean_mae[p]:.6f}" for p in sorted(mean_mae) if mean_mae[p] is not None]
 
     # joined scatter data per predictor, for external plotting
     plots: dict[str, list[list[str]]] = {}
-    for predictor, system, name in _fit_files(fits):
+    for predictor, system, name in run.fit_files:
         points = run.artifact(name).get("points", [])
         pairs = isinstance(points, list) and all(isinstance(pt, list) and len(pt) == 2 for pt in points)
         if not (pairs and all(_is_number(v) for pt in points for v in pt)):
@@ -853,36 +862,9 @@ def cmd_report(cfg: RunConfig, run: _Run) -> None:
             plots.setdefault(predictor, []).append([system, repr(float(x)), repr(float(y))])
 
     run.write_json("report.json", similarity=sections["similarity"], transport=sections["transport"], fits=fits)
-
-    lines = ["domain transport report", f"config_hash={run.hash} tool_version={__version__}", "", "[similarity]"]
-    if records is not None:
-        lines.append("  ".join(CSV_COLUMNS))
-        for rec in records:
-            lines.append("  ".join([rec["source_id"], rec["target_id"], *("%.6f" % rec[c] for c in CSV_COLUMNS[2:])]))
-    else:
-        lines.append("absent")
-    lines += ["", "[transport]"]
-    tr = sections["transport"]
-    if "reports" in tr:
-        lines.extend(render_report_text(tr["reports"], group_order=_group_order(cfg)).splitlines())
-    else:
-        lines.append("absent")
-    lines += ["", "[fit]"]
-    if "fits" in fits:
-        lines.append("system  predictor  a  b  c  sse  mae  n")
-        for system in sorted(fits["fits"]):
-            for predictor in sorted(fits["fits"][system]):
-                m = fits["fits"][system][predictor]
-                lines.append(
-                    f"{system}  {predictor}  "
-                    f"{m['a']:.6f}  {m['b']:.6f}  {m['c']:.6f}  {m['sse']:.6f}  {m['mae']:.6f}  {m['n']}"
-                )
-        mm = fits.get("mean_mae", {})
-        for predictor in sorted(mm):
-            if mm[predictor] is not None:
-                lines.append(f"mean_mae[{predictor}] = {mm[predictor]:.6f}")
-    else:
-        lines.append("absent")
+    lines = ["domain transport report", f"config_hash={run.hash} tool_version={__version__}"]
+    for name in ("similarity", "transport", "fit"):
+        lines += ["", f"[{name}]", *tables.get(name, ["absent"])]
     run.write("report.txt", "\n".join(lines) + "\n")
     for predictor, rows in plots.items():
         run.write(f"plot-{predictor}.csv",

@@ -6,9 +6,13 @@ with text fields, plain text) plus a tokenized JSON interchange form
 tokenized elsewhere. All parsers produce the same :class:`Corpus`
 structure, so later stages never care where the text came from.
 
-A CoNLL document and a JSON-lines record are each tokenized in one
-call, on their tokens or text fields joined by single spaces. In the
-default mode (``unicode_word`` with ``strip_punctuation``) an ASCII text
+The three text parsers only split their input into unit texts: a CoNLL
+document's tokens or a JSON-lines record's text fields joined by single
+spaces, or a plain-text line or paragraph. One document loop,
+:func:`_corpus`, tokenizes each unit text in one call, counts and logs the
+units without tokens, refuses an empty corpus and builds the :class:`Corpus`.
+
+In the default mode (``unicode_word`` with ``strip_punctuation``) an ASCII text
 is tokenized by one byte-table pass: ``bytes.translate`` maps ``[0-9A-Za-z_]``
 to itself (lowered when lowercasing is on) and every other byte to a
 space, and ``split`` returns exactly the regex's word runs. The regex runs only
@@ -25,7 +29,7 @@ import logging
 import re
 import string
 from dataclasses import asdict, dataclass
-from typing import IO, Any, Sequence
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, ParseError, read_text
 from .hashing import fields_from_dict, stable_hash
@@ -140,6 +144,35 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     return parts
 
 
+def _corpus(texts: Iterable[str], config: TokenizerConfig | None, fmt: str, domain_id: str, source: str,
+            empty: str, skipped_units: str) -> Corpus:
+    """The corpus of ``texts``: one document per unit text, tokenized once.
+
+    A unit with no tokens is skipped and counted, and the count is logged
+    as ``<source>: <count> <skipped_units>``. A corpus with no document is
+    refused as ``empty corpus: <empty>``.
+    """
+    cfg = config or TokenizerConfig()
+    documents = []
+    skipped = 0
+    for text in texts:
+        tokens = tokenize(text, cfg)
+        if tokens:
+            documents.append(Document(tuple(tokens), raw_length=len(text)))
+        else:
+            skipped += 1
+    if not documents:
+        raise ParseError(f"empty corpus: {empty}", source=source)
+    if skipped:
+        logger.warning("%s: %d %s", source, skipped, skipped_units)
+    return Corpus(
+        domain_id=domain_id,
+        documents=tuple(documents),
+        tokenizer_config=cfg,
+        provenance=Provenance(source=source, format=fmt, tokenizer_hash=cfg.config_hash(), skipped=skipped),
+    )
+
+
 def parse_conll(
     data: bytes | str | IO[bytes],
     config: TokenizerConfig | None = None,
@@ -153,16 +186,9 @@ def parse_conll(
     boundaries; ``-DOCSTART-`` markers split documents. Without any
     marker the whole input is a single document.
     """
-    cfg = config or TokenizerConfig()
     text, _ = read_text(data, "input", source)
-    raw_docs: list[list[str]] = []
     current: list[str] = []
-
-    def flush() -> None:
-        if current:
-            raw_docs.append(list(current))
-            current.clear()
-
+    raw_docs = [current]
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -171,31 +197,14 @@ def parse_conll(
         if not first:
             raise ParseError("malformed line: empty token column", line=line_no, source=source)
         if first == "-DOCSTART-":
-            flush()
+            current = []
+            raw_docs.append(current)
             continue
         current.append(first)
-    flush()
-
-    documents = []
-    skipped = 0
-    for raw_tokens in raw_docs:
-        # one call per document: no token spans the joining space, in any split mode
-        raw_text = " ".join(raw_tokens)
-        tokens = tokenize(raw_text, cfg)
-        if tokens:
-            documents.append(Document(tuple(tokens), raw_length=len(raw_text)))
-        else:
-            skipped += 1
-    if not documents:
-        raise ParseError("empty corpus: no tokens found", source=source)
-    if skipped:
-        logger.warning("%s: %d document(s) skipped (no tokens after tokenization)", source, skipped)
-    return Corpus(
-        domain_id=domain_id,
-        documents=tuple(documents),
-        tokenizer_config=cfg,
-        provenance=Provenance(source=source, format="conll", tokenizer_hash=cfg.config_hash(), skipped=skipped),
-    )
+    # one call per document: no token spans the joining space, in any split mode
+    texts = (" ".join(raw_tokens) for raw_tokens in raw_docs if raw_tokens)
+    return _corpus(texts, config, "conll", domain_id, source, "no tokens found",
+                   "document(s) skipped (no tokens after tokenization)")
 
 
 def parse_jsonl_pairs(
@@ -212,42 +221,26 @@ def parse_jsonl_pairs(
     (or producing no tokens) is skipped with a counted warning rather
     than aborting the parse.
     """
-    cfg = config or TokenizerConfig()
     if not fields:
         raise ConfigError("fields must name at least one JSON key")
     text, _ = read_text(data, "input", source)
-    documents = []
-    skipped = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line=line_no, source=source) from exc
-        if not isinstance(record, dict):
-            raise ParseError("line is not a JSON object", line=line_no, source=source)
-        texts = [record[f] for f in fields if isinstance(record.get(f), str)]
-        if not texts:
-            skipped += 1
-            continue
-        # one call per record: no token spans the joining space, in any split mode
-        joined = " ".join(texts)
-        tokens = tokenize(joined, cfg)
-        if not tokens:
-            skipped += 1
-            continue
-        documents.append(Document(tuple(tokens), raw_length=len(joined)))
-    if not documents:
-        raise ParseError("empty corpus: no usable records", source=source)
-    if skipped:
-        logger.warning("%s: %d record(s) skipped (missing fields or no tokens)", source, skipped)
-    return Corpus(
-        domain_id=domain_id,
-        documents=tuple(documents),
-        tokenizer_config=cfg,
-        provenance=Provenance(source=source, format="jsonl", tokenizer_hash=cfg.config_hash(), skipped=skipped),
-    )
+
+    def texts() -> Iterator[str]:  # each record's text, tokenized before the next line is parsed
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", line=line_no, source=source) from exc
+            if not isinstance(record, dict):
+                raise ParseError("line is not a JSON object", line=line_no, source=source)
+            # one call per record: no token spans the joining space, in any split mode;
+            # a record without the fields is an empty text, which has no tokens
+            yield " ".join([record[f] for f in fields if isinstance(record.get(f), str)])
+
+    return _corpus(texts(), config, "jsonl", domain_id, source, "no usable records",
+                   "record(s) skipped (missing fields or no tokens)")
 
 
 def parse_plaintext(
@@ -259,7 +252,6 @@ def parse_plaintext(
     source: str = "<stream>",
 ) -> Corpus:
     """Parse plain text, one document per non-empty line (or paragraph)."""
-    cfg = config or TokenizerConfig()
     if unit not in ("line", "paragraph"):
         raise ConfigError(f"unknown text unit {unit!r}; expected 'line' or 'paragraph'")
     text, _ = read_text(data, "input", source)
@@ -267,24 +259,8 @@ def parse_plaintext(
         segments = [ln for ln in text.splitlines() if ln.strip()]
     else:
         segments = [seg for seg in re.split(r"\n\s*\n", text) if seg.strip()]
-    documents = []
-    skipped = 0
-    for seg in segments:
-        tokens = tokenize(seg, cfg)
-        if tokens:
-            documents.append(Document(tuple(tokens), raw_length=len(seg)))
-        else:
-            skipped += 1
-    if not documents:
-        raise ParseError("empty corpus: no non-empty text", source=source)
-    if skipped:
-        logger.warning("%s: %d segment(s) skipped (no tokens after tokenization)", source, skipped)
-    return Corpus(
-        domain_id=domain_id,
-        documents=tuple(documents),
-        tokenizer_config=cfg,
-        provenance=Provenance(source=source, format="text", tokenizer_hash=cfg.config_hash(), skipped=skipped),
-    )
+    return _corpus(segments, config, "text", domain_id, source, "no non-empty text",
+                   "segment(s) skipped (no tokens after tokenization)")
 
 
 def to_interchange(corpus: Corpus) -> dict[str, Any]:
@@ -321,7 +297,7 @@ def parse_interchange(
         raise ParseError(f"interchange payload missing keys: {sorted(missing)}", source=source)
     try:
         cfg = TokenizerConfig.from_dict(obj["tokenizer_config"])
-    except TypeError as exc:
+    except ConfigError as exc:  # not an object, an unknown key or a bad value
         raise ParseError(f"invalid tokenizer_config: {exc}", source=source) from exc
     docs_field = obj["documents"]
     if not isinstance(docs_field, list):

@@ -8,8 +8,6 @@ those embeddings.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
@@ -217,14 +215,3 @@ def similarity_table(
         )
     return records
 
-
-def records_to_csv(records: Sequence[SimilarityRecord]) -> str:
-    """RFC-4180 CSV with the fixed column order source, target, lexical, cosine, kl."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [r.source_id, r.target_id, repr(r.lexical_difference), repr(r.cosine_distance), repr(r.kl_divergence)]
-        )
-    return buf.getvalue()

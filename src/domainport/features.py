@@ -73,21 +73,11 @@ class EmbeddingSource:
     dimension: int = 0
     path: str | None = None
 
-    def label(self) -> str:
-        if self.kind == "builtin":
-            return f"builtin(seed={self.seed}, d={self.dimension})"
-        return f"external({self.path})"
-
     to_dict = asdict
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "EmbeddingSource":
-        return cls(
-            kind=data["kind"],
-            seed=data.get("seed"),
-            dimension=data.get("dimension", 0),
-            path=data.get("path"),
-        )
+        return fields_from_dict(cls, data, "embedding_source")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,12 +122,14 @@ def _feature_counts(corpus: Corpus) -> Counter[str]:
     return Counter(chain.from_iterable(docs))
 
 
-def _sorted_table(counts: Mapping[str, int]) -> dict[str, int]:
-    """``counts`` in sorted feature order: the order profiles keep their term tables in.
+def _term_table(corpus: Corpus, counts: Mapping[str, int]) -> dict[str, int]:
+    """``corpus``'s feature ``counts`` in sorted feature order, the order profiles keep; a corpus with none is refused.
 
     The artifact encoder and :meth:`HashedTable.of` both sort the table
     again, and a sort of sorted input is one linear pass.
     """
+    if not counts:
+        raise ComputationError(f"no features: corpus {corpus.domain_id!r} has no n-grams of the configured order")
     features = sorted(counts)
     return dict(zip(features, map(counts.__getitem__, features)))
 
@@ -292,14 +284,10 @@ def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> Doma
     if cfg.per_document:
         features, at, weights, sizes = _document_counts(corpus)
         totals = np.bincount(at, weights=weights, minlength=len(features))  # integer sums: exact
-        counts = _sorted_table(dict(zip(features, totals.astype(np.int64).tolist())))
-    else:
-        counts = _sorted_table(_feature_counts(corpus))
-    if not counts:
-        raise ComputationError(f"no features: corpus {corpus.domain_id!r} has no n-grams of the configured order")
-    if cfg.per_document:
+        counts = _term_table(corpus, dict(zip(features, totals.astype(np.int64).tolist())))
         vector = _per_document_embedding(features, at, weights, sizes, cfg)
     else:
+        counts = _term_table(corpus, _feature_counts(corpus))
         vector = embed_builtin(counts, cfg)
     return DomainProfile(
         domain_id=corpus.domain_id,
@@ -314,9 +302,7 @@ def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> Doma
 
 def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> DomainProfile:
     """Build a profile whose embedding comes from a user-supplied vector."""
-    counts = _sorted_table(_feature_counts(corpus))
-    if not counts:
-        raise ComputationError(f"no features: corpus {corpus.domain_id!r} has no n-grams of the configured order")
+    counts = _term_table(corpus, _feature_counts(corpus))
     v = np.asarray(vector, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm == 0.0 or not np.all(np.isfinite(v)):
@@ -434,18 +420,26 @@ def _embedding_from(value: Any) -> np.ndarray:
     return vector
 
 
+def _record_from(cls: type[Any], value: Any, name: str) -> Any:
+    """Stored record ``name``: an object that ``cls.from_dict`` accepts."""
+    try:
+        return cls.from_dict(value)
+    except ConfigError as exc:  # not an object, or an unknown, missing or invalid field
+        raise ParseError(f"profile {name} is malformed: {exc}") from exc
+
+
 def profile_from_dict(data: dict[str, Any]) -> DomainProfile:
     """Rebuild a profile from :func:`profile_to_dict`'s form; a malformed payload is a ParseError."""
     try:
-        emb_cfg = EmbeddingConfig.from_dict(data["embedding_config"]) if data.get("embedding_config") else None
+        emb_cfg = data.get("embedding_config")  # None for an external embedding
         return DomainProfile(
             domain_id=data["domain_id"],
             term_freq=_term_freq_from(data["term_freq"]),
             embedding=_embedding_from(data["embedding"]),
-            embedding_source=EmbeddingSource.from_dict(data["embedding_source"]),
+            embedding_source=_record_from(EmbeddingSource, data["embedding_source"], "embedding_source"),
             tokenizer_hash=data["tokenizer_hash"],
             embedding_hash=data["embedding_hash"],
-            embedding_config=emb_cfg,
+            embedding_config=_record_from(EmbeddingConfig, emb_cfg, "embedding_config") if emb_cfg else None,
         )
     except KeyError as exc:
         raise ParseError(f"profile payload missing key: {exc.args[0]!r}") from exc

@@ -20,8 +20,8 @@ leaves (a profile's term table and embedding) to the C encoder, with the
 indented line break as its item separator. Config and
 record dataclasses serialize with ``dataclasses.asdict`` (both encodings
 write its tuples as lists); every config block is read by
-``fields_from_dict``, which refuses keys that are not fields and required
-fields that are missing.
+``fields_from_dict``, which refuses a block that is not an object, keys
+that are not fields and required fields that are missing.
 
 Reference vectors with seed 0:
 
@@ -174,10 +174,12 @@ def content_digest(data: bytes) -> str:
 
 
 def fields_from_dict(cls: type[T], data: dict[str, Any], kind: str) -> T:
-    """``cls(**data)`` for a dataclass ``cls``; an unknown key or a missing required field is a ConfigError.
+    """``cls(**data)`` for a dataclass ``cls``; a non-object, unknown key or missing required field is a ConfigError.
 
     A field whose metadata marks it ``derived`` is computed by ``cls``, so it is not a key.
     """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{kind} must be an object")
     keys = [f for f in fields(cls) if not f.metadata.get("derived")]
     unknown = set(data) - {f.name for f in keys}
     if unknown:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import run_cli, run_full_pipeline, write_pipeline_tree
 from domainport import cli
 from domainport.corpus import TokenizerConfig, parse_plaintext, to_interchange
-from domainport.divergence import KLSettings
+from domainport.divergence import CSV_COLUMNS, KLSettings
 from domainport.errors import ConfigError, ParseError, read_text
 from domainport.features import EmbeddingConfig, profile_from_dict
 from domainport.hashing import content_digest, dump_json, stable_hash
@@ -81,6 +82,15 @@ def test_full_pipeline_writes_consistent_artifacts(tmp_path):
         assert read_json(out / name)["config_hash"] == PIPELINE_HASHES[stage], name
     for name, stage in (("similarity.csv", "similarity"), ("curve-alpha-sys-kl.csv", "fit"), ("plot-kl.csv", "report")):
         assert (out / name).read_text(encoding="utf-8").startswith(f"#config_hash={PIPELINE_HASHES[stage]},"), name
+
+    # similarity.csv: the fixed columns, one row per record, floats that round-trip exactly
+    records = read_json(out / "similarity.json")["records"]
+    header, *rows = csv.reader((out / "similarity.csv").read_text(encoding="utf-8").splitlines()[1:])
+    assert tuple(header) == CSV_COLUMNS
+    assert len(rows) == len(records) == 4
+    for row, rec in zip(rows, records):
+        assert row[:2] == [rec["source_id"], rec["target_id"]]
+        assert [float(v) for v in row[2:]] == [rec[c] for c in CSV_COLUMNS[2:]]
 
     # the advisory lock never outlives a run
     assert not (out / ".lock").exists()
@@ -387,7 +397,13 @@ def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, messa
     ("term_freq", [], "profile term_freq must be an object"),
     ("term_freq", {"w1": 2.7}, "profile term_freq count for feature 'w1' is not an integer: 2.7"),
     ("embedding", [0.6, "x"], "profile embedding must be a list of finite numbers"),
-], ids=["string-count", "list", "float-count", "string-component"])
+    ("embedding_source", "x", "profile embedding_source is malformed: embedding_source must be an object"),
+    ("embedding_source", {"kind": "builtin", "bogus": 1},
+     "profile embedding_source is malformed: unknown embedding_source fields: ['bogus']"),
+    ("embedding_config", {"bogus": 1}, "profile embedding_config is malformed: unknown embedding fields: ['bogus']"),
+    ("embedding_config", {"dimension": 1}, "profile embedding_config is malformed: embedding dimension must be"),
+], ids=["string-count", "list", "float-count", "string-component", "source-string", "source-unknown-field",
+        "config-unknown-field", "config-bad-value"])
 def test_similarity_refuses_a_malformed_cached_profile(tmp_path, field, value, message):
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
@@ -406,7 +422,7 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
     run_full_pipeline(config)
     out = tmp_path / "out"
     before = (out / "transport.json").read_bytes()
-    files = sorted(p.relative_to(out) for p in out.rglob("*"))
+    tree = snapshot(out)
 
     def failing_replace(src, dst):
         raise OSError("disk full")
@@ -415,10 +431,8 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
     with pytest.raises(OSError, match="disk full"):
         run_cli(["transport", "--config", str(config), "--bias-corrected"])
     assert (out / "transport.json").read_bytes() == before
-    # no temporary file is left, and the failed run removed the stage's stamp
-    assert sorted(p.relative_to(out) for p in out.rglob("*")) == [
-        f for f in files if f.as_posix() != "cache/stage-transport.json"
-    ]
+    # no temporary file is left: the tree, the stage's stamp included, is as it was before the failed run
+    assert snapshot(out) == tree
 
 
 # holds flock on the path in argv[1] until its standard input closes
@@ -624,7 +638,7 @@ def test_a_malformed_stamp_is_a_miss(tmp_path, content):
     assert stamp.read_bytes() == good
 
 
-def test_a_failed_stage_leaves_no_stamp(tmp_path):
+def test_a_failed_stage_is_not_up_to_date_on_a_rerun(tmp_path):
     config = write_pipeline_tree(tmp_path)
     run_full_pipeline(config)
     src_text = (tmp_path / "corpora" / "src.txt").read_text(encoding="utf-8")
@@ -632,8 +646,26 @@ def test_a_failed_stage_leaves_no_stamp(tmp_path):
         (tmp_path / "corpora" / f"{name}.txt").write_text(src_text, encoding="utf-8")
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
     assert run_cli(["similarity", "--config", str(config)])[0] == 0
-    assert run_cli(["fit", "--config", str(config)])[0] == 3
-    assert not (tmp_path / "out" / "cache" / "stage-fit.json").exists()
+    for _ in range(2):  # the stamp the failed run left in place does not make the rerun a hit
+        code, stdout, err = run_cli(["fit", "--config", str(config)])
+        assert code == 3, err
+        assert "up to date" not in stdout
+
+
+def test_a_rerun_after_a_failed_run_removes_the_outputs_it_no_longer_writes(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    kl_files = {"fit-alpha-sys-kl.json", "fit-beta-sys-kl.json", "curve-alpha-sys-kl.csv", "curve-beta-sys-kl.csv"}
+    assert kl_files <= {p.name for p in out.iterdir()}
+    edit_config(config, set_key("fit", "predictors", value=["lexical", "cosine"]))
+    similarity = (out / "similarity.json").read_bytes()
+    (out / "similarity.json").write_text("[]", encoding="utf-8")
+    assert run_cli(["fit", "--config", str(config)])[0] == 2
+    (out / "similarity.json").write_bytes(similarity)
+    code, _, err = run_cli(["fit", "--config", str(config)])
+    assert code == 0, err
+    assert not kl_files & {p.name for p in out.iterdir()}
 
 
 def test_rerunning_without_stamps_gives_the_same_tree(tmp_path):
@@ -909,10 +941,16 @@ def test_predict_rejects_bad_model_files(tmp_path):
     assert "run the fit stage first" in err
 
     corrupt = tmp_path / "fit-corrupt.json"
-    corrupt.write_text('{"model": {"a": 1.0}}', encoding="utf-8")
-    code, _, err = run_cli(["predict", "--model", str(corrupt), "--x", "0.5"])
-    assert code == 2
-    assert "corrupt model file" in err
+    for content, message in [
+        ({"model": {"a": 1.0}}, "corrupt model file fit-corrupt.json: 'b'"),
+        ({"model": [1]}, "corrupt model file fit-corrupt.json: 'model' must be an object"),
+        ({"model": {"a": 1.0, "b": 0.5, "c": 0.0, "fit_log": "x"}},
+         "corrupt model file fit-corrupt.json: 'fit_log' must be an object"),
+    ]:
+        corrupt.write_text(json.dumps(content), encoding="utf-8")
+        code, _, err = run_cli(["predict", "--model", str(corrupt), "--x", "0.5"])
+        assert code == 2, content
+        assert message in err
 
 
 # ---------------------------------------------------------------- report

@@ -355,6 +355,32 @@ def test_parse_plaintext_counts_skipped_segments():
     assert corpus.provenance.skipped == 1
 
 
+# per format: the parser, an input with skipped units, their count, the skip warning,
+# an input with no usable unit and the empty-corpus reason
+LOOP_TEXTS = {
+    "conll": (parse_conll, "alpha\n-DOCSTART-\n!!!\n-DOCSTART-\nbeta\n", 1,
+              "1 document(s) skipped (no tokens after tokenization)", "!!!\n", "no tokens found"),
+    "jsonl": (parse_jsonl_pairs, '{"sentence1": "alpha"}\n{"other": "x"}\n{"sentence2": "!!!"}\n{"sentence2": "beta"}\n', 2,
+              "2 record(s) skipped (missing fields or no tokens)", '{"other": "x"}\n', "no usable records"),
+    "text": (parse_plaintext, "alpha\n!!!\nbeta\n", 1,
+             "1 segment(s) skipped (no tokens after tokenization)", "!!!\n", "no non-empty text"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LOOP_TEXTS))
+def test_parsers_count_and_report_skipped_units_and_refuse_an_empty_corpus(caplog, fmt):
+    parse, text, skipped, warning, empty_text, reason = LOOP_TEXTS[fmt]
+    with caplog.at_level("WARNING", logger="domainport.corpus"):
+        corpus = parse(text, source="in.txt")
+    assert [d.tokens for d in corpus.documents] == [("alpha",), ("beta",)]
+    assert corpus.provenance.skipped == skipped
+    assert corpus.provenance.format == fmt
+    assert [r.getMessage() for r in caplog.records] == [f"in.txt: {warning}"]
+    with pytest.raises(ParseError) as excinfo:
+        parse(empty_text, source="in.txt")
+    assert str(excinfo.value) == f"in.txt: empty corpus: {reason}"
+
+
 # ---------------------------------------------------------------- interchange
 
 
@@ -395,6 +421,17 @@ def test_interchange_missing_keys():
 def test_interchange_rejects_empty_documents():
     payload = {"domain_id": "x", "tokenizer_config": {}, "documents": []}
     with pytest.raises(ParseError, match="empty corpus"):
+        parse_interchange(payload)
+
+
+@pytest.mark.parametrize("tokenizer_config, message", [
+    ({"mystery": 1}, "unknown tokenizer fields: ['mystery']"),
+    ({"split_mode": "bytes"}, "unknown split_mode 'bytes'"),
+    ("x", "tokenizer must be an object"),
+], ids=["unknown-key", "bad-split-mode", "not-an-object"])
+def test_interchange_rejects_a_bad_tokenizer_config(tokenizer_config, message):
+    payload = {"domain_id": "x", "tokenizer_config": tokenizer_config, "documents": [["ok"]]}
+    with pytest.raises(ParseError, match=f"invalid tokenizer_config: {re.escape(message)}"):
         parse_interchange(payload)
 
 

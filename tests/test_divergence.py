@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 
@@ -15,13 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 from domainport.corpus import parse_plaintext
 from domainport.divergence import (
-    CSV_COLUMNS,
     KLSettings,
     SimilarityRecord,
     cosine_distance,
     kl_divergence,
     lexical_difference,
-    records_to_csv,
     similarity_table,
 )
 from domainport.errors import ComputationError, ConfigError
@@ -323,16 +319,10 @@ def test_similarity_record_range_validation():
                          kl_divergence=-0.1, config_hash="h")
 
 
-def test_records_serialize_to_csv_and_json():
+def test_records_serialize_to_json():
     source = profile_from_text("alpha beta gamma\n", "src")
     targets = [profile_from_text("alpha delta\n", "t1"), profile_from_text("epsilon\n", "t2")]
     records = similarity_table(source, targets)
-
-    rows = list(csv.reader(io.StringIO(records_to_csv(records))))
-    assert tuple(rows[0]) == CSV_COLUMNS
-    assert len(rows) == 3
-    # repr round-trips floats exactly
-    assert float(rows[1][3]) == records[0].cosine_distance
 
     payload = json.loads(dump_json([r.to_dict() for r in records]))
     assert [r["target_id"] for r in payload] == ["t1", "t2"]
