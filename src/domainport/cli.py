@@ -22,6 +22,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -36,7 +37,6 @@ from .features import (
     EmbeddingConfig,
     build_profile,
     build_profile_external,
-    external_embedding_hash,
     load_external_embeddings,
     profile_from_dict,
     profile_to_dict,
@@ -386,11 +386,12 @@ class _Hashes(dict):
 class _Run:
     """One run of a stamped stage: its inputs, its stamp and its outputs.
 
-    Each file the stage's row lists is read once, before the stamp check,
-    and parsed only on a miss. The stamp ``cache/stage-<stage>.json`` holds
-    a key (the stage, the tool version, the stage's hash, the flags,
-    ``allow_partial`` and the digest of every input) and the digest of each
-    output. Only :meth:`finish` replaces it, after removing the outputs it
+    Each file the stage's row lists (``fit-*.json``: every fit file in the
+    output directory) is read once, before the stamp check, which looks at
+    bytes alone: only the stage's work parses an input, on a miss. The
+    stamp ``cache/stage-<stage>.json`` holds a key (the stage, the tool
+    version, the stage's hash, the flags, ``allow_partial`` and the digest
+    of every input) and the digest of each output. Only :meth:`finish` replaces it, after removing the outputs it
     named that the rerun did not write: a failed rerun leaves it in place.
     An input artifact is stale unless its ``config_hash`` is the one the
     current config, with the flag overrides the artifact records, gives the
@@ -403,57 +404,52 @@ class _Run:
         self.path = self.out / "cache" / f"stage-{stage}.json"
         self.hashes = _Hashes(cfg)
         self.overrides = {block: dict(values) for block, values in flags.items()}  # grows by the inputs' overrides
-        self.inputs: dict[str, Any] = {}  # name -> bytes (the score table: text and label) until handed out
-        self._sources: dict[str, tuple[str, CorpusSpec | None]] = {}  # artifact -> its writer and, if a profile, corpus
+        self.inputs: dict[str, bytes] = {}  # name -> bytes, until handed out
+        self._specs: dict[str, CorpusSpec] = {}  # profile -> its corpus
         self._lineage: dict[str, Overrides] = {}  # writer -> the overrides its artifacts record
         self._digests: dict[str, str] = {}
         self._outputs: dict[str, str] = {}
-        self._previous: list[str] = []  # the outputs a missed stamp named
-        self.fit_files: list[tuple[str, str, str]] = []  # (predictor, system, fit file) that fit_summary.json names
-        for name, writer in STAGES[stage].reads.items():
+        names: list[str] = []  # the artifacts the stage reads
+        for name in STAGES[stage].reads:
             if name == "scores":
                 _require(cfg.scores.path is not None, "no score table configured (scores.path)")
                 path = cfg.resolve(cfg.scores.path)
-                raw = read_file(path, f"score table file not found: {path}")
-                self._digests[name] = content_digest(raw)
-                self.inputs[name] = read_text(raw, "score table", str(path))  # decoded now, so the bytes die here
+                self.inputs[name] = read_file(path, f"score table file not found: {path}")
+                self._digests[name] = content_digest(self.inputs[name])
             elif name == "cache/profile-*.json":
                 specs = {c.domain_id: c for c in cfg.corpora}
-                for d in dict.fromkeys(_similarity_domains(cfg)):
-                    self._read(_profile_name(d), writer, specs[d])
-            elif name == "fit-*.json":  # the files fit_summary.json names: it alone is parsed before the stamp check
-                self.inputs["fit_summary.json"] = self.artifact("fit_summary.json", {"status": "absent"})
-                self.fit_files = _fit_files(self.inputs["fit_summary.json"])
-                for _, _, fit_file in self.fit_files:
-                    self._read(fit_file, writer)
+                self._specs = {_profile_name(d): specs[d] for d in _similarity_domains(cfg)}
+                names += self._specs
+            elif name == "fit-*.json":
+                names += sorted(path.name for path in self.out.glob(name))
             else:
-                self._read(name, writer)
-        missing = [self._missing(name) for name in self._sources if name not in self._digests]
+                names.append(name)
+        for name in names:
+            if (self.out / name).is_file():
+                self.inputs[name] = (self.out / name).read_bytes()
+                self._digests[name] = content_digest(self.inputs[name])
+        missing = [self._missing(name) for name in names if name not in self.inputs]
         _require(not missing or allow_partial, "missing stage outputs: " + "; ".join(missing))
         self.key = stable_hash({"stage": stage, "tool_version": __version__, "config_hash": self.hashes[stage],
                                 "flags": flags, "allow_partial": allow_partial, "inputs": self._digests})
 
-    def _read(self, name: str, writer: str, spec: CorpusSpec | None = None) -> None:
-        self._sources[name] = (writer, spec)
-        if (self.out / name).is_file():
-            self.inputs[name] = (self.out / name).read_bytes()
-            self._digests[name] = content_digest(self.inputs[name])
+    def _writer(self, name: str) -> str:
+        """The stage that writes input ``name``: the one of the first row entry whose name or pattern matches."""
+        return next(writer for pattern, writer in STAGES[self.stage].reads.items() if fnmatchcase(name, pattern))
 
     def _missing(self, name: str) -> str:
-        return f"{name} (run the {self._sources[name][0]} stage first)"
+        return f"{name} (run the {self._writer(name)} stage first)"
 
     def artifact(self, name: str, absent: Any = None) -> Any:
         """Input artifact ``name`` parsed, without its stamp fields, or ``absent`` if it is missing.
 
-        A stale artifact is refused.
+        A missing artifact with no ``absent`` value, and a stale one, are refused.
         """
-        raw = self.inputs.pop(name, absent)
-        if raw is None:  # missing, and not optional: a fit file that fit_summary.json names
-            raise ConfigError("missing stage outputs: " + self._missing(name))
-        if not isinstance(raw, bytes):  # absent, or parsed already
-            return raw
-        payload = _parse_artifact(raw, self.out / name)
-        writer, spec = self._sources[name]
+        if name not in self.inputs:
+            _require(absent is not None, "missing stage outputs: " + self._missing(name))
+            return absent
+        payload = _parse_artifact(self.inputs.pop(name), self.out / name)
+        writer, spec = self._writer(name), self._specs.get(name)
         config_hash = payload.pop("config_hash", None)
         overrides = payload.pop("overrides", None) or {}
         payload.pop("tool_version", None)
@@ -476,22 +472,27 @@ class _Run:
         return self.hashes.under(self.overrides)[self.stage]
 
     def score_table(self) -> ScoreTable:
-        text, label = self.inputs.pop("scores")
+        path = self.cfg.resolve(self.cfg.scores.path)
+        # decoded first, so the bytes are freed before the parse
+        text, label = read_text(self.inputs.pop("scores"), "score table", str(path))
         return load_score_table(text, metric_name=self.cfg.scores.metric, source=label)
 
-    def up_to_date(self) -> bool:
-        """True, after saying so, when the stamp matches."""
+    @functools.cached_property
+    def _stamp(self) -> tuple[Any, dict[str, Any]]:
+        """The key and the outputs of the last success's stamp; (None, {}) if absent, unreadable or malformed."""
         try:
             stamp = json.loads(self.path.read_bytes())
-            outputs = stamp["outputs"]
-            self._previous = list(outputs) if isinstance(outputs, dict) else []
-            hit = stamp["key"] == self.key and all(
-                content_digest((self.out / name).read_bytes()) == digest for name, digest in outputs.items())
-        except (OSError, ValueError, LookupError, TypeError, AttributeError):  # absent, unreadable or malformed
-            hit = False
-        if hit:
-            click.echo(f"{self.stage}: up to date")
-        return hit
+            return stamp["key"], {**stamp["outputs"]}
+        except (OSError, ValueError, LookupError, TypeError):
+            return None, {}
+
+    def up_to_date(self) -> bool:
+        """True when the stamp holds the run's key and every output it names still has its digest."""
+        key, outputs = self._stamp
+        try:
+            return key == self.key and all(content_digest((self.out / n).read_bytes()) == d for n, d in outputs.items())
+        except (OSError, ValueError):  # an output gone, or a name no file can have
+            return False
 
     def write(self, name: str, text: str) -> None:
         """Write output ``name`` under the output directory and record its digest."""
@@ -507,7 +508,7 @@ class _Run:
         A stamp is outside input, so only names inside the output directory are removed.
         """
         out = self.out.resolve()
-        for name in set(self._previous) - set(self._outputs):
+        for name in set(self._stamp[1]) - set(self._outputs):
             path = (self.out / name).resolve()
             if path.is_relative_to(out) and path.is_file():
                 path.unlink()
@@ -521,7 +522,9 @@ def _stage(work: Callable[[RunConfig, _Run], None]) -> Callable[..., None]:
     @functools.wraps(work)
     def cmd(cfg: RunConfig, flags: Overrides, allow_partial: bool = False) -> None:
         run = _Run(stage, cfg, flags, allow_partial)
-        if not run.up_to_date():
+        if run.up_to_date():
+            click.echo(f"{stage}: up to date")
+        else:
             work(cfg, run)
             run.finish()
 
@@ -570,7 +573,7 @@ def _parse_corpus_spec(cfg: RunConfig, spec: CorpusSpec, raw: bytes) -> Corpus:
         return parse_jsonl_pairs(raw, cfg.tokenizer, fields=fields, domain_id=spec.domain_id, source=spec.path)
     if spec.format == "text":
         return parse_plaintext(raw, cfg.tokenizer, unit=spec.text_unit, domain_id=spec.domain_id, source=spec.path)
-    return parse_interchange(raw, source=spec.path)
+    return replace(parse_interchange(raw, source=spec.path), domain_id=spec.domain_id)  # the config names the domain
 
 
 def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
@@ -581,40 +584,36 @@ def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
     hashes = _Hashes(cfg)
 
     manifest_path = cache / "manifest.json"
-    domains: dict[str, Any] = {}
-    if manifest_path.is_file():
-        try:
-            manifest = json.loads(read_text(manifest_path, "manifest")[0])
-        except (ParseError, json.JSONDecodeError):
-            manifest = None  # unreadable: rebuilt, like one that is not an object
-        if isinstance(manifest, dict) and isinstance(manifest.get("domains"), dict):
-            domains = dict(manifest["domains"])
+    changed = not manifest_path.is_file()
+    try:
+        domains = _parse_artifact(manifest_path.read_bytes(), manifest_path).get("domains")
+    except (OSError, ParseError):  # absent or unreadable: rebuilt, like one whose domains are not an object
+        domains = None
+    domains = domains if isinstance(domains, dict) else {}
+    ids = [c.domain_id for c in cfg.corpora]
+    for gone in set(domains) - set(ids):  # a corpus no longer configured: its entry goes, and its profile
+        del domains[gone]
+        if _profile_name(gone) not in map(_profile_name, ids):  # unless a configured corpus now writes that file
+            (out / _profile_name(gone)).unlink(missing_ok=True)
+        changed = True
 
-    external = None
-    if cfg.external_embeddings:
-        external = load_external_embeddings(
-            cfg.resolve(cfg.external_embeddings), [c.domain_id for c in cfg.corpora]
-        )
+    external = load_external_embeddings(cfg.resolve(cfg.external_embeddings), ids) if cfg.external_embeddings else None
 
     failures: list[tuple[str, Exception]] = []
-    changed = not manifest_path.is_file()
     for spec in cfg.corpora:
         try:
-            path = cfg.resolve(spec.path)
-            if not path.is_file():
-                raise ConfigError(f"corpus file not found: {spec.path}")
-            raw = path.read_bytes()  # the one read of this file per run: hashed, and parsed on a miss
-            input_hash = content_digest(raw)
+            raw = read_file(cfg.resolve(spec.path), f"corpus file not found: {spec.path}")
+            input_hash = content_digest(raw)  # the one read of this file per run: hashed, and parsed on a miss
             config_hash = hashes.corpus(spec)
             profile_file = out / _profile_name(spec.domain_id)
             entry = domains.get(spec.domain_id)
-            emb_hash = external_embedding_hash(cfg.external_embeddings, external[spec.domain_id]) if external else None
+            vector_hash = content_digest(external[spec.domain_id].tobytes()) if external else None
             if (
                 isinstance(entry, dict)
                 and entry.get("input_hash") == input_hash
                 and entry.get("config_hash") == config_hash
                 and entry.get("overrides", {}) == flags
-                and (emb_hash is None or entry.get("embedding_hash") == emb_hash)
+                and entry.get("vector_hash") == vector_hash
                 and profile_file.is_file()
             ):
                 click.echo(f"cache hit: {spec.domain_id}")
@@ -633,6 +632,7 @@ def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
                 "input_hash": input_hash,
                 "tokenizer_hash": profile.tokenizer_hash,
                 "embedding_hash": profile.embedding_hash,
+                **({"vector_hash": vector_hash} if external else {}),
                 "profile_file": profile_file.name,
                 "path": spec.path,
                 "documents": len(corpus.documents),
@@ -791,13 +791,20 @@ def _is_number(value: Any) -> bool:
     return type(value) in (int, float)  # a bool is not a number here
 
 
-_KINDS = {"a number": _is_number, "an integer": lambda v: type(v) is int, "a string": lambda v: isinstance(v, str)}
+_KINDS = {
+    "a number": _is_number,
+    "an integer": lambda v: type(v) is int,
+    "a string": lambda v: isinstance(v, str),
+    "a number or null": lambda v: v is None or _is_number(v),
+    "an object of numbers": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+    "a dataset/split object": lambda v: isinstance(v, dict) and {type(v.get("dataset")), type(v.get("split"))} == {str},
+}
 
 
 def _check_fields(artifact: str, where: str, entry: dict[str, Any], **kinds: str) -> None:
-    """Refuse ``entry`` of ``artifact`` unless each field ``name`` is of its kind, one of :data:`_KINDS`."""
+    """Refuse ``entry`` of ``artifact`` unless it has each field ``name``, of its kind, one of :data:`_KINDS`."""
     for name, kind in kinds.items():
-        if not _KINDS[kind](entry.get(name)):
+        if name not in entry or not _KINDS[kind](entry[name]):
             raise ParseError(f"corrupt artifact {artifact}: {where}: {name!r} must be {kind}")
 
 
@@ -810,6 +817,17 @@ def _similarity_records(payload: dict[str, Any]) -> list[dict[str, Any]]:
         _check_fields("similarity.json", f"record {i}", rec, source_id="a string", target_id="a string",
                       **dict.fromkeys(CSV_COLUMNS[2:], "a number"))
     return records
+
+
+def _transport_reports(payload: dict[str, Any]) -> list[dict[str, Any]]:
+    """The reports of transport.json, each checked for the fields ``render_report_text`` reads."""
+    reports = payload["reports"]
+    if not (isinstance(reports, list) and reports and all(isinstance(rep, dict) for rep in reports)):
+        raise ParseError("corrupt artifact transport.json: 'reports' must be a non-empty list of objects")
+    for i, rep in enumerate(reports):
+        _check_fields("transport.json", f"report {i}", rep, system="a string", source="a dataset/split object",
+                      tau_p="a number", variation="a number or null", group_means="an object of numbers")
+    return reports
 
 
 def _fit_files(summary: dict[str, Any]) -> list[tuple[str, str, str]]:
@@ -834,15 +852,16 @@ def _fit_files(summary: dict[str, Any]) -> list[tuple[str, str, str]]:
 
 @_stage
 def cmd_report(cfg: RunConfig, run: _Run) -> None:
-    sections = {name: run.artifact(f"{name}.json", {"status": "absent"}) for name in ("similarity", "transport")}
     fits = run.artifact("fit_summary.json", {"status": "absent"})
+    fit_files = _fit_files(fits)
+    sections = {name: run.artifact(f"{name}.json", {"status": "absent"}) for name in ("similarity", "transport")}
     tables: dict[str, list[str]] = {}  # the lines of each report.txt section whose input is present
     if "records" in sections["similarity"]:
         tables["similarity"] = ["  ".join(CSV_COLUMNS)] + [
             "  ".join([rec["source_id"], rec["target_id"], *("%.6f" % rec[c] for c in CSV_COLUMNS[2:])])
             for rec in _similarity_records(sections["similarity"])]
     if "reports" in sections["transport"]:
-        tables["transport"] = render_report_text(sections["transport"]["reports"],
+        tables["transport"] = render_report_text(_transport_reports(sections["transport"]),
                                                  group_order=_group_order(cfg)).splitlines()
     if "fits" in fits:
         tables["fit"] = ["system  predictor  a  b  c  sse  mae  n"] + [
@@ -853,7 +872,7 @@ def cmd_report(cfg: RunConfig, run: _Run) -> None:
 
     # joined scatter data per predictor, for external plotting
     plots: dict[str, list[list[str]]] = {}
-    for predictor, system, name in run.fit_files:
+    for predictor, system, name in fit_files:
         points = run.artifact(name).get("points", [])
         pairs = isinstance(points, list) and all(isinstance(pt, list) and len(pt) == 2 for pt in points)
         if not (pairs and all(_is_number(v) for pt in points for v in pt)):

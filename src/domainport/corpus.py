@@ -70,8 +70,11 @@ class TokenizerConfig:
             raise ConfigError(
                 f"unknown split_mode {self.split_mode!r}; expected one of {SPLIT_MODES}"
             )
-        if not isinstance(self.ngram_order, int) or self.ngram_order < 1:
+        if not isinstance(self.ngram_order, int) or isinstance(self.ngram_order, bool) or self.ngram_order < 1:
             raise ConfigError("ngram_order must be an integer >= 1")
+        for name in ("lowercase", "strip_punctuation"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"tokenizer {name} must be true or false")
 
     to_dict = asdict
 

@@ -38,7 +38,8 @@ class KLSettings:
     method: str = "shift"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0 and math.isfinite(self.epsilon)):
+        number = isinstance(self.epsilon, (int, float)) and not isinstance(self.epsilon, bool)
+        if not (number and self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigError("epsilon must be a positive finite number")
         if self.direction not in KL_DIRECTIONS:
             raise ConfigError(f"unknown KL direction {self.direction!r}; expected one of {KL_DIRECTIONS}")

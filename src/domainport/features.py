@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import ComputationError, ConfigError, ParseError, read_text
-from .hashing import content_digest, fields_from_dict, fnv1a_64_many, slot_and_sign, stable_hash
+from .hashing import fields_from_dict, fnv1a_64_many, slot_and_sign, stable_hash
 
 WEIGHTINGS = ("tf", "tfidf")
 
@@ -48,6 +48,8 @@ class EmbeddingConfig:
             raise ConfigError("embedding dimension must be an integer >= 2")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("embedding seed must be an integer")
+        if not isinstance(self.per_document, bool):
+            raise ConfigError("embedding per_document must be true or false")
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(f"unknown weighting {self.weighting!r}; expected one of {WEIGHTINGS}")
         if self.per_document and self.weighting == "tfidf":
@@ -315,14 +317,8 @@ def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> Dom
         embedding=v,
         embedding_source=source,
         tokenizer_hash=corpus.tokenizer_config.config_hash(),
-        embedding_hash=external_embedding_hash(path, vector),
+        embedding_hash=stable_hash({"kind": "external", "path": path, "dimension": int(v.size)}),
     )
-
-
-def external_embedding_hash(path: str, vector: np.ndarray) -> str:
-    """The ``embedding_hash`` of a profile whose ``vector`` was read from file ``path``: its dimension and digest."""
-    v = np.asarray(vector, dtype=np.float64)
-    return stable_hash({"kind": "external", "path": path, "dimension": v.size, "vector": content_digest(v.tobytes())})
 
 
 def load_external_embeddings(
@@ -345,12 +341,13 @@ def load_external_embeddings(
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", source=label) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("external embeddings JSON must map domain ids to vectors", source=label)
         for domain, values in obj.items():
-            if not isinstance(values, list):
-                raise ParseError(f"vector for domain {domain!r} is not a list", source=label)
-            vectors[str(domain)] = [float(x) for x in values]
+            if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
+                raise ParseError(f"vector for domain {domain!r} is not a list of numbers", source=label)
+            try:
+                vectors[str(domain)] = [float(x) for x in values]
+            except OverflowError:  # an integer beyond float64's range
+                raise ParseError(f"non-finite component in vector for domain {domain!r}", source=label) from None
     else:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:

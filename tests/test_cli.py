@@ -166,6 +166,25 @@ def test_ingest_reads_each_corpus_format(tmp_path, fmt, text):
     assert "ingested: extra (2 documents, 5 tokens)" in out
     profile = profile_from_dict(read_json(tmp_path / "out" / "cache" / "profile-extra.json")["profile"])
     assert profile.term_freq == {"alpha": 1, "beta": 2, "gamma": 1, "delta": 1}
+    assert profile.domain_id == "extra"  # the config's id, not the one stored in an interchange file
+
+
+def fit_points(out):
+    """(system, predictor) -> the number of points of each fit that fit_summary.json lists."""
+    fits = read_json(out / "fit_summary.json")["fits"]
+    return {(system, predictor): entry["n"] for system, entries in fits.items() for predictor, entry in entries.items()}
+
+
+def test_an_interchange_corpus_joins_the_fits_under_its_configured_id(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    news = parse_plaintext((tmp_path / "corpora" / "news.txt").read_text(encoding="utf-8"), domain_id="someone-else")
+    (tmp_path / "corpora" / "news.json").write_text(dump_json(to_interchange(news)), encoding="utf-8")
+    edit_config(config, lambda raw: raw["corpora"][1].update({"path": "corpora/news.json", "format": "interchange"}))
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    assert [rec["target_id"] for rec in read_json(out / "similarity.json")["records"]] == [
+        "src", "news", "social", "science"]
+    assert fit_points(out) == {(s, p): 4 for s in ("alpha-sys", "beta-sys") for p in ("lexical", "cosine", "kl")}
 
 
 def test_config_rejects_unknown_corpus_formats(tmp_path):
@@ -248,6 +267,32 @@ def test_ingest_isolates_a_bad_corpus(tmp_path):
     assert (cache / "profile-science.json").is_file()
     manifest = read_json(cache / "manifest.json")
     assert set(manifest["domains"]) == {"src", "news", "social", "science"}
+
+
+def test_ingest_forgets_a_corpus_removed_from_the_config(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    cache = tmp_path / "out" / "cache"
+    edit_config(config, lambda raw: raw["corpora"].pop())  # science
+    code, out, err = run_cli(["ingest", "--config", str(config)])
+    assert (code, out.count("cache hit:")) == (0, 3), err
+    assert set(read_json(cache / "manifest.json")["domains"]) == {"src", "news", "social"}
+    assert not (cache / "profile-science.json").exists()
+    assert run_cli(["ingest", "--config", str(config)])[1].count("cache hit:") == 3
+
+
+def test_ingest_keeps_the_profile_of_a_configured_corpus_when_it_forgets_another(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, set_key("corpora", 3, "domain_id", value="sci-ence"))
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    cache = tmp_path / "out" / "cache"
+    manifest = read_json(cache / "manifest.json")
+    manifest["domains"]["sci ence"] = manifest["domains"]["sci-ence"]  # an earlier id with the same file name
+    (cache / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code, out, err = run_cli(["ingest", "--config", str(config)])
+    assert (code, out.count("cache hit:")) == (0, 4), err
+    assert set(read_json(cache / "manifest.json")["domains"]) == {"src", "news", "social", "sci-ence"}
+    assert (cache / "profile-sci-ence.json").is_file()
 
 
 def test_ingest_missing_corpus_file_is_a_config_error(tmp_path):
@@ -350,6 +395,13 @@ def break_points(fit):
     return fit
 
 
+def set_reports(reports):
+    def edit(transport):
+        transport["reports"] = reports
+        return transport
+    return edit
+
+
 @pytest.mark.parametrize("stage, name, edit, message", [
     ("fit", "similarity.json", lambda _: [], "similarity.json: expected a JSON object"),
     ("report", "similarity.json", lambda _: [], "similarity.json: expected a JSON object"),
@@ -373,10 +425,15 @@ def break_points(fit):
     ("report", "fit_summary.json", break_fit_field("sse", True), "fit_summary.json: fit alpha-sys/kl: 'sse' must be a number"),
     ("report", "fit_summary.json", break_fit_field("n", 2.5), "fit_summary.json: fit alpha-sys/kl: 'n' must be an integer"),
     ("report", "fit_summary.json", break_mean_mae, "fit_summary.json: 'mean_mae' must map predictors to numbers or null"),
+    ("report", "transport.json", set_reports([{"system": "x"}]),
+     "transport.json: report 0: 'source' must be a dataset/split object"),
+    ("report", "transport.json", set_reports(["x"]), "transport.json: 'reports' must be a non-empty list of objects"),
+    ("report", "transport.json", set_reports([]), "transport.json: 'reports' must be a non-empty list of objects"),
 ], ids=["fit-similarity-list", "report-similarity-list", "fit-record-string-x", "report-record-string-x",
         "fit-record-int-target", "report-record-int-target", "report-record-null-kl", "fit-records-object",
         "report-records-object", "report-fit-points-string", "report-fits-list", "report-fit-file-number",
-        "report-a-string", "report-mae-null", "report-sse-bool", "report-n-float", "report-mean-mae-string"])
+        "report-a-string", "report-mae-null", "report-sse-bool", "report-n-float", "report-mean-mae-string",
+        "report-reports-fields", "report-reports-string", "report-reports-empty"])
 def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, message):
     config = write_pipeline_tree(tmp_path)
     run_full_pipeline(config)
@@ -390,6 +447,22 @@ def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, messa
     assert f"corrupt artifact {message}" in err
     # refused before the first write: the last good report is left as it was
     assert {n: (out / n).read_bytes() for n in reports} == reports
+
+
+@pytest.mark.parametrize("stage, name, edit, message", [
+    ("fit", "similarity.json", lambda raw: b"{not json",
+     "corrupt artifact similarity.json: Expecting property name enclosed in double quotes"),
+    ("similarity", "cache/profile-news.json", lambda raw: json.dumps({**json.loads(raw), "profile": []}).encode(),
+     "corrupt profile artifact for domain 'news'"),
+], ids=["artifact-not-json", "profile-not-an-object"])
+def test_an_artifact_that_cannot_be_read_is_a_data_error(tmp_path, stage, name, edit, message):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    path = tmp_path / "out" / name
+    path.write_bytes(edit(path.read_bytes()))
+    code, _, err = run_cli([stage, "--config", str(config)])
+    assert code == 2
+    assert f"data error: {message}" in err
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -788,7 +861,7 @@ def test_a_stamp_naming_a_file_outside_the_output_directory_removes_nothing(tmp_
     assert set(read_json(stamp_path)["outputs"]) == set(stamp["outputs"]) - {"../x", str(outside)}
 
 
-@pytest.mark.parametrize("stage", ["similarity", "transport", "fit"])
+@pytest.mark.parametrize("stage", ["similarity", "transport", "fit", "report"])
 def test_a_hit_parses_no_input(tmp_path, monkeypatch, stage):
     config = write_pipeline_tree(tmp_path)
     run_full_pipeline(config)
@@ -888,6 +961,20 @@ def test_similarity_refuses_profiles_from_two_ingest_runs_with_other_flags(tmp_p
     assert "config error: stale: rerun ingest (cache/profile-news.json has other settings)" in err
 
 
+def test_the_pipeline_runs_with_external_vectors(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    ids = ("src", "news", "social", "science")
+    (tmp_path / "vectors.json").write_text(json.dumps({d: [1.0, float(i), 2.0] for i, d in enumerate(ids)}),
+                                           encoding="utf-8")
+    edit_config(config, set_key("external_embeddings", value="vectors.json"))
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    profiles = [read_json(out / "cache" / f"profile-{d}.json")["profile"] for d in ids]
+    assert len({p["embedding_hash"] for p in profiles}) == 1  # comparable: one file, one dimension
+    assert [rec["target_id"] for rec in read_json(out / "similarity.json")["records"]] == list(ids)
+    assert fit_points(out) == {(s, p): 4 for s in ("alpha-sys", "beta-sys") for p in ("lexical", "cosine", "kl")}
+
+
 def test_ingest_reingests_the_corpora_whose_external_vectors_change(tmp_path):
     config = write_pipeline_tree(tmp_path)
     vectors = tmp_path / "vectors.json"
@@ -956,6 +1043,19 @@ def test_predict_rejects_bad_model_files(tmp_path):
 # ---------------------------------------------------------------- report
 
 
+@pytest.mark.parametrize("flags", [[], ["--allow-partial"]], ids=["strict", "partial"])
+def test_report_refuses_a_missing_fit_file_that_the_summary_names(tmp_path, flags):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    report = (out / "report.json").read_bytes()
+    (out / "fit-beta-sys-kl.json").unlink()
+    code, stdout, err = run_cli(["report", "--config", str(config), *flags])
+    assert (code, stdout) == (1, "")
+    assert err == "config error: missing stage outputs: fit-beta-sys-kl.json (run the fit stage first)\n"
+    assert (out / "report.json").read_bytes() == report
+
+
 def test_report_requires_stages_unless_partial(tmp_path):
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
@@ -971,21 +1071,6 @@ def test_report_requires_stages_unless_partial(tmp_path):
     assert report["transport"] == {"status": "absent"}
     assert report["fits"] == {"status": "absent"}
     assert "absent" in (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
-
-
-def test_a_report_hit_parses_only_the_fit_summary(tmp_path, monkeypatch):
-    config = write_pipeline_tree(tmp_path)
-    run_full_pipeline(config)
-    parsed = []
-    parse = cli._parse_artifact
-
-    def recording_parse(raw, path):
-        parsed.append(path.name)
-        return parse(raw, path)
-
-    monkeypatch.setattr(cli, "_parse_artifact", recording_parse)
-    assert run_cli(["report", "--config", str(config)]) == (0, "report: up to date\n", "")
-    assert parsed == ["fit_summary.json"]
 
 
 def test_report_renders_the_transport_table_from_transport_json(tmp_path):
@@ -1097,10 +1182,16 @@ def test_config_rejects_bad_json(tmp_path):
     (set_key("transport", "bias_corrected", value="no"), "transport.bias_corrected must be true or false"),
     (set_key("out_dir", value=None), "out_dir must be a path"),
     (set_key("transport", "task", value=5), "transport.task must be a string"),
+    (set_key("tokenizer", value={"lowercase": "no"}), "tokenizer lowercase must be true or false"),
+    (set_key("tokenizer", value={"strip_punctuation": 0}), "tokenizer strip_punctuation must be true or false"),
+    (set_key("tokenizer", value={"ngram_order": True}), "ngram_order must be an integer >= 1"),
+    (set_key("embedding", "per_document", value="no"), "embedding per_document must be true or false"),
+    (set_key("kl", value={"epsilon": True}), "epsilon must be a positive finite number"),
 ], ids=["scores-key", "similarity-key", "fit-key", "target-key", "source-key", "fit-list", "scores-null",
         "corpora-number", "targets-number", "tokenizer-list", "kl-epsilon-string", "duplicate-predictor",
         "duplicate-system", "corpus-key", "transport-task-missing", "scores-path-number", "external-number",
-        "seed-string", "bias-corrected-string", "out-dir-null", "task-number"])
+        "seed-string", "bias-corrected-string", "out-dir-null", "task-number", "lowercase-string",
+        "strip-punctuation-number", "ngram-order-bool", "per-document-string", "kl-epsilon-bool"])
 def test_config_rejects_a_malformed_block(tmp_path, edit, message):
     config = write_pipeline_tree(tmp_path)
     edit_config(config, edit)

@@ -435,6 +435,16 @@ def test_interchange_rejects_a_bad_tokenizer_config(tokenizer_config, message):
         parse_interchange(payload)
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"domain_id": "x"', "invalid JSON: "),
+    (b'[["ok"]]', "interchange payload must be a JSON object"),
+    (b'{"domain_id": "x", "tokenizer_config": {}, "documents": "ok"}', "documents must be a list of token lists"),
+], ids=["invalid-json", "not-an-object", "documents-string"])
+def test_interchange_rejects_a_malformed_payload(content, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_interchange(content, source="c.json")
+
+
 def test_interchange_rejects_bad_token_lists():
     payload = {"domain_id": "x", "tokenizer_config": {}, "documents": [["ok", ""]]}
     with pytest.raises(ParseError, match="document 0"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -439,6 +440,22 @@ def test_external_embeddings_error_cases():
     # a str is content, never a file name
     with pytest.raises(ParseError, match="define no domains"):
         load_external_embeddings("no/such/file.json")
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"d1": [1, 0', "invalid JSON: "),
+    (b'{"d1": 5}', "vector for domain 'd1' is not a list of numbers"),
+    (b'{"d1": [1, "x"]}', "vector for domain 'd1' is not a list of numbers"),
+    (b'{"d1": [1, null]}', "vector for domain 'd1' is not a list of numbers"),
+    (b'{"d1": [1, 1' + b"0" * 400 + b"]}", "non-finite component in vector for domain 'd1'"),
+    (b"\n  \n", "external embeddings file is empty"),
+    (b"domain_id,v0\nd1\n", "line 2: expected domain_id followed by vector components"),
+    (b"domain_id,v0,v1\nd1,1,0\nd2,1,x\n", "line 3: non-numeric vector component"),
+], ids=["invalid-json", "vector-number", "component-string", "component-null", "component-overflow", "empty-csv",
+        "short-row", "non-numeric-cell"])
+def test_external_embeddings_refuse_malformed_content(content, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_external_embeddings(content)
 
 
 def test_external_embeddings_from_file(tmp_path):
