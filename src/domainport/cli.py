@@ -289,7 +289,8 @@ def _write_text(path: Path, text: str) -> bytes:
 
     The bytes go to a temporary file in the same directory that then
     replaces ``path``, so a failed write leaves the old file intact and no
-    temporary file behind.
+    temporary file behind. An OS error that names no file (a full disk)
+    is given ``path``, so its message says which write failed.
     """
     data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -298,8 +299,10 @@ def _write_text(path: Path, text: str) -> bytes:
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.strerror is not None and exc.filename is None:
+            exc.filename = str(path)
         raise
     return data
 
@@ -1021,6 +1024,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ComputationError as exc:
         click.echo(f"computation error: {exc}", err=True)
         return 3
+    except OSError as exc:  # a full disk, an unwritable path, a file where a directory belongs
+        click.echo(f"io error: {exc}", err=True)
+        return 4
 
 
 def entry() -> None:

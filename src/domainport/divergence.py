@@ -12,11 +12,12 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
 from .errors import ComputationError, ConfigError
 from .features import DomainProfile, HashedTable, embed_builtin
 from .hashing import fields_from_dict, stable_hash
+from .lazy import lazy_import
+
+np = lazy_import("numpy")
 
 KL_METHODS = ("shift", "softmax")
 KL_DIRECTIONS = ("forward", "reverse")

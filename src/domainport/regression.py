@@ -13,9 +13,10 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
 from .errors import ComputationError
+from .lazy import lazy_import
+
+np = lazy_import("numpy")
 
 GRID_B_MIN = 1e-3
 GRID_B_MAX = 1e2

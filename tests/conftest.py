@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -179,3 +180,9 @@ def run_full_pipeline(config_path: Path, out_dir: str | None = None) -> None:
     for stage in ("ingest", "similarity", "transport", "fit", "report"):
         code, out, err = run_cli([stage, "--config", str(config_path), *extra])
         assert code == 0, f"{stage} failed ({code}): {out} {err}"
+
+
+def tree_digests(out: Path) -> dict[str, str]:
+    """SHA-256 of every file under ``out``, keyed by its POSIX path relative to ``out``."""
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli, run_full_pipeline, write_pipeline_tree
+from conftest import run_cli, run_full_pipeline, tree_digests, write_pipeline_tree
 from domainport import cli
 from domainport.corpus import TokenizerConfig, parse_plaintext, to_interchange
 from domainport.divergence import CSV_COLUMNS, KLSettings
@@ -25,6 +26,7 @@ from domainport.errors import ConfigError, ParseError, read_text
 from domainport.features import EmbeddingConfig, profile_from_dict
 from domainport.hashing import content_digest, dump_json, stable_hash
 from domainport.regression import FitModel, predict
+from test_output_tree import GOLDEN
 
 
 def read_json(path):
@@ -501,11 +503,47 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, monk
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="disk full"):
-        run_cli(["transport", "--config", str(config), "--bias-corrected"])
+    code, _, err = run_cli(["transport", "--config", str(config), "--bias-corrected"])
+    assert code == 4
+    assert "io error: disk full" in err
     assert (out / "transport.json").read_bytes() == before
     # no temporary file is left: the tree, the stage's stamp included, is as it was before the failed run
     assert snapshot(out) == tree
+
+
+def test_an_out_dir_that_is_a_file_is_an_io_error(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    (tmp_path / "out").write_text("not a directory", encoding="utf-8")
+    code, _, err = run_cli(["ingest", "--config", str(config)])
+    assert code == 4
+    assert err.startswith("io error: ") and str(tmp_path / "out") in err
+    assert (tmp_path / "out").read_text(encoding="utf-8") == "not a directory"
+
+
+def test_a_full_disk_mid_run_is_an_io_error_that_a_clean_rerun_recovers_from(tmp_path, monkeypatch):
+    config = write_pipeline_tree(tmp_path)
+    out = tmp_path / "out"
+    for stage in ("ingest", "similarity", "transport"):
+        assert run_cli([stage, "--config", str(config)])[0] == 0
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if Path(file).name.startswith(".fit_summary.json."):
+            def write(data):  # half the bytes land, then the disk is full
+                fh.raw.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    code, _, err = run_cli(["fit", "--config", str(config)])
+    assert code == 4
+    assert f"io error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out / 'fit_summary.json'}'" in err
+    assert not (out / "fit_summary.json").exists()
+    assert [p.name for p in out.rglob("*") if p.name.endswith(".tmp")] == []
+    monkeypatch.undo()
+    run_full_pipeline(config)
+    assert tree_digests(out) == GOLDEN
 
 
 # holds flock on the path in argv[1] until its standard input closes

@@ -78,6 +78,15 @@ def test_batched_hash_matches_the_scalar_loop_on_any_batch(items, seed):
     assert fnv1a_64_many(items, seed=seed).tolist() == [fnv1a_64(item, seed=seed) for item in items]
 
 
+@given(st.lists(st.binary(max_size=300), max_size=16), st.sampled_from(SEEDS))
+@example([b"\xff" * 8], 2**64 - 1)
+def test_a_small_batch_takes_the_scalar_loop_and_returns_the_same_array(items, seed):
+    # at most 16 items: no array pass at all, the same uint64 array as a large batch gives
+    hashes = fnv1a_64_many(items, seed=seed)
+    assert hashes.dtype == np.uint64 and hashes.shape == (len(items),)
+    assert hashes.tolist() == [fnv1a_64(item, seed=seed) for item in items]
+
+
 def test_seed_changes_the_hash_family():
     assert fnv1a_64(b"alpha", seed=1) != fnv1a_64(b"alpha", seed=0)
     assert fnv1a_64(b"alpha", seed=42) != fnv1a_64(b"alpha", seed=7)

@@ -16,10 +16,8 @@ profile keys outside ASCII.
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
-from conftest import run_full_pipeline, write_mixed_text_tree, write_pipeline_tree
+from conftest import run_full_pipeline, tree_digests, write_mixed_text_tree, write_pipeline_tree
 
 GOLDEN = {
     "cache/manifest.json": "e575c4b7a40b64e6be74676589db978fd29c0cd3c24d7b4b49c4d6b566d1ea9f",
@@ -94,10 +92,6 @@ GOLDEN_MIXED = {
                          ids=["lowercase-ascii", "mixed-text"])
 def test_output_tree_matches_the_golden_digests(tmp_path, write_tree, golden):
     run_full_pipeline(write_tree(tmp_path))
-    out = tmp_path / "out"
-    got = {
-        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.rglob("*")) if p.is_file()
-    }
+    got = tree_digests(tmp_path / "out")
     assert sorted(got) == sorted(golden)
     assert {name: digest for name, digest in got.items() if digest != golden[name]} == {}
