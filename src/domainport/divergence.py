@@ -15,9 +15,7 @@ from typing import Any, Sequence
 from .errors import ComputationError, ConfigError
 from .features import DomainProfile, HashedTable, embed_builtin
 from .hashing import fields_from_dict, stable_hash
-from .lazy import lazy_import
-
-np = lazy_import("numpy")
+from .lazy import np
 
 KL_METHODS = ("shift", "softmax")
 KL_DIRECTIONS = ("forward", "reverse")

@@ -25,9 +25,7 @@ from typing import IO, Any, Collection, Iterable, Mapping, Sequence
 from .corpus import Corpus
 from .errors import ComputationError, ConfigError, ParseError, read_text
 from .hashing import fields_from_dict, fnv1a_64_many, slot_and_sign, stable_hash
-from .lazy import lazy_import
-
-np = lazy_import("numpy")
+from .lazy import np
 
 WEIGHTINGS = ("tf", "tfidf")
 

@@ -43,9 +43,7 @@ from dataclasses import MISSING, fields
 from typing import Any, Callable, Sequence, TypeVar
 
 from .errors import ConfigError
-from .lazy import lazy_import
-
-np = lazy_import("numpy")
+from .lazy import np
 
 T = TypeVar("T")
 
@@ -81,16 +79,13 @@ def fnv1a_64_many(items: Sequence[bytes], seed: int = 0) -> np.ndarray:
     xor-multiply over the prefix (uint64 products wrap mod 2**64, as the
     scalar loop masks them). Once at most ``_SCALAR_TAIL`` items remain,
     each finishes with the scalar loop, resumed from its partial hash; a
-    single very long item therefore costs no more than ``fnv1a_64``. A
-    batch of at most ``_SCALAR_TAIL`` items takes the scalar loop alone.
+    single very long item therefore costs no more than ``fnv1a_64``.
     """
     n = len(items)
-    if n <= _SCALAR_TAIL:
-        return np.array([fnv1a_64(item, seed=seed) for item in items], dtype=np.uint64)
     lengths = np.fromiter(map(len, items), dtype=np.int64, count=n)
     order = np.argsort(-lengths, kind="stable")
     h = np.full(n, FNV_OFFSET_BASIS ^ (seed & _MASK64), dtype=np.uint64)
-    columns = int(lengths[order[_SCALAR_TAIL]])
+    columns = int(lengths[order[_SCALAR_TAIL]]) if n > _SCALAR_TAIL else 0
     if columns:
         data = np.frombuffer(b"".join(items), dtype=np.uint8)
         at = (np.cumsum(lengths) - lengths)[order]  # offset of each item's next byte

@@ -1,11 +1,11 @@
-"""Import a module on first attribute access.
+"""numpy, imported on first attribute access.
 
-``hashing``, ``features``, ``divergence`` and ``regression`` bind
-``np = lazy_import("numpy")``, so numpy's own import runs only in a
-process that computes with an array: a stage that parses config, checks
-stamps, reads the score table or writes JSON never pays for it. numpy
-stays a hard dependency; an absent module fails at import time, as an
-``import`` statement does.
+``hashing``, ``features``, ``divergence`` and ``regression`` do
+``from .lazy import np``, so numpy's own import runs only in a process
+that computes with an array: a stage that parses config, checks stamps,
+reads the score table or writes JSON never pays for it. numpy stays a
+hard dependency; an absent numpy fails at import time, as an ``import``
+statement does.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ import sys
 from types import ModuleType
 
 
-def lazy_import(name: str) -> ModuleType:
+def _lazy_module(name: str) -> ModuleType:
     """Module ``name``, executed on its first attribute access.
 
-    A module already in ``sys.modules`` (imported, or made lazy by an
-    earlier call) is returned as it is. A module that cannot be found
-    raises ``ModuleNotFoundError`` now.
+    A module already in ``sys.modules`` is returned as it is. A module
+    that cannot be found raises ``ModuleNotFoundError`` now.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -33,3 +32,6 @@ def lazy_import(name: str) -> ModuleType:
     sys.modules[name] = module
     loader.exec_module(module)
     return module
+
+
+np = _lazy_module("numpy")

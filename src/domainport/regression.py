@@ -14,9 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .errors import ComputationError
-from .lazy import lazy_import
-
-np = lazy_import("numpy")
+from .lazy import np
 
 GRID_B_MIN = 1e-3
 GRID_B_MAX = 1e2

@@ -20,7 +20,7 @@ from test_output_tree import GOLDEN
 
 import domainport
 from domainport import cli
-from domainport.lazy import lazy_import
+from domainport import lazy
 
 SRC = Path(domainport.__file__).resolve().parent.parent
 
@@ -89,12 +89,12 @@ def test_a_cold_pass_loads_numpy_and_writes_the_golden_tree(tmp_path):
     assert tree_digests(tmp_path / "out") == GOLDEN
 
 
-def test_lazy_import_returns_a_module_already_imported():
-    assert lazy_import("numpy") is sys.modules["numpy"]
-    assert lazy_import("numpy").float64 is numpy.float64
+def test_the_lazy_numpy_is_the_imported_module():
+    assert lazy.np is sys.modules["numpy"]
+    assert lazy.np.float64 is numpy.float64
 
 
-def test_lazy_import_of_a_missing_module_fails_at_import_time():
+def test_a_missing_module_fails_at_import_time():
     with pytest.raises(ModuleNotFoundError, match="domainport_no_such_module"):
-        lazy_import("domainport_no_such_module")
+        lazy._lazy_module("domainport_no_such_module")
     assert "domainport_no_such_module" not in sys.modules
