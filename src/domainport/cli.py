@@ -394,8 +394,10 @@ class _Run:
     bytes alone: only the stage's work parses an input, on a miss. The
     stamp ``cache/stage-<stage>.json`` holds a key (the stage, the tool
     version, the stage's hash, the flags, ``allow_partial`` and the digest
-    of every input) and the digest of each output. Only :meth:`finish` replaces it, after removing the outputs it
-    named that the rerun did not write: a failed rerun leaves it in place.
+    of every input) and the digest of each output; ``ingest``'s also holds
+    each profile's source key, what it was built from (see :meth:`reuse`).
+    Only :meth:`finish` replaces the stamp, after removing the outputs it
+    named that the rerun did not keep: a failed rerun leaves it in place.
     An input artifact is stale unless its ``config_hash`` is the one the
     current config, with the flag overrides the artifact records, gives the
     stage that wrote it. The outputs record those overrides and the run's
@@ -412,6 +414,7 @@ class _Run:
         self._lineage: dict[str, Overrides] = {}  # writer -> the overrides its artifacts record
         self._digests: dict[str, str] = {}
         self._outputs: dict[str, str] = {}
+        self._sources: dict[str, str] = {}  # output -> its source key, for outputs kept or rebuilt one by one
         names: list[str] = []  # the artifacts the stage reads
         for name in STAGES[stage].reads:
             if name == "scores":
@@ -481,32 +484,42 @@ class _Run:
         return load_score_table(text, metric_name=self.cfg.scores.metric, source=label)
 
     @functools.cached_property
-    def _stamp(self) -> tuple[Any, dict[str, Any]]:
-        """The key and the outputs of the last success's stamp; (None, {}) if absent, unreadable or malformed."""
+    def _stamp(self) -> tuple[Any, dict[str, Any], dict[str, Any]]:
+        """The key, outputs and sources of the last success's stamp; (None, {}, {}) if unreadable or malformed."""
         try:
             stamp = json.loads(self.path.read_bytes())
-            return stamp["key"], {**stamp["outputs"]}
+            return stamp["key"], {**stamp["outputs"]}, {**stamp.get("sources", {})}
         except (OSError, ValueError, LookupError, TypeError):
-            return None, {}
+            return None, {}, {}
 
     def up_to_date(self) -> bool:
         """True when the stamp holds the run's key and every output it names still has its digest."""
-        key, outputs = self._stamp
+        key, outputs, _ = self._stamp
         try:
             return key == self.key and all(content_digest((self.out / n).read_bytes()) == d for n, d in outputs.items())
         except (OSError, ValueError):  # an output gone, or a name no file can have
             return False
 
-    def write(self, name: str, text: str) -> None:
-        """Write output ``name`` under the output directory and record its digest."""
+    def reuse(self, name: str, source: str) -> bool:
+        """Keep output ``name``, unread, if the stamp has the run's key and ``source`` for it and the file exists."""
+        key, outputs, sources = self._stamp
+        if key != self.key or sources.get(name) != source or name not in outputs or not (self.out / name).is_file():
+            return False
+        self._outputs[name], self._sources[name] = outputs[name], source
+        return True
+
+    def write(self, name: str, text: str, source: str | None = None) -> None:
+        """Write output ``name`` under the output directory and record its digest, and its source key if given."""
         self._outputs[name] = content_digest(_write_text(self.out / name, text))
+        if source is not None:
+            self._sources[name] = source
 
     def write_json(self, name: str, **payload: Any) -> None:
         """Write JSON artifact ``name`` with the run's hash and overrides."""
         self.write(name, _artifact_text(self.hash, self.overrides, **payload))
 
     def finish(self) -> None:
-        """Remove the earlier outputs not written again, then write the stamp: the key and each output's digest.
+        """Remove the earlier outputs not kept, then write the stamp if it changed.
 
         A stamp is outside input, so only names inside the output directory are removed.
         """
@@ -515,11 +528,13 @@ class _Run:
             path = (self.out / name).resolve()
             if path.is_relative_to(out) and path.is_file():
                 path.unlink()
-        _write_text(self.path, dump_json({"key": self.key, "outputs": self._outputs}))
+        if self._stamp != (self.key, self._outputs, self._sources):
+            sources = {"sources": self._sources} if self._sources else {}
+            _write_text(self.path, dump_json({"key": self.key, "outputs": self._outputs, **sources}))
 
 
 def _stage(work: Callable[[RunConfig, _Run], None]) -> Callable[..., None]:
-    """``cmd_<stage>``, the one driver of a stamped stage: ``work`` runs only on a stamp miss."""
+    """``cmd_<stage>`` of a stage that reruns whole: ``work`` runs only on a stamp miss (``ingest`` runs per corpus)."""
     stage = work.__name__.removeprefix("cmd_")
 
     @functools.wraps(work)
@@ -581,44 +596,19 @@ def _parse_corpus_spec(cfg: RunConfig, spec: CorpusSpec, raw: bytes) -> Corpus:
 
 def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
     _require(len(cfg.corpora) > 0, "no corpora configured; nothing to ingest")
-    out = cfg.out_path
-    cache = out / "cache"
-    cache.mkdir(parents=True, exist_ok=True)
-    hashes = _Hashes(cfg)
-
-    manifest_path = cache / "manifest.json"
-    changed = not manifest_path.is_file()
-    try:
-        domains = _parse_artifact(manifest_path.read_bytes(), manifest_path).get("domains")
-    except (OSError, ParseError):  # absent or unreadable: rebuilt, like one whose domains are not an object
-        domains = None
-    domains = domains if isinstance(domains, dict) else {}
+    run = _Run("ingest", cfg, flags, allow_partial=False)
     ids = [c.domain_id for c in cfg.corpora]
-    for gone in set(domains) - set(ids):  # a corpus no longer configured: its entry goes, and its profile
-        del domains[gone]
-        if _profile_name(gone) not in map(_profile_name, ids):  # unless a configured corpus now writes that file
-            (out / _profile_name(gone)).unlink(missing_ok=True)
-        changed = True
-
     external = load_external_embeddings(cfg.resolve(cfg.external_embeddings), ids) if cfg.external_embeddings else None
 
     failures: list[tuple[str, Exception]] = []
     for spec in cfg.corpora:
         try:
             raw = read_file(cfg.resolve(spec.path), f"corpus file not found: {spec.path}")
-            input_hash = content_digest(raw)  # the one read of this file per run: hashed, and parsed on a miss
-            config_hash = hashes.corpus(spec)
-            profile_file = out / _profile_name(spec.domain_id)
-            entry = domains.get(spec.domain_id)
-            vector_hash = content_digest(external[spec.domain_id].tobytes()) if external else None
-            if (
-                isinstance(entry, dict)
-                and entry.get("input_hash") == input_hash
-                and entry.get("config_hash") == config_hash
-                and entry.get("overrides", {}) == flags
-                and entry.get("vector_hash") == vector_hash
-                and profile_file.is_file()
-            ):
+            name, config_hash = _profile_name(spec.domain_id), run.hashes.corpus(spec)
+            source = stable_hash({"domain_id": spec.domain_id, "config_hash": config_hash,
+                                  "input": content_digest(raw),  # the one read of this file: hashed, parsed on a miss
+                                  "vector": content_digest(external[spec.domain_id].tobytes()) if external else None})
+            if run.reuse(name, source):
                 click.echo(f"cache hit: {spec.domain_id}")
                 continue
             corpus = _parse_corpus_spec(cfg, spec, raw)
@@ -627,34 +617,16 @@ def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
                 profile = build_profile_external(corpus, external[spec.domain_id], cfg.external_embeddings)
             else:
                 profile = build_profile(corpus, cfg.embedding)
-            _write_text(profile_file, _artifact_text(config_hash, flags, profile=profile_to_dict(profile)))
-            tokens = corpus.token_count
-            domains[spec.domain_id] = {
-                "config_hash": config_hash,
-                **({"overrides": flags} if flags else {}),
-                "input_hash": input_hash,
-                "tokenizer_hash": profile.tokenizer_hash,
-                "embedding_hash": profile.embedding_hash,
-                **({"vector_hash": vector_hash} if external else {}),
-                "profile_file": profile_file.name,
-                "path": spec.path,
-                "documents": len(corpus.documents),
-                "tokens": tokens,
-                "skipped": corpus.provenance.skipped,
-            }
-            changed = True
-            click.echo(f"ingested: {spec.domain_id} ({len(corpus.documents)} documents, {tokens} tokens)")
+            run.write(name, _artifact_text(config_hash, flags, profile=profile_to_dict(profile)), source)
+            click.echo(f"ingested: {spec.domain_id} ({len(corpus.documents)} documents, {corpus.token_count} tokens)")
         except (ConfigError, ParseError, ComputationError) as exc:
             failures.append((spec.domain_id, exc))
             click.echo(f"failed: {spec.domain_id}: {exc}", err=True)
 
-    if changed:
-        _write_text(manifest_path, _artifact_text(hashes["ingest"], flags, domains=domains))
+    run.finish()  # also after a failure: the profiles of failed and removed corpora go
     if failures:
-        ids = ", ".join(d for d, _ in failures)
-        if all(isinstance(e, ConfigError) for _, e in failures):
-            raise ConfigError(f"ingest failed for: {ids}")
-        raise ParseError(f"ingest failed for: {ids}")
+        error = ConfigError if all(isinstance(e, ConfigError) for _, e in failures) else ParseError
+        raise error("ingest failed for: " + ", ".join(d for d, _ in failures))
 
 
 def _similarity_domains(cfg: RunConfig) -> list[str]:
@@ -1031,3 +1003,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

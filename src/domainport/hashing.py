@@ -2,9 +2,10 @@
 
 Feature slots and config hashes go through the 64-bit FNV-1a function
 defined here, so results are reproducible across platforms and process
-restarts. Content keys (the ingest cache's ``input_hash``) use
-``content_digest``, a 64-bit BLAKE2b digest from the standard library
-that hashes whole input files at C speed.
+restarts. Content keys (the digests of stage inputs and outputs, and of
+each corpus file in its profile's source key) use ``content_digest``, a
+64-bit BLAKE2b digest from the standard library that hashes whole input
+files at C speed.
 
 ``fnv1a_64`` hashes one byte string; ``fnv1a_64_many`` hashes a batch
 with uint64 array arithmetic and returns the same values bit for bit.

@@ -24,7 +24,7 @@ from domainport.corpus import TokenizerConfig, parse_plaintext, to_interchange
 from domainport.divergence import CSV_COLUMNS, KLSettings
 from domainport.errors import ConfigError, ParseError, read_text
 from domainport.features import EmbeddingConfig, profile_from_dict
-from domainport.hashing import content_digest, dump_json, stable_hash
+from domainport.hashing import dump_json, stable_hash
 from domainport.regression import FitModel, predict
 from test_output_tree import GOLDEN
 
@@ -50,9 +50,11 @@ def set_key(*keys, value):
 
 # ---------------------------------------------------------------- pipeline
 
+DOMAINS = ("src", "news", "social", "science")  # the shared test tree's corpora, in config order
+
 
 # the stage hashes of the shared test tree's config, and the ingest hash of its corpus "src"
-PIPELINE_HASHES = {"ingest": "98c64559bd5869fe", "similarity": "5cf749467a1a6c0a", "transport": "afea773cab37b66d",
+PIPELINE_HASHES = {"similarity": "5cf749467a1a6c0a", "transport": "afea773cab37b66d",
                    "fit": "22ee7b8c3f235bb6", "report": "980798e86ab9f485", "src": "a2058d1e399eca79"}
 
 
@@ -62,7 +64,7 @@ def test_full_pipeline_writes_consistent_artifacts(tmp_path):
     out = tmp_path / "out"
 
     for name in (
-        "cache/manifest.json",
+        "cache/stage-ingest.json",
         "cache/profile-src.json",
         "similarity.csv",
         "similarity.json",
@@ -78,7 +80,7 @@ def test_full_pipeline_writes_consistent_artifacts(tmp_path):
         assert (out / name).is_file(), name
 
     # every artifact carries the hash of the stage that wrote it; a profile, its corpus's ingest hash
-    for name, stage in (("cache/manifest.json", "ingest"), ("cache/profile-src.json", "src"),
+    for name, stage in (("cache/profile-src.json", "src"),
                         ("similarity.json", "similarity"), ("transport.json", "transport"),
                         ("fit-alpha-sys-kl.json", "fit"), ("fit_summary.json", "fit"), ("report.json", "report")):
         assert read_json(out / name)["config_hash"] == PIPELINE_HASHES[stage], name
@@ -112,13 +114,13 @@ def test_ingest_reuses_cache_without_rewriting(tmp_path):
     cache = tmp_path / "out" / "cache"
     before = {
         p.name: p.stat().st_mtime_ns
-        for p in (cache / "manifest.json", cache / "profile-src.json", cache / "profile-news.json")
+        for p in (cache / "stage-ingest.json", cache / "profile-src.json", cache / "profile-news.json")
     }
     code, out2, _ = run_cli(["ingest", "--config", str(config)])
     assert code == 0
     assert out2.count("cache hit:") == 4
     after = {p: (cache / p).stat().st_mtime_ns for p in before}
-    assert after == before  # nothing rewritten on a clean hit
+    assert after == before  # nothing rewritten on a clean hit, the stamp included
 
 
 def test_ingest_caches_profiles_only(tmp_path):
@@ -126,22 +128,19 @@ def test_ingest_caches_profiles_only(tmp_path):
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
     cache = tmp_path / "out" / "cache"
     assert sorted(p.name for p in cache.iterdir()) == [
-        "manifest.json", "profile-news.json", "profile-science.json", "profile-social.json", "profile-src.json",
+        "profile-news.json", "profile-science.json", "profile-social.json", "profile-src.json", "stage-ingest.json",
     ]
-    assert all("corpus_file" not in entry for entry in read_json(cache / "manifest.json")["domains"].values())
+    assert set(read_json(cache / "stage-ingest.json")["outputs"]) == {f"cache/profile-{d}.json" for d in DOMAINS}
 
 
 def test_ingest_hits_a_cache_that_also_holds_corpus_files(tmp_path):
-    # caches from versions that also wrote cache/corpus-*.json and a manifest
-    # "corpus_file" key stay valid: both are ignored
+    # the cache/corpus-*.json and cache/manifest.json files that earlier versions wrote are ignored
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
     cache = tmp_path / "out" / "cache"
-    manifest = read_json(cache / "manifest.json")
-    for domain, entry in manifest["domains"].items():
-        entry["corpus_file"] = f"corpus-{domain}.json"
-        (cache / entry["corpus_file"]).write_text("{}\n", encoding="utf-8")
-    (cache / "manifest.json").write_text(dump_json(manifest), encoding="utf-8")
+    for domain in DOMAINS:
+        (cache / f"corpus-{domain}.json").write_text("{}\n", encoding="utf-8")
+    (cache / "manifest.json").write_text('{"domains": {"src": {"input_hash": "0"}}}\n', encoding="utf-8")
     before = {p.name: p.read_bytes() for p in cache.iterdir()}
     code, out, _ = run_cli(["ingest", "--config", str(config)])
     assert code == 0
@@ -241,17 +240,6 @@ def test_ingest_reads_each_corpus_file_once(tmp_path, monkeypatch):
     assert {name: reads[name] for name in corpora} == dict.fromkeys(corpora, 1)
 
 
-def test_manifest_input_hash_is_sixteen_lowercase_hex_digits(tmp_path):
-    config = write_pipeline_tree(tmp_path)
-    assert run_cli(["ingest", "--config", str(config)])[0] == 0
-    domains = read_json(tmp_path / "out" / "cache" / "manifest.json")["domains"]
-    assert len(domains) == 4
-    for entry in domains.values():
-        assert re.fullmatch(r"[0-9a-f]{16}", entry["input_hash"]), entry["input_hash"]
-    src = (tmp_path / "corpora" / "src.txt").read_bytes()
-    assert domains["src"]["input_hash"] == content_digest(src)
-
-
 def test_ingest_isolates_a_bad_corpus(tmp_path):
     config = write_pipeline_tree(tmp_path)
     (tmp_path / "corpora" / "broken.jsonl").write_text("{not json\n", encoding="utf-8")
@@ -267,8 +255,7 @@ def test_ingest_isolates_a_bad_corpus(tmp_path):
     cache = tmp_path / "out" / "cache"
     assert (cache / "profile-src.json").is_file()
     assert (cache / "profile-science.json").is_file()
-    manifest = read_json(cache / "manifest.json")
-    assert set(manifest["domains"]) == {"src", "news", "social", "science"}
+    assert set(read_json(cache / "stage-ingest.json")["outputs"]) == {f"cache/profile-{d}.json" for d in DOMAINS}
 
 
 def test_ingest_forgets_a_corpus_removed_from_the_config(tmp_path):
@@ -278,23 +265,39 @@ def test_ingest_forgets_a_corpus_removed_from_the_config(tmp_path):
     edit_config(config, lambda raw: raw["corpora"].pop())  # science
     code, out, err = run_cli(["ingest", "--config", str(config)])
     assert (code, out.count("cache hit:")) == (0, 3), err
-    assert set(read_json(cache / "manifest.json")["domains"]) == {"src", "news", "social"}
+    assert set(read_json(cache / "stage-ingest.json")["outputs"]) == {
+        "cache/profile-src.json", "cache/profile-news.json", "cache/profile-social.json"}
     assert not (cache / "profile-science.json").exists()
     assert run_cli(["ingest", "--config", str(config)])[1].count("cache hit:") == 3
 
 
-def test_ingest_keeps_the_profile_of_a_configured_corpus_when_it_forgets_another(tmp_path):
+def test_a_failed_reingest_removes_the_profile_that_similarity_would_read(tmp_path):
     config = write_pipeline_tree(tmp_path)
-    edit_config(config, set_key("corpora", 3, "domain_id", value="sci-ence"))
-    assert run_cli(["ingest", "--config", str(config)])[0] == 0
-    cache = tmp_path / "out" / "cache"
-    manifest = read_json(cache / "manifest.json")
-    manifest["domains"]["sci ence"] = manifest["domains"]["sci-ence"]  # an earlier id with the same file name
-    (cache / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    run_full_pipeline(config)
+    (tmp_path / "corpora" / "news.txt").write_text("", encoding="utf-8")
     code, out, err = run_cli(["ingest", "--config", str(config)])
-    assert (code, out.count("cache hit:")) == (0, 4), err
-    assert set(read_json(cache / "manifest.json")["domains"]) == {"src", "news", "social", "sci-ence"}
-    assert (cache / "profile-sci-ence.json").is_file()
+    assert (code, out.count("cache hit:")) == (2, 3)
+    assert "failed: news: " in err
+    assert not (tmp_path / "out" / "cache" / "profile-news.json").exists()
+    code, stdout, err = run_cli(["similarity", "--config", str(config)])
+    assert (code, stdout) == (1, "")
+    assert err == "config error: missing stage outputs: cache/profile-news.json (run the ingest stage first)\n"
+
+
+def test_ingest_keeps_the_profile_of_a_configured_corpus_when_it_forgets_another(tmp_path):
+    # "sci ence" is renamed to "sci-ence": the forgotten id and the new one share a profile file
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, set_key("corpora", 3, "domain_id", value="sci ence"))
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    edit_config(config, set_key("corpora", 3, "domain_id", value="sci-ence"))
+    code, out, err = run_cli(["ingest", "--config", str(config)])
+    assert (code, out.count("cache hit:")) == (0, 3), err
+    assert "ingested: sci-ence" in out  # the profile records its domain id, so it is rebuilt
+    cache = tmp_path / "out" / "cache"
+    assert read_json(cache / "profile-sci-ence.json")["profile"]["domain_id"] == "sci-ence"
+    assert set(read_json(cache / "stage-ingest.json")["outputs"]) == {
+        "cache/profile-src.json", "cache/profile-news.json", "cache/profile-social.json", "cache/profile-sci-ence.json"}
+    assert run_cli(["ingest", "--config", str(config)])[1].count("cache hit:") == 4
 
 
 def test_ingest_missing_corpus_file_is_a_config_error(tmp_path):
@@ -347,15 +350,16 @@ def test_fit_non_utf8_similarity_artifact_is_a_data_error(tmp_path):
 
 @pytest.mark.parametrize("content", [b"{not json", b'{"domains": {"src\xff": {}}}', b"[]", b'{"domains": []}'],
                          ids=["bad-json", "non-utf8", "list", "domains-list"])
-def test_ingest_rebuilds_a_corrupt_manifest(tmp_path, content):
+def test_ingest_rebuilds_a_corrupt_stamp(tmp_path, content):
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
-    manifest = tmp_path / "out" / "cache" / "manifest.json"
-    manifest.write_bytes(content)
+    stamp = tmp_path / "out" / "cache" / "stage-ingest.json"
+    good = stamp.read_bytes()
+    stamp.write_bytes(content)
     code, out, err = run_cli(["ingest", "--config", str(config)])
     assert code == 0, err
-    assert out.count("ingested: ") == 4  # nothing in the unreadable manifest is trusted
-    assert set(read_json(manifest)["domains"]) == {"src", "news", "social", "science"}
+    assert out.count("ingested: ") == 4  # nothing in the unreadable stamp is trusted
+    assert stamp.read_bytes() == good
 
 
 def break_fit_list(summary):
@@ -518,6 +522,17 @@ def test_an_out_dir_that_is_a_file_is_an_io_error(tmp_path):
     assert code == 4
     assert err.startswith("io error: ") and str(tmp_path / "out") in err
     assert (tmp_path / "out").read_text(encoding="utf-8") == "not a directory"
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    (tmp_path / "out").write_text("not a directory", encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "domainport.cli", "ingest", "--config", str(config)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 4
+    assert done.stderr.startswith("io error: ")
 
 
 def test_a_full_disk_mid_run_is_an_io_error_that_a_clean_rerun_recovers_from(tmp_path, monkeypatch):
@@ -939,7 +954,6 @@ def test_the_overrides_an_artifact_records_travel_downstream(tmp_path):
         assert run_cli([stage, "--config", str(config), *flags])[0] == 0, stage
     seed = {"embedding": {"seed": 7}}
     assert read_json(out / "cache" / "profile-src.json")["overrides"] == seed
-    assert read_json(out / "cache" / "manifest.json")["domains"]["src"]["overrides"] == seed
     assert read_json(out / "similarity.json")["overrides"] == seed
     assert read_json(out / "fit_summary.json")["overrides"] == {**seed, "fit": {"predictors": ["kl"]}}
     assert read_json(out / "report.json")["overrides"] == {**seed, "fit": {"predictors": ["kl"]}}
@@ -989,11 +1003,15 @@ def test_overrides_that_do_not_apply_are_stale(tmp_path, overrides):
 def test_similarity_refuses_profiles_from_two_ingest_runs_with_other_flags(tmp_path):
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config), "--seed", "7"])[0] == 0
+    profile = tmp_path / "out" / "cache" / "profile-news.json"
+    seed_7 = profile.read_bytes()
     news = tmp_path / "corpora" / "news.txt"
     text = news.read_bytes()
-    news.unlink()  # the next ingest fails for news, whose seed-7 profile stays
+    news.unlink()  # the next ingest fails for news and removes its profile
     assert run_cli(["ingest", "--config", str(config)])[0] == 1
+    assert not profile.exists()
     news.write_bytes(text)
+    profile.write_bytes(seed_7)  # put back by hand: a seed-7 profile beside seed-42 ones
     code, _, err = run_cli(["similarity", "--config", str(config)])
     assert code == 1
     assert "config error: stale: rerun ingest (cache/profile-news.json has other settings)" in err

@@ -20,12 +20,12 @@ import pytest
 from conftest import run_full_pipeline, tree_digests, write_mixed_text_tree, write_pipeline_tree
 
 GOLDEN = {
-    "cache/manifest.json": "e575c4b7a40b64e6be74676589db978fd29c0cd3c24d7b4b49c4d6b566d1ea9f",
     "cache/profile-news.json": "ad4ba81fe77cbb0df88207c9200cd14494504e19d21fdd2623ec2d387f81a7aa",
     "cache/profile-science.json": "b3684d2ba3ec9dfafe0a25c10248e6148fe8f898dd1085293958ea7713ff210d",
     "cache/profile-social.json": "96abd3d222911e186677022a7b94c72b9e942308b13fc6892c343581a5bff030",
     "cache/profile-src.json": "95f35c0437ae053827eff0e5d4e0c875b6a703bfa7767e47f72261ff7ff768e8",
     "cache/stage-fit.json": "820285dc6101af3d47bad722156d8473aff5be298a2a782d158d8d860be4d4e9",
+    "cache/stage-ingest.json": "680eab4ca0f021f71e06bb6f15b1ce94d9f958a6d218048c97d46a5546524887",
     "cache/stage-report.json": "36a1913632ce6747b45514c779dd9887ed578948c1d6194f86827b81a2ae49a8",
     "cache/stage-similarity.json": "516a451c10c42ee741c7245e35cc06cf9746e906f0b3bd26d3d11b33496e7850",
     "cache/stage-transport.json": "c8faf1cdc318d762ea44f6834797d58f2ba4eac64e2fd14e63a508c2807f9db7",
@@ -54,12 +54,12 @@ GOLDEN = {
 }
 
 GOLDEN_MIXED = {
-    "cache/manifest.json": "1fb86ea7bd741bd3af49c7f8e8d96c576bfefb4907128cce1c25990430692797",
     "cache/profile-news.json": "04bb72287f52ac495bdbc2b8fe1285d628c953e0ff28a7d9e819d20e47abc142",
     "cache/profile-science.json": "91bb7063f4bb659a35326d9c8a4840c220773a19098a98f54fd82efd4b614cba",
     "cache/profile-social.json": "871963c02bd1adb1d89b85001ceb7415bc9de518e122e4e42bd972e343766079",
     "cache/profile-src.json": "8352d921c7a5363bd12430417b33e7d544f839a7044d31b795db68a25598ab10",
     "cache/stage-fit.json": "04a450e130392b5adbc83203a4271ff72e6fe926f1ac65eb67cb7cd0390dc65e",
+    "cache/stage-ingest.json": "bebe7c94957c2ac04e44fc762f3afc998b898b24aae82f19d976ed7009ec0d25",
     "cache/stage-report.json": "cdb7cf3ec7b7ae12a08bcbc48bd4617df2a7c12d7cbf2f2d212c70208250a56e",
     "cache/stage-similarity.json": "46c9eb0eef1aefbf768ca9d0fea618c16b678b17bceb5bcfb28ee47aa6345dc7",
     "cache/stage-transport.json": "c8faf1cdc318d762ea44f6834797d58f2ba4eac64e2fd14e63a508c2807f9db7",
