@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -648,11 +648,13 @@ def cmd_similarity(cfg: RunConfig, run: _Run) -> None:
         if not isinstance(payload.get("profile"), dict):
             raise ParseError(f"corrupt profile artifact for domain {d!r}")
         profiles[d] = profile_from_dict(payload.pop("profile"))  # popped: the parsed JSON dies with the call
+        if profiles[d].domain_id != d:
+            raise ParseError(f"corrupt profile artifact for domain {d!r}: it holds domain {profiles[d].domain_id!r}")
     records = similarity_table(profiles[source_id], [profiles[t] for t in target_ids], cfg.kl)
 
     rows = [[r.source_id, r.target_id, *(repr(getattr(r, c)) for c in CSV_COLUMNS[2:])] for r in records]
     run.write("similarity.csv", _csv_text(run.hash, CSV_COLUMNS, rows))
-    run.write_json("similarity.json", records=[r.to_dict() for r in records])
+    run.write_json("similarity.json", records=[asdict(r) for r in records])
     click.echo(f"similarity: {len(records)} record(s) from {source_id!r}")
 
 
@@ -848,7 +850,12 @@ def cmd_report(cfg: RunConfig, run: _Run) -> None:
     # joined scatter data per predictor, for external plotting
     plots: dict[str, list[list[str]]] = {}
     for predictor, system, name in fit_files:
-        points = run.artifact(name).get("points", [])
+        fit = run.artifact(name)
+        holds = (fit.get("system"), fit.get("predictor"))
+        if holds != (system, predictor):
+            raise ParseError(f"corrupt artifact {name}: it holds the fit of {holds[0]!r}/{holds[1]!r}, "
+                             f"not {system!r}/{predictor!r}")
+        points = fit.get("points", [])
         pairs = isinstance(points, list) and all(isinstance(pt, list) and len(pt) == 2 for pt in points)
         if not (pairs and all(_is_number(v) for pt in points for v in pt)):
             raise ParseError(f"corrupt artifact {name}: 'points' must be a list of [x, y] number pairs")
@@ -981,6 +988,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
+    except click.exceptions.Abort:  # click's form of a KeyboardInterrupt raised in a stage
+        click.echo("interrupted", err=True)
+        return 130
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1

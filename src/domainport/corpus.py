@@ -76,14 +76,8 @@ class TokenizerConfig:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"tokenizer {name} must be true or false")
 
-    to_dict = asdict
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TokenizerConfig":
-        return fields_from_dict(cls, data, "tokenizer")
-
     def config_hash(self) -> str:
-        return stable_hash(self.to_dict())
+        return stable_hash(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -270,7 +264,7 @@ def to_interchange(corpus: Corpus) -> dict[str, Any]:
     """Tokenized interchange form: domain id, tokenizer config, token lists."""
     return {
         "domain_id": corpus.domain_id,
-        "tokenizer_config": corpus.tokenizer_config.to_dict(),
+        "tokenizer_config": asdict(corpus.tokenizer_config),
         "documents": [list(d.tokens) for d in corpus.documents],
     }
 
@@ -299,7 +293,7 @@ def parse_interchange(
     if missing:
         raise ParseError(f"interchange payload missing keys: {sorted(missing)}", source=source)
     try:
-        cfg = TokenizerConfig.from_dict(obj["tokenizer_config"])
+        cfg = fields_from_dict(TokenizerConfig, obj["tokenizer_config"], "tokenizer")
     except ConfigError as exc:  # not an object, an unknown key or a bad value
         raise ParseError(f"invalid tokenizer_config: {exc}", source=source) from exc
     docs_field = obj["documents"]

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from .errors import ComputationError, ConfigError
 from .features import DomainProfile, HashedTable, embed_builtin
-from .hashing import fields_from_dict, stable_hash
+from .hashing import stable_hash
 from .lazy import np
 
 KL_METHODS = ("shift", "softmax")
@@ -45,12 +45,6 @@ class KLSettings:
         if self.method not in KL_METHODS:
             raise ConfigError(f"unknown KL method {self.method!r}; expected one of {KL_METHODS}")
 
-    to_dict = asdict
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "KLSettings":
-        return fields_from_dict(cls, data, "KL")
-
 
 @dataclass(frozen=True)
 class SimilarityRecord:
@@ -70,8 +64,6 @@ class SimilarityRecord:
             raise ComputationError(f"cosine distance out of range: {self.cosine_distance}")
         if self.kl_divergence < 0.0:
             raise ComputationError(f"negative KL divergence: {self.kl_divergence}")
-
-    to_dict = asdict
 
 
 CSV_COLUMNS = ("source_id", "target_id", "lexical_difference", "cosine_distance", "kl_divergence")
@@ -193,7 +185,7 @@ def similarity_table(
                 f"incomparable profiles: {t.domain_id!r} was built with a different "
                 f"tokenizer or embedding configuration than {source.domain_id!r}"
             )
-    run_hash = stable_hash({"profile": source.config_hash(), "kl": kl.to_dict()})
+    run_hash = stable_hash({"profile": source.config_hash(), "kl": asdict(kl)})
     cfg = source.embedding_config
     source_table = None
     if cfg is not None and cfg.weighting == "tfidf" and source.embedding_source.kind == "builtin":

@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit, and the one input reader.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
-ParseError -> 2, ComputationError -> 3, and an ``OSError`` (a full disk,
-an unwritable path) -> 4.
+ParseError -> 2, ComputationError -> 3, an ``OSError`` (a full disk,
+an unwritable path) -> 4, and an interrupt (Ctrl-C) -> 130.
 
 :func:`read_text` turns every input the toolkit reads (a corpus, the
 score table, external embeddings, the config and the stage artifacts)

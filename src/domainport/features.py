@@ -55,14 +55,8 @@ class EmbeddingConfig:
             # pairwise idf needs per-document counts that profiles do not keep
             raise ConfigError("per_document averaging supports tf weighting only")
 
-    to_dict = asdict
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "EmbeddingConfig":
-        return fields_from_dict(cls, data, "embedding")
-
     def config_hash(self) -> str:
-        return stable_hash(self.to_dict())
+        return stable_hash(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -73,12 +67,6 @@ class EmbeddingSource:
     seed: int | None = None
     dimension: int = 0
     path: str | None = None
-
-    to_dict = asdict
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "EmbeddingSource":
-        return fields_from_dict(cls, data, "embedding_source")
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,10 +373,10 @@ def profile_to_dict(profile: DomainProfile) -> dict[str, Any]:
         "domain_id": profile.domain_id,
         "term_freq": dict(profile.term_freq),
         "embedding": [float(x) for x in profile.embedding],
-        "embedding_source": profile.embedding_source.to_dict(),
+        "embedding_source": asdict(profile.embedding_source),
         "tokenizer_hash": profile.tokenizer_hash,
         "embedding_hash": profile.embedding_hash,
-        "embedding_config": profile.embedding_config.to_dict() if profile.embedding_config else None,
+        "embedding_config": asdict(profile.embedding_config) if profile.embedding_config else None,
     }
 
 
@@ -416,10 +404,10 @@ def _embedding_from(value: Any) -> np.ndarray:
     return vector
 
 
-def _record_from(cls: type[Any], value: Any, name: str) -> Any:
-    """Stored record ``name``: an object that ``cls.from_dict`` accepts."""
+def _record_from(cls: type[Any], value: Any, name: str, kind: str) -> Any:
+    """Stored record ``name``: an object that ``fields_from_dict(cls, value, kind)`` accepts."""
     try:
-        return cls.from_dict(value)
+        return fields_from_dict(cls, value, kind)
     except ConfigError as exc:  # not an object, or an unknown, missing or invalid field
         raise ParseError(f"profile {name} is malformed: {exc}") from exc
 
@@ -432,10 +420,12 @@ def profile_from_dict(data: dict[str, Any]) -> DomainProfile:
             domain_id=data["domain_id"],
             term_freq=_term_freq_from(data["term_freq"]),
             embedding=_embedding_from(data["embedding"]),
-            embedding_source=_record_from(EmbeddingSource, data["embedding_source"], "embedding_source"),
+            embedding_source=_record_from(EmbeddingSource, data["embedding_source"], "embedding_source",
+                                          "embedding_source"),
             tokenizer_hash=data["tokenizer_hash"],
             embedding_hash=data["embedding_hash"],
-            embedding_config=_record_from(EmbeddingConfig, emb_cfg, "embedding_config") if emb_cfg else None,
+            embedding_config=(_record_from(EmbeddingConfig, emb_cfg, "embedding_config", "embedding")
+                              if emb_cfg else None),
         )
     except KeyError as exc:
         raise ParseError(f"profile payload missing key: {exc.args[0]!r}") from exc

@@ -18,11 +18,11 @@ byte ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``
 plus a newline. ``indent`` keeps ``json.dumps`` on its pure-Python
 encoder, so ``dump_json`` hands each dict or list whose values are all
 leaves (a profile's term table and embedding) to the C encoder, with the
-indented line break as its item separator. Config and
-record dataclasses serialize with ``dataclasses.asdict`` (both encodings
-write its tuples as lists); every config block is read by
-``fields_from_dict``, which refuses a block that is not an object, keys
-that are not fields and required fields that are missing.
+indented line break as its item separator. Config blocks and records
+(settings, similarity records, fit logs) have one codec: they are written
+by ``dataclasses.asdict`` (both encodings write its tuples as lists) and
+read by ``fields_from_dict``, which refuses a block that is not an object,
+keys that are not fields and required fields that are missing.
 
 Reference vectors with seed 0:
 

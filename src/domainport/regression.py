@@ -36,8 +36,6 @@ class FitLog:
     step_rejected: bool
     diverged: bool
 
-    to_dict = asdict
-
 
 @dataclass(frozen=True)
 class FitModel:
@@ -63,7 +61,7 @@ class FitModel:
             "mae": self.mae,
             "n": self.n_points,
             "percent_scale": self.percent_scale,
-            "fit_log": self.fit_log.to_dict(),
+            "fit_log": asdict(self.fit_log),
         }
 
     @classmethod

@@ -24,7 +24,7 @@ from domainport.corpus import TokenizerConfig, parse_plaintext, to_interchange
 from domainport.divergence import CSV_COLUMNS, KLSettings
 from domainport.errors import ConfigError, ParseError, read_text
 from domainport.features import EmbeddingConfig, profile_from_dict
-from domainport.hashing import dump_json, stable_hash
+from domainport.hashing import dump_json, fields_from_dict, stable_hash
 from domainport.regression import FitModel, predict
 from test_output_tree import GOLDEN
 
@@ -456,19 +456,27 @@ def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, messa
 
 
 @pytest.mark.parametrize("stage, name, edit, message", [
-    ("fit", "similarity.json", lambda raw: b"{not json",
+    ("fit", "similarity.json", lambda path: b"{not json",
      "corrupt artifact similarity.json: Expecting property name enclosed in double quotes"),
-    ("similarity", "cache/profile-news.json", lambda raw: json.dumps({**json.loads(raw), "profile": []}).encode(),
+    ("similarity", "cache/profile-news.json",
+     lambda path: json.dumps({**json.loads(path.read_bytes()), "profile": []}).encode(),
      "corrupt profile artifact for domain 'news'"),
-], ids=["artifact-not-json", "profile-not-an-object"])
+    # another file's artifact, with a valid stamp: only its contents say whose data it holds
+    ("similarity", "cache/profile-news.json", lambda path: path.with_name("profile-social.json").read_bytes(),
+     "corrupt profile artifact for domain 'news': it holds domain 'social'"),
+    ("report", "fit-beta-sys-kl.json", lambda path: path.with_name("fit-alpha-sys-kl.json").read_bytes(),
+     "corrupt artifact fit-beta-sys-kl.json: it holds the fit of 'alpha-sys'/'kl', not 'beta-sys'/'kl'"),
+], ids=["artifact-not-json", "profile-not-an-object", "profile-of-another-domain", "fit-of-another-system"])
 def test_an_artifact_that_cannot_be_read_is_a_data_error(tmp_path, stage, name, edit, message):
     config = write_pipeline_tree(tmp_path)
     run_full_pipeline(config)
     path = tmp_path / "out" / name
-    path.write_bytes(edit(path.read_bytes()))
+    path.write_bytes(edit(path))
+    before = tree_digests(tmp_path / "out")
     code, _, err = run_cli([stage, "--config", str(config)])
     assert code == 2
     assert f"data error: {message}" in err
+    assert tree_digests(tmp_path / "out") == before  # refused before the first write
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -556,6 +564,59 @@ def test_a_full_disk_mid_run_is_an_io_error_that_a_clean_rerun_recovers_from(tmp
     assert f"io error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{out / 'fit_summary.json'}'" in err
     assert not (out / "fit_summary.json").exists()
     assert [p.name for p in out.rglob("*") if p.name.endswith(".tmp")] == []
+    monkeypatch.undo()
+    run_full_pipeline(config)
+    assert tree_digests(out) == GOLDEN
+
+
+COLD_RUN_WRITES = 31  # the _write_text calls of a cold five-stage run on the conftest tree
+
+
+def count_writes(monkeypatch):
+    """Record the path of every ``_write_text`` call from now on, in a list that is returned."""
+    calls = []
+    write_text = cli._write_text
+
+    def counting_write_text(path, text):
+        calls.append(path)
+        return write_text(path, text)
+
+    monkeypatch.setattr(cli, "_write_text", counting_write_text)
+    return calls
+
+
+def test_a_cold_run_makes_the_writes_the_fault_sweep_covers(tmp_path, monkeypatch):
+    calls = count_writes(monkeypatch)
+    run_full_pipeline(write_pipeline_tree(tmp_path))
+    assert len(calls) == COLD_RUN_WRITES
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    (lambda: OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 4, "io error: "),
+    (KeyboardInterrupt, 130, "interrupted"),
+], ids=["enospc", "interrupt"])
+@pytest.mark.parametrize("index", range(COLD_RUN_WRITES))
+def test_a_fault_at_any_write_of_a_cold_run_exits_with_its_code_and_a_clean_rerun_recovers(
+        tmp_path, monkeypatch, index, fault, code, message):
+    config = write_pipeline_tree(tmp_path)
+    out = tmp_path / "out"
+    calls = count_writes(monkeypatch)
+    replace = os.replace
+
+    def failing_replace(src, dst):  # the temporary file is written: the fault runs the cleanup path
+        if len(calls) == index + 1:
+            raise fault()
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    for stage in ("ingest", "similarity", "transport", "fit", "report"):
+        got, _, err = run_cli([stage, "--config", str(config)])
+        if got != 0:
+            break
+    assert len(calls) == index + 1  # the stage stopped at the faulty write
+    assert got == code
+    assert message in err
+    assert [p.name for p in out.rglob("*") if p.name.endswith(".tmp") or p.name == ".lock"] == []
     monkeypatch.undo()
     run_full_pipeline(config)
     assert tree_digests(out) == GOLDEN
@@ -1324,9 +1385,9 @@ def reference_load_config(path):
     unknown = set(raw) - top_level
     require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
-    tokenizer = TokenizerConfig.from_dict(raw.get("tokenizer", {}))
-    embedding = EmbeddingConfig.from_dict(raw.get("embedding", {}))
-    kl = KLSettings.from_dict(raw.get("kl", {}))
+    tokenizer = fields_from_dict(TokenizerConfig, raw.get("tokenizer", {}), "tokenizer")
+    embedding = fields_from_dict(EmbeddingConfig, raw.get("embedding", {}), "embedding")
+    kl = fields_from_dict(KLSettings, raw.get("kl", {}), "KL")
 
     corpora = []
     seen_ids = set()

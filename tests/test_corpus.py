@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import string
@@ -23,7 +24,7 @@ from domainport.corpus import (
     tokenize,
 )
 from domainport.errors import ConfigError, ParseError
-from domainport.hashing import dump_json
+from domainport.hashing import dump_json, fields_from_dict
 
 
 # ---------------------------------------------------------------- tokenize
@@ -174,7 +175,7 @@ def test_tokenizer_config_validation():
     with pytest.raises(ConfigError):
         TokenizerConfig(ngram_order=0)
     with pytest.raises(ConfigError):
-        TokenizerConfig.from_dict({"lowercase": True, "mystery": 1})
+        fields_from_dict(TokenizerConfig, {"lowercase": True, "mystery": 1}, "tokenizer")
 
 
 def test_tokenizer_hash_tracks_every_option():
@@ -404,7 +405,7 @@ def test_interchange_preserves_tokens_verbatim(docs):
     # tokens pass through untouched, including case: no re-tokenization
     payload = {
         "domain_id": "prop",
-        "tokenizer_config": TokenizerConfig().to_dict(),
+        "tokenizer_config": dataclasses.asdict(TokenizerConfig()),
         "documents": docs,
     }
     corpus = parse_interchange(payload)

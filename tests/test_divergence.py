@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -28,7 +29,7 @@ from domainport.features import (
     build_profile,
     embed_builtin,
 )
-from domainport.hashing import dump_json
+from domainport.hashing import dump_json, fields_from_dict
 
 
 def profile_from_vocab(vocab, domain_id="d"):
@@ -212,8 +213,8 @@ def test_kl_settings_validation():
     with pytest.raises(ConfigError):
         KLSettings(method="minmax")
     with pytest.raises(ConfigError):
-        KLSettings.from_dict({"epsilon": 1e-9, "mode": "x"})
-    assert KLSettings.from_dict({"direction": "reverse"}).direction == "reverse"
+        fields_from_dict(KLSettings, {"epsilon": 1e-9, "mode": "x"}, "kl")
+    assert fields_from_dict(KLSettings, {"direction": "reverse"}, "kl").direction == "reverse"
 
 
 # ---------------------------------------------------------------- similarity_table
@@ -324,6 +325,6 @@ def test_records_serialize_to_json():
     targets = [profile_from_text("alpha delta\n", "t1"), profile_from_text("epsilon\n", "t2")]
     records = similarity_table(source, targets)
 
-    payload = json.loads(dump_json([r.to_dict() for r in records]))
+    payload = json.loads(dump_json([dataclasses.asdict(r) for r in records]))
     assert [r["target_id"] for r in payload] == ["t1", "t2"]
     assert payload[0]["kl_divergence"] == records[0].kl_divergence

@@ -28,7 +28,7 @@ from domainport.features import (
     profile_from_dict,
     profile_to_dict,
 )
-from domainport.hashing import dump_json, fnv1a_64
+from domainport.hashing import dump_json, fields_from_dict, fnv1a_64
 
 freq_tables = st.dictionaries(
     st.text(alphabet="abcdefgh ", min_size=1, max_size=8).filter(str.strip),
@@ -291,7 +291,7 @@ def test_embedding_config_validation():
     with pytest.raises(ConfigError):
         EmbeddingConfig(per_document=True, weighting="tfidf")
     with pytest.raises(ConfigError):
-        EmbeddingConfig.from_dict({"dimension": 8, "extra": True})
+        fields_from_dict(EmbeddingConfig, {"dimension": 8, "extra": True}, "embedding")
 
 
 def test_embedding_config_hash_tracks_options():

@@ -16,12 +16,13 @@ from domainport import cli
 from domainport.cli import load_config
 from domainport.corpus import TokenizerConfig
 from domainport.divergence import KLSettings
-from domainport.features import EmbeddingConfig
+from domainport.features import EmbeddingConfig, EmbeddingSource
 from domainport.hashing import (
     canonical_json,
     content_digest,
     dump_json,
     feature_slot,
+    fields_from_dict,
     fnv1a_64,
     fnv1a_64_many,
     slot_and_sign,
@@ -202,7 +203,7 @@ def test_config_hashes_are_pinned():
     # computed with the earlier hand-written to_dict serializers; the codec must not move them
     assert TokenizerConfig().config_hash() == "5f975f01acc2b9cc"
     assert EmbeddingConfig().config_hash() == "bcceb77f1373ff8f"
-    assert stable_hash(KLSettings().to_dict()) == "2726beebe07e76de"
+    assert stable_hash(dataclasses.asdict(KLSettings())) == "2726beebe07e76de"
 
 
 def stage_hashes(tmp_path, config):
@@ -257,20 +258,25 @@ def test_a_config_block_moves_the_hashes_of_the_stages_that_depend_on_it(tmp_pat
 def test_stable_hash_refuses_an_object_it_cannot_encode():
     with pytest.raises(TypeError):
         stable_hash(TokenizerConfig())  # a record is hashed only through an explicit ``default``
-    assert stable_hash(TokenizerConfig(), default=cli._record_fields) == stable_hash(TokenizerConfig().to_dict())
+    record = TokenizerConfig()
+    assert stable_hash(record, default=cli._record_fields) == stable_hash(dataclasses.asdict(record))
     with pytest.raises(TypeError):
         stable_hash(object(), default=cli._record_fields)
 
 
-@pytest.mark.parametrize("cls", [TokenizerConfig, EmbeddingConfig, KLSettings])
+RECORDS = {  # a record of each class, and changes to it
+    TokenizerConfig: (TokenizerConfig(), {"lowercase": False, "ngram_order": 3}),
+    EmbeddingConfig: (EmbeddingConfig(), {"dimension": 16, "weighting": "tfidf"}),
+    KLSettings: (KLSettings(), {"epsilon": 0.5, "method": "softmax"}),
+    EmbeddingSource: (EmbeddingSource("builtin", seed=42, dimension=300),
+                      {"kind": "external", "seed": None, "path": "vectors.json"}),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS))
 def test_config_records_round_trip(cls):
-    default = cls()
-    changed = dataclasses.replace(default, **{
-        TokenizerConfig: {"lowercase": False, "ngram_order": 3},
-        EmbeddingConfig: {"dimension": 16, "weighting": "tfidf"},
-        KLSettings: {"epsilon": 0.5, "method": "softmax"},
-    }[cls])
-    for record in (default, changed):
-        assert cls.from_dict(record.to_dict()) == record
-        assert cls.from_dict(json.loads(canonical_json(record.to_dict()))) == record
+    default, changes = RECORDS[cls]
+    for record in (default, dataclasses.replace(default, **changes)):
+        assert fields_from_dict(cls, dataclasses.asdict(record), "record") == record
+        assert fields_from_dict(cls, json.loads(canonical_json(dataclasses.asdict(record))), "record") == record
 
