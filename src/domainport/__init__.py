@@ -45,7 +45,6 @@ from .transport import (
     ScoreEntry,
     ScoreTable,
     TauObservation,
-    TransportReport,
     build_report,
     load_score_table,
     tau_p_mean,
@@ -91,7 +90,6 @@ __all__ = [
     "ScoreEntry",
     "ScoreTable",
     "TauObservation",
-    "TransportReport",
     "build_report",
     "load_score_table",
     "tau_p_mean",

@@ -50,7 +50,6 @@ from .transport import (
     build_report,
     load_score_table,
     render_report_text,
-    report_to_dict,
 )
 
 PREDICTOR_COLUMNS = {
@@ -673,10 +672,8 @@ def cmd_transport(cfg: RunConfig, run: _Run) -> None:
 
     reports = [build_report(table, system, spec.task, spec.source, spec.targets,
                             bias_corrected=spec.bias_corrected, groups=spec.groups or None) for system in systems]
-
-    payloads = [report_to_dict(r) for r in reports]
-    run.write_json("transport.json", reports=payloads)
-    text = render_report_text(payloads, group_order=_group_order(cfg))
+    run.write_json("transport.json", reports=reports)
+    text = render_report_text(reports, group_order=_group_order(cfg))
     header = f"# task={spec.task} metric={table.metric_name}\n# config_hash={run.hash} tool_version={__version__}\n"
     run.write("transport.txt", header + text)
     click.echo(f"transport: {len(reports)} system report(s)")

@@ -86,10 +86,6 @@ class DomainProfile:
     embedding_hash: str
     embedding_config: EmbeddingConfig | None = None  # set for builtin embeddings
 
-    @cached_property
-    def vocabulary(self) -> frozenset[str]:
-        return frozenset(self.term_freq)
-
     def config_hash(self) -> str:
         return stable_hash({"tokenizer": self.tokenizer_hash, "embedding": self.embedding_hash})
 

@@ -170,8 +170,9 @@ def _gauss_newton(
     """Polish (a, b, c), keeping b >= 0 and the SSE monotonically decreasing.
 
     Returns (a, b, c, sse, accepted_steps, step_rejected, diverged).
-    A non-finite iterate counts as divergence and the caller falls
-    back to the grid optimum.
+    A failed solve, a non-finite step or a non-finite SSE counts as
+    divergence and stops the polish at the last accepted iterate,
+    which is always finite and never worse than the start.
     """
     sse = _sse(a, b, c, x, y)
     steps = 0
@@ -216,8 +217,6 @@ def fit(
     x, y = _validate_points(points, percent_scale)
     ga, gb, gc, gsse = _grid_search(x, y)
     a, b, c, sse, steps, rejected, diverged = _gauss_newton(ga, gb, gc, x, y)
-    if diverged:
-        a, b, c, sse = ga, gb, gc, gsse
     log = FitLog(grid_b=gb, grid_sse=gsse, polish_steps=steps, step_rejected=rejected, diverged=diverged)
     return FitModel(
         a=a,

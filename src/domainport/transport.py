@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Any, Iterable, Mapping, Sequence
@@ -250,26 +250,6 @@ def tau_var_general(observations: Sequence[TauObservation], bias_corrected: bool
     return _cov_percent([o.ratio for o in observations], bias_corrected)
 
 
-@dataclass(frozen=True)
-class TransportReport:
-    """Transport summary for one system from one source evaluation."""
-
-    system: str
-    task: str
-    metric_name: str
-    source_key: tuple[str, str]  # (dataset, split)
-    source_score: float
-    per_target: tuple[tuple[tuple[str, str], float], ...]  # ((dataset, split), ratio)
-    tau_p: float
-    variation: float | None  # None when fewer than 2 targets
-    bias_corrected: bool
-    group_means: Mapping[str, float] = field(default_factory=dict)
-
-    @property
-    def n_targets(self) -> int:
-        return len(self.per_target)
-
-
 def build_report(
     table: ScoreTable,
     system: str,
@@ -279,8 +259,8 @@ def build_report(
     *,
     bias_corrected: bool = False,
     groups: Mapping[str, Sequence[tuple[str, str]]] | None = None,
-) -> TransportReport:
-    """Compute all transport measures for one system.
+) -> dict[str, Any]:
+    """Compute all transport measures for one system, as ``transport.json`` stores them.
 
     ``source_key`` and each target key are (dataset, split) pairs.
     ``groups`` optionally names subsets of the targets whose mean
@@ -290,12 +270,7 @@ def build_report(
     if not target_keys:
         raise ComputationError("no target keys given")
     source_score = table.get(system, task, *source_key)
-    per_target = []
-    for key in target_keys:
-        target_score = table.get(system, task, *key)
-        per_target.append(((key[0], key[1]), tau_p_pair(source_score, target_score)))
-    ratios = [r for _, r in per_target]
-    mean_ratio = sum(sorted(ratios)) / len(ratios)
+    ratios = [tau_p_pair(source_score, table.get(system, task, *key)) for key in target_keys]
     variation = _cov_percent(ratios, bias_corrected) if len(ratios) >= 2 else None
     group_means: dict[str, float] = {}
     if groups:
@@ -304,41 +279,24 @@ def build_report(
                 raise ComputationError(f"group {name!r} has no target keys")
             scores = [table.get(system, task, *k) for k in keys]
             group_means[name] = tau_p_mean(source_score, scores)
-    return TransportReport(
-        system=system,
-        task=task,
-        metric_name=table.metric_name,
-        source_key=(source_key[0], source_key[1]),
-        source_score=source_score,
-        per_target=tuple(per_target),
-        tau_p=mean_ratio,
-        variation=variation,
-        bias_corrected=bias_corrected,
-        group_means=group_means,
-    )
-
-
-def report_to_dict(report: TransportReport) -> dict[str, Any]:
     return {
-        "system": report.system,
-        "task": report.task,
-        "metric": report.metric_name,
-        "source": {"dataset": report.source_key[0], "split": report.source_key[1]},
-        "source_score": report.source_score,
-        "per_target": [
-            {"dataset": k[0], "split": k[1], "ratio": r} for k, r in report.per_target
-        ],
-        "tau_p": report.tau_p,
-        "variation": report.variation,
-        "bias_corrected": report.bias_corrected,
-        "group_means": dict(report.group_means),
+        "system": system,
+        "task": task,
+        "metric": table.metric_name,
+        "source": {"dataset": source_key[0], "split": source_key[1]},
+        "source_score": source_score,
+        "per_target": [{"dataset": k[0], "split": k[1], "ratio": r} for k, r in zip(target_keys, ratios)],
+        "tau_p": sum(sorted(ratios)) / len(ratios),
+        "variation": variation,
+        "bias_corrected": bias_corrected,
+        "group_means": group_means,
     }
 
 
 def render_report_text(reports: Sequence[Mapping[str, Any]], group_order: Sequence[str] | None = None) -> str:
     """Fixed-width text table: one column per system, one row per measure.
 
-    ``reports`` are in the :func:`report_to_dict` form, as stored in
+    ``reports`` are in the :func:`build_report` form, as stored in
     ``transport.json``.
     """
     if not reports:

@@ -298,9 +298,9 @@ def test_criterion_07_constant_scores_transport_perfectly(capsys):
         targets = [(f"d{i}", "test") for i in range(4)]
         for system in ("flat-a", "flat-b"):
             report = build_report(table, system, "toy", ("home", "train"), targets)
-            assert all(ratio == 1.0 for _, ratio in report.per_target)
-            assert report.tau_p == 1.0
-            assert report.variation == 0.0
+            assert all(target["ratio"] == 1.0 for target in report["per_target"])
+            assert report["tau_p"] == 1.0
+            assert report["variation"] == 0.0
 
 
 # ---------------------------------------------------------------- 8: determinism

@@ -725,6 +725,22 @@ def test_fit_skips_systems_with_too_few_joinable_points(tmp_path):
     assert all(v is None for v in summary["mean_mae"].values())
 
 
+def test_fit_drops_a_point_the_score_table_cannot_join(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    scores = tmp_path / "scores.csv"
+    rows = scores.read_text(encoding="utf-8").splitlines()
+    rows.remove("beta-sys,toy,science,test,57.0")
+    scores.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    for stage in ("ingest", "similarity", "fit"):
+        code, _, err = run_cli([stage, "--config", str(config)])
+        assert code == 0, err
+    assert fit_points(tmp_path / "out") == {
+        (system, predictor): 4 if system == "alpha-sys" else 3
+        for system in ("alpha-sys", "beta-sys") for predictor in ("lexical", "cosine", "kl")
+    }
+    assert read_json(tmp_path / "out" / "fit_summary.json")["skipped"] == []
+
+
 def test_identical_corpora_make_fitting_impossible(tmp_path):
     config = write_pipeline_tree(tmp_path)
     src_text = (tmp_path / "corpora" / "src.txt").read_text(encoding="utf-8")

@@ -361,7 +361,7 @@ def test_parse_plaintext_counts_skipped_segments():
 LOOP_TEXTS = {
     "conll": (parse_conll, "alpha\n-DOCSTART-\n!!!\n-DOCSTART-\nbeta\n", 1,
               "1 document(s) skipped (no tokens after tokenization)", "!!!\n", "no tokens found"),
-    "jsonl": (parse_jsonl_pairs, '{"sentence1": "alpha"}\n{"other": "x"}\n{"sentence2": "!!!"}\n{"sentence2": "beta"}\n', 2,
+    "jsonl": (parse_jsonl_pairs, '{"sentence1": "alpha"}\n{"other": "x"}\n\n{"sentence2": "!!!"}\n{"sentence2": "beta"}\n', 2,
               "2 record(s) skipped (missing fields or no tokens)", '{"other": "x"}\n', "no usable records"),
     "text": (parse_plaintext, "alpha\n!!!\nbeta\n", 1,
              "1 segment(s) skipped (no tokens after tokenization)", "!!!\n", "no non-empty text"),

@@ -269,8 +269,8 @@ def test_tfidf_tables_reembed_per_pair():
     weighted_tgt = profile_from_text("gamma delta shared\n", "tgt", weighting="tfidf")
     (record,) = similarity_table(weighted_src, [weighted_tgt])
     cfg = weighted_src.embedding_config
-    u = embed_builtin(weighted_src.term_freq, cfg, idf_context=weighted_tgt.vocabulary)
-    v = embed_builtin(weighted_tgt.term_freq, cfg, idf_context=weighted_src.vocabulary)
+    u = embed_builtin(weighted_src.term_freq, cfg, idf_context=weighted_tgt.term_freq.keys())
+    v = embed_builtin(weighted_tgt.term_freq, cfg, idf_context=weighted_src.term_freq.keys())
     assert record.cosine_distance == cosine_distance(u, v)
     # stored profile vectors are context-free, so the pairwise values differ from them
     assert record.cosine_distance != cosine_distance(weighted_src.embedding, weighted_tgt.embedding)

@@ -22,6 +22,7 @@ from domainport.regression import (
     _jacobian,
     _residuals,
     _sse,
+    _validate_points,
     curve_points,
     derivative,
     fit,
@@ -79,6 +80,43 @@ def test_frozen_reference_fit():
     assert model.fit_log.step_rejected is True
     assert model.fit_log.diverged is False
     assert model.sse <= model.fit_log.grid_sse
+
+
+def _failing_solve(mode):
+    """Stand-in for np.linalg.lstsq: solve normally until the call that fails in ``mode``."""
+    real, calls = np.linalg.lstsq, []
+
+    def solve(jac, rhs, rcond=None):
+        calls.append(None)
+        if len(calls) < (2 if mode == "after_one_step" else 1):
+            return real(jac, rhs, rcond=rcond)
+        if mode == "non_finite_step":
+            return np.array([math.nan, 0.0, 0.0]), None, 3, None
+        if mode == "sse_overflows":
+            return np.array([1e200, 0.0, 0.0]), None, 3, None
+        raise np.linalg.LinAlgError("singular")
+
+    return solve
+
+
+@pytest.mark.parametrize("mode", ["raises_at_first_step", "non_finite_step", "sse_overflows", "after_one_step"])
+def test_a_diverged_polish_keeps_its_last_accepted_iterate(monkeypatch, mode):
+    points = load_curve("curve_ner_kl_f1")["elmo"]
+    x, y = _validate_points(points, True)
+    ga, gb, gc, gsse = _grid_search(x, y)
+    if mode == "after_one_step":
+        delta = np.linalg.lstsq(_jacobian(ga, gb, gc, x), -_residuals(ga, gb, gc, x, y), rcond=None)[0]
+        want = (ga + float(delta[0]), max(0.0, gb + float(delta[1])), gc + float(delta[2]))
+        assert _sse(*want, x, y) < gsse  # the first step of this curve is accepted
+    else:
+        want = (ga, gb, gc)
+    monkeypatch.setattr(np.linalg, "lstsq", _failing_solve(mode))
+    with np.errstate(over="ignore"):
+        model = fit(points)
+    assert (model.a, model.b, model.c) == want
+    assert model.sse == _sse(*want, x, y)
+    assert model.fit_log.diverged is True
+    assert model.fit_log.polish_steps == (1 if mode == "after_one_step" else 0)
 
 
 def test_fit_is_input_order_invariant():

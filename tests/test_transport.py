@@ -23,7 +23,6 @@ from domainport.transport import (
     build_report,
     load_score_table,
     render_report_text,
-    report_to_dict,
     tau_p_mean,
     tau_p_pair,
     tau_var,
@@ -528,26 +527,26 @@ def test_build_report_reproduces_the_stanford_column():
         [tuple(t) for t in spec["targets"]],
         groups={g: [tuple(k) for k in keys] for g, keys in spec["groups"].items()},
     )
-    assert report.group_means["wiki"] == pytest.approx(0.671, abs=5e-3)
-    assert report.group_means["wnut"] == pytest.approx(0.514, abs=5e-3)
-    assert report.tau_p == pytest.approx(0.553, abs=5e-3)
-    assert report.variation == pytest.approx(15.051, abs=1e-3)
-    assert report.n_targets == 4
-    assert not report.bias_corrected
+    assert report["group_means"]["wiki"] == pytest.approx(0.671, abs=5e-3)
+    assert report["group_means"]["wnut"] == pytest.approx(0.514, abs=5e-3)
+    assert report["tau_p"] == pytest.approx(0.553, abs=5e-3)
+    assert report["variation"] == pytest.approx(15.051, abs=1e-3)
+    assert len(report["per_target"]) == 4
+    assert not report["bias_corrected"]
 
 
 def test_build_report_single_target_has_no_variation():
     table = ScoreTable(entries=tuple(entries_for("s", {"src": 80.0, "tgt": 40.0})))
     report = build_report(table, "s", "t", ("src", "test"), [("tgt", "test")])
-    assert report.tau_p == 0.5
-    assert report.variation is None
+    assert report["tau_p"] == 0.5
+    assert report["variation"] is None
 
 
 def test_build_report_source_as_sole_target():
     table = ScoreTable(entries=tuple(entries_for("s", {"src": 80.0})))
     report = build_report(table, "s", "t", ("src", "test"), [("src", "test")])
-    assert report.tau_p == 1.0
-    assert report.variation is None
+    assert report["tau_p"] == 1.0
+    assert report["variation"] is None
 
 
 def test_build_report_missing_key_is_named():
@@ -562,14 +561,14 @@ def test_build_report_rejects_empty_group():
         build_report(table, "s", "t", ("src", "test"), [("tgt", "test")], groups={"g": []})
 
 
-def test_report_to_dict_round_trips_through_json():
+def test_a_report_round_trips_through_json():
     table = load_ner_scores()
     spec = transport_spec("ner")
     report = build_report(table, "elmo", "ner", tuple(spec["source"]), [tuple(t) for t in spec["targets"]])
-    payload = json.loads(json.dumps(report_to_dict(report)))
+    payload = json.loads(json.dumps(report))
     assert payload["system"] == "elmo"
-    assert payload["tau_p"] == report.tau_p
-    assert payload["variation"] == report.variation
+    assert payload["tau_p"] == report["tau_p"]
+    assert payload["variation"] == report["variation"]
     assert len(payload["per_target"]) == 4
 
 
@@ -583,7 +582,7 @@ def test_render_report_text_layout():
         )
         for system in spec["systems"]
     ]
-    text = render_report_text([report_to_dict(r) for r in reports], group_order=["wiki", "wnut"])
+    text = render_report_text(reports, group_order=["wiki", "wnut"])
     lines = text.splitlines()
     assert lines[0].split() == ["measure", "stanford", "spacy", "elmo"]
     assert any(ln.startswith("tau_p(wiki)") for ln in lines)
@@ -594,5 +593,5 @@ def test_render_report_text_layout():
 def test_render_report_text_marks_undefined_variation():
     table = ScoreTable(entries=tuple(entries_for("s", {"src": 80.0, "tgt": 40.0})))
     report = build_report(table, "s", "t", ("src", "test"), [("tgt", "test")])
-    assert "n/a" in render_report_text([report_to_dict(report)])
+    assert "n/a" in render_report_text([report])
 

@@ -1,9 +1,9 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and every name it exports is bound.
 
-Each module is parsed with ``ast``, not imported. A name counts as used
-when the module reads it anywhere, including in annotations, or lists it
-in ``__all__``. An import line marked ``# noqa`` is skipped: it keeps a
-name alive for code outside the package.
+Each module, subpackages included, is parsed with ``ast``, not imported.
+A name counts as used when the module reads it anywhere, including in
+annotations, or lists it in ``__all__``. An import line marked
+``# noqa`` is skipped: it keeps a name alive for code outside the package.
 """
 
 from __future__ import annotations
@@ -37,9 +37,13 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_name_in_all_is_bound():
+    assert [name for name in domainport.__all__ if not hasattr(domainport, name)] == []
 
 
 def test_the_check_finds_an_unused_import_and_honours_noqa_and_all():
