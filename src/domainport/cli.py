@@ -43,7 +43,7 @@ from .features import (
 )
 from .hashing import content_digest, dump_json, fields_from_dict, stable_hash
 from .hashing import fnv1a_64  # noqa: F401  unused here, but bench/tracing.py wraps cli.fnv1a_64 by name
-from .regression import FitModel, curve_points, fit as fit_curve, predict
+from .regression import FitLog, FitModel, curve_points, fit as fit_curve, predict
 from .transport import (
     PERCENT_METRICS,
     ScoreTable,
@@ -729,16 +729,16 @@ def cmd_fit(cfg: RunConfig, run: _Run) -> None:
             model = fit_curve(points, predictor_name=column, percent_scale=percent)
             stem = f"fit-{_slug(system)}-{predictor}"
             run.write_json(f"{stem}.json", system=system, predictor=predictor, metric=table.metric_name,
-                           model=model.to_dict(), points=sorted(points))
+                           model=asdict(model), points=sorted(points))
             x_max = max(x for x, _ in points)
             curve = curve_points(model, x_max if x_max > 0 else 1.0)
             run.write(f"curve-{_slug(system)}-{predictor}.csv", _csv_text(
                 run.hash, [column, "predicted_score"], [[repr(xv), repr(yv)] for xv, yv in curve]))
             summary_fits.setdefault(system, {})[predictor] = {
-                "a": model.a, "b": model.b, "c": model.c, "sse": model.sse, "mae": model.mae, "n": model.n_points,
+                "a": model.a, "b": model.b, "c": model.c, "sse": model.sse, "mae": model.mae, "n": model.n,
                 "file": f"{stem}.json"}
             mae_by_predictor[predictor].append(model.mae)
-            click.echo(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n_points} point(s)")
+            click.echo(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n} point(s)")
 
     run.write_json("fit_summary.json",
                    metric=table.metric_name,
@@ -749,15 +749,15 @@ def cmd_fit(cfg: RunConfig, run: _Run) -> None:
 
 
 def cmd_predict(model_path: Path, x: float) -> None:
-    payload = _parse_artifact(read_file(model_path, f"missing {model_path.name}; run the fit stage first"), model_path)
-    data = payload.get("model", payload)
+    name = model_path.name
+    payload = _parse_artifact(read_file(model_path, f"missing {name}; run the fit stage first"), model_path)
+    _check_fields(name, "top level", payload, model="an object")
+    _check_fields(name, "model", payload["model"], **dict.fromkeys("abc", "a number"), percent_scale="true or false")
     try:
-        model = FitModel.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"corrupt model file {model_path.name}: {exc}") from exc
-    except AttributeError:  # a record that is not an object: the model, or its fit log
-        field = "fit_log" if isinstance(data, dict) else "model"
-        raise ParseError(f"corrupt model file {model_path.name}: {field!r} must be an object") from None
+        model = fields_from_dict(FitModel, payload["model"], "model")
+        model = replace(model, fit_log=fields_from_dict(FitLog, model.fit_log, "fit_log"))
+    except ConfigError as exc:
+        raise ParseError(f"corrupt artifact {name}: {exc}") from None
     click.echo(repr(predict(model, x)))
 
 
@@ -769,6 +769,8 @@ _KINDS = {
     "a number": _is_number,
     "an integer": lambda v: type(v) is int,
     "a string": lambda v: isinstance(v, str),
+    "true or false": lambda v: type(v) is bool,
+    "an object": lambda v: isinstance(v, dict),
     "a number or null": lambda v: v is None or _is_number(v),
     "an object of numbers": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
     "a dataset/split object": lambda v: isinstance(v, dict) and {type(v.get("dataset")), type(v.get("split"))} == {str},
@@ -983,8 +985,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _cli.main(args=list(argv) if argv is not None else None, prog_name="domainport", standalone_mode=False)
         return 0
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.exceptions.Abort:  # click's form of a KeyboardInterrupt raised in a stage
         click.echo("interrupted", err=True)
         return 130

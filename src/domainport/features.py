@@ -254,8 +254,6 @@ def _per_document_embedding(
         # of accumulation cannot change the vector
         acc += _project(slots[start:end], signed_weights[start:end], cfg.dimension)
         contributing += 1
-    if contributing == 0:
-        raise ComputationError("no features: no document produced an embedding")
     acc /= contributing
     norm = float(np.linalg.norm(acc))
     if norm == 0.0:

@@ -19,10 +19,11 @@ plus a newline. ``indent`` keeps ``json.dumps`` on its pure-Python
 encoder, so ``dump_json`` hands each dict or list whose values are all
 leaves (a profile's term table and embedding) to the C encoder, with the
 indented line break as its item separator. Config blocks and records
-(settings, similarity records, fit logs) have one codec: they are written
-by ``dataclasses.asdict`` (both encodings write its tuples as lists) and
-read by ``fields_from_dict``, which refuses a block that is not an object,
-keys that are not fields and required fields that are missing.
+(settings, similarity records, fitted models and their fit logs) have
+one codec: they are written by ``dataclasses.asdict`` (both encodings
+write its tuples as lists) and read by ``fields_from_dict``, which
+refuses a block that is not an object, keys that are not fields and
+required fields that are missing.
 
 Reference vectors with seed 0:
 

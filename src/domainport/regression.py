@@ -10,8 +10,8 @@ parameters that never accepts a step increasing the squared error.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .errors import ComputationError
 from .lazy import np
@@ -39,51 +39,17 @@ class FitLog:
 
 @dataclass(frozen=True)
 class FitModel:
-    """A fitted y = a * exp(-b * x) + c curve."""
+    """A fitted y = a * exp(-b * x) + c curve; its ``asdict`` is the ``model`` object of ``fit-*.json``."""
 
     a: float
     b: float
     c: float
-    predictor_name: str
+    predictor: str
     sse: float
     mae: float
-    n_points: int
+    n: int
     percent_scale: bool
     fit_log: FitLog
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "predictor": self.predictor_name,
-            "sse": self.sse,
-            "mae": self.mae,
-            "n": self.n_points,
-            "percent_scale": self.percent_scale,
-            "fit_log": asdict(self.fit_log),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FitModel":
-        log = data.get("fit_log") or {}
-        return cls(
-            a=float(data["a"]),
-            b=float(data["b"]),
-            c=float(data["c"]),
-            predictor_name=str(data.get("predictor", "x")),
-            sse=float(data.get("sse", math.nan)),
-            mae=float(data.get("mae", math.nan)),
-            n_points=int(data.get("n", 0)),
-            percent_scale=bool(data.get("percent_scale", True)),
-            fit_log=FitLog(
-                grid_b=float(log.get("grid_b", math.nan)),
-                grid_sse=float(log.get("grid_sse", math.nan)),
-                polish_steps=int(log.get("polish_steps", 0)),
-                step_rejected=bool(log.get("step_rejected", False)),
-                diverged=bool(log.get("diverged", False)),
-            ),
-        )
 
 
 def _validate_points(
@@ -218,53 +184,46 @@ def fit(
     ga, gb, gc, gsse = _grid_search(x, y)
     a, b, c, sse, steps, rejected, diverged = _gauss_newton(ga, gb, gc, x, y)
     log = FitLog(grid_b=gb, grid_sse=gsse, polish_steps=steps, step_rejected=rejected, diverged=diverged)
-    return FitModel(
+    model = FitModel(
         a=a,
         b=b,
         c=c,
-        predictor_name=predictor_name,
+        predictor=predictor_name,
         sse=sse,
-        mae=_mae(a, b, c, percent_scale, list(zip(x.tolist(), y.tolist()))),
-        n_points=int(x.size),
+        mae=math.nan,
+        n=int(x.size),
         percent_scale=percent_scale,
         fit_log=log,
     )
+    return replace(model, mae=mean_absolute_error(model, list(zip(x.tolist(), y.tolist()))))
 
 
 def predict(model: FitModel, x: float) -> float:
     """Predicted score at similarity x, clamped to [0, 100] on percent scales."""
-    return _predict(model.a, model.b, model.c, model.percent_scale, x)
-
-
-def _predict(a: float, b: float, c: float, percent_scale: bool, x: float) -> float:
     if not math.isfinite(x):
         raise ComputationError("similarity value must be finite")
     if x < 0.0:
         raise ComputationError(f"negative similarity value: {x}")
-    if not all(math.isfinite(v) for v in (a, b, c)):
+    if not all(math.isfinite(v) for v in (model.a, model.b, model.c)):
         raise ComputationError("model parameters are not finite")
-    return _curve(a, b, c, percent_scale, x)
+    return _curve(model, x)
 
 
-def _curve(a: float, b: float, c: float, percent_scale: bool, x: float) -> float:
+def _curve(model: FitModel, x: float) -> float:
     """The unchecked model formula a * exp(-b * x) + c, clamped to [0, 100] on percent scales."""
-    value = a * math.exp(-b * x) + c
-    if percent_scale:
+    value = model.a * math.exp(-model.b * x) + model.c
+    if model.percent_scale:
         value = min(max(value, 0.0), 100.0)
     return value
 
 
 def mean_absolute_error(model: FitModel, points: Sequence[tuple[float, float]]) -> float:
     """Mean |y - predict(x)| over the given points."""
-    return _mae(model.a, model.b, model.c, model.percent_scale, points)
-
-
-def _mae(a: float, b: float, c: float, percent_scale: bool, points: Sequence[tuple[float, float]]) -> float:
     if not points:
         raise ComputationError("no points: mean absolute error is undefined")
     total = 0.0
     for x, y in points:
-        total += abs(float(y) - _predict(a, b, c, percent_scale, float(x)))
+        total += abs(float(y) - predict(model, float(x)))
     return total / len(points)
 
 
@@ -282,6 +241,5 @@ def curve_points(model: FitModel, x_max: float, n: int = 101, x_min: float = 0.0
     if not (math.isfinite(x_min) and math.isfinite(x_max)) or x_max <= x_min:
         raise ComputationError("bad curve range")
     xs = np.linspace(x_min, x_max, n).tolist()
-    a, b, c, percent_scale = model.a, model.b, model.c, model.percent_scale
-    _predict(a, b, c, percent_scale, xs[0])  # checks the model and the smallest x, once
-    return [(x, _curve(a, b, c, percent_scale, x)) for x in xs]
+    predict(model, xs[0])  # checks the model and the smallest x, once
+    return [(x, _curve(model, x)) for x in xs]

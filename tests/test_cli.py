@@ -25,7 +25,7 @@ from domainport.divergence import CSV_COLUMNS, KLSettings
 from domainport.errors import ConfigError, ParseError, read_text
 from domainport.features import EmbeddingConfig, profile_from_dict
 from domainport.hashing import dump_json, fields_from_dict, stable_hash
-from domainport.regression import FitModel, predict
+from domainport.regression import FitModel, fit, predict
 from test_output_tree import GOLDEN
 
 
@@ -1150,7 +1150,7 @@ def test_predict_agrees_with_the_library(tmp_path):
     model_path = tmp_path / "out" / "fit-alpha-sys-kl.json"
     code, out, _ = run_cli(["predict", "--model", str(model_path), "--x", "0.5"])
     assert code == 0
-    model = FitModel.from_dict(read_json(model_path)["model"])
+    model = fields_from_dict(FitModel, read_json(model_path)["model"], "model")
     assert float(out.strip()) == predict(model, 0.5)
 
 
@@ -1161,16 +1161,25 @@ def test_predict_rejects_bad_model_files(tmp_path):
     assert "run the fit stage first" in err
 
     corrupt = tmp_path / "fit-corrupt.json"
-    for content, message in [
-        ({"model": {"a": 1.0}}, "corrupt model file fit-corrupt.json: 'b'"),
-        ({"model": [1]}, "corrupt model file fit-corrupt.json: 'model' must be an object"),
-        ({"model": {"a": 1.0, "b": 0.5, "c": 0.0, "fit_log": "x"}},
-         "corrupt model file fit-corrupt.json: 'fit_log' must be an object"),
+    model = dataclasses.asdict(fit([(0.0, 90.0), (1.0, 60.0), (2.0, 50.0)]))
+    for content, message, exit_code in [
+        ({"model": {"a": 1.0}}, "model: 'b' must be a number", 2),
+        ({"model": [1]}, "top level: 'model' must be an object", 2),
+        ({"model": {"a": 1.0, "b": 0.5, "c": 0.0, "fit_log": "x"}}, "model: 'percent_scale' must be true or false", 2),
+        ({"model": {**model, "fit_log": "x"}}, "fit_log must be an object", 2),
+        ({"model": {**model, "percent_scale": "false"}}, "model: 'percent_scale' must be true or false", 2),
+        (model, "top level: 'model' must be an object", 2),
+        ({"model": {**model, "a": "2"}}, "model: 'a' must be a number", 2),
+        ({"model": {k: v for k, v in model.items() if k != "sse"}}, "missing model fields: ['sse']", 2),
+        ({"model": {**model, "slope": 1.0}}, "unknown model fields: ['slope']", 2),
+        ({"model": {**model, "fit_log": {**model["fit_log"], "steps": 0}}}, "unknown fit_log fields: ['steps']", 2),
+        ({"model": {**model, "a": math.inf}}, "model parameters are not finite", 3),
     ]:
         corrupt.write_text(json.dumps(content), encoding="utf-8")
-        code, _, err = run_cli(["predict", "--model", str(corrupt), "--x", "0.5"])
-        assert code == 2, content
-        assert message in err
+        code, out, err = run_cli(["predict", "--model", str(corrupt), "--x", "0.5"])
+        assert (code, out) == (exit_code, ""), content
+        prefix = "data error: corrupt artifact fit-corrupt.json: " if exit_code == 2 else "computation error: "
+        assert err == prefix + message + "\n"
 
 
 # ---------------------------------------------------------------- report
@@ -1320,11 +1329,13 @@ def test_config_rejects_bad_json(tmp_path):
     (set_key("tokenizer", value={"ngram_order": True}), "ngram_order must be an integer >= 1"),
     (set_key("embedding", "per_document", value="no"), "embedding per_document must be true or false"),
     (set_key("kl", value={"epsilon": True}), "epsilon must be a positive finite number"),
+    (set_key("transport", "source", value="src"), "transport.source must be a dataset/split pair"),
 ], ids=["scores-key", "similarity-key", "fit-key", "target-key", "source-key", "fit-list", "scores-null",
         "corpora-number", "targets-number", "tokenizer-list", "kl-epsilon-string", "duplicate-predictor",
         "duplicate-system", "corpus-key", "transport-task-missing", "scores-path-number", "external-number",
         "seed-string", "bias-corrected-string", "out-dir-null", "task-number", "lowercase-string",
-        "strip-punctuation-number", "ngram-order-bool", "per-document-string", "kl-epsilon-bool"])
+        "strip-punctuation-number", "ngram-order-bool", "per-document-string", "kl-epsilon-bool",
+        "source-string"])
 def test_config_rejects_a_malformed_block(tmp_path, edit, message):
     config = write_pipeline_tree(tmp_path)
     edit_config(config, edit)

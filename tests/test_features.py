@@ -396,6 +396,14 @@ def test_per_document_profile_rejects_a_document_that_cancels():
         reference_per_document(corpus, cfg)
 
 
+def test_per_document_profile_rejects_documents_whose_mean_cancels():
+    # "w0" and "w11" hash to slot 0 with opposite signs: each document has a
+    # vector of its own, but their mean is the zero vector
+    corpus = small_corpus("w0\nw11\n")
+    with pytest.raises(ComputationError, match="per-document vectors cancelled out"):
+        build_profile(corpus, EmbeddingConfig(dimension=2, seed=42, per_document=True))
+
+
 def test_profile_rejects_featureless_corpus():
     corpus = small_corpus("a b\n", ngram_order=5)  # every document shorter than the order
     with pytest.raises(ComputationError, match="no features"):

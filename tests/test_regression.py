@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from domainport.data import load_curve
 from domainport.errors import ComputationError
-from domainport.hashing import dump_json
+from domainport.hashing import dump_json, fields_from_dict
 from domainport.regression import (
+    FitLog,
     FitModel,
     _grid_candidates,
     _grid_search,
@@ -37,8 +39,8 @@ def make_model(a, b, c, percent_scale=True):
     base = fit(EXACT_POINTS)
     return FitModel(
         a=a, b=b, c=c,
-        predictor_name="x",
-        sse=0.0, mae=0.0, n_points=5,
+        predictor="x",
+        sse=0.0, mae=0.0, n=5,
         percent_scale=percent_scale,
         fit_log=base.fit_log,
     )
@@ -363,11 +365,11 @@ def test_jacobian_matches_central_differences():
 
 def test_model_json_round_trip():
     model = fit(EXACT_POINTS, predictor_name="kl_divergence")
-    payload = json.loads(dump_json(model.to_dict()))
+    payload = json.loads(dump_json(dataclasses.asdict(model)))
     assert set(payload) == {"a", "b", "c", "predictor", "sse", "mae", "n", "percent_scale", "fit_log"}
     assert payload["n"] == 5
     assert payload["predictor"] == "kl_divergence"
-    restored = FitModel.from_dict(payload)
+    restored = fields_from_dict(FitModel, payload, "model")
     assert (restored.a, restored.b, restored.c) == (model.a, model.b, model.c)
-    assert restored.n_points == model.n_points
-    assert restored.fit_log == model.fit_log
+    assert restored.n == model.n
+    assert fields_from_dict(FitLog, restored.fit_log, "fit_log") == model.fit_log

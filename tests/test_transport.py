@@ -109,6 +109,9 @@ def test_tau_var_equal_targets_is_zero():
 def test_tau_var_needs_two_targets():
     with pytest.raises(ComputationError, match="fewer than 2"):
         tau_var(90.0, [45.0])
+    # two targets, but no ratio to vary around
+    with pytest.raises(ComputationError, match="variation is undefined: mean transport ratio is zero"):
+        tau_var(80.0, [0.0, 0.0])
 
 
 @given(ratio_lists, st.floats(min_value=0.1, max_value=50.0, allow_nan=False))
