@@ -13,6 +13,7 @@ config, with those overrides, gives.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import fcntl
 import functools
@@ -24,9 +25,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-import click
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from . import __version__
 from .corpus import Corpus, TokenizerConfig, parse_conll, parse_interchange, parse_jsonl_pairs, parse_plaintext
@@ -540,7 +539,7 @@ def _stage(work: Callable[[RunConfig, _Run], None]) -> Callable[..., None]:
     def cmd(cfg: RunConfig, flags: Overrides, allow_partial: bool = False) -> None:
         run = _Run(stage, cfg, flags, allow_partial)
         if run.up_to_date():
-            click.echo(f"{stage}: up to date")
+            print(f"{stage}: up to date")
         else:
             work(cfg, run)
             run.finish()
@@ -608,7 +607,7 @@ def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
                                   "input": content_digest(raw),  # the one read of this file: hashed, parsed on a miss
                                   "vector": content_digest(external[spec.domain_id].tobytes()) if external else None})
             if run.reuse(name, source):
-                click.echo(f"cache hit: {spec.domain_id}")
+                print(f"cache hit: {spec.domain_id}")
                 continue
             corpus = _parse_corpus_spec(cfg, spec, raw)
             del raw  # the file's bytes need not stay alive while the profile is built and written
@@ -617,10 +616,10 @@ def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
             else:
                 profile = build_profile(corpus, cfg.embedding)
             run.write(name, _artifact_text(config_hash, flags, profile=profile_to_dict(profile)), source)
-            click.echo(f"ingested: {spec.domain_id} ({len(corpus.documents)} documents, {corpus.token_count} tokens)")
+            print(f"ingested: {spec.domain_id} ({len(corpus.documents)} documents, {corpus.token_count} tokens)")
         except (ConfigError, ParseError, ComputationError) as exc:
             failures.append((spec.domain_id, exc))
-            click.echo(f"failed: {spec.domain_id}: {exc}", err=True)
+            print(f"failed: {spec.domain_id}: {exc}", file=sys.stderr)
 
     run.finish()  # also after a failure: the profiles of failed and removed corpora go
     if failures:
@@ -654,7 +653,7 @@ def cmd_similarity(cfg: RunConfig, run: _Run) -> None:
     rows = [[r.source_id, r.target_id, *(repr(getattr(r, c)) for c in CSV_COLUMNS[2:])] for r in records]
     run.write("similarity.csv", _csv_text(run.hash, CSV_COLUMNS, rows))
     run.write_json("similarity.json", records=[asdict(r) for r in records])
-    click.echo(f"similarity: {len(records)} record(s) from {source_id!r}")
+    print(f"similarity: {len(records)} record(s) from {source_id!r}")
 
 
 def _group_order(cfg: RunConfig) -> list[str] | None:
@@ -676,7 +675,7 @@ def cmd_transport(cfg: RunConfig, run: _Run) -> None:
     text = render_report_text(reports, group_order=_group_order(cfg))
     header = f"# task={spec.task} metric={table.metric_name}\n# config_hash={run.hash} tool_version={__version__}\n"
     run.write("transport.txt", header + text)
-    click.echo(f"transport: {len(reports)} system report(s)")
+    print(f"transport: {len(reports)} system report(s)")
 
 
 def _join_points(
@@ -723,8 +722,8 @@ def cmd_fit(cfg: RunConfig, run: _Run) -> None:
             points = _join_points(by_domain, records, table, system, spec.task, column)
             if len(points) < 3:
                 skipped.append({"system": system, "predictor": predictor, "points": len(points)})
-                click.echo(f"warning: skipping fit for {system}/{predictor}: "
-                           f"only {len(points)} joinable point(s), need 3", err=True)
+                print(f"warning: skipping fit for {system}/{predictor}: "
+                      f"only {len(points)} joinable point(s), need 3", file=sys.stderr)
                 continue
             model = fit_curve(points, predictor_name=column, percent_scale=percent)
             stem = f"fit-{_slug(system)}-{predictor}"
@@ -738,14 +737,14 @@ def cmd_fit(cfg: RunConfig, run: _Run) -> None:
                 "a": model.a, "b": model.b, "c": model.c, "sse": model.sse, "mae": model.mae, "n": model.n,
                 "file": f"{stem}.json"}
             mae_by_predictor[predictor].append(model.mae)
-            click.echo(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n} point(s)")
+            print(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n} point(s)")
 
     run.write_json("fit_summary.json",
                    metric=table.metric_name,
                    fits=summary_fits,
                    skipped=sorted(skipped, key=lambda s: (s["system"], s["predictor"])),
                    mean_mae={p: (sum(v) / len(v) if v else None) for p, v in mae_by_predictor.items()})
-    click.echo(f"fit: {sum(len(v) for v in summary_fits.values())} model(s), {len(skipped)} skipped")
+    print(f"fit: {sum(len(v) for v in summary_fits.values())} model(s), {len(skipped)} skipped")
 
 
 def cmd_predict(model_path: Path, x: float) -> None:
@@ -758,7 +757,7 @@ def cmd_predict(model_path: Path, x: float) -> None:
         model = replace(model, fit_log=fields_from_dict(FitLog, model.fit_log, "fit_log"))
     except ConfigError as exc:
         raise ParseError(f"corrupt artifact {name}: {exc}") from None
-    click.echo(repr(predict(model, x)))
+    print(repr(predict(model, x)))
 
 
 def _is_number(value: Any) -> bool:
@@ -869,142 +868,136 @@ def cmd_report(cfg: RunConfig, run: _Run) -> None:
     for predictor, rows in plots.items():
         run.write(f"plot-{predictor}.csv",
                   _csv_text(run.hash, ["system", PREDICTOR_COLUMNS[predictor], "score"], rows))
-    click.echo("report written")
+    print("report written")
 
 
-# ---------------------------------------------------------------- click wiring
+# ---------------------------------------------------------------- command line
 
 
-def _run(cmd: Callable[..., None], config_path: str, out_dir: str | None, blocks: dict[str, dict[str, Any]],
-         **settings: Any) -> None:
-    """Run stage ``cmd`` under the run lock.
+def _domain_ids(text: str) -> tuple[str, ...]:
+    """The domain ids of a comma-separated ``--targets`` value."""
+    ids = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not ids:
+        raise argparse.ArgumentTypeError("must name at least one domain id")
+    return ids
 
-    The config is the one at ``config_path`` with ``--out`` and, in each
-    block of ``blocks``, the flag values given (not None). Those values
-    are the run's flag overrides, which its artifacts record.
+
+# stage -> (its help line, its own options: flag -> add_argument keywords). A dest
+# "block.field" is a flag override of that field of the config; any other dest is
+# passed to the stage by name. Every stage but predict also takes --config and --out.
+_COMMANDS: dict[str, tuple[str, dict[str, dict[str, Any]]]] = {
+    "ingest": ("Parse corpora and cache their domain profiles.", {
+        "--seed": dict(dest="embedding.seed", type=int, metavar="INT", help="Override the embedding seed.")}),
+    "similarity": ("Compute the similarity table from cached profiles.", {
+        "--source": dict(dest="similarity.source", metavar="ID",
+                         help="Override the source domain id for the similarity table."),
+        "--targets": dict(dest="similarity.targets", type=_domain_ids, metavar="IDS",
+                          help="Override the target domain ids (comma-separated)."),
+        "--kl-direction": dict(dest="kl.direction", choices=["forward", "reverse"], help="Override the KL direction."),
+        "--kl-epsilon": dict(dest="kl.epsilon", type=float, metavar="FLOAT",
+                             help="Override the KL smoothing epsilon.")}),
+    "transport": ("Compute transport ratios and variation from the score table.", {
+        "--bias-corrected": dict(dest="transport.bias_corrected", action=argparse.BooleanOptionalAction,
+                                 help="Override the small-sample bias correction for the variation measure.")}),
+    "fit": ("Fit decay curves of score against each similarity measure.", {
+        "--predictor": dict(dest="fit.predictors", action="append", choices=sorted(PREDICTOR_COLUMNS),
+                            help="Restrict fitting to the named predictor(s); repeatable.")}),
+    "predict": ("Predict a score from a saved model at a new similarity value.", {
+        "--model": dict(required=True, metavar="PATH", help="Path to a fit-*.json artifact."),
+        "--x": dict(required=True, type=float, metavar="FLOAT", help="Similarity value to predict at.")}),
+    "report": ("Combine stage outputs into one report.", {
+        "--allow-partial": dict(action="store_true",
+                                help="Render whatever stages have run instead of failing on gaps.")}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated option and no ``-h``, and raises on a bad command line instead of exiting."""
+
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str) -> NoReturn:
+        raise argparse.ArgumentError(None, message)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :data:`_COMMANDS`, built once per process.
+
+    It holds stage names only: :func:`main` looks ``cmd_<stage>`` up on
+    the module at each call, so a wrapper set there in between is called.
     """
-    cfg = load_config(config_path)
-    changes: dict[str, Any] = {} if out_dir is None else {"out_dir": out_dir}
+    parser = _Parser(prog="domainport", description="Domain transportability toolkit.")
+    parser.add_argument("--version", action="version", version=f"domainport {__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(dest="stage", metavar="COMMAND", required=True)
+    for stage, (summary, options) in _COMMANDS.items():
+        sub = commands.add_parser(stage, help=summary, description=summary)
+        if stage != "predict":
+            sub.add_argument("--config", required=True, metavar="PATH", help="Path to the JSON run configuration.")
+            sub.add_argument("--out", metavar="DIR", help="Override the configured output directory.")
+        for flag, keywords in options.items():
+            sub.add_argument(flag, **keywords)
+    return parser
+
+
+def _run(cmd: Callable[..., None], args: dict[str, Any]) -> None:
+    """Run stage ``cmd`` on the parsed ``args`` under the run lock.
+
+    The config is the one at ``--config`` with ``--out`` and each
+    ``block.field`` flag value given (not None). Those values are the
+    run's flag overrides, which its artifacts record.
+    """
+    cfg = load_config(args.pop("config"))
+    out_dir = args.pop("out")
     flags: dict[str, dict[str, Any]] = {}
-    for name, values in blocks.items():
-        given = {key: value for key, value in values.items() if value is not None}
-        if given and getattr(cfg, name) is not None:  # a flag for an absent transport block does nothing
-            changes[name] = replace(getattr(cfg, name), **given)
-            flags[name] = given
+    settings: dict[str, Any] = {}
+    for dest, value in args.items():
+        block, _, name = dest.rpartition(".")
+        if not block:
+            settings[name] = value
+        elif value is not None and getattr(cfg, block) is not None:  # a flag for an absent transport block does nothing
+            # a repeatable flag gives a list: each value counts once
+            flags.setdefault(block, {})[name] = tuple(dict.fromkeys(value)) if isinstance(value, list) else value
+    changes: dict[str, Any] = {block: replace(getattr(cfg, block), **values) for block, values in flags.items()}
+    if out_dir is not None:
+        changes["out_dir"] = out_dir
     cfg = replace(cfg, **changes)
     with _run_lock(cfg.out_path):
         cmd(cfg, flags, **settings)
 
 
-_CONFIG_OPTION = click.option("--config", "config_path", required=True, type=str, help="Path to the JSON run configuration.")
-_OUT_OPTION = click.option("--out", "out_dir", default=None, type=str, help="Override the configured output directory.")
-
-
-@click.group(name="domainport")
-@click.version_option(version=__version__, prog_name="domainport")
-def _cli() -> None:
-    """Domain transportability toolkit."""
-
-
-@_cli.command("ingest")
-@_CONFIG_OPTION
-@_OUT_OPTION
-@click.option("--seed", type=int, default=None, help="Override the embedding seed.")
-def _ingest_cmd(config_path: str, out_dir: str | None, seed: int | None) -> None:
-    """Parse corpora and cache their domain profiles."""
-    _run(cmd_ingest, config_path, out_dir, {"embedding": {"seed": seed}})
-
-
-@_cli.command("similarity")
-@_CONFIG_OPTION
-@_OUT_OPTION
-@click.option("--source", "source_id", default=None, type=str,
-              help="Override the source domain id for the similarity table.")
-@click.option("--targets", "target_ids", default=None, type=str,
-              help="Override the target domain ids (comma-separated).")
-@click.option("--kl-direction", type=click.Choice(["forward", "reverse"]), default=None,
-              help="Override the KL direction.")
-@click.option("--kl-epsilon", type=float, default=None, help="Override the KL smoothing epsilon.")
-def _similarity_cmd(
-    config_path: str,
-    out_dir: str | None,
-    source_id: str | None,
-    target_ids: str | None,
-    kl_direction: str | None,
-    kl_epsilon: float | None,
-) -> None:
-    """Compute the similarity table from cached profiles."""
-    targets = None
-    if target_ids is not None:
-        targets = tuple(t.strip() for t in target_ids.split(",") if t.strip())
-        _require(len(targets) > 0, "--targets must name at least one domain id")
-    _run(cmd_similarity, config_path, out_dir, {"kl": {"direction": kl_direction, "epsilon": kl_epsilon},
-                                                  "similarity": {"source": source_id, "targets": targets}})
-
-
-@_cli.command("transport")
-@_CONFIG_OPTION
-@_OUT_OPTION
-@click.option("--bias-corrected/--no-bias-corrected", "bias_corrected", default=None,
-              help="Override the small-sample bias correction for the variation measure.")
-def _transport_cmd(config_path: str, out_dir: str | None, bias_corrected: bool | None) -> None:
-    """Compute transport ratios and variation from the score table."""
-    _run(cmd_transport, config_path, out_dir, {"transport": {"bias_corrected": bias_corrected}})
-
-
-@_cli.command("fit")
-@_CONFIG_OPTION
-@_OUT_OPTION
-@click.option("--predictor", "predictors", multiple=True, type=click.Choice(sorted(PREDICTOR_COLUMNS)),
-              help="Restrict fitting to the named predictor(s); repeatable.")
-def _fit_cmd(config_path: str, out_dir: str | None, predictors: tuple[str, ...]) -> None:
-    """Fit decay curves of score against each similarity measure."""
-    _run(cmd_fit, config_path, out_dir, {"fit": {"predictors": tuple(dict.fromkeys(predictors)) or None}})
-
-
-@_cli.command("predict")
-@click.option("--model", "model_path", required=True, type=str, help="Path to a fit-*.json artifact.")
-@click.option("--x", "x_value", required=True, type=float, help="Similarity value to predict at.")
-def _predict_cmd(model_path: str, x_value: float) -> None:
-    """Predict a score from a saved model at a new similarity value."""
-    cmd_predict(Path(model_path), x_value)
-
-
-@_cli.command("report")
-@_CONFIG_OPTION
-@_OUT_OPTION
-@click.option("--allow-partial", is_flag=True, default=False,
-              help="Render whatever stages have run instead of failing on gaps.")
-def _report_cmd(config_path: str, out_dir: str | None, allow_partial: bool) -> None:
-    """Combine stage outputs into one report."""
-    _run(cmd_report, config_path, out_dir, {}, allow_partial=allow_partial)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the CLI; returns the process exit code instead of raising."""
     try:
-        _cli.main(args=list(argv) if argv is not None else None, prog_name="domainport", standalone_mode=False)
+        args = vars(_parser().parse_args(argv))
+        stage = args.pop("stage")
+        if stage == "predict":
+            cmd_predict(Path(args["model"]), args["x"])
+        else:
+            _run(globals()[f"cmd_{stage}"], args)
         return 0
-    except click.exceptions.Abort:  # click's form of a KeyboardInterrupt raised in a stage
-        click.echo("interrupted", err=True)
+    except SystemExit as exc:  # --help and --version print, then exit 0
+        return exc.code
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return 130
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:
-        click.echo(f"data error: {exc}", err=True)
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ComputationError as exc:
-        click.echo(f"computation error: {exc}", err=True)
+        print(f"computation error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # a full disk, an unwritable path, a file where a directory belongs
-        click.echo(f"io error: {exc}", err=True)
+        print(f"io error: {exc}", file=sys.stderr)
         return 4
 
 

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli, run_full_pipeline, tree_digests, write_pipeline_tree
+import domainport
 from domainport import cli
 from domainport.corpus import TokenizerConfig, parse_plaintext, to_interchange
 from domainport.divergence import CSV_COLUMNS, KLSettings
@@ -1009,7 +1010,9 @@ def test_a_hit_parses_no_input(tmp_path, monkeypatch, stage):
     ("similarity", ["--targets", "news,social,science"], "fit"),
     ("transport", ["--bias-corrected"], "report"),
     ("fit", ["--predictor", "kl"], "report"),
-], ids=["seed-similarity", "kl-direction-fit", "targets-fit", "bias-corrected-report", "predictor-report"])
+    ("transport", ["--no-bias-corrected"], "report"),
+], ids=["seed-similarity", "kl-direction-fit", "targets-fit", "bias-corrected-report", "predictor-report",
+        "no-bias-corrected-report"])
 def test_a_stage_reads_what_a_flag_override_wrote(tmp_path, stage, flags, downstream):
     config = write_pipeline_tree(tmp_path)
     run_full_pipeline(config)
@@ -1027,7 +1030,7 @@ def test_the_overrides_an_artifact_records_travel_downstream(tmp_path):
     assert "overrides" not in read_json(out / "similarity.json")
     assert run_cli(["ingest", "--config", str(config), "--seed", "7"])[0] == 0
     for stage in ("similarity", "fit", "report"):
-        flags = ["--predictor", "kl"] if stage == "fit" else []
+        flags = ["--predictor", "kl", "--predictor", "kl"] if stage == "fit" else []  # a repeat counts once
         assert run_cli([stage, "--config", str(config), *flags])[0] == 0, stage
     seed = {"embedding": {"seed": 7}}
     assert read_json(out / "cache" / "profile-src.json")["overrides"] == seed
@@ -1686,19 +1689,44 @@ def test_out_dir_is_not_part_of_the_config_hash(tmp_path):
 # ---------------------------------------------------------------- plumbing
 
 
-def test_help_version_and_usage_errors():
-    code, out, _ = run_cli(["--help"])
-    assert code == 0
+def test_help_and_version():
+    code, out, err = run_cli(["--help"])
+    assert (code, err) == (0, "")
     for stage in ("ingest", "similarity", "transport", "fit", "predict", "report"):
         assert stage in out
+    assert run_cli(["--version"]) == (0, f"domainport {domainport.__version__}\n", "")
 
-    code, out, _ = run_cli(["--version"])
-    assert code == 0
-    assert "domainport" in out
 
-    code, _, err = run_cli(["transport"])  # --config is required
-    assert code == 1
-    assert "usage error" in err
+@pytest.mark.parametrize("stage, options", [
+    ("ingest", ["--config", "--out", "--seed"]),
+    ("similarity", ["--config", "--out", "--source", "--targets", "--kl-direction", "--kl-epsilon"]),
+    ("transport", ["--config", "--out", "--bias-corrected", "--no-bias-corrected"]),
+    ("fit", ["--config", "--out", "--predictor"]),
+    ("predict", ["--model", "--x"]),
+    ("report", ["--config", "--out", "--allow-partial"]),
+])
+def test_each_stage_help_names_its_options(stage, options):
+    code, out, err = run_cli([stage, "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: domainport {stage} ")
+    for option in options:
+        assert option in out
 
-    code, _, err = run_cli(["no-such-stage", "--config", "x"])
-    assert code == 1
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["transport"],
+    ["no-such-stage", "--config", "x"],
+    ["similarity", "--config", "x", "--kl-direction", "sideways"],
+    ["fit", "--config", "x", "--predictor", "nope"],
+    ["predict", "--model", "fit.json", "--x", "abc"],
+    ["ingest", "--config", "x", "--bogus"],
+    ["ingest", "--conf", "x"],
+    ["similarity", "--config", "x", "--targets", " , "],
+    ["-h"],
+], ids=["no-command", "no-config", "unknown-stage", "kl-direction-choice", "predictor-choice", "x-not-a-float",
+        "unknown-option", "abbreviated-option", "empty-targets", "short-help"])
+def test_a_bad_command_line_is_a_one_line_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err

@@ -2,7 +2,8 @@
 
 The test process itself imports numpy, so each check runs the CLI in a
 fresh interpreter and asks it whether ``numpy.linalg`` (which numpy's
-own import pulls in) reached ``sys.modules``.
+own import pulls in) reached ``sys.modules``. That interpreter cannot
+import click, so each check also shows that the CLI runs without it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ SRC = Path(domainport.__file__).resolve().parent.parent
 # runs each argv through the CLI in one interpreter; the last stdout line reports
 PROBE = """\
 import json, sys
+sys.modules["click"] = None
 from domainport.cli import load_config, main
 if sys.argv[2]:
     load_config(sys.argv[2])
