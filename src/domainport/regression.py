@@ -91,6 +91,25 @@ def _grid_candidates() -> np.ndarray:
     return np.concatenate(([0.0], np.logspace(np.log10(GRID_B_MIN), np.log10(GRID_B_MAX), GRID_B_POINTS)))
 
 
+def _tie_scan(sse: list[float], slack: float) -> int | None:
+    """Index of the ascending-b winner: a candidate replaces the incumbent
+    only when its SSE is lower by more than TIE_TOLERANCE.
+
+    Returns None when a comparison falls within ``slack * (s_i + s_best)``
+    of its threshold, where a rounding error that size could flip it.
+    """
+    best, s_best = 0, sse[0]
+    threshold = s_best - TIE_TOLERANCE
+    for i in range(1, len(sse)):
+        s = sse[i]
+        gap = s - threshold  # IEEE subtraction keeps the sign: gap < 0 iff s < threshold
+        if abs(gap) < slack * (s + s_best):
+            return None
+        if gap < 0.0:
+            best, s_best, threshold = i, s, s - TIE_TOLERANCE
+    return best
+
+
 def _grid_search(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Best (a, b, c, sse) over the decay-rate grid.
 
@@ -101,6 +120,15 @@ def _grid_search(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, flo
     grid is then scanned in ascending b; a candidate replaces the
     incumbent only when it improves the SSE by more than 1e-12, so ties
     resolve toward the smaller decay rate.
+
+    The block SSEs are batched row sums, which add the n squared
+    residuals in another order than ``_sse``'s ``np.dot``. Each of the
+    two sums lies within about n * 2**-53 * s of the exact s, so the
+    scan's winner is the one ``_sse`` would pick whenever every sum is
+    finite and every comparison clears 4 * n * 2**-53 * (s_i + s_best).
+    Otherwise every row's SSE is recomputed with ``_sse`` and scanned
+    again. The returned SSE is always ``_sse`` of the winner, so the
+    result is bitwise equal to a per-candidate loop over ``_sse``.
     """
     bs = _grid_candidates()
     n = x.size
@@ -108,26 +136,29 @@ def _grid_search(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, flo
     rows = max(1, GRID_BLOCK_ELEMENTS // n)
     a = np.empty_like(bs)
     c = np.empty_like(bs)
-    sse: list[float] = []
-    for start in range(0, bs.size, rows):
-        block = slice(start, start + rows)
-        e = np.exp(-bs[block, None] * x[None, :])
-        mean_e = np.sum(e, axis=1) / n
-        d = e - mean_e[:, None]
-        var_e = np.sum(d**2, axis=1)
-        cov_ey = np.sum(d * (y - mean_y), axis=1)
-        flat = var_e <= 1e-12 * np.maximum(np.sum(e * e, axis=1), 1e-300)
-        a[block] = np.where(flat, 0.0, cov_ey / np.where(flat, 1.0, var_e))
-        c[block] = np.where(flat, mean_y, mean_y - a[block] * mean_e)
-        r = y - (a[block, None] * e + c[block, None])
-        # per-row np.dot keeps each SSE bitwise equal to _sse; a batched
-        # product sums in another order and can flip the tie rule
-        sse.extend(float(np.dot(row, row)) for row in r)
-    best = 0
-    for i in range(1, len(sse)):
-        if sse[i] < sse[best] - TIE_TOLERANCE:
-            best = i
-    return float(a[best]), float(bs[best]), float(c[best]), sse[best]
+    sse = np.empty_like(bs)
+    # rows whose residuals overflow are expected here (huge scores); the
+    # exact path scans them as +inf, and fit() rejects a non-finite winner
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, bs.size, rows):
+            block = slice(start, start + rows)
+            e = np.exp(-bs[block, None] * x[None, :])
+            mean_e = np.sum(e, axis=1) / n
+            d = e - mean_e[:, None]
+            var_e = np.sum(d**2, axis=1)
+            cov_ey = np.sum(d * (y - mean_y), axis=1)
+            flat = var_e <= 1e-12 * np.maximum(np.sum(e * e, axis=1), 1e-300)
+            a[block] = np.where(flat, 0.0, cov_ey / np.where(flat, 1.0, var_e))
+            c[block] = np.where(flat, mean_y, mean_y - a[block] * mean_e)
+            r = y - (a[block, None] * e + c[block, None])
+            # one batched sum per row, added in another order than _sse's np.dot
+            sse[block] = np.einsum("ij,ij->i", r, r)
+        # four times the two sums' rounding bound, so a comparison that clears it goes as with _sse
+        best = _tie_scan(sse.tolist(), 4 * n * 2.0**-53) if np.all(np.isfinite(sse)) else None
+        if best is None:
+            best = _tie_scan([_sse(*abc, x, y) for abc in zip(a.tolist(), bs.tolist(), c.tolist())], 0.0)
+        ga, gb, gc = float(a[best]), float(bs[best]), float(c[best])
+        return ga, gb, gc, _sse(ga, gb, gc, x, y)
 
 
 def _gauss_newton(
@@ -182,6 +213,8 @@ def fit(
     """
     x, y = _validate_points(points, percent_scale)
     ga, gb, gc, gsse = _grid_search(x, y)
+    if not math.isfinite(gsse):
+        raise ComputationError("squared error overflows on every grid candidate: scores too large to fit")
     a, b, c, sse, steps, rejected, diverged = _gauss_newton(ga, gb, gc, x, y)
     log = FitLog(grid_b=gb, grid_sse=gsse, polish_steps=steps, step_rejected=rejected, diverged=diverged)
     model = FitModel(

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -752,6 +753,23 @@ def test_identical_corpora_make_fitting_impossible(tmp_path):
     code, _, err = run_cli(["fit", "--config", str(config)])
     assert code == 3
     assert "no predictor variation" in err
+
+
+def test_scores_whose_squared_error_overflows_make_fitting_impossible(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, set_key("scores", "metric", value="perplexity"))  # no [0, 100] check
+    scores = tmp_path / "scores.csv"
+    header, *rows = scores.read_text(encoding="utf-8").splitlines()
+    rows = [row.rsplit(",", 1)[0] + f",{float(row.rsplit(',', 1)[1]) * 1e158!r}" for row in rows]
+    scores.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    for stage in ("ingest", "similarity", "transport"):
+        assert run_cli([stage, "--config", str(config)])[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["fit", "--config", str(config)])
+    assert code == 3
+    assert "squared error overflows" in err
+    assert not (tmp_path / "out" / "fit_summary.json").exists()
 
 
 # ---------------------------------------------------------------- stage stamps

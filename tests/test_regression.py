@@ -7,12 +7,14 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from domainport import regression
 from domainport.data import load_curve
 from domainport.errors import ComputationError
 from domainport.hashing import dump_json, fields_from_dict
@@ -201,7 +203,7 @@ def _reference_grid_search(x, y):
 
 
 def _grid_point_sets(case, rng):
-    n = {"n3": 3, "n3000": 3000}.get(case) or int(rng.integers(4, 12))
+    n = {"n3": 3, "n3000": 3000, "decay_n8": 8}.get(case) or int(rng.integers(4, 12))
     if case == "repeated_x":
         # with only two distinct x values every b > 0 fits the two group
         # means, so the SSE plateaus and the tie rule picks the b
@@ -210,33 +212,107 @@ def _grid_point_sets(case, rng):
         x[:2] = pool[:2]
     elif case == "x_to_50":
         x = rng.uniform(8.0, 50.0, size=n)  # exp(-100 * x) underflows to 0 on every point
+    elif case == "decay_n8":
+        x = rng.uniform(0.1, 0.9, size=n)  # the shape of the many-systems benchmark fits
     else:
         x = rng.uniform(0.0, 5.0, size=n)
     if case == "constant_y":
         y = np.full(n, float(rng.uniform(0.0, 100.0)))
+    elif case == "decay_n8":
+        a, b, c = rng.uniform(20.0, 40.0), rng.uniform(1.5, 4.0), rng.uniform(30.0, 50.0)
+        y = a * np.exp(-b * x) + c
     else:
         y = rng.uniform(0.0, 100.0, size=n)
     order = np.lexsort((y, x))  # fit() hands the grid points sorted by (x, y)
     return x[order], y[order]
 
 
-GRID_CASES = ["n3", "constant_y", "repeated_x", "x_to_50", "n3000"]
+def _assert_bitwise_equal(got, want):
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def _count_sse_calls(monkeypatch):
+    """Calls of regression._sse from now on; one means the batched sums decided the grid."""
+    calls = []
+    monkeypatch.setattr(regression, "_sse", lambda *args: calls.append(args) or _sse(*args))
+    return calls
+
+
+GRID_CASES = ["n3", "constant_y", "repeated_x", "x_to_50", "n3000", "decay_n8"]
 
 
 @pytest.mark.parametrize("case", GRID_CASES)
-def test_grid_search_is_bitwise_equal_to_the_per_candidate_loop(case):
+def test_grid_search_is_bitwise_equal_to_the_per_candidate_loop(case, monkeypatch):
     # n3000 spreads the grid over several array blocks, the last one partial
     rng = np.random.default_rng(GRID_CASES.index(case))
+    calls = _count_sse_calls(monkeypatch)
+    exact_paths = 0
     for _ in range(2 if case == "n3000" else 6):
         x, y = _grid_point_sets(case, rng)
+        calls.clear()
         got = _grid_search(x, y)
-        want = _reference_grid_search(x, y)
-        assert all(type(v) is float for v in got)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
+        exact_paths += len(calls) > 1
+        _assert_bitwise_equal(got, _reference_grid_search(x, y))
         if case == "constant_y":
             assert got[1] == 0.0
         if case == "x_to_50":
             assert not np.any(np.exp(-100.0 * x))  # the largest-b rows are flat
+    if case == "decay_n8":
+        assert exact_paths == 0  # well-separated sums never need the exact rescan
+    if case == "repeated_x":
+        assert exact_paths > 0  # plateau ties sit within the rounding margin
+
+
+def test_grid_search_takes_one_dot_product(monkeypatch):
+    # the batched row sums decide the grid; np.dot runs only for the winner's SSE
+    x, y = _grid_point_sets("decay_n8", np.random.default_rng(0))
+    calls = []
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda *args: calls.append(args) or dot(*args))
+    _grid_search(x, y)
+    assert len(calls) <= 1  # one per grid candidate would be 1001
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_grid_search_matches_the_per_candidate_loop_on_drawn_points(data):
+    n = data.draw(st.integers(3, 40), label="n")
+    if data.draw(st.booleans(), label="ties"):
+        # two or three distinct x values force SSE plateaus and exact ties
+        pool = data.draw(st.lists(st.floats(0.0, 60.0), min_size=2, max_size=3, unique=True), label="pool")
+        xs = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="x")
+    else:
+        xs = data.draw(st.lists(st.floats(0.0, 60.0), min_size=n, max_size=n), label="x")  # exp underflows
+    assume(len(set(xs)) > 1)
+    ys = data.draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n), label="y")
+    ordered = sorted(zip(xs, ys))
+    x = np.array([p[0] for p in ordered])
+    y = np.array([p[1] for p in ordered])
+    _assert_bitwise_equal(_grid_search(x, y), _reference_grid_search(x, y))
+
+
+def test_grid_rows_that_overflow_do_not_stop_a_finite_winner(monkeypatch):
+    x = np.linspace(0.0, 2.0, 24)
+    y = 1e150 * (1e4 * np.exp(-2.0 * x) + 5.0)  # a decay curve whose spread squares past 1.8e308
+    with np.errstate(over="ignore"):
+        assert _sse(0.0, 0.0, float(np.mean(y)), x, y) == math.inf  # the b = 0 row
+        want = _reference_grid_search(x, y)
+    calls = _count_sse_calls(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _grid_search(x, y)
+    assert len(calls) > 1  # a non-finite row sum sends the grid to the exact rescan
+    assert math.isfinite(got[3])
+    _assert_bitwise_equal(got, want)
+
+
+def test_a_fit_whose_squared_error_overflows_everywhere_is_refused():
+    points = [(x, 1e158 * y) for x, y in load_curve("curve_ner_kl_f1")["elmo"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError, match="squared error overflows"):
+            fit(points, percent_scale=False)
 
 
 def test_fit_memory_does_not_scale_with_the_grid():
