@@ -141,6 +141,7 @@ class TransportSpec:
         _require(isinstance(self.targets, (list, tuple)), "transport.targets must be a list")
         targets = [_key_pair(t, f"transport.targets[{j}]", "group") for j, t in enumerate(self.targets)]
         _require(len(targets) > 0, "transport.targets must be non-empty")
+        _require_unique(targets, "transport target")
         systems = _strings(self.systems, "transport.systems must be a list of strings")
         _require_unique(systems or (), "system")
         groups = {name: list(keys) for name, keys in self.groups.items()}  # set when replace() copies a spec
@@ -157,7 +158,9 @@ class SimilaritySpec:
     targets: tuple[str, ...] | None = None  # None: every corpus
 
     def __post_init__(self) -> None:
-        _normalize(self, targets=_strings(self.targets, "similarity.targets must be a list of domain ids"))
+        targets = _strings(self.targets, "similarity.targets must be a list of domain ids")
+        _require_unique(targets or (), "similarity target")
+        _normalize(self, targets=targets)
 
 
 @dataclass(frozen=True)

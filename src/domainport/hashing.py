@@ -3,9 +3,9 @@
 Feature slots and config hashes go through the 64-bit FNV-1a function
 defined here, so results are reproducible across platforms and process
 restarts. Content keys (the digests of stage inputs and outputs, and of
-each corpus file in its profile's source key) use ``content_digest``, a
-64-bit BLAKE2b digest from the standard library that hashes whole input
-files at C speed.
+each corpus file in its profile's source key) use ``content_digest``, the
+first 64 bits of a SHA-256 digest from the standard library (OpenSSL's),
+which hashes whole input files at C speed.
 
 ``fnv1a_64`` hashes one byte string; ``fnv1a_64_many`` hashes a batch
 with uint64 array arithmetic and returns the same values bit for bit.
@@ -31,10 +31,10 @@ Reference vectors with seed 0:
     fnv1a_64(b"a")      == 0xaf63dc4c8601ec8c
     fnv1a_64(b"foobar") == 0x85944171f73967e8
 
-and of the content digest (the same as ``b2sum -l 64``):
+and of the content digest (the same as ``sha256sum | cut -c1-16``):
 
-    content_digest(b"")       == "e4a6a0577479b2b4"
-    content_digest(b"foobar") == "9d212f7f254a51f9"
+    content_digest(b"")       == "e3b0c44298fc1c14"
+    content_digest(b"foobar") == "c3ab8ff13720e8ad"
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def stable_hash(obj: Any, default: Callable[[Any], Any] | None = None) -> str:
 
 
 def content_digest(data: bytes) -> str:
-    """16-hex-digit BLAKE2b digest of ``data``, the cache key of file contents."""
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
+    """First 16 hex digits of the SHA-256 digest of ``data``, the cache key of file contents."""
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def fields_from_dict(cls: type[T], data: dict[str, Any], kind: str) -> T:

@@ -174,12 +174,14 @@ def write_mixed_text_tree(root: Path) -> Path:
     return config_path
 
 
-def run_full_pipeline(config_path: Path, out_dir: str | None = None) -> None:
-    """Run every stage, asserting each exits 0."""
+def run_full_pipeline(config_path: Path, out_dir: str | None = None) -> dict[str, str]:
+    """Run every stage, asserting each exits 0; returns each stage's stdout."""
     extra = ["--out", out_dir] if out_dir is not None else []
+    stdout = {}
     for stage in ("ingest", "similarity", "transport", "fit", "report"):
-        code, out, err = run_cli([stage, "--config", str(config_path), *extra])
-        assert code == 0, f"{stage} failed ({code}): {out} {err}"
+        code, stdout[stage], err = run_cli([stage, "--config", str(config_path), *extra])
+        assert code == 0, f"{stage} failed ({code}): {stdout[stage]} {err}"
+    return stdout
 
 
 def tree_digests(out: Path) -> dict[str, str]:

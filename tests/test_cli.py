@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
@@ -148,6 +149,21 @@ def test_ingest_hits_a_cache_that_also_holds_corpus_files(tmp_path):
     assert code == 0
     assert out.count("cache hit:") == 4 and "ingested:" not in out
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+
+
+def test_a_tree_keyed_with_blake2b_digests_reruns_each_stage_once(tmp_path, monkeypatch):
+    # earlier versions keyed contents with 64-bit BLAKE2b: their stamps and source keys miss, never hit
+    config = write_pipeline_tree(tmp_path)
+    monkeypatch.setattr(cli, "content_digest", lambda data: hashlib.blake2b(data, digest_size=8).hexdigest())
+    run_full_pipeline(config)
+    monkeypatch.undo()
+    rerun = run_full_pipeline(config)
+    assert [line.split(" (")[0] for line in rerun["ingest"].splitlines()] == [f"ingested: {d}" for d in DOMAINS]
+    assert not [stage for stage, stdout in rerun.items() if "up to date" in stdout]
+    assert tree_digests(tmp_path / "out") == GOLDEN
+    warm = run_full_pipeline(config)
+    assert warm.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
+    assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
 
 
 INTERCHANGE_TEXT = dump_json(to_interchange(parse_plaintext("Alpha beta!\nGamma delta beta\n", domain_id="elsewhere")))
@@ -1351,12 +1367,16 @@ def test_config_rejects_bad_json(tmp_path):
     (set_key("embedding", "per_document", value="no"), "embedding per_document must be true or false"),
     (set_key("kl", value={"epsilon": True}), "epsilon must be a positive finite number"),
     (set_key("transport", "source", value="src"), "transport.source must be a dataset/split pair"),
+    (lambda raw: raw["transport"]["targets"].append({"dataset": "news", "split": "test"}),
+     "duplicate transport target ('news', 'test')"),
+    (set_key("similarity", "targets", value=["news", "news", "social", "science"]),
+     "duplicate similarity target 'news'"),
 ], ids=["scores-key", "similarity-key", "fit-key", "target-key", "source-key", "fit-list", "scores-null",
         "corpora-number", "targets-number", "tokenizer-list", "kl-epsilon-string", "duplicate-predictor",
         "duplicate-system", "corpus-key", "transport-task-missing", "scores-path-number", "external-number",
         "seed-string", "bias-corrected-string", "out-dir-null", "task-number", "lowercase-string",
         "strip-punctuation-number", "ngram-order-bool", "per-document-string", "kl-epsilon-bool",
-        "source-string"])
+        "source-string", "duplicate-transport-target", "duplicate-similarity-target"])
 def test_config_rejects_a_malformed_block(tmp_path, edit, message):
     config = write_pipeline_tree(tmp_path)
     edit_config(config, edit)
@@ -1523,7 +1543,8 @@ def reference_load_config(path):
 # shapes the reference accepted (often by ignoring them or by coercing a scalar) and load_config now refuses, on purpose
 NEWLY_REJECTED = re.compile(
     r"unknown (scores|similarity|fit|transport\.targets\[\d+\]|transport\.source) fields: "
-    r"|(scores|similarity|fit) must be an object$|corpora must be a list$|duplicate (predictor|system) "
+    r"|(scores|similarity|fit) must be an object$|corpora must be a list$"
+    r"|duplicate (predictor|system|transport target|similarity target) "
     r"|out_dir must be a path$|(scores\.path|external_embeddings) must be a path or null$"
     r"|transport\.task must be a string$|transport\.bias_corrected must be true or false$"
 )
@@ -1602,6 +1623,8 @@ def config_file(tmp_path_factory):
 @example({"tokenizer": []})
 @example({"kl": {"epsilon": "x"}})
 @example({"transport": {"task": "t", "source": ["s", "x"], "targets": 5}})
+@example({"transport": {"task": "t", "source": ["s", "x"], "targets": [["a", "b"], {"dataset": "a", "split": "b"}]}})
+@example({"similarity": {"targets": ["news", "news"]}})
 @example({"transport": None, "corpora": [dict(CORPUS, domain_id="a b"), dict(CORPUS, domain_id="a-b")]})
 @example({"corpora": [CORPUS, dict(CORPUS, domain_id="news", fields=["premise"], dataset=3, text_unit=None)]})
 @example({"out_dir": 5, "scores": {"path": "s.csv", "metric": 5}, "transport": {
@@ -1691,6 +1714,15 @@ def test_similarity_source_and_target_overrides(tmp_path):
     code, _, err = run_cli(["similarity", "--config", str(config), "--source", "mystery"])
     assert code == 1
     assert "unknown domain 'mystery'" in err
+
+
+def test_a_repeated_similarity_target_flag_is_refused(tmp_path):
+    # a repeated target would be written, and fitted, as two points
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    code, out, err = run_cli(["similarity", "--config", str(config), "--targets", "news,news,social,science"])
+    assert (code, out, err) == (1, "", "config error: duplicate similarity target 'news'\n")
+    assert not (tmp_path / "out" / "similarity.json").exists()
 
 
 def test_out_dir_is_not_part_of_the_config_hash(tmp_path):

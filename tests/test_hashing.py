@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import enum
+import hashlib
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from domainport import cli
+from domainport import cli, hashing
 from domainport.cli import load_config
 from domainport.corpus import TokenizerConfig
 from domainport.divergence import KLSettings
@@ -40,9 +44,30 @@ def test_reference_vectors():
 
 
 def test_content_digest_reference_values():
-    # 64-bit BLAKE2b, the same digests as `b2sum -l 64`
-    assert content_digest(b"") == "e4a6a0577479b2b4"
-    assert content_digest(b"foobar") == "9d212f7f254a51f9"
+    # the first 16 hex digits of SHA-256, the same digests as `sha256sum | cut -c1-16`
+    assert content_digest(b"") == "e3b0c44298fc1c14"
+    assert content_digest(b"foobar") == "c3ab8ff13720e8ad"
+    assert content_digest(b"abc") == "ba7816bf8f01cfea"  # FIPS 180-2's first SHA-256 example
+    for data in (b"a", "naïve 東京 🙂".encode("utf-8"), b"\x00" * 64, b"\xff" * 1000, b"m" * (1 << 20) + b"!"):
+        assert content_digest(data) == hashlib.sha256(data).hexdigest()[:16]
+
+
+# a hash example as the docs quote it: content_digest(b"...") == "<16 hex>" or fnv1a_64(b"..."[, seed=N]) == 0x<16 hex>
+DOCUMENTED_EXAMPLE = re.compile(
+    r'\b(content_digest|fnv1a_64)\((b"[^"\n]*")(?:, seed=(\d+))?\)\s*==\s*("[0-9a-f]{16}"|0x[0-9A-Fa-f]{16}\b)')
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text", [README, hashing.__doc__], ids=["README", "hashing-docstring"])
+def test_the_documented_hash_examples_hold(text):
+    examples = list(DOCUMENTED_EXAMPLE.finditer(text))
+    for name in ("content_digest", "fnv1a_64"):
+        # every quoted call is an example the pattern reads, and each function has one
+        assert 0 < sum(m[1] == name for m in examples) == text.count(f'{name}(b"')
+    for m in examples:
+        data, expected = ast.literal_eval(m[2]), ast.literal_eval(m[4])
+        got = content_digest(data) if m[1] == "content_digest" else fnv1a_64(data, seed=int(m[3] or 0))
+        assert got == expected, m[0]
 
 
 def test_batched_reference_vectors():

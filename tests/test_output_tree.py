@@ -24,11 +24,11 @@ GOLDEN = {
     "cache/profile-science.json": "b3684d2ba3ec9dfafe0a25c10248e6148fe8f898dd1085293958ea7713ff210d",
     "cache/profile-social.json": "96abd3d222911e186677022a7b94c72b9e942308b13fc6892c343581a5bff030",
     "cache/profile-src.json": "95f35c0437ae053827eff0e5d4e0c875b6a703bfa7767e47f72261ff7ff768e8",
-    "cache/stage-fit.json": "820285dc6101af3d47bad722156d8473aff5be298a2a782d158d8d860be4d4e9",
-    "cache/stage-ingest.json": "680eab4ca0f021f71e06bb6f15b1ce94d9f958a6d218048c97d46a5546524887",
-    "cache/stage-report.json": "36a1913632ce6747b45514c779dd9887ed578948c1d6194f86827b81a2ae49a8",
-    "cache/stage-similarity.json": "516a451c10c42ee741c7245e35cc06cf9746e906f0b3bd26d3d11b33496e7850",
-    "cache/stage-transport.json": "c8faf1cdc318d762ea44f6834797d58f2ba4eac64e2fd14e63a508c2807f9db7",
+    "cache/stage-fit.json": "644306fd5372a9c64fb57f89fec6316d8cba14037e689bb2eb980fe1a40a0b90",
+    "cache/stage-ingest.json": "6a9ac95d6a9f265a1ca17dfd3309d2cd830fbbf1efde282b261dec60b83f6d1d",
+    "cache/stage-report.json": "9bb7f6730a76f43b9718615c62f3f37bcd36e98f32f9757148619e500424f73b",
+    "cache/stage-similarity.json": "bcd95a66a754d06f2b05bcee9a4692cb9acd37e797c08051a568459ee7cbbf75",
+    "cache/stage-transport.json": "3a324a1a68f7faea2fb48e1981c6cbc32bac01f0daf694797aa33fc3c90933d9",
     "curve-alpha-sys-cosine.csv": "5fff5158cadfce06565c3b2de18ca2a4cc25fbcba57e7dbce610a4f1cc21a45b",
     "curve-alpha-sys-kl.csv": "e6f61e9ddf3a202bd5efcb37b2298f2c372dbb82b5e3b806e7b48321172acab9",
     "curve-alpha-sys-lexical.csv": "0828a0156eb69a314170b472144f3e0e6ae0e3785d0e79d53986058bc54826cc",
@@ -58,11 +58,11 @@ GOLDEN_MIXED = {
     "cache/profile-science.json": "91bb7063f4bb659a35326d9c8a4840c220773a19098a98f54fd82efd4b614cba",
     "cache/profile-social.json": "871963c02bd1adb1d89b85001ceb7415bc9de518e122e4e42bd972e343766079",
     "cache/profile-src.json": "8352d921c7a5363bd12430417b33e7d544f839a7044d31b795db68a25598ab10",
-    "cache/stage-fit.json": "04a450e130392b5adbc83203a4271ff72e6fe926f1ac65eb67cb7cd0390dc65e",
-    "cache/stage-ingest.json": "bebe7c94957c2ac04e44fc762f3afc998b898b24aae82f19d976ed7009ec0d25",
-    "cache/stage-report.json": "cdb7cf3ec7b7ae12a08bcbc48bd4617df2a7c12d7cbf2f2d212c70208250a56e",
-    "cache/stage-similarity.json": "46c9eb0eef1aefbf768ca9d0fea618c16b678b17bceb5bcfb28ee47aa6345dc7",
-    "cache/stage-transport.json": "c8faf1cdc318d762ea44f6834797d58f2ba4eac64e2fd14e63a508c2807f9db7",
+    "cache/stage-fit.json": "00d3d98618e88a9f8e4678ef2cbfc486e221bcda3b91e476067623bd1e54be87",
+    "cache/stage-ingest.json": "e9fc9ab6055acd186cca89dcd69e1ecf82c014d144b03b6d5d7e7edfde8140af",
+    "cache/stage-report.json": "b3efe3a60ea3b2e0cfe0e10123b874faa61733360abc31add1b920a47dfdbc30",
+    "cache/stage-similarity.json": "8fd4d002018e8f6c9b76f01474e1010e4603a0fda91ada682826ec54ffece62f",
+    "cache/stage-transport.json": "3a324a1a68f7faea2fb48e1981c6cbc32bac01f0daf694797aa33fc3c90933d9",
     "curve-alpha-sys-cosine.csv": "26aedc6c085d3a192a2033773bd78e9c272550427cb99712447b2fe0dbaf2180",
     "curve-alpha-sys-kl.csv": "2f87097e2dd06b9c51fede19466438c23460beb0364616a13fa6e365100cfd1e",
     "curve-alpha-sys-lexical.csv": "112a073c2e021a3b7a15b8959c1e534b09ea8637948587f49359d8ca1f7ab704",
