@@ -20,17 +20,27 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from fnmatch import fnmatchcase
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from . import __version__
 from .corpus import Corpus, TokenizerConfig, parse_conll, parse_interchange, parse_jsonl_pairs, parse_plaintext
 from .divergence import CSV_COLUMNS, KLSettings, similarity_table
-from .errors import ComputationError, ConfigError, ParseError, read_file, read_text
+from .errors import (
+    ComputationError,
+    ConfigError,
+    ParseError,
+    encodes_as_utf8,
+    may_hold_surrogates,
+    read_file,
+    read_text,
+)
 from .features import (
     DomainProfile,
     EmbeddingConfig,
@@ -41,7 +51,7 @@ from .features import (
     profile_to_dict,
 )
 from .hashing import content_digest, dump_json, fields_from_dict, stable_hash
-from .hashing import fnv1a_64  # noqa: F401  unused here, but bench/tracing.py wraps cli.fnv1a_64 by name
+from .hashing import fnv1a_64  # noqa: F401  no hash here calls it; bench/tracing.py wraps it by name
 from .regression import FitLog, FitModel, curve_points, fit as fit_curve, predict
 from .transport import (
     PERCENT_METRICS,
@@ -225,14 +235,28 @@ def _corpus(i: int, item: Any) -> CorpusSpec:
         raise ConfigError(f"corpora[{i}]: {exc}") from None
 
 
+def _lone_surrogate(value: Any) -> str | None:
+    """The first string in JSON value ``value``, keys included, that holds a lone surrogate; None if none does."""
+    if isinstance(value, str):
+        return None if encodes_as_utf8(value) else value
+    if isinstance(value, dict):
+        value = chain.from_iterable(value.items())
+    elif not isinstance(value, list):
+        return None
+    return next(filter(None, map(_lone_surrogate, value)), None)
+
+
 def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
     try:
-        raw = json.loads(read_text(p, "config")[0])
+        text = read_text(p, "config")[0]
+        raw = json.loads(text)
     except ParseError as exc:
         raise ConfigError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc.msg} (line {exc.lineno})") from exc
+    bad = _lone_surrogate(raw) if may_hold_surrogates(text) else None
+    _require(bad is None, f"config string {bad!r} holds a lone surrogate, which is not valid UTF-8")
     _require(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - {f.name for f in fields(RunConfig) if f.name != "config_dir"}
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
@@ -550,11 +574,13 @@ def _stage(work: Callable[[RunConfig, _Run], None]) -> Callable[..., None]:
     return cmd
 
 
+# on str patterns \w is exactly str.isalnum() plus "_"
+_UNSLUGGED = re.compile(r"[^\w.-]")
+
+
 def _slug(name: str) -> str:
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch in "._-" else "-")
-    return "".join(out) or "x"
+    """``name`` with every character but letters, digits and ``._-`` replaced by ``-``; ``x`` for an empty name."""
+    return _UNSLUGGED.sub("-", name) or "x"
 
 
 def _require_distinct_slugs(names: Iterable[str], kind: str) -> None:
@@ -567,12 +593,15 @@ def _require_distinct_slugs(names: Iterable[str], kind: str) -> None:
 
 def _parse_artifact(raw: bytes, path: Path) -> dict[str, Any]:
     """The JSON object that ``raw``, the bytes of artifact ``path``, holds."""
+    text = read_text(raw, f"artifact {path.name}", str(path))[0]
     try:
-        payload = json.loads(read_text(raw, f"artifact {path.name}", str(path))[0])
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"corrupt artifact {path.name}: {exc.msg}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"corrupt artifact {path.name}: expected a JSON object")
+    if may_hold_surrogates(text) and _lone_surrogate(payload) is not None:
+        raise ParseError(f"corrupt artifact {path.name}: a string holds a lone surrogate, which is not valid UTF-8")
     return payload
 
 

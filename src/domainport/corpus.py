@@ -31,7 +31,7 @@ import string
 from dataclasses import asdict, dataclass
 from typing import IO, Any, Iterable, Iterator, Sequence
 
-from .errors import ConfigError, ParseError, read_text
+from .errors import ConfigError, ParseError, encodes_as_utf8, may_hold_surrogates, read_text
 from .hashing import fields_from_dict, stable_hash
 
 logger = logging.getLogger(__name__)
@@ -216,11 +216,13 @@ def parse_jsonl_pairs(
 
     Each line must be a JSON object. A record missing every named field
     (or producing no tokens) is skipped with a counted warning rather
-    than aborting the parse.
+    than aborting the parse. A text field that holds a lone surrogate is
+    a :class:`ParseError`.
     """
     if not fields:
         raise ConfigError("fields must name at least one JSON key")
     text, _ = read_text(data, "input", source)
+    surrogates = may_hold_surrogates(text)
 
     def texts() -> Iterator[str]:  # each record's text, tokenized before the next line is parsed
         for line_no, line in enumerate(text.splitlines(), start=1):
@@ -234,7 +236,10 @@ def parse_jsonl_pairs(
                 raise ParseError("line is not a JSON object", line=line_no, source=source)
             # one call per record: no token spans the joining space, in any split mode;
             # a record without the fields is an empty text, which has no tokens
-            yield " ".join([record[f] for f in fields if isinstance(record.get(f), str)])
+            unit = " ".join([record[f] for f in fields if isinstance(record.get(f), str)])
+            if surrogates and not encodes_as_utf8(unit):
+                raise ParseError("text holds a lone surrogate, which is not valid UTF-8", line=line_no, source=source)
+            yield unit
 
     return _corpus(texts(), config, "jsonl", domain_id, source, "no usable records",
                    "record(s) skipped (missing fields or no tokens)")
@@ -277,12 +282,14 @@ def parse_interchange(
     """Load a corpus previously serialized with :func:`to_interchange`.
 
     Tokens are taken verbatim; no re-tokenization happens, so a
-    round trip preserves domain_id and documents exactly.
+    round trip preserves domain_id and documents exactly. A token that
+    holds a lone surrogate is a :class:`ParseError`.
     """
     if isinstance(data, dict):
-        obj = data
+        obj, surrogates = data, True
     else:
         text, _ = read_text(data, "input", source)
+        surrogates = may_hold_surrogates(text)
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -303,6 +310,8 @@ def parse_interchange(
     for i, toks in enumerate(docs_field):
         if not isinstance(toks, list) or not all(isinstance(t, str) and t for t in toks):
             raise ParseError(f"document {i} is not a list of non-empty strings", source=source)
+        if surrogates and not all(map(encodes_as_utf8, toks)):
+            raise ParseError(f"document {i} has a token with a lone surrogate, which is not valid UTF-8", source=source)
         documents.append(Document(tuple(toks), raw_length=len(" ".join(toks))))
     if not documents:
         raise ParseError("empty corpus: interchange payload has no documents", source=source)

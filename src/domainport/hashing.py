@@ -1,11 +1,12 @@
 """Deterministic hashing primitives.
 
-Feature slots and config hashes go through the 64-bit FNV-1a function
-defined here, so results are reproducible across platforms and process
-restarts. Content keys (the digests of stage inputs and outputs, and of
-each corpus file in its profile's source key) use ``content_digest``, the
-first 64 bits of a SHA-256 digest from the standard library (OpenSSL's),
-which hashes whole input files at C speed.
+Feature slots go through the 64-bit FNV-1a function defined here, so
+embeddings are reproducible across platforms and process restarts. Every
+other hash is ``content_digest``, the first 64 bits of a SHA-256 digest
+from the standard library (OpenSSL's), which runs at C speed: the content
+keys (the digests of stage inputs and outputs, and of each corpus file in
+its profile's source key) digest bytes, and ``stable_hash`` (config, stage
+and corpus hashes, and stamp keys) digests an object's canonical JSON.
 
 ``fnv1a_64`` hashes one byte string; ``fnv1a_64_many`` hashes a batch
 with uint64 array arithmetic and returns the same values bit for bit.
@@ -35,10 +36,16 @@ and of the content digest (the same as ``sha256sum | cut -c1-16``):
 
     content_digest(b"")       == "e3b0c44298fc1c14"
     content_digest(b"foobar") == "c3ab8ff13720e8ad"
+
+and of the config hash, the content digest of ``canonical_json``'s UTF-8:
+
+    stable_hash({})   == "44136fa355b3678a"
+    stable_hash(None) == "74234e98afe7498f"
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import MISSING, fields
@@ -165,13 +172,21 @@ def _indented(obj: Any, level: int) -> str:
 
 
 def stable_hash(obj: Any, default: Callable[[Any], Any] | None = None) -> str:
-    """16-hex-digit digest of an object's canonical JSON form."""
-    return f"{fnv1a_64(canonical_json(obj, default).encode('utf-8')):016x}"
+    """``content_digest`` of an object's canonical JSON form, UTF-8 encoded."""
+    return content_digest(canonical_json(obj, default).encode("utf-8"))
 
 
 def content_digest(data: bytes) -> str:
     """First 16 hex digits of the SHA-256 digest of ``data``, the cache key of file contents."""
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+@functools.cache
+def _keys(cls: type) -> tuple[frozenset[str], tuple[str, ...]]:
+    """The key names of dataclass ``cls`` and, in field order, those it requires."""
+    keys = [f for f in fields(cls) if not f.metadata.get("derived")]
+    return (frozenset(f.name for f in keys),
+            tuple(f.name for f in keys if f.default is MISSING and f.default_factory is MISSING))
 
 
 def fields_from_dict(cls: type[T], data: dict[str, Any], kind: str) -> T:
@@ -181,11 +196,11 @@ def fields_from_dict(cls: type[T], data: dict[str, Any], kind: str) -> T:
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{kind} must be an object")
-    keys = [f for f in fields(cls) if not f.metadata.get("derived")]
-    unknown = set(data) - {f.name for f in keys}
+    names, required = _keys(cls)
+    unknown = data.keys() - names
     if unknown:
         raise ConfigError(f"unknown {kind} fields: {sorted(unknown)}")
-    missing = [f.name for f in keys if f.default is MISSING and f.default_factory is MISSING and f.name not in data]
+    missing = [name for name in required if name not in data]
     if missing:
         raise ConfigError(f"missing {kind} fields: {missing}")
     return cls(**data)

@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 from conftest import run_cli, run_full_pipeline, tree_digests, write_pipeline_tree
 import domainport
-from domainport import cli
+from domainport import cli, corpus, divergence, features, hashing
 from domainport.corpus import TokenizerConfig, parse_plaintext, to_interchange
 from domainport.divergence import CSV_COLUMNS, KLSettings
 from domainport.errors import ConfigError, ParseError, read_text
 from domainport.features import EmbeddingConfig, profile_from_dict
-from domainport.hashing import dump_json, fields_from_dict, stable_hash
+from domainport.hashing import canonical_json, dump_json, fields_from_dict, fnv1a_64, stable_hash
 from domainport.regression import FitModel, fit, predict
 from test_output_tree import GOLDEN
 
@@ -57,8 +57,8 @@ DOMAINS = ("src", "news", "social", "science")  # the shared test tree's corpora
 
 
 # the stage hashes of the shared test tree's config, and the ingest hash of its corpus "src"
-PIPELINE_HASHES = {"similarity": "5cf749467a1a6c0a", "transport": "afea773cab37b66d",
-                   "fit": "22ee7b8c3f235bb6", "report": "980798e86ab9f485", "src": "a2058d1e399eca79"}
+PIPELINE_HASHES = {"similarity": "0692346d58a5c161", "transport": "ee30809157a1fc30",
+                   "fit": "bf44f573749d7a3d", "report": "aac0ce2c4466bdc5", "src": "d6d4a1c327659481"}
 
 
 def test_full_pipeline_writes_consistent_artifacts(tmp_path):
@@ -161,6 +161,42 @@ def test_a_tree_keyed_with_blake2b_digests_reruns_each_stage_once(tmp_path, monk
     assert [line.split(" (")[0] for line in rerun["ingest"].splitlines()] == [f"ingested: {d}" for d in DOMAINS]
     assert not [stage for stage, stdout in rerun.items() if "up to date" in stdout]
     assert tree_digests(tmp_path / "out") == GOLDEN
+    warm = run_full_pipeline(config)
+    assert warm.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
+    assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
+
+
+def fnv_stable_hash(obj, default=None):
+    """``stable_hash`` as earlier versions computed it: 64-bit FNV-1a of the canonical JSON."""
+    return f"{fnv1a_64(canonical_json(obj, default).encode('utf-8')):016x}"
+
+
+def test_a_tree_with_fnv_config_hashes_reruns_each_stage_once(tmp_path, monkeypatch):
+    # earlier versions hashed configs, stages and stamp keys with FNV-1a: their trees miss once, never hit
+    config = write_pipeline_tree(tmp_path)
+    for module in (cli, corpus, divergence, features, hashing):
+        monkeypatch.setattr(module, "stable_hash", fnv_stable_hash)
+    run_full_pipeline(config)
+    assert read_json(tmp_path / "out" / "report.json")["config_hash"] != PIPELINE_HASHES["report"]
+    monkeypatch.undo()
+    rerun = run_full_pipeline(config)
+    assert [line.split(" (")[0] for line in rerun["ingest"].splitlines()] == [f"ingested: {d}" for d in DOMAINS]
+    assert not [stage for stage, stdout in rerun.items() if "up to date" in stdout]
+    assert tree_digests(tmp_path / "out") == GOLDEN
+    warm = run_full_pipeline(config)
+    assert warm.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
+    assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
+
+
+def test_a_warm_pass_calls_no_fnv_hash(tmp_path, monkeypatch):
+    # FNV-1a hashes feature slots only; config, stage and stamp hashes are SHA-256
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fnv1a_64 called on a warm pass")
+
+    monkeypatch.setattr(hashing, "fnv1a_64", refuse)
     warm = run_full_pipeline(config)
     assert warm.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
     assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
@@ -274,6 +310,41 @@ def test_ingest_isolates_a_bad_corpus(tmp_path):
     assert (cache / "profile-src.json").is_file()
     assert (cache / "profile-science.json").is_file()
     assert set(read_json(cache / "stage-ingest.json")["outputs"]) == {f"cache/profile-{d}.json" for d in DOMAINS}
+
+
+@pytest.mark.parametrize("tokenizer", [{}, {"strip_punctuation": False}, {"split_mode": "whitespace"},
+                                       {"split_mode": "whitespace", "strip_punctuation": False}],
+                         ids=["default", "punctuation", "whitespace", "whitespace-punctuation"])
+@pytest.mark.parametrize("fmt, name, text, problem", [
+    ("jsonl", "bad.jsonl", '{"sentence1": "fine"}\n{"sentence1": "hello \\udc80 world", "sentence2": "x"}\n',
+     "line 2: text holds a lone surrogate"),
+    ("interchange", "bad.json", '{"domain_id": "bad", "documents": [["fine"], ["hello", "\\udc80"]], '
+                                '"tokenizer_config": {}}', "document 1 has a token with a lone surrogate"),
+], ids=["jsonl", "interchange"])
+def test_ingest_refuses_a_corpus_with_a_lone_surrogate(tmp_path, tokenizer, fmt, name, text, problem):
+    config = write_pipeline_tree(tmp_path)
+    (tmp_path / "corpora" / name).write_text(text, encoding="utf-8")
+    edit_config(config, lambda raw: raw.update({"tokenizer": tokenizer}))
+    edit_config(config, lambda raw: raw["corpora"].insert(
+        1, {"domain_id": "bad", "path": f"corpora/{name}", "format": fmt, "dataset": "bad", "split": "test"}))
+    code, out, err = run_cli(["ingest", "--config", str(config)])
+    assert code == 2
+    assert f"failed: bad: corpora/{name}: {problem}, which is not valid UTF-8\n" in err
+    assert [line.split(" (")[0] for line in out.splitlines()] == [f"ingested: {d}" for d in DOMAINS]
+    assert "data error: ingest failed for: bad" in err
+
+
+def test_similarity_refuses_a_profile_with_a_lone_surrogate(tmp_path):
+    # a hand-edited term: tfidf re-embeds every profile, and no feature hash can encode the term as UTF-8
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, set_key("embedding", "weighting", value="tfidf"))
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    profile = tmp_path / "out" / "cache" / "profile-news.json"
+    profile.write_text(profile.read_text(encoding="utf-8").replace('"budget"', '"budget\\udc80"', 1), encoding="utf-8")
+    code, _, err = run_cli(["similarity", "--config", str(config)])
+    assert code == 2
+    assert err == ("data error: corrupt artifact profile-news.json: a string holds a lone surrogate, "
+                   "which is not valid UTF-8\n")
 
 
 def test_ingest_forgets_a_corpus_removed_from_the_config(tmp_path):
@@ -1297,6 +1368,38 @@ def test_config_rejects_domain_ids_that_share_a_file_name(tmp_path):
     assert code == 1
     assert "domain ids 'news feed' and 'news-feed' map to the same file name 'news-feed'" in err
     assert not (tmp_path / "out" / "cache").exists()
+
+
+def test_slug_replaces_the_characters_that_the_per_character_rule_replaces():
+    def loop_slug(name):  # the reference: the rule as a loop over characters
+        out = []
+        for ch in name:
+            out.append(ch if ch.isalnum() or ch in "._-" else "-")
+        return "".join(out) or "x"
+
+    every = "".join(map(chr, range(0x110000)))  # every code point, surrogates included
+    assert cli._slug(every) == loop_slug(every)
+    assert cli._slug("") == loop_slug("") == "x"
+    assert cli._slug("news feed/Straße_2.0") == "news-feed-Straße_2.0"
+
+
+def test_config_refuses_a_string_with_a_lone_surrogate(tmp_path):
+    # JSON's "\udc80" escape decodes to a lone surrogate, which no hash or file name can encode as UTF-8
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, lambda raw: raw["corpora"][1].update({"domain_id": "b\udc80"}))
+    assert "\\udc80" in config.read_text(encoding="utf-8")
+    code, out, err = run_cli(["ingest", "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err == "config error: config string 'b\\udc80' holds a lone surrogate, which is not valid UTF-8\n"
+    assert not (tmp_path / "out").exists()
+    edit_config(config, lambda raw: raw["corpora"][1].update({"domain_id": "news", "\udfff": 1}))
+    assert run_cli(["ingest", "--config", str(config)])[2] == (
+        "config error: config string '\\udfff' holds a lone surrogate, which is not valid UTF-8\n")
+    edit_config(config, lambda raw: raw["corpora"][1].pop("\udfff"))
+    # a surrogate pair is one character, and an escaped backslash is no escape
+    edit_config(config, lambda raw: raw["corpora"][1].update({"domain_id": "b\U0001F642"}))
+    edit_config(config, lambda raw: raw["scores"].update({"metric": "F1\\udc80"}))
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
 
 
 def test_fit_rejects_systems_that_share_a_file_name(tmp_path):

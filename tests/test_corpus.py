@@ -467,3 +467,40 @@ def test_corpus_requires_domain_id():
             tokenizer_config=base.tokenizer_config,
             provenance=base.provenance,
         )
+
+
+# ---------------------------------------------------------------- lone surrogates
+
+# JSON's "\udc80" escape decodes to a lone surrogate; "\ud83d\ude42" is a pair, one character (🙂)
+LONE = '"hello \\udc80"'
+PAIR = '"hello \\ud83d\\ude42"'
+
+
+@pytest.mark.parametrize("config", [TokenizerConfig(split_mode=m, strip_punctuation=p)
+                                    for m in SPLIT_MODES for p in (True, False)],
+                         ids=lambda c: f"{c.split_mode}-{'strip' if c.strip_punctuation else 'keep'}")
+def test_jsonl_refuses_a_lone_surrogate_in_every_tokenizer_mode(config):
+    data = f'{{"sentence1": "fine"}}\n{{"sentence1": {PAIR}}}\n{{"sentence1": "x", "sentence2": {LONE}}}\n'
+    with pytest.raises(ParseError, match=r"^b\.jsonl: line 3: text holds a lone surrogate"):
+        parse_jsonl_pairs(data.encode("utf-8"), config, source="b.jsonl")
+
+
+def test_jsonl_takes_a_surrogate_pair_an_escaped_backslash_and_an_unread_field():
+    data = f'{{"sentence1": {PAIR}, "other": {LONE}}}\n{{"sentence1": "a \\\\udc80 b"}}\n'
+    corpus = parse_jsonl_pairs(data, TokenizerConfig(split_mode="whitespace", strip_punctuation=False))
+    assert [d.tokens for d in corpus.documents] == [("hello", "🙂"), ("a", "\\udc80", "b")]
+
+
+def test_interchange_refuses_a_token_with_a_lone_surrogate():
+    payload = {"domain_id": "d", "tokenizer_config": {}, "documents": [["fine"], ["hello", "b\udc80"]]}
+    for data in (payload, json.dumps(payload), json.dumps(payload).encode("utf-8")):
+        with pytest.raises(ParseError, match="document 1 has a token with a lone surrogate"):
+            parse_interchange(data)
+    payload["documents"][1][1] = "\U0001F642"
+    assert parse_interchange(json.dumps(payload)).documents[1].tokens == ("hello", "🙂")
+
+
+@pytest.mark.parametrize("parse", [parse_conll, parse_plaintext, parse_jsonl_pairs, parse_interchange])
+def test_a_text_argument_with_a_lone_surrogate_is_refused(parse):
+    with pytest.raises(ParseError, match="input holds a lone surrogate"):
+        parse("hello \udc80 world\n")

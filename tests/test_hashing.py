@@ -20,6 +20,7 @@ from domainport import cli, hashing
 from domainport.cli import load_config
 from domainport.corpus import TokenizerConfig
 from domainport.divergence import KLSettings
+from domainport.errors import ConfigError
 from domainport.features import EmbeddingConfig, EmbeddingSource
 from domainport.hashing import (
     canonical_json,
@@ -52,21 +53,24 @@ def test_content_digest_reference_values():
         assert content_digest(data) == hashlib.sha256(data).hexdigest()[:16]
 
 
-# a hash example as the docs quote it: content_digest(b"...") == "<16 hex>" or fnv1a_64(b"..."[, seed=N]) == 0x<16 hex>
-DOCUMENTED_EXAMPLE = re.compile(
-    r'\b(content_digest|fnv1a_64)\((b"[^"\n]*")(?:, seed=(\d+))?\)\s*==\s*("[0-9a-f]{16}"|0x[0-9A-Fa-f]{16}\b)')
+# a hash example as the docs quote it: content_digest(b"...") or stable_hash(<a Python literal>) == "<16 hex>",
+# or fnv1a_64(b"..."[, seed=N]) == 0x<16 hex>
+DOCUMENTED_EXAMPLE = re.compile(r'\b(content_digest|fnv1a_64|stable_hash)\((b"[^"\n]*"|[^()\n]*)(?:, seed=(\d+))?\)'
+                                r'\s*==\s*("[0-9a-f]{16}"|0x[0-9A-Fa-f]{16}\b)')
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+HASHES = {"content_digest": content_digest, "fnv1a_64": fnv1a_64, "stable_hash": stable_hash}
 
 
 @pytest.mark.parametrize("text", [README, hashing.__doc__], ids=["README", "hashing-docstring"])
 def test_the_documented_hash_examples_hold(text):
     examples = list(DOCUMENTED_EXAMPLE.finditer(text))
-    for name in ("content_digest", "fnv1a_64"):
+    for name, call in (("content_digest", 'content_digest(b"'), ("fnv1a_64", 'fnv1a_64(b"'),
+                       ("stable_hash", "stable_hash(")):
         # every quoted call is an example the pattern reads, and each function has one
-        assert 0 < sum(m[1] == name for m in examples) == text.count(f'{name}(b"')
+        assert 0 < sum(m[1] == name for m in examples) == text.count(call)
     for m in examples:
-        data, expected = ast.literal_eval(m[2]), ast.literal_eval(m[4])
-        got = content_digest(data) if m[1] == "content_digest" else fnv1a_64(data, seed=int(m[3] or 0))
+        arg, expected = ast.literal_eval(m[2]), ast.literal_eval(m[4])
+        got = HASHES[m[1]](arg) if m[3] is None else fnv1a_64(arg, seed=int(m[3]))
         assert got == expected, m[0]
 
 
@@ -224,11 +228,31 @@ FULL_CONFIG = {
 }
 
 
+def sha256_16(text):
+    """The first 16 hex digits of the SHA-256 of ``text``'s UTF-8, as ``sha256sum | cut -c1-16`` gives them."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_stable_hash_is_the_sha256_of_canonical_json():
+    assert stable_hash({}) == "44136fa355b3678a" == sha256_16("{}")
+    assert stable_hash(None) == "74234e98afe7498f" == sha256_16("null")
+    obj = {"b": [1, 2.5, None], "a": {"k": "naïve 東京 🙂", "t": True}}
+    assert stable_hash(obj) == sha256_16('{"a":{"k":"naïve 東京 🙂","t":true},"b":[1,2.5,null]}')
+
+
 def test_config_hashes_are_pinned():
-    # computed with the earlier hand-written to_dict serializers; the codec must not move them
-    assert TokenizerConfig().config_hash() == "5f975f01acc2b9cc"
-    assert EmbeddingConfig().config_hash() == "bcceb77f1373ff8f"
-    assert stable_hash(dataclasses.asdict(KLSettings())) == "2726beebe07e76de"
+    # each default record's canonical JSON, written out by hand; the codec must not move its hash
+    pinned = [
+        (TokenizerConfig(), '{"lowercase":true,"ngram_order":1,"split_mode":"unicode_word","strip_punctuation":true}',
+         "64746fe9cfcfb03a"),
+        (EmbeddingConfig(), '{"dimension":300,"per_document":false,"seed":42,"weighting":"tf"}', "8a017b2381bc2768"),
+        (KLSettings(), '{"direction":"forward","epsilon":1e-09,"method":"shift"}', "a603d0e9cfb8fdbf"),
+    ]
+    for record, text, expected in pinned:
+        assert sha256_16(text) == expected
+        assert stable_hash(dataclasses.asdict(record)) == expected
+    assert TokenizerConfig().config_hash() == "64746fe9cfcfb03a"
+    assert EmbeddingConfig().config_hash() == "8a017b2381bc2768"
 
 
 def stage_hashes(tmp_path, config):
@@ -241,9 +265,15 @@ def stage_hashes(tmp_path, config):
 
 def test_stage_hashes_are_pinned(tmp_path):
     stages, corpora = stage_hashes(tmp_path, FULL_CONFIG)
-    assert stages == {"ingest": "e9aa949158abaa05", "similarity": "b0645af661d23fa9", "transport": "5183cd9fed54800f",
-                      "fit": "628d481ebc9606b8", "report": "543a272c1a16eedc"}
-    assert corpora == {"src": "e0190c9796f73a30", "pairs": "8514cc541aaaf7d4", "paras": "b16c08ec8703c83f"}
+    assert stages == {"ingest": "1a276c8473900e7a", "similarity": "020996749570cbbd", "transport": "2a217dc73b078743",
+                      "fit": "03cb491ac324120c", "report": "76b12e6145690c4e"}
+    assert corpora == {"src": "e947b10f54b81fc1", "pairs": "1d75be6bbfcfba99", "paras": "6628b7e7fd251296"}
+    # the transport hash by hand: the digest of its blocks' digests, each of a record encoded as its fields
+    scores = sha256_16('{"metric":"accuracy","path":"scores.csv"}')
+    transport = sha256_16('{"bias_corrected":true,"groups":{"near":[["snli","test"]]},"source":["conll","train"],'
+                          '"systems":["sys-a","sys-b"],"targets":[["snli","test"],["wiki","dev"]],"task":"ner"}')
+    assert sha256_16(f'{{"blocks":{{"scores":"{scores}","transport":"{transport}"}},"reads":{{}},"stage":"transport"}}'
+                     ) == stages["transport"]
 
 
 def edited(key, value, *path):
@@ -305,3 +335,27 @@ def test_config_records_round_trip(cls):
         assert fields_from_dict(cls, dataclasses.asdict(record), "record") == record
         assert fields_from_dict(cls, json.loads(canonical_json(dataclasses.asdict(record))), "record") == record
 
+
+
+@dataclasses.dataclass(frozen=True)
+class Block:
+    b: int
+    a: int
+    c: int = 0
+    d: tuple = dataclasses.field(default_factory=tuple)
+    derived: int = dataclasses.field(default=0, metadata={"derived": True})
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "block must be an object"),
+    ({"a": 1, "b": 2, "zz": 0, "derived": 1}, "unknown block fields: ['derived', 'zz']"),  # a derived field is no key
+    ({"zz": 0}, "unknown block fields: ['zz']"),  # unknown keys are refused before missing ones
+    ({"c": 1}, "missing block fields: ['b', 'a']"),  # in field order
+    ({"b": 1, "d": ()}, "missing block fields: ['a']"),
+])
+def test_fields_from_dict_names_unknown_then_missing_keys(data, message):
+    for _ in range(2):  # the second call reads the class's keys from the cache
+        with pytest.raises(ConfigError) as info:
+            fields_from_dict(Block, data, "block")
+        assert str(info.value) == message
+    assert fields_from_dict(Block, {"a": 1, "b": 2}, "block") == Block(b=2, a=1)

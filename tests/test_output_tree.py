@@ -20,71 +20,71 @@ import pytest
 from conftest import run_full_pipeline, tree_digests, write_mixed_text_tree, write_pipeline_tree
 
 GOLDEN = {
-    "cache/profile-news.json": "ad4ba81fe77cbb0df88207c9200cd14494504e19d21fdd2623ec2d387f81a7aa",
-    "cache/profile-science.json": "b3684d2ba3ec9dfafe0a25c10248e6148fe8f898dd1085293958ea7713ff210d",
-    "cache/profile-social.json": "96abd3d222911e186677022a7b94c72b9e942308b13fc6892c343581a5bff030",
-    "cache/profile-src.json": "95f35c0437ae053827eff0e5d4e0c875b6a703bfa7767e47f72261ff7ff768e8",
-    "cache/stage-fit.json": "644306fd5372a9c64fb57f89fec6316d8cba14037e689bb2eb980fe1a40a0b90",
-    "cache/stage-ingest.json": "6a9ac95d6a9f265a1ca17dfd3309d2cd830fbbf1efde282b261dec60b83f6d1d",
-    "cache/stage-report.json": "9bb7f6730a76f43b9718615c62f3f37bcd36e98f32f9757148619e500424f73b",
-    "cache/stage-similarity.json": "bcd95a66a754d06f2b05bcee9a4692cb9acd37e797c08051a568459ee7cbbf75",
-    "cache/stage-transport.json": "3a324a1a68f7faea2fb48e1981c6cbc32bac01f0daf694797aa33fc3c90933d9",
-    "curve-alpha-sys-cosine.csv": "5fff5158cadfce06565c3b2de18ca2a4cc25fbcba57e7dbce610a4f1cc21a45b",
-    "curve-alpha-sys-kl.csv": "e6f61e9ddf3a202bd5efcb37b2298f2c372dbb82b5e3b806e7b48321172acab9",
-    "curve-alpha-sys-lexical.csv": "0828a0156eb69a314170b472144f3e0e6ae0e3785d0e79d53986058bc54826cc",
-    "curve-beta-sys-cosine.csv": "7367b67259c36a5125760ee127f844de242bc4b6965432d7281c0f1c3ffc8b32",
-    "curve-beta-sys-kl.csv": "91e57ee0e0444a5e31b966047733a68fcd32e4c49831f2ae16a3c1a04366710b",
-    "curve-beta-sys-lexical.csv": "5bce1d70918dd167df35c90ae0c26a5374f21c568029f0befde8bab727f16710",
-    "fit-alpha-sys-cosine.json": "71496b3b9b0e1812b12dca0f4418092313dbf5d6ec9ed14887309b00e9c0925b",
-    "fit-alpha-sys-kl.json": "61dc53b85b4da980b13a403da0334710b041157e3adb4c2717dd1e700265a146",
-    "fit-alpha-sys-lexical.json": "484ba1ba6ee0c8fdae3f29ad170ff05526af13566773d7d3481d310d61394961",
-    "fit-beta-sys-cosine.json": "f0c5f6f3b87f1fd1a68652734ad59c6d875134e81a65150f11bb60a2142100e7",
-    "fit-beta-sys-kl.json": "1664bbbb2e97598d132dc4742aa3ab325c2d447b93948eebc1bf20ed8101a79a",
-    "fit-beta-sys-lexical.json": "c08fa74f77d401d0014debd8684a2323a3a7456a6d131f6fb64dc8e9ad8bba77",
-    "fit_summary.json": "d6ff506db5ea7a490fefaa3ea464724f42b010006769ba81fb0264f80297cd18",
-    "plot-cosine.csv": "c89bfb3f71c3d34823536ecd5b8d9d7202b027a12aa8437cda880b31dbacc167",
-    "plot-kl.csv": "a08dc04131b971b684fc9e32fa84a8a76aeffc168e69b4dc438a5ae371ede9a3",
-    "plot-lexical.csv": "34053a58b423657971a8a65b1464289615d43a667139c4161d7dbf272dadfe84",
-    "report.json": "81d58952b254288161a4fe7f0ac0792fed4ffac68866021fee59470b4ddb15d2",
-    "report.txt": "b48a5ff510ac6e5ca0c22b12ae0b0c0a0cd531f396bbfcf260f75a1715dae631",
-    "similarity.csv": "23602b0269e5d553dd77864cf7f7f052f74a0571bcd6a17e30d2ee826d33c793",
-    "similarity.json": "80865ed8f4e8f3c315f05d917bd1345cce3753b6df99de78445d61b1ca2e653a",
-    "transport.json": "24b5df1f13ae897358e04ff850a4f6e8fef6fc82783912e9b3f00cccc4400455",
-    "transport.txt": "7b36ab68dac3d80b948f11b27f2c542cb6a32393bcebf6cdf75c7ac8eea6c41a",
+    "cache/profile-news.json": "89f005577f0e74104d887661e3180be00d99cf2eda283d9e701753a93e49cb15",
+    "cache/profile-science.json": "f12eb8f4765ff9bf8ff3a9c8939da9c880067c259ae644ebe75e29680faf34c2",
+    "cache/profile-social.json": "86d96498a3e17a9dc22e99b765e97ad915a42c677031e211128d1332e2fb6d3c",
+    "cache/profile-src.json": "4f5a2dac8271a94f91ae838cc3f7a459358cb5834dc88e0ba6c03cf9b2f33eb0",
+    "cache/stage-fit.json": "9e110eb141301b82bdfbfece35c74b054380eb263a86be1d1928669575c0626e",
+    "cache/stage-ingest.json": "0a62e375e79cb7c591f4e56120153333abe950a0fd34cfc93dae0f0a3f7473e4",
+    "cache/stage-report.json": "17d0920b1a313d6fb5b4be8d36b307bbef9f9632e40060cfa383522de9d6e5c5",
+    "cache/stage-similarity.json": "ad1ca0fd8b77c819d3c872ebdda7d7351a69e929c6cc9c39cfcee463ca0736aa",
+    "cache/stage-transport.json": "092fc7bcd4f006ea0e8bfd0b5ffeabfd83afc6e078145b610fc02e6c04ff1b4b",
+    "curve-alpha-sys-cosine.csv": "53055f6f7073d23f4ad26c4319e7539fcfd0107ed1166d7784fd5cb6656e6722",
+    "curve-alpha-sys-kl.csv": "3ebdb43c2653faa276be015693f4ed9b985c6c7d74a3672fd8f3b9e601e47e56",
+    "curve-alpha-sys-lexical.csv": "2e0396ffa3ed4e9000d9c9f6af7d7c9601cb963e8dfcc34e2f02c7b25aa11fde",
+    "curve-beta-sys-cosine.csv": "3cdc112cf4039f1ef0423f4ced6ffd4ec466d5147a23c1fe333b670ff94492b2",
+    "curve-beta-sys-kl.csv": "b5b72c03335cfcdfcb25ad368e1309f1425982ddbb99a6a42b2a156ff5310c5c",
+    "curve-beta-sys-lexical.csv": "b764c84196113ce44206170f8c9bc3d28dbd10f804bc1470de0c4eba90e1ef9d",
+    "fit-alpha-sys-cosine.json": "a745c31c7d7a492dc8e80fdb32c675b1cb0c6214e2cbcb27faf830fc5e70a339",
+    "fit-alpha-sys-kl.json": "eba1ede50e582919ee698c697acf1243238e9ba0927b7bac1319c05d33b893a9",
+    "fit-alpha-sys-lexical.json": "c703294c1cf14b24bffd0b21781d99e32e6c3bcb80783c1975710c03cb2a2f5b",
+    "fit-beta-sys-cosine.json": "7654705f7ce99dd093ce7847047d37eabd924777a210a5bf3c2ede9e9ffd1185",
+    "fit-beta-sys-kl.json": "a13970784676135ec8dd4594daee064664c68c68b71612cc0d0bf305ba4ea966",
+    "fit-beta-sys-lexical.json": "7e6c0d68a22818af9950b86ec998a5ecf72e916dedb9517d5d4e40c72dc37383",
+    "fit_summary.json": "a219e582b6c9006bb993edbc770b65058e5001b25171994e320eabf4335b3043",
+    "plot-cosine.csv": "1d5ebc90d45e2c0e5baf2e0560ce0b893a5ec4a513a524f7694c559ab79427f5",
+    "plot-kl.csv": "e4fbb55f0ad334b9dedb0363477a85b8d50d7e945c531a9150bfabce77348296",
+    "plot-lexical.csv": "b9982f96f9135b9bf7908a0bf4ac34907b761d9f55cdd7a815b002e963a568b6",
+    "report.json": "6da4594bbbcc3087e721eafffb23348efe79cbeb717e3b8b1e5a6bcb8ae1c4f3",
+    "report.txt": "b91c1598c1c21c42abe2d7cffbaff1b1102a23d735f7b1b61740c03121a44d20",
+    "similarity.csv": "57ec39978a3e152f407ff6c43644d727e5ec0219dee7df00f18ea0420ae9b945",
+    "similarity.json": "f5fb0316c5a801745a96703a4d955d682dff3dc550b79601dd93a1cf93a5a843",
+    "transport.json": "bdf7bad20c0f7a974bc7bd65eb0e00d8665a5e09014b626b4d1974fee3f791a2",
+    "transport.txt": "261743a76a1d795832af0c7a7bd3c993512a87ef0004dd59b8a8a6d66af822ee",
 }
 
 GOLDEN_MIXED = {
-    "cache/profile-news.json": "04bb72287f52ac495bdbc2b8fe1285d628c953e0ff28a7d9e819d20e47abc142",
-    "cache/profile-science.json": "91bb7063f4bb659a35326d9c8a4840c220773a19098a98f54fd82efd4b614cba",
-    "cache/profile-social.json": "871963c02bd1adb1d89b85001ceb7415bc9de518e122e4e42bd972e343766079",
-    "cache/profile-src.json": "8352d921c7a5363bd12430417b33e7d544f839a7044d31b795db68a25598ab10",
-    "cache/stage-fit.json": "00d3d98618e88a9f8e4678ef2cbfc486e221bcda3b91e476067623bd1e54be87",
-    "cache/stage-ingest.json": "e9fc9ab6055acd186cca89dcd69e1ecf82c014d144b03b6d5d7e7edfde8140af",
-    "cache/stage-report.json": "b3efe3a60ea3b2e0cfe0e10123b874faa61733360abc31add1b920a47dfdbc30",
-    "cache/stage-similarity.json": "8fd4d002018e8f6c9b76f01474e1010e4603a0fda91ada682826ec54ffece62f",
-    "cache/stage-transport.json": "3a324a1a68f7faea2fb48e1981c6cbc32bac01f0daf694797aa33fc3c90933d9",
-    "curve-alpha-sys-cosine.csv": "26aedc6c085d3a192a2033773bd78e9c272550427cb99712447b2fe0dbaf2180",
-    "curve-alpha-sys-kl.csv": "2f87097e2dd06b9c51fede19466438c23460beb0364616a13fa6e365100cfd1e",
-    "curve-alpha-sys-lexical.csv": "112a073c2e021a3b7a15b8959c1e534b09ea8637948587f49359d8ca1f7ab704",
-    "curve-beta-sys-cosine.csv": "05388b58b8d097e06e0ab805e6f8e38446e400167841f521be3d576f8d0d2e36",
-    "curve-beta-sys-kl.csv": "fc9458fda211a959738e00678296ea5edf885a03c101aaea0901e966dd95110b",
-    "curve-beta-sys-lexical.csv": "2b53b2c1acd442f1d1314986cbcfe8d76e6fb8b2004e0628ac7582ceb8f2e274",
-    "fit-alpha-sys-cosine.json": "e916a36269107727d06c68c22ff2a6ee28ad3b51f456e8ee71a9956c5ecd8213",
-    "fit-alpha-sys-kl.json": "8c187b0134a86ebe550a132458b1553493c103d2d8ccddd8ff0d43f82b692f80",
-    "fit-alpha-sys-lexical.json": "16d09b018324ba7fa2d426b39b4edebe1b535f3e4df403a451d52a647063bbdf",
-    "fit-beta-sys-cosine.json": "bf920b433e829cf01c7bfcd9ec1434e42ed4bac45a5263143c08bf0bad502abd",
-    "fit-beta-sys-kl.json": "15e571a842c37efe67b81143fea388e0721635702ad0673dc7697a1198704a25",
-    "fit-beta-sys-lexical.json": "3e8389a583e80f45c876cc0ebbe9497b2a0508e784db231d857e43aab67fa415",
-    "fit_summary.json": "2ffad33697a2c390c12825535548bb6d393f42f33cb1074c801091f54890dc94",
-    "plot-cosine.csv": "3686a153b3bac4e300a181da38d7a296d8ea923e3d53237cc3a94a5146eef0ae",
-    "plot-kl.csv": "a703ec9d66e46b8963d09b30917aa12d16be57e8b30678dc510e376d5fbf84d5",
-    "plot-lexical.csv": "751e016d736bd32f15743cd919fe7e987557399a1e3c3c279c2a3fb5d7156871",
-    "report.json": "73b089e3d63ea094989e3c5897c822fd9a99bf696257c5bea0b331ef2f6539e3",
-    "report.txt": "3955d2f2c210b5bad3516e383984ef7ecb3dd870600feb11898f4b445c4b2593",
-    "similarity.csv": "8a2999f84fc02a2546401ff9f12dab7b4c0ea63eca18ef2c997a5640663f7d66",
-    "similarity.json": "90ccf2f6549d56f85ed50dc07d6dfe5131956e9907e6d0925d898b98d2f6db27",
-    "transport.json": "24b5df1f13ae897358e04ff850a4f6e8fef6fc82783912e9b3f00cccc4400455",
-    "transport.txt": "7b36ab68dac3d80b948f11b27f2c542cb6a32393bcebf6cdf75c7ac8eea6c41a",
+    "cache/profile-news.json": "3c8a5a832e887622b7c3d8a44cb4afe81224825b78ced0f6378a02d2a22b8b3b",
+    "cache/profile-science.json": "b34767c8f9c73cfa5cb86483f81db661794fe245ca104d8bb0067dcda94560f1",
+    "cache/profile-social.json": "2e845e4b5c331c7e8fcae24f6f5288c768b6b115f092d2027bf5dc39d009db1e",
+    "cache/profile-src.json": "17a7252f6d8bad35a6afffce8659ca2175f5424705510a6376a987da95140536",
+    "cache/stage-fit.json": "6c9d0b0b1c38e1b4e42778dec8820d40c3e6c2f653a38d3f7dbfac33f562ad79",
+    "cache/stage-ingest.json": "8b62cc7580cd8a03dc8fa0431e9d434852491ff0e07a010d51d586ff36a0865d",
+    "cache/stage-report.json": "1983c034b1f7e9196f3a32874348d52d4de201d09c7c6b71f2273e69b2c0adf8",
+    "cache/stage-similarity.json": "2e345d3e42f84c8ffaec6f12da6de6be9be6271b29934511bd52132c5ec1cccd",
+    "cache/stage-transport.json": "092fc7bcd4f006ea0e8bfd0b5ffeabfd83afc6e078145b610fc02e6c04ff1b4b",
+    "curve-alpha-sys-cosine.csv": "96110fb6b214c4731079cc596f0e8f146cbe5625027158516d55e3815a2c2138",
+    "curve-alpha-sys-kl.csv": "9c5414797e60984ad43c284bc8d03b26564747c383b735716b1d0ba43d8472a6",
+    "curve-alpha-sys-lexical.csv": "19ee2088fd9090f8b23acdafaccf7f9b24c3290b3f65715844b2cd3d7558a4c2",
+    "curve-beta-sys-cosine.csv": "cba4ba4321e636507902585240d436f2e7699fdb820fd4e6cd2dcbeac74ad43e",
+    "curve-beta-sys-kl.csv": "59e190aeb082d94c9f8aea3a94853aab0584735aa5ac106f77627c304a250cda",
+    "curve-beta-sys-lexical.csv": "0f234028fa9f280c6e4b022e7f404d77e99a22912cd4bd23e9a3d99b2c09dc36",
+    "fit-alpha-sys-cosine.json": "da0644aa2bdcf68dd631431c11c1e7c0a7db3b2b37b9bcd62a976eeca7b5ff83",
+    "fit-alpha-sys-kl.json": "86fcf6faa3cc77a34663ebbd96686cac826b7a32c24ce340e87ec0c46dff3929",
+    "fit-alpha-sys-lexical.json": "26d8d5ec0fab1c230b2f1a55a07b995f4770a7aab826dad5fd1c1fa4a9766854",
+    "fit-beta-sys-cosine.json": "0cb91e9b9e1232cae1968f4f73e6b9c1ba8d3d6495416f73d2452ddef7be0840",
+    "fit-beta-sys-kl.json": "98bb34454d566c18b556d4bba0ddf04ac618f0b2051698834ac8a91c228329be",
+    "fit-beta-sys-lexical.json": "3c539a75ca0e0a52af27e57c25cb585c326b4c13831fa4cc9861c782eff606a2",
+    "fit_summary.json": "74f55c8efb01c768cdf71e7337bfff0ed3682f35cbd3e6baa08aa8a9f3aec36a",
+    "plot-cosine.csv": "407f09494c86427e781de55153a07ef646c6a606f03494522cff00fe9e7f4f37",
+    "plot-kl.csv": "97b58d7148c985267609ff459b94dec731e901d481bec530182eda22ec54fa84",
+    "plot-lexical.csv": "04b9f4fac6f7df10f5469b74cf42e4b65040cee3cc31f80b54467f7aef92ad57",
+    "report.json": "31c1a2a881fe5c23a98317d6f11afe691dc4bc879a1b2034b319b10ccb3ccd57",
+    "report.txt": "b27727c4cba478bde593ada075530fa1195172d1a8ea12560a10e61e06f45e25",
+    "similarity.csv": "0ee45dd7e475bd1b3d58d55a868bc340e0583bec738b4c09b03fd3a33b5aa8ee",
+    "similarity.json": "575375315a8b76c8b4716af305ca8dbfa9298d70aa529bb745e57d7a8949994a",
+    "transport.json": "bdf7bad20c0f7a974bc7bd65eb0e00d8665a5e09014b626b4d1974fee3f791a2",
+    "transport.txt": "261743a76a1d795832af0c7a7bd3c993512a87ef0004dd59b8a8a6d66af822ee",
 }
 
 
