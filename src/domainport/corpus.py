@@ -9,17 +9,26 @@ structure, so later stages never care where the text came from.
 The three text parsers only split their input into unit texts: a CoNLL
 document's tokens or a JSON-lines record's text fields joined by single
 spaces, or a plain-text line or paragraph. One document loop,
-:func:`_corpus`, tokenizes each unit text in one call, counts and logs the
-units without tokens, refuses an empty corpus and builds the :class:`Corpus`.
+:func:`_corpus`, tokenizes the unit texts, counts and logs the units
+without tokens, refuses an empty corpus and builds the :class:`Corpus`. It
+takes the unit texts in chunks of about ``TOKENIZE_CHUNK_CHARS`` characters,
+so no parser holds a second copy of a whole corpus.
 
-In the default mode (``unicode_word`` with ``strip_punctuation``) an ASCII text
+In the default mode (``unicode_word`` with ``strip_punctuation``) ASCII text
 is tokenized by one byte-table pass: ``bytes.translate`` maps ``[0-9A-Za-z_]``
 to itself (lowered when lowercasing is on) and every other byte to a
-space, and ``split`` returns exactly the regex's word runs. The regex runs only
-on the text of a call that is not ASCII, and in the other modes. There,
-with lowercasing on, an ASCII text is lowered once before it is split and
-any other text token by token after, so a token's case mapping never
-depends on its neighbours.
+space, and ``split`` returns exactly the regex's word runs. :func:`_corpus`
+makes one such pass over an all-ASCII chunk and cuts each unit's words out
+of it by character offsets; ``translate`` maps byte to byte, so they are the
+unit's own. The check is per chunk: a chunk with any non-ASCII unit goes unit
+by unit through :func:`tokenize`, where the regex runs on each non-ASCII
+text, as it does in the other modes. There, with lowercasing on, an ASCII
+text is lowered once before it is split and any other text token by token
+after, so a token's case mapping never depends on its neighbours.
+
+A JSON-lines line that is one JSON value and nothing else is read by the C
+scanner ``json.loads`` itself uses; any other line goes through ``json.loads``,
+so every record and every error message is that of ``json.loads``.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import logging
 import re
 import string
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import IO, Any, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, ParseError, encodes_as_utf8, may_hold_surrogates, read_text
@@ -47,6 +57,9 @@ _EDGE_PUNCT_RE = re.compile(r"^\W+|\W+$", re.UNICODE)
 _WORD_CHARS = (string.ascii_letters + string.digits + "_").encode("ascii")
 _WORD_BYTES = bytes(b if b in _WORD_CHARS else 0x20 for b in range(256))
 _LOWER_WORD_BYTES = _WORD_BYTES.lower()
+TOKENIZE_CHUNK_CHARS = 1 << 16  # unit text characters that _corpus tokenizes as one batch
+# the decoder json.loads uses by default; its scan_once is the C scanner
+_JSON_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -112,6 +125,27 @@ class Corpus:
         return sum(len(d.tokens) for d in self.documents)
 
 
+def _word_table(cfg: TokenizerConfig) -> bytes | None:
+    """The byte table that tokenizes ASCII text in ``cfg``'s mode, or None when the mode needs the regex."""
+    if cfg.split_mode == "unicode_word" and cfg.strip_punctuation:
+        return _LOWER_WORD_BYTES if cfg.lowercase else _WORD_BYTES
+    return None
+
+
+def _chunks(texts: Iterable[str]) -> Iterator[list[str]]:
+    """``texts`` in order, as lists of about TOKENIZE_CHUNK_CHARS characters (a longer text fills one alone)."""
+    chunk: list[str] = []
+    size = 0
+    for text in texts:
+        chunk.append(text)
+        size += len(text)
+        if size >= TOKENIZE_CHUNK_CHARS:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     """Split ``text`` into tokens according to ``config``.
 
@@ -121,8 +155,8 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     class, so the tokens are those of lowering each one.
     """
     cfg = config or TokenizerConfig()
-    if cfg.split_mode == "unicode_word" and cfg.strip_punctuation and text.isascii():
-        table = _LOWER_WORD_BYTES if cfg.lowercase else _WORD_BYTES
+    table = _word_table(cfg)
+    if table is not None and text.isascii():
         return text.encode("ascii").translate(table).decode("ascii").split()
     lower_text = cfg.lowercase and text.isascii()
     if lower_text:
@@ -143,21 +177,30 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
 
 def _corpus(texts: Iterable[str], config: TokenizerConfig | None, fmt: str, domain_id: str, source: str,
             empty: str, skipped_units: str) -> Corpus:
-    """The corpus of ``texts``: one document per unit text, tokenized once.
+    """The corpus of ``texts``: one document per unit text, tokenized in chunks of about TOKENIZE_CHUNK_CHARS.
 
     A unit with no tokens is skipped and counted, and the count is logged
     as ``<source>: <count> <skipped_units>``. A corpus with no document is
     refused as ``empty corpus: <empty>``.
     """
     cfg = config or TokenizerConfig()
+    table = _word_table(cfg)
     documents = []
     skipped = 0
-    for text in texts:
-        tokens = tokenize(text, cfg)
-        if tokens:
-            documents.append(Document(tuple(tokens), raw_length=len(text)))
-        else:
-            skipped += 1
+    for chunk in _chunks(texts):
+        words = None
+        if table is not None and all(map(str.isascii, chunk)):
+            # translate maps byte to byte, so a unit's slice of the chunk's translation is its own
+            words = "".join(chunk).encode("ascii").translate(table).decode("ascii")
+        start = 0
+        for text in chunk:
+            end = start + len(text)
+            tokens = tokenize(text, cfg) if words is None else words[start:end].split()
+            if tokens:
+                documents.append(Document(tuple(tokens), end - start))
+            else:
+                skipped += 1
+            start = end
     if not documents:
         raise ParseError(f"empty corpus: {empty}", source=source)
     if skipped:
@@ -168,6 +211,19 @@ def _corpus(texts: Iterable[str], config: TokenizerConfig | None, fmt: str, doma
         tokenizer_config=cfg,
         provenance=Provenance(source=source, format=fmt, tokenizer_hash=cfg.config_hash(), skipped=skipped),
     )
+
+
+def _runs_between(items: list[str], marker: str) -> Iterator[list[str]]:
+    """The runs of ``items`` before, between and after the occurrences of ``marker``."""
+    start = 0
+    while True:
+        try:
+            stop = items.index(marker, start)
+        except ValueError:
+            yield items[start:]
+            return
+        yield items[start:stop]
+        start = stop + 1
 
 
 def parse_conll(
@@ -184,22 +240,15 @@ def parse_conll(
     marker the whole input is a single document.
     """
     text, _ = read_text(data, "input", source)
-    current: list[str] = []
-    raw_docs = [current]
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        first = line.split("\t", 1)[0] if "\t" in line else line.split(None, 1)[0]
-        first = first.strip()
-        if not first:
-            raise ParseError("malformed line: empty token column", line=line_no, source=source)
-        if first == "-DOCSTART-":
-            current = []
-            raw_docs.append(current)
-            continue
-        current.append(first)
+    # the first column of every non-blank line; splitlines' list lives only as long as this comprehension
+    firsts = [line.partition("\t")[0].strip() if "\t" in line else line.split(None, 1)[0]
+              for line in filter(str.strip, text.splitlines())]
+    if "" in firsts:
+        nonblank = (line_no for line_no, line in enumerate(text.splitlines(), start=1) if line.strip())
+        line_no = next(islice(nonblank, firsts.index(""), None))
+        raise ParseError("malformed line: empty token column", line=line_no, source=source)
     # one call per document: no token spans the joining space, in any split mode
-    texts = (" ".join(raw_tokens) for raw_tokens in raw_docs if raw_tokens)
+    texts = (" ".join(raw_tokens) for raw_tokens in _runs_between(firsts, "-DOCSTART-") if raw_tokens)
     return _corpus(texts, config, "conll", domain_id, source, "no tokens found",
                    "document(s) skipped (no tokens after tokenization)")
 
@@ -224,14 +273,22 @@ def parse_jsonl_pairs(
     text, _ = read_text(data, "input", source)
     surrogates = may_hold_surrogates(text)
 
-    def texts() -> Iterator[str]:  # each record's text, tokenized before the next line is parsed
+    def texts() -> Iterator[str]:  # each record's text, read as _corpus asks for its next chunk
+        scan = _JSON_DECODER.scan_once
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
+            # the C scanner alone reads a line that is one JSON value and nothing else;
+            # any other line goes to json.loads, for its result or its exact error
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=line_no, source=source) from exc
+                record, end = scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc.msg}", line=line_no, source=source) from exc
             if not isinstance(record, dict):
                 raise ParseError("line is not a JSON object", line=line_no, source=source)
             # one call per record: no token spans the joining space, in any split mode;
@@ -312,7 +369,7 @@ def parse_interchange(
             raise ParseError(f"document {i} is not a list of non-empty strings", source=source)
         if surrogates and not all(map(encodes_as_utf8, toks)):
             raise ParseError(f"document {i} has a token with a lone surrogate, which is not valid UTF-8", source=source)
-        documents.append(Document(tuple(toks), raw_length=len(" ".join(toks))))
+        documents.append(Document(tuple(toks), len(" ".join(toks))))
     if not documents:
         raise ParseError("empty corpus: interchange payload has no documents", source=source)
     return Corpus(

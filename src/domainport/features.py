@@ -318,27 +318,38 @@ def load_external_embeddings(
     stripped = text.lstrip()
     vectors: dict[str, list[float]] = {}
     if stripped.startswith("{"):
+        objects: list[list[tuple[str, Any]]] = []
+
+        def keep_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+            objects.append(pairs)
+            return dict(pairs)
+
         try:
-            obj = json.loads(text)
+            json.loads(text, object_pairs_hook=keep_pairs)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", source=label) from exc
-        for domain, values in obj.items():
+        for domain, values in objects[-1]:  # the top-level object: it closes last
             if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
                 raise ParseError(f"vector for domain {domain!r} is not a list of numbers", source=label)
+            if domain in vectors:
+                raise ParseError(f"domain {domain!r} given twice", source=label)
             try:
-                vectors[str(domain)] = [float(x) for x in values]
+                vectors[domain] = [float(x) for x in values]
             except OverflowError:  # an integer beyond float64's range
                 raise ParseError(f"non-finite component in vector for domain {domain!r}", source=label) from None
     else:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [(line_no, ln) for line_no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
         if not lines:
             raise ParseError("external embeddings file is empty", source=label)
-        for line_no, line in enumerate(lines[1:], start=2):
+        for line_no, line in lines[1:]:  # after the header
             cells = line.split(",")
             if len(cells) < 2:
                 raise ParseError("expected domain_id followed by vector components", line=line_no, source=label)
+            domain = cells[0].strip()
+            if domain in vectors:
+                raise ParseError(f"domain {domain!r} given twice", line=line_no, source=label)
             try:
-                vectors[cells[0].strip()] = [float(c) for c in cells[1:]]
+                vectors[domain] = [float(c) for c in cells[1:]]
             except ValueError as exc:
                 raise ParseError(f"non-numeric vector component: {exc}", line=line_no, source=label) from exc
 
@@ -381,6 +392,8 @@ def _term_freq_from(value: Any) -> dict[str, int]:
     if not set(map(type, value.values())) <= {int}:
         feature, count = next((k, v) for k, v in value.items() if type(v) is not int)
         raise ParseError(f"profile term_freq count for feature {feature!r} is not an integer: {count!r}")
+    if set(map(type, value)) <= {str}:  # always so for a JSON object's keys
+        return dict(value)  # a copy: the profile never aliases the caller's payload
     return dict(zip(map(str, value), value.values()))
 
 

@@ -1216,6 +1216,22 @@ def test_the_pipeline_runs_with_external_vectors(tmp_path):
     assert fit_points(out) == {(s, p): 4 for s in ("alpha-sys", "beta-sys") for p in ("lexical", "cosine", "kl")}
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("vectors.json", '{"src": [1, 0], "news": [0, 1], "social": [1, 1], "science": [1, 2], "news": [2, 1]}',
+     "domain 'news' given twice"),
+    ("vectors.csv", "domain_id,v0,v1\nsrc,1,0\nnews,0,1\nsocial,1,1\nscience,1,2\nnews,2,1\n",
+     "line 6: domain 'news' given twice"),
+], ids=["json", "csv"])
+def test_ingest_refuses_external_vectors_that_give_a_domain_twice(tmp_path, name, content, message):
+    config = write_pipeline_tree(tmp_path)
+    (tmp_path / name).write_text(content, encoding="utf-8")
+    edit_config(config, set_key("external_embeddings", value=name))
+    code, _, err = run_cli(["ingest", "--config", str(config)])
+    assert code == 2
+    assert message in err
+    assert not list(tmp_path.rglob("profile-*.json"))
+
+
 def test_ingest_reingests_the_corpora_whose_external_vectors_change(tmp_path):
     config = write_pipeline_tree(tmp_path)
     vectors = tmp_path / "vectors.json"

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import re
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from domainport import corpus as corpus_module
 from domainport.corpus import (
     SPLIT_MODES,
     Corpus,
@@ -113,6 +116,62 @@ def test_tokenize_matches_the_two_pass_reference(text):
         assert tokenize(text, cfg) == reference_tokenize(text, cfg)
 
 
+def reference_documents(units, cfg):
+    """The documents and skip count of calling ``tokenize`` on each unit text alone."""
+    documents, skipped = [], 0
+    for unit in units:
+        tokens = tokenize(unit, cfg)
+        if tokens:
+            documents.append(Document(tuple(tokens), len(unit)))
+        else:
+            skipped += 1
+    return documents, skipped
+
+
+def assert_parses_as(parse, reference):
+    """``parse()`` gives ``reference()``'s documents and skip count, or raises its error or an empty corpus."""
+    try:
+        documents, skipped = reference()
+    except ParseError as exc:
+        with pytest.raises(ParseError) as excinfo:
+            parse()
+        assert str(excinfo.value) == str(exc)
+        return
+    if not documents:
+        with pytest.raises(ParseError, match="empty corpus"):
+            parse()
+        return
+    corpus = parse()
+    assert corpus.documents == tuple(documents)
+    assert corpus.provenance.skipped == skipped
+
+
+# every line boundary str.splitlines knows
+SPLITLINES_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_ascii_units = st.text(alphabet=string.ascii_letters + string.digits + string.punctuation + " \t", max_size=20)
+_units = st.one_of(_ascii_units, st.text(alphabet=TOKEN_ALPHABET, max_size=20))
+
+
+# a few characters per chunk: units fill and straddle chunks, and ASCII and other chunks alternate
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.tuples(_units, st.sampled_from(SPLITLINES_SEPARATORS)), min_size=1, max_size=12),
+       st.integers(1, 24))
+@example([("ASCII words, here", "\r\n"), ("İstanbul", "\u2028"), ("!!", "\x85"), ("x_Y 42", "\x1c"), ("z", "\x0b")], 5)
+@example([("Straße", "\n"), ("", "\n"), ("plain ASCII", "\n"), ("  ", "\n"), ("MORE", "\n")], 1)
+def test_chunked_tokenizing_matches_tokenizing_each_unit(pieces, chunk_chars):
+    text = "".join(unit + separator for unit, separator in pieces)
+    units = {
+        "line": [ln for ln in text.splitlines() if ln.strip()],
+        "paragraph": [seg for seg in re.split(r"\n\s*\n", text) if seg.strip()],
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "TOKENIZE_CHUNK_CHARS", chunk_chars)
+        for unit, unit_texts in units.items():
+            for cfg in EVERY_TOKENIZER:
+                assert_parses_as(lambda: parse_plaintext(text, cfg, unit=unit),
+                                 lambda: reference_documents(unit_texts, cfg))
+
+
 def reference_parse_conll_documents(text, cfg):
     """``parse_conll``'s documents and skip count from the per-token loop it replaced."""
     raw_docs, current = [], []
@@ -142,31 +201,21 @@ def reference_parse_conll_documents(text, cfg):
 
 _conll_lines = st.one_of(
     st.text(alphabet=TOKEN_ALPHABET, min_size=1, max_size=12).filter(lambda t: t.strip()),
-    st.sampled_from(["", "-DOCSTART- -X-", "New York\tB-LOC", "!!\tO", "İ\tO"]),
+    # a line with only whitespace before its tab has an empty token column
+    st.sampled_from(["", "-DOCSTART- -X-", "New York\tB-LOC", "!!\tO", "İ\tO", " \tO", "\u3000 \tB-LOC"]),
 )
 
 
 @settings(max_examples=200)
-@given(st.lists(_conll_lines, max_size=25))
-@example(["-DOCSTART- -X-", "İstanbul NNP", "New York\tB-LOC", ", ,", "", "-DOCSTART- -X-", "!! .", "ς"])
-@example(["a", " \tb"])
-def test_parse_conll_matches_the_per_token_reference(lines):
-    text = "\n".join(lines) + "\n"
+@given(st.lists(_conll_lines, max_size=25), st.sampled_from(["\n", "\r\n", "\u2028"]))
+@example(["-DOCSTART- -X-", "İstanbul NNP", "New York\tB-LOC", ", ,", "", "-DOCSTART- -X-", "!! .", "ς"], "\n")
+@example(["a", " \tb"], "\n")
+@example(["a", "", "-DOCSTART-", "\t", "b\tO", "  \tO", "c"], "\r\n")
+@example(["a", "\u2003", "b", "\u3000\tO"], "\u2028")
+def test_parse_conll_matches_the_per_token_reference(lines, separator):
+    text = separator.join(lines) + separator
     for cfg in EVERY_TOKENIZER:
-        try:
-            documents, skipped = reference_parse_conll_documents(text, cfg)
-        except ParseError as exc:
-            with pytest.raises(ParseError) as excinfo:
-                parse_conll(text, cfg)
-            assert str(excinfo.value) == str(exc)
-            continue
-        if not documents:
-            with pytest.raises(ParseError, match="empty corpus"):
-                parse_conll(text, cfg)
-            continue
-        corpus = parse_conll(text, cfg)
-        assert corpus.documents == tuple(documents)
-        assert corpus.provenance.skipped == skipped
+        assert_parses_as(lambda: parse_conll(text, cfg), lambda: reference_parse_conll_documents(text, cfg))
 
 
 def test_tokenizer_config_validation():
@@ -317,6 +366,55 @@ def test_a_jsonl_record_tokenizes_as_its_fields_do(texts):
         (document,) = parse_jsonl_pairs(line, cfg, fields=fields).documents
         assert document.tokens == tuple(tokens)
         assert document.raw_length == sum(map(len, texts)) + len(texts) - 1
+
+
+def reference_jsonl_units(text, fields):
+    """``parse_jsonl_pairs``'s unit texts from one ``json.loads`` per line."""
+    units = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=line_no, source="<stream>") from exc
+        if not isinstance(record, dict):
+            raise ParseError("line is not a JSON object", line=line_no, source="<stream>")
+        units.append(" ".join([record[f] for f in fields if isinstance(record.get(f), str)]))
+    return units
+
+
+JSONL_FIELDS = ("sentence1", "sentence2")
+_jsonl_records = st.dictionaries(
+    st.sampled_from([*JSONL_FIELDS, "id"]),
+    st.one_of(st.text(alphabet=TOKEN_ALPHABET + "\u2028\x85\"\\", max_size=12), st.integers(), st.none(),
+              st.lists(st.integers(), max_size=2)),
+    max_size=3,
+)
+_jsonl_lines = st.one_of(
+    # ensure_ascii=False writes a raw U+2028 or U+0085, where splitlines cuts the record
+    st.builds(json.dumps, _jsonl_records, ensure_ascii=st.booleans()),
+    st.tuples(st.sampled_from(["", " ", "\t", "\ufeff"]), st.builds(json.dumps, _jsonl_records),
+              st.sampled_from(["", " ", "\t", " x", " {}", ","])).map("".join),
+    st.sampled_from(["1 2", "[1]", "NaN", "-Infinity", "null", '"text"', "{", "{}", '{"sentence1": "a"', "", " ", "}"]),
+    st.text(alphabet='{}[]":, 0123456789aenrtu\\', max_size=12),
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(_jsonl_lines, min_size=1, max_size=8))
+@example(['\ufeff{"sentence1": "a"}'])
+@example([' {"sentence1": "a"}', '{"sentence2": "b"}\t ', ' {"sentence1": "c"} '])
+@example(['{"sentence1": "a"}', "1 2"])
+@example(['{"sentence1": "a"}', "[1]"])
+@example(["NaN"])
+@example(['{"sentence1": "a\u2028b"}'])
+@example(['{"sentence1": "Straße İ", "sentence2": "ASCII, too!"}', '{"id": 3}', '{"sentence2": "x y"}'])
+def test_parse_jsonl_matches_the_per_line_reference(lines):
+    text = "\n".join(lines) + "\n"
+    for cfg in EVERY_TOKENIZER:
+        assert_parses_as(lambda: parse_jsonl_pairs(text, cfg, fields=JSONL_FIELDS),
+                         lambda: reference_documents(reference_jsonl_units(text, JSONL_FIELDS), cfg))
 
 
 def test_parse_jsonl_requires_fields():
@@ -504,3 +602,40 @@ def test_interchange_refuses_a_token_with_a_lone_surrogate():
 def test_a_text_argument_with_a_lone_surrogate_is_refused(parse):
     with pytest.raises(ParseError, match="input holds a lone surrogate"):
         parse("hello \udc80 world\n")
+
+
+# ---------------------------------------------------------------- memory
+
+
+def megabyte_corpus(fmt):
+    """About 1 MB of seeded ``fmt`` input: 20-word lines over a 5,000-word vocabulary."""
+    rng = random.Random(7)
+    words = rng.choices([f"w{i}" for i in range(5000)], k=180_000 if fmt == "text" else 131_072)
+    lines = [words[i:i + 20] for i in range(0, len(words), 20)]
+    if fmt == "conll":  # a -DOCSTART- every ten sentences, one blank line after each
+        return "".join(("-DOCSTART-\tO\n\n" if i % 10 == 0 else "") + "".join(f"{w}\tO\n" for w in line) + "\n"
+                       for i, line in enumerate(lines)).encode("utf-8")
+    if fmt == "jsonl":
+        return "".join(json.dumps({"id": i, "sentence1": " ".join(line[:10]), "sentence2": " ".join(line[10:])}) + "\n"
+                       for i, line in enumerate(lines)).encode("utf-8")
+    return "".join(" ".join(line) + "\n" for line in lines).encode("utf-8")
+
+
+# tracemalloc peak, in bytes, of each per-unit reader the bulk readers replaced on megabyte_corpus (CPython 3.11)
+PER_UNIT_PARSE_PEAKS = {"conll": 17_661_905, "jsonl": 11_461_507, "text": 15_009_176}
+PARSERS = {"conll": parse_conll, "jsonl": parse_jsonl_pairs, "text": parse_plaintext}
+
+
+# A bulk reader that held a whole corpus in several copies would fail here, not only in the benchmark.
+@pytest.mark.parametrize("fmt", sorted(PARSERS))
+def test_bulk_parsing_peaks_within_5_percent_of_the_per_unit_readers(fmt):
+    data = megabyte_corpus(fmt)
+    assert 0.95e6 < len(data) < 1.1e6
+    PARSERS[fmt](data)  # compiled patterns and caches are not the parse's
+    tracemalloc.start()
+    try:
+        PARSERS[fmt](data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * PER_UNIT_PARSE_PEAKS[fmt]

@@ -457,8 +457,16 @@ def test_external_embeddings_error_cases():
     (b"\n  \n", "external embeddings file is empty"),
     (b"domain_id,v0\nd1\n", "line 2: expected domain_id followed by vector components"),
     (b"domain_id,v0,v1\nd1,1,0\nd2,1,x\n", "line 3: non-numeric vector component"),
+    (b'{"d1": [1, 0], "d2": [0, 1], "d1": [0, 1]}', "domain 'd1' given twice"),
+    (b"domain_id,v0,v1\nd1,1,0\nd2,0,1\nd1,0,1\n", "line 4: domain 'd1' given twice"),
+    (b"domain_id,v0,v1\n d1 ,1,0\nd1,0,1\n", "line 3: domain 'd1' given twice"),
+    (b"\ndomain_id,v0\n\nd1,1\n\nd2\n", "line 6: expected domain_id followed by vector components"),
+    # only the top-level object names domains: a nested one is a malformed vector, repeated keys or not
+    (b'{"d1": {"x": 1, "x": 2}}', "vector for domain 'd1' is not a list of numbers"),
+    (b'{"d1": {}}', "vector for domain 'd1' is not a list of numbers"),
 ], ids=["invalid-json", "vector-number", "component-string", "component-null", "component-overflow", "empty-csv",
-        "short-row", "non-numeric-cell"])
+        "short-row", "non-numeric-cell", "json-domain-twice", "csv-domain-twice", "csv-padded-domain-twice",
+        "csv-blank-lines", "nested-repeated-keys", "nested-empty-object"])
 def test_external_embeddings_refuse_malformed_content(content, message):
     with pytest.raises(ParseError, match=re.escape(message)):
         load_external_embeddings(content)
@@ -533,6 +541,21 @@ def test_profile_from_dict_refuses_a_malformed_embedding(embedding):
     payload["embedding"] = embedding
     with pytest.raises(ParseError, match="profile embedding must be a list of finite numbers"):
         profile_from_dict(payload)
+
+
+def test_profile_from_dict_copies_the_term_table():
+    payload = profile_to_dict(build_profile(small_corpus(), EmbeddingConfig(dimension=8)))
+    term_freq = payload["term_freq"]
+    restored = profile_from_dict(payload)
+    assert restored.term_freq == term_freq and restored.term_freq is not term_freq
+    term_freq["added"] = 1
+    assert "added" not in restored.term_freq
+
+
+def test_profile_from_dict_reads_non_string_features_as_strings():
+    payload = profile_to_dict(build_profile(small_corpus(), EmbeddingConfig(dimension=8)))
+    payload["term_freq"] = {7: 2, "b": 1}
+    assert list(profile_from_dict(payload).term_freq.items()) == [("7", 2), ("b", 1)]
 
 
 def test_profile_from_dict_reads_integer_embedding_components():
