@@ -50,7 +50,7 @@ from .features import (
     profile_from_dict,
     profile_to_dict,
 )
-from .hashing import content_digest, dump_json, fields_from_dict, stable_hash
+from .hashing import canonical_json, content_digest, dump_json, fields_from_dict, stable_hash
 from .hashing import fnv1a_64  # noqa: F401  no hash here calls it; bench/tracing.py wraps it by name
 from .regression import FitLog, FitModel, curve_points, fit as fit_curve, predict
 from .transport import (
@@ -332,10 +332,15 @@ def _write_text(path: Path, text: str) -> bytes:
     return data
 
 
-def _artifact_text(config_hash: str, overrides: Mapping[str, Any], **payload: Any) -> str:
-    """The text of a JSON artifact stamped with its stage's hash, the flag overrides behind it and the tool version."""
+def _artifact(config_hash: str, overrides: Mapping[str, Any], **payload: Any) -> dict[str, Any]:
+    """A JSON artifact: ``payload`` stamped with its stage's hash, the flag overrides behind it and the tool version."""
     lineage = {"overrides": overrides} if overrides else {}
-    return dump_json({"config_hash": config_hash, **lineage, "tool_version": __version__, **payload})
+    return {"config_hash": config_hash, **lineage, "tool_version": __version__, **payload}
+
+
+def _cache_text(obj: Any) -> str:
+    """The text of a file under ``cache/``, which only the program reads: canonical JSON and a newline."""
+    return canonical_json(obj) + "\n"
 
 
 def _csv_text(config_hash: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -517,18 +522,25 @@ class _Run:
         except (OSError, ValueError, LookupError, TypeError):
             return None, {}, {}
 
+    def _intact(self, name: str, digest: Any) -> bool:
+        """True when output ``name`` still has ``digest``; False when it is gone or no file can have the name."""
+        try:
+            return content_digest((self.out / name).read_bytes()) == digest
+        except (OSError, ValueError):
+            return False
+
     def up_to_date(self) -> bool:
         """True when the stamp holds the run's key and every output it names still has its digest."""
         key, outputs, _ = self._stamp
-        try:
-            return key == self.key and all(content_digest((self.out / n).read_bytes()) == d for n, d in outputs.items())
-        except (OSError, ValueError):  # an output gone, or a name no file can have
-            return False
+        return key == self.key and all(self._intact(n, d) for n, d in outputs.items())
 
     def reuse(self, name: str, source: str) -> bool:
-        """Keep output ``name``, unread, if the stamp has the run's key and ``source`` for it and the file exists."""
+        """Keep output ``name`` if the stamp has the run's key and ``source`` for it and the file still has its digest.
+
+        The file is read and digested, not parsed: a profile edited since it was written is rebuilt.
+        """
         key, outputs, sources = self._stamp
-        if key != self.key or sources.get(name) != source or name not in outputs or not (self.out / name).is_file():
+        if key != self.key or sources.get(name) != source or not self._intact(name, outputs.get(name)):
             return False
         self._outputs[name], self._sources[name] = outputs[name], source
         return True
@@ -541,7 +553,7 @@ class _Run:
 
     def write_json(self, name: str, **payload: Any) -> None:
         """Write JSON artifact ``name`` with the run's hash and overrides."""
-        self.write(name, _artifact_text(self.hash, self.overrides, **payload))
+        self.write(name, dump_json(_artifact(self.hash, self.overrides, **payload)))
 
     def finish(self) -> None:
         """Remove the earlier outputs not kept, then write the stamp if it changed.
@@ -555,7 +567,7 @@ class _Run:
                 path.unlink()
         if self._stamp != (self.key, self._outputs, self._sources):
             sources = {"sources": self._sources} if self._sources else {}
-            _write_text(self.path, dump_json({"key": self.key, "outputs": self._outputs, **sources}))
+            _write_text(self.path, _cache_text({"key": self.key, "outputs": self._outputs, **sources}))
 
 
 def _stage(work: Callable[[RunConfig, _Run], None]) -> Callable[..., None]:
@@ -647,7 +659,7 @@ def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
                 profile = build_profile_external(corpus, external[spec.domain_id], cfg.external_embeddings)
             else:
                 profile = build_profile(corpus, cfg.embedding)
-            run.write(name, _artifact_text(config_hash, flags, profile=profile_to_dict(profile)), source)
+            run.write(name, _cache_text(_artifact(config_hash, flags, profile=profile_to_dict(profile))), source)
             print(f"ingested: {spec.domain_id} ({len(corpus.documents)} documents, {corpus.token_count} tokens)")
         except (ConfigError, ParseError, ComputationError) as exc:
             failures.append((spec.domain_id, exc))

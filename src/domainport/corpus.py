@@ -93,7 +93,7 @@ class TokenizerConfig:
         return stable_hash(asdict(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One tokenized unit of text."""
 

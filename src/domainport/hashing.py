@@ -13,18 +13,17 @@ with uint64 array arithmetic and returns the same values bit for bit.
 ``slot_and_sign`` is the one rule that turns a hash into a feature slot
 and sign, for a single hash and for an array of them alike.
 
-``canonical_json`` is the encoding config hashes digest; ``dump_json``
-is the encoding of every JSON artifact the pipeline writes, byte for
-byte ``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)``
-plus a newline. ``indent`` keeps ``json.dumps`` on its pure-Python
-encoder, so ``dump_json`` hands each dict or list whose values are all
-leaves (a profile's term table and embedding) to the C encoder, with the
-indented line break as its item separator. Config blocks and records
-(settings, similarity records, fitted models and their fit logs) have
-one codec: they are written by ``dataclasses.asdict`` (both encodings
-write its tuples as lists) and read by ``fields_from_dict``, which
-refuses a block that is not an object, keys that are not fields and
-required fields that are missing.
+``canonical_json`` (sorted keys, no whitespace) is the encoding config
+hashes digest, and also that of every file under ``cache/`` (profiles and
+stage stamps), which only the program reads; such a file is the canonical
+JSON and a newline. ``dump_json`` (sorted keys, two-space indent and a
+newline) is the encoding of every other JSON artifact, which people read.
+Each is one ``json.dumps`` call. Config blocks and records (settings,
+similarity records, fitted models and their fit logs) have one codec:
+they are written by ``dataclasses.asdict`` (both encodings write its
+tuples as lists) and read by ``fields_from_dict``, which refuses a block
+that is not an object, keys that are not fields and required fields that
+are missing.
 
 Reference vectors with seed 0:
 
@@ -142,33 +141,7 @@ def canonical_json(obj: Any, default: Callable[[Any], Any] | None = None) -> str
 
 def dump_json(obj: Any) -> str:
     """Serialize an artifact: sorted keys, two-space indent, trailing newline."""
-    return _indented(obj, 0) + "\n"
-
-
-_LEAVES = frozenset({str, int, float, bool, type(None)})
-
-
-def _indented(obj: Any, level: int) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` as it appears ``level`` deep."""
-    kind = type(obj)
-    if kind in _LEAVES:
-        return json.dumps(obj, ensure_ascii=False)
-    if kind in (list, tuple) or (kind is dict and set(map(type, obj)) <= {str}):
-        brackets = "{}" if kind is dict else "[]"
-        if not obj:
-            return brackets
-        newline = "\n" + "  " * (level + 1)
-        if set(map(type, obj.values() if kind is dict else obj)) <= _LEAVES:
-            # one C-encoder call, whose item separator is the indented line break
-            body = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=("," + newline, ": "))[1:-1]
-        elif kind is dict:
-            body = ("," + newline).join(
-                f"{json.dumps(k, ensure_ascii=False)}: {_indented(v, level + 1)}" for k, v in sorted(obj.items()))
-        else:
-            body = ("," + newline).join(_indented(v, level + 1) for v in obj)
-        return brackets[0] + newline + body + newline[:-2] + brackets[1]
-    # anything else (non-str keys, subclasses) as json.dumps writes it; no encoded string holds a raw newline
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", "\n" + "  " * level)
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def stable_hash(obj: Any, default: Callable[[Any], Any] | None = None) -> str:

@@ -166,6 +166,32 @@ def test_a_tree_keyed_with_blake2b_digests_reruns_each_stage_once(tmp_path, monk
     assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
 
 
+def test_a_tree_with_indented_cache_files_keeps_them_until_a_corpus_changes(tmp_path, monkeypatch):
+    # earlier versions wrote cache/ files in the indented artifact layout: same JSON, so they stay current
+    config = write_pipeline_tree(tmp_path)
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "_cache_text", dump_json)
+    run_full_pipeline(config)
+    monkeypatch.undo()
+    cache = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted((out / "cache").iterdir())}
+    assert all(data == dump_json(json.loads(data)).encode("utf-8") for data in cache.values())
+    rerun = run_full_pipeline(config)
+    assert rerun.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
+    assert rerun == {stage: f"{stage}: up to date\n" for stage in STAMPED}
+    got = tree_digests(out)
+    assert {name: (out / name).read_bytes() for name in got if name.startswith("cache/")} == cache
+    assert {n: d for n, d in got.items() if not n.startswith("cache/")} == {
+        n: d for n, d in GOLDEN.items() if not n.startswith("cache/")}
+    (tmp_path / "corpora" / "news.txt").write_text("fresh words entirely\n", encoding="utf-8")
+    code, stdout, _ = run_cli(["ingest", "--config", str(config)])
+    assert code == 0
+    assert stdout.count("cache hit:") == 3 and "ingested: news" in stdout
+    profiles = {name: (out / name).read_bytes() for name in cache if name.startswith("cache/profile-")}
+    news = profiles.pop("cache/profile-news.json")
+    assert news == (canonical_json(json.loads(news)) + "\n").encode("utf-8")
+    assert profiles == {name: data for name, data in cache.items() if name in profiles}
+
+
 def fnv_stable_hash(obj, default=None):
     """``stable_hash`` as earlier versions computed it: 64-bit FNV-1a of the canonical JSON."""
     return f"{fnv1a_64(canonical_json(obj, default).encode('utf-8')):016x}"
@@ -272,6 +298,21 @@ def test_ingest_reingests_an_edit_that_keeps_the_length(tmp_path):
     assert code == 0
     assert "ingested: news" in out
     assert out.count("cache hit:") == 3
+
+
+def test_ingest_rebuilds_a_profile_edited_since_it_was_written(tmp_path):
+    # a hit checks the profile's digest, so a hand-edited profile is rebuilt, not kept for similarity to refuse
+    config = write_pipeline_tree(tmp_path)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    profile = tmp_path / "out" / "cache" / "profile-news.json"
+    written = profile.read_bytes()
+    profile.write_text(json.dumps({**json.loads(written), "config_hash": "0" * 16}), encoding="utf-8")
+    code, out, _ = run_cli(["ingest", "--config", str(config)])
+    assert code == 0
+    assert [line.split(" (")[0] for line in out.splitlines()] == [
+        "cache hit: src", "ingested: news", "cache hit: social", "cache hit: science"]
+    assert profile.read_bytes() == written
+    assert run_cli(["similarity", "--config", str(config)])[0] == 0
 
 
 def test_ingest_reads_each_corpus_file_once(tmp_path, monkeypatch):

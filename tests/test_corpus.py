@@ -639,3 +639,8 @@ def test_bulk_parsing_peaks_within_5_percent_of_the_per_unit_readers(fmt):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * PER_UNIT_PARSE_PEAKS[fmt]
+
+
+def test_a_document_has_slots_and_no_instance_dict():
+    # a text corpus builds one Document per line: a __dict__ each would be most of its memory
+    assert not hasattr(Document(("a", "b"), 3), "__dict__")

@@ -28,7 +28,7 @@ from domainport.features import (
     profile_from_dict,
     profile_to_dict,
 )
-from domainport.hashing import dump_json, fields_from_dict, fnv1a_64
+from domainport.hashing import canonical_json, dump_json, fields_from_dict, fnv1a_64
 
 freq_tables = st.dictionaries(
     st.text(alphabet="abcdefgh ", min_size=1, max_size=8).filter(str.strip),
@@ -508,10 +508,11 @@ def test_build_profile_external_rejects_zero_vector():
 # ---------------------------------------------------------------- serialization
 
 
-def test_profile_round_trip():
+@pytest.mark.parametrize("encode", [canonical_json, dump_json], ids=["cache", "artifact"])
+def test_profile_round_trip(encode):
     corpus = parse_plaintext("round trip text\nwith two lines\n", domain_id="rt")
     profile = build_profile(corpus, EmbeddingConfig(dimension=32, seed=9))
-    restored = profile_from_dict(json.loads(dump_json(profile_to_dict(profile))))
+    restored = profile_from_dict(json.loads(encode(profile_to_dict(profile))))
     assert restored.domain_id == profile.domain_id
     assert restored.term_freq == profile.term_freq
     assert np.array_equal(restored.embedding, profile.embedding)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import enum
 import hashlib
 import json
 import re
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from domainport import cli, hashing
@@ -25,7 +24,6 @@ from domainport.features import EmbeddingConfig, EmbeddingSource
 from domainport.hashing import (
     canonical_json,
     content_digest,
-    dump_json,
     feature_slot,
     fields_from_dict,
     fnv1a_64,
@@ -154,38 +152,6 @@ def test_canonical_json_is_sorted_and_compact():
     s = canonical_json({"b": 1, "a": [2, 3], "c": {"z": None, "y": True}})
     assert s == '{"a":[2,3],"b":1,"c":{"y":true,"z":null}}'
     assert json.loads(s) == {"a": [2, 3], "b": 1, "c": {"y": True, "z": None}}
-
-
-class Level(enum.IntEnum):
-    LOW = 1
-
-
-class Share(float):
-    pass
-
-
-JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-JSON_VALUES = st.recursive(
-    JSON_LEAVES,
-    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(st.text(max_size=5), inner, max_size=5)
-                   | st.dictionaries(st.integers(), inner, max_size=3)),
-    max_leaves=30,
-)
-
-
-@settings(max_examples=300, derandomize=True)
-@given(JSON_VALUES)
-@example({"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": [1, {"f": (2, [3.5])}]}})
-@example(((), [(1, "x"), ()], {"t": ("y", None)}))
-@example({"İstanbul": "Straße", "東京": ["ß", "i\u0307"], "é": {"ǅ": "line\nbreak\t\"quoted\" \\"}})
-@example([float("nan"), float("inf"), -float("inf"), {"x": float("nan"), "y": [-0.0, 1e300]}])
-@example({"t": True, "f": False, "n": None, "level": Level.LOW, "share": Share(0.25),
-          "leaves": [Level.LOW, Share(2.0), True, None]})
-@example({"k": {1: "a", 2.5: [True]}, "m": {False: None, 3: {"z": {7: []}}}, "n": [{None: 0}]})
-@example("top-level string")
-def test_dump_json_is_byte_equal_to_the_indented_encoder(obj):
-    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def test_stable_hash_ignores_key_order():

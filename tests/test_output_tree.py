@@ -16,19 +16,23 @@ profile keys outside ASCII.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from conftest import run_full_pipeline, tree_digests, write_mixed_text_tree, write_pipeline_tree
 
+from domainport.hashing import canonical_json, dump_json
+
 GOLDEN = {
-    "cache/profile-news.json": "89f005577f0e74104d887661e3180be00d99cf2eda283d9e701753a93e49cb15",
-    "cache/profile-science.json": "f12eb8f4765ff9bf8ff3a9c8939da9c880067c259ae644ebe75e29680faf34c2",
-    "cache/profile-social.json": "86d96498a3e17a9dc22e99b765e97ad915a42c677031e211128d1332e2fb6d3c",
-    "cache/profile-src.json": "4f5a2dac8271a94f91ae838cc3f7a459358cb5834dc88e0ba6c03cf9b2f33eb0",
-    "cache/stage-fit.json": "9e110eb141301b82bdfbfece35c74b054380eb263a86be1d1928669575c0626e",
-    "cache/stage-ingest.json": "0a62e375e79cb7c591f4e56120153333abe950a0fd34cfc93dae0f0a3f7473e4",
-    "cache/stage-report.json": "17d0920b1a313d6fb5b4be8d36b307bbef9f9632e40060cfa383522de9d6e5c5",
-    "cache/stage-similarity.json": "ad1ca0fd8b77c819d3c872ebdda7d7351a69e929c6cc9c39cfcee463ca0736aa",
-    "cache/stage-transport.json": "092fc7bcd4f006ea0e8bfd0b5ffeabfd83afc6e078145b610fc02e6c04ff1b4b",
+    "cache/profile-news.json": "1e4e79468bcc3b734c1cfbb954182116ae1cf811bbd6b7816903f1055ed966c7",
+    "cache/profile-science.json": "4d7002d18474cffbb85f08ff631c8cee0ca70bcf8c5e1c69d06023b95706dac4",
+    "cache/profile-social.json": "9756ec8a14a26068137b8e66b0c3b86d4400c54cb23abecb1f3d58e3b4800456",
+    "cache/profile-src.json": "dc16af47e9d3aec0b105af3081985ef91c4f7cd5d819ffed827595dce9fbd48e",
+    "cache/stage-fit.json": "0b5724c2945966c1cf32d14937ceb41a9e1218d47daec83013b2ec1dcb13a9b7",
+    "cache/stage-ingest.json": "1c6caf0c381b826cd4541647cd476867d6f940ee9f9f778676c14dbe480efbc4",
+    "cache/stage-report.json": "446520fb8234c1d5e1257642162aadb56a63dec22ac790aa2ccd2fdb62c1d6cc",
+    "cache/stage-similarity.json": "c01c78d41bb25881bead92f4a169f1de5170e7cd54ee4c12cff39d0d4bb16e10",
+    "cache/stage-transport.json": "5ff39cc24f30bda030b8239094b8faddc000818c31893712891ccdf664213917",
     "curve-alpha-sys-cosine.csv": "53055f6f7073d23f4ad26c4319e7539fcfd0107ed1166d7784fd5cb6656e6722",
     "curve-alpha-sys-kl.csv": "3ebdb43c2653faa276be015693f4ed9b985c6c7d74a3672fd8f3b9e601e47e56",
     "curve-alpha-sys-lexical.csv": "2e0396ffa3ed4e9000d9c9f6af7d7c9601cb963e8dfcc34e2f02c7b25aa11fde",
@@ -54,15 +58,15 @@ GOLDEN = {
 }
 
 GOLDEN_MIXED = {
-    "cache/profile-news.json": "3c8a5a832e887622b7c3d8a44cb4afe81224825b78ced0f6378a02d2a22b8b3b",
-    "cache/profile-science.json": "b34767c8f9c73cfa5cb86483f81db661794fe245ca104d8bb0067dcda94560f1",
-    "cache/profile-social.json": "2e845e4b5c331c7e8fcae24f6f5288c768b6b115f092d2027bf5dc39d009db1e",
-    "cache/profile-src.json": "17a7252f6d8bad35a6afffce8659ca2175f5424705510a6376a987da95140536",
-    "cache/stage-fit.json": "6c9d0b0b1c38e1b4e42778dec8820d40c3e6c2f653a38d3f7dbfac33f562ad79",
-    "cache/stage-ingest.json": "8b62cc7580cd8a03dc8fa0431e9d434852491ff0e07a010d51d586ff36a0865d",
-    "cache/stage-report.json": "1983c034b1f7e9196f3a32874348d52d4de201d09c7c6b71f2273e69b2c0adf8",
-    "cache/stage-similarity.json": "2e345d3e42f84c8ffaec6f12da6de6be9be6271b29934511bd52132c5ec1cccd",
-    "cache/stage-transport.json": "092fc7bcd4f006ea0e8bfd0b5ffeabfd83afc6e078145b610fc02e6c04ff1b4b",
+    "cache/profile-news.json": "c34e2be05b5b63cdad256bc31b4f3f73534d60cb809e136daaed67e72cdaef07",
+    "cache/profile-science.json": "e688d7beacf41fddab430cde337833fa3381a51348cba82d41d04e5c756c57fc",
+    "cache/profile-social.json": "1b09e722858c82af16ed688eca0963acba12efff1e6441c6abf4c50ab4327ed7",
+    "cache/profile-src.json": "ce527ab8a6aa89124fb849ac82c6563166b6366ab78b6590a258da2860f98eeb",
+    "cache/stage-fit.json": "929512228509a2d1d57238bcc76b2796e7d6f2b351977bf2502e59efc86e2e2b",
+    "cache/stage-ingest.json": "5217961785e9e6b51477bbf1b32ad5e68d1e84657df4ad38df6ce1ce4f4a4aac",
+    "cache/stage-report.json": "c0e762f4a688ace5255c3b08399e0babd23c0fbb7e83af0f0d4f41fc1f920f42",
+    "cache/stage-similarity.json": "fc533df260cc44eb4a5017f10df474642fad9fb6020532bdf6d734b4353c48db",
+    "cache/stage-transport.json": "5ff39cc24f30bda030b8239094b8faddc000818c31893712891ccdf664213917",
     "curve-alpha-sys-cosine.csv": "96110fb6b214c4731079cc596f0e8f146cbe5625027158516d55e3815a2c2138",
     "curve-alpha-sys-kl.csv": "9c5414797e60984ad43c284bc8d03b26564747c383b735716b1d0ba43d8472a6",
     "curve-alpha-sys-lexical.csv": "19ee2088fd9090f8b23acdafaccf7f9b24c3290b3f65715844b2cd3d7558a4c2",
@@ -95,3 +99,17 @@ def test_output_tree_matches_the_golden_digests(tmp_path, write_tree, golden):
     got = tree_digests(tmp_path / "out")
     assert sorted(got) == sorted(golden)
     assert {name: digest for name, digest in got.items() if digest != golden[name]} == {}
+
+
+@pytest.mark.parametrize(("write_tree", "golden"), [(write_pipeline_tree, GOLDEN), (write_mixed_text_tree, GOLDEN_MIXED)],
+                         ids=["lowercase-ascii", "mixed-text"])
+def test_cache_files_are_canonical_json_and_other_json_artifacts_are_indented(tmp_path, write_tree, golden):
+    run_full_pipeline(write_tree(tmp_path))
+    out = tmp_path / "out"
+    encoded = {}
+    for path in sorted(out.rglob("*.json")):
+        name, data = path.relative_to(out).as_posix(), path.read_bytes()
+        text = canonical_json(json.loads(data)) + "\n" if name.startswith("cache/") else dump_json(json.loads(data))
+        encoded[name] = text.encode("utf-8") == data
+    assert sorted(encoded) == sorted(name for name in golden if name.endswith(".json"))
+    assert [name for name, same in encoded.items() if not same] == []
