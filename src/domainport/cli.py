@@ -42,6 +42,7 @@ from .errors import (
     read_text,
 )
 from .features import (
+    PROFILE_LAYOUT,
     DomainProfile,
     EmbeddingConfig,
     build_profile,
@@ -404,9 +405,12 @@ class _Hashes(dict):
         return self[stage]
 
     def corpus(self, spec: CorpusSpec) -> str:
-        """The hash a profile of ``spec`` carries: the ingest hash and the corpus's own parse settings."""
+        """The hash a profile of ``spec`` carries: the ingest hash, the profile layout and the corpus's parse settings.
+
+        The layout is in it, so a profile written in another layout misses in ``ingest`` and is stale to ``similarity``.
+        """
         parse = {"format": spec.format, "fields": spec.fields, "text_unit": spec.text_unit}
-        return stable_hash({"ingest": self["ingest"], **parse})
+        return stable_hash({"ingest": self["ingest"], "layout": PROFILE_LAYOUT, **parse})
 
     def under(self, overrides: Overrides) -> _Hashes:
         """The hashes of ``cfg`` with flag ``overrides`` applied."""
@@ -621,6 +625,14 @@ def _profile_name(domain_id: str) -> str:
     return f"cache/profile-{_slug(domain_id)}.json"
 
 
+def _remove_legacy_cache(out: Path) -> None:
+    """Delete the ``cache/corpus-*.json`` and ``cache/manifest.json`` files of earlier versions; nothing reads them."""
+    cache = out / "cache"
+    for path in chain(cache.glob("corpus-*.json"), cache.glob("manifest.json")):
+        if path.is_file():
+            path.unlink()
+
+
 # ---------------------------------------------------------------- stages
 
 
@@ -665,6 +677,7 @@ def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
             failures.append((spec.domain_id, exc))
             print(f"failed: {spec.domain_id}: {exc}", file=sys.stderr)
 
+    _remove_legacy_cache(run.out)
     run.finish()  # also after a failure: the profiles of failed and removed corpora go
     if failures:
         error = ConfigError if all(isinstance(e, ConfigError) for _, e in failures) else ParseError

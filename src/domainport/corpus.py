@@ -34,7 +34,6 @@ so every record and every error message is that of ``json.loads``.
 from __future__ import annotations
 
 import json
-import logging
 import re
 import string
 from dataclasses import asdict, dataclass
@@ -43,8 +42,6 @@ from typing import IO, Any, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, ParseError, encodes_as_utf8, may_hold_surrogates, read_text
 from .hashing import fields_from_dict, stable_hash
-
-logger = logging.getLogger(__name__)
 
 SPLIT_MODES = ("whitespace", "unicode_word")
 
@@ -204,7 +201,9 @@ def _corpus(texts: Iterable[str], config: TokenizerConfig | None, fmt: str, doma
     if not documents:
         raise ParseError(f"empty corpus: {empty}", source=source)
     if skipped:
-        logger.warning("%s: %d %s", source, skipped, skipped_units)
+        import logging  # here, not at the top: its import would cost every run that skips nothing
+
+        logging.getLogger(__name__).warning("%s: %d %s", source, skipped, skipped_units)
     return Corpus(
         domain_id=domain_id,
         documents=tuple(documents),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .errors import ComputationError, ConfigError
 from .features import DomainProfile, HashedTable, embed_builtin
@@ -69,17 +69,21 @@ class SimilarityRecord:
 CSV_COLUMNS = ("source_id", "target_id", "lexical_difference", "cosine_distance", "kl_divergence")
 
 
-def lexical_difference(source: DomainProfile, target: DomainProfile) -> float:
+def lexical_difference(
+    source: DomainProfile, target: DomainProfile, source_vocab: Collection[str] | None = None
+) -> float:
     """Share of the target vocabulary absent from the source.
 
     1 - |V_t intersect V_s| / |V_t|. Asymmetric by design: it reads as
-    how much of the target domain the source has never seen.
+    how much of the target domain the source has never seen. A profile's
+    terms are distinct, so each column is its vocabulary; ``source_vocab``,
+    a set or mapping of the source's terms, spares building one per target.
     """
-    target_vocab = target.term_freq.keys()
-    if not target_vocab:
+    if not target.terms:
         raise ComputationError(f"empty target vocabulary for domain {target.domain_id!r}")
-    overlap = len(target_vocab & source.term_freq.keys())
-    return 1.0 - overlap / len(target_vocab)
+    vocab = frozenset(source.terms) if source_vocab is None else source_vocab
+    overlap = sum(map(vocab.__contains__, target.terms))
+    return 1.0 - overlap / len(target.terms)
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -156,12 +160,14 @@ def _pair_vectors(
     """Embedding pair for a comparison, re-projected when idf needs pair context.
 
     ``source_table`` is the source's prepared table when its weighting
-    is tfidf, else None.
+    is tfidf, else None. The target's table is hashed from its columns as
+    they stand, and each table's term index is its vocabulary.
     """
     cfg = source.embedding_config
     if source_table is not None and target.embedding_config == cfg:
-        u = embed_builtin(source_table, cfg, idf_context=target.term_freq.keys())
-        v = embed_builtin(target.term_freq, cfg, idf_context=source.term_freq.keys())
+        target_table = HashedTable.of_columns(target.terms, target.counts, cfg)
+        u = embed_builtin(source_table, cfg, idf_context=target_table.index)
+        v = embed_builtin(target_table, cfg, idf_context=source_table.index)
         return u, v
     return source.embedding, target.embedding
 
@@ -189,7 +195,9 @@ def similarity_table(
     cfg = source.embedding_config
     source_table = None
     if cfg is not None and cfg.weighting == "tfidf" and source.embedding_source.kind == "builtin":
-        source_table = HashedTable.of(source.term_freq, cfg)  # sorted and hashed once for every target
+        source_table = HashedTable.of_columns(source.terms, source.counts, cfg)  # hashed once for every target
+    # the source's vocabulary, built once for every target: a table's term index is one already
+    source_vocab = frozenset(source.terms) if source_table is None else source_table.index
     records = []
     for t in targets:
         u, v = _pair_vectors(source, source_table, t)
@@ -197,7 +205,7 @@ def similarity_table(
             SimilarityRecord(
                 source_id=source.domain_id,
                 target_id=t.domain_id,
-                lexical_difference=lexical_difference(source, t),
+                lexical_difference=lexical_difference(source, t, source_vocab),
                 cosine_distance=cosine_distance(u, v),
                 kl_divergence=kl_divergence(
                     u, v, kl.epsilon, reverse=(kl.direction == "reverse"), method=kl.method

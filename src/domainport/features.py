@@ -5,21 +5,28 @@ single unit-norm embedding vector. Embeddings come either from the
 built-in deterministic projection (signed feature hashing, so no model
 download is ever needed) or from user-supplied external vectors.
 
-A profile keeps its frequency table in sorted feature order, the order
-in which the projection accumulates features and the artifact encoder
-writes them. Under tfidf weighting, the features two tables share are
-found by walking the smaller of the two vocabularies.
+A profile keeps its frequency table as two columns: ``terms``, the
+distinct features in strictly ascending code-point order, and ``counts``,
+the positive count of each. The table is sorted once, when the profile is
+built. The projection accumulates features in that order, the cache stores
+the columns as they stand, and a loaded profile's columns are checked, not
+sorted again. ``term_freq`` is a read-only feature -> count view of the
+columns, built on first use and never written. Under tfidf weighting, the
+features two tables share are found by walking the smaller of the two
+vocabularies.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from pathlib import Path
+from types import MappingProxyType
 from typing import IO, Any, Collection, Iterable, Mapping, Sequence
 
 from .corpus import Corpus
@@ -31,6 +38,12 @@ WEIGHTINGS = ("tf", "tfidf")
 
 DEFAULT_DIMENSION = 300
 DEFAULT_SEED = 42
+
+# the layout of a stored profile; the hash that keys profiles covers it, so a
+# profile written in another layout is stale and never read
+PROFILE_LAYOUT = "terms/counts"
+
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -73,13 +86,16 @@ class EmbeddingSource:
 class DomainProfile:
     """Feature summary of one corpus.
 
+    ``terms`` holds the corpus's distinct features in strictly ascending
+    order and ``counts`` the positive count of each, in the same order.
     ``embedding`` is always unit L2 norm. ``tokenizer_hash`` and
     ``embedding_hash`` identify the configurations that produced the
     profile; two profiles are comparable only when both hashes agree.
     """
 
     domain_id: str
-    term_freq: Mapping[str, int]
+    terms: list[str]
+    counts: list[int]
     embedding: np.ndarray
     embedding_source: EmbeddingSource
     tokenizer_hash: str
@@ -88,6 +104,11 @@ class DomainProfile:
 
     def config_hash(self) -> str:
         return stable_hash({"tokenizer": self.tokenizer_hash, "embedding": self.embedding_hash})
+
+    @cached_property
+    def term_freq(self) -> Mapping[str, int]:
+        """The columns as a read-only feature -> count mapping in term order, built on first use."""
+        return MappingProxyType(dict(zip(self.terms, self.counts)))
 
 
 def ngram_features(tokens: Iterable[str], order: int) -> list[str]:
@@ -107,16 +128,12 @@ def _feature_counts(corpus: Corpus) -> Counter[str]:
     return Counter(chain.from_iterable(docs))
 
 
-def _term_table(corpus: Corpus, counts: Mapping[str, int]) -> dict[str, int]:
-    """``corpus``'s feature ``counts`` in sorted feature order, the order profiles keep; a corpus with none is refused.
-
-    The artifact encoder and :meth:`HashedTable.of` both sort the table
-    again, and a sort of sorted input is one linear pass.
-    """
+def _columns(corpus: Corpus, counts: Mapping[str, int]) -> tuple[list[str], list[int]]:
+    """``corpus``'s feature ``counts`` as a profile's two columns, sorted once; a corpus with none is refused."""
     if not counts:
         raise ComputationError(f"no features: corpus {corpus.domain_id!r} has no n-grams of the configured order")
-    features = sorted(counts)
-    return dict(zip(features, map(counts.__getitem__, features)))
+    terms = sorted(counts)
+    return terms, list(map(counts.__getitem__, terms))
 
 
 def _document_counts(corpus: Corpus) -> tuple[list[str], np.ndarray, np.ndarray, list[int]]:
@@ -160,7 +177,7 @@ def _project(slots: np.ndarray, signed_weights: np.ndarray, dimension: int) -> n
 
 @dataclass(frozen=True, eq=False)
 class HashedTable:
-    """A frequency table ready to embed: sorted non-zero features, weights, slots, signs.
+    """A frequency table ready to embed: sorted distinct features, their positive weights, slots and signs.
 
     :func:`embed_builtin` accepts one in place of the mapping, so a
     tfidf comparison embeds one source against many targets without
@@ -179,9 +196,19 @@ class HashedTable:
         return dict(zip(self.features, range(len(self.features))))
 
     @classmethod
-    def of(cls, term_freq: Mapping[str, int], config: EmbeddingConfig | None = None) -> "HashedTable":
-        """Sort, check and hash ``term_freq``; it fails as :func:`embed_builtin` would."""
+    def of_columns(
+        cls, terms: list[str], weights: Sequence[float], config: EmbeddingConfig | None = None
+    ) -> "HashedTable":
+        """Hash columns as they stand: ``terms`` strictly ascending, each of ``weights`` positive (a profile's)."""
         cfg = config or EmbeddingConfig()
+        if not terms:
+            raise ComputationError("no features: empty frequency table")
+        slots, signs = _hashed_slots(terms, cfg)
+        return cls(terms, np.array(weights, dtype=np.float64), slots, signs, cfg)
+
+    @classmethod
+    def of(cls, term_freq: Mapping[str, int], config: EmbeddingConfig | None = None) -> "HashedTable":
+        """Sort, check and hash ``term_freq``, dropping zero counts; it fails as :func:`embed_builtin` would."""
         if not term_freq:
             raise ComputationError("no features: empty frequency table")
         features = sorted(term_freq)
@@ -192,9 +219,7 @@ class HashedTable:
         nonzero = weights != 0.0
         if not nonzero.any():
             raise ComputationError("degenerate embedding: all feature weights are zero")
-        features = list(compress(features, nonzero))
-        slots, signs = _hashed_slots(features, cfg)
-        return cls(features, weights[nonzero], slots, signs, cfg)
+        return cls.of_columns(list(compress(features, nonzero)), weights[nonzero], config)
 
 
 def embed_builtin(
@@ -267,14 +292,15 @@ def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> Doma
     if cfg.per_document:
         features, at, weights, sizes = _document_counts(corpus)
         totals = np.bincount(at, weights=weights, minlength=len(features))  # integer sums: exact
-        counts = _term_table(corpus, dict(zip(features, totals.astype(np.int64).tolist())))
+        terms, counts = _columns(corpus, dict(zip(features, totals.astype(np.int64).tolist())))
         vector = _per_document_embedding(features, at, weights, sizes, cfg)
     else:
-        counts = _term_table(corpus, _feature_counts(corpus))
-        vector = embed_builtin(counts, cfg)
+        terms, counts = _columns(corpus, _feature_counts(corpus))
+        vector = embed_builtin(HashedTable.of_columns(terms, counts, cfg))
     return DomainProfile(
         domain_id=corpus.domain_id,
-        term_freq=counts,
+        terms=terms,
+        counts=counts,
         embedding=vector,
         embedding_source=EmbeddingSource(kind="builtin", seed=cfg.seed, dimension=cfg.dimension),
         tokenizer_hash=corpus.tokenizer_config.config_hash(),
@@ -285,7 +311,7 @@ def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> Doma
 
 def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> DomainProfile:
     """Build a profile whose embedding comes from a user-supplied vector."""
-    counts = _term_table(corpus, _feature_counts(corpus))
+    terms, counts = _columns(corpus, _feature_counts(corpus))
     v = np.asarray(vector, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm == 0.0 or not np.all(np.isfinite(v)):
@@ -294,7 +320,8 @@ def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> Dom
     source = EmbeddingSource(kind="external", dimension=int(v.size), path=path)
     return DomainProfile(
         domain_id=corpus.domain_id,
-        term_freq=counts,
+        terms=terms,
+        counts=counts,
         embedding=v,
         embedding_source=source,
         tokenizer_hash=corpus.tokenizer_config.config_hash(),
@@ -376,7 +403,8 @@ def load_external_embeddings(
 def profile_to_dict(profile: DomainProfile) -> dict[str, Any]:
     return {
         "domain_id": profile.domain_id,
-        "term_freq": dict(profile.term_freq),
+        "terms": list(profile.terms),
+        "counts": list(profile.counts),
         "embedding": [float(x) for x in profile.embedding],
         "embedding_source": asdict(profile.embedding_source),
         "tokenizer_hash": profile.tokenizer_hash,
@@ -385,16 +413,24 @@ def profile_to_dict(profile: DomainProfile) -> dict[str, Any]:
     }
 
 
-def _term_freq_from(value: Any) -> dict[str, int]:
-    """A stored term table: an object whose every count is an ``int`` (not a ``bool``)."""
-    if not isinstance(value, dict):
-        raise ParseError("profile term_freq must be an object mapping features to counts")
-    if not set(map(type, value.values())) <= {int}:
-        feature, count = next((k, v) for k, v in value.items() if type(v) is not int)
-        raise ParseError(f"profile term_freq count for feature {feature!r} is not an integer: {count!r}")
-    if set(map(type, value)) <= {str}:  # always so for a JSON object's keys
-        return dict(value)  # a copy: the profile never aliases the caller's payload
-    return dict(zip(map(str, value), value.values()))
+def _columns_from(terms: Any, counts: Any) -> tuple[list[str], list[int]]:
+    """Stored columns: ``terms`` strings in strictly ascending order, ``counts`` one positive int64 per term.
+
+    Copies are returned: the profile never aliases the caller's payload.
+    """
+    if not (isinstance(terms, list) and set(map(type, terms)) <= {str}):
+        raise ParseError("profile terms must be a list of strings")
+    if not isinstance(counts, list):
+        raise ParseError("profile counts must be a list of integers")
+    if len(counts) != len(terms):
+        raise ParseError(f"profile counts must hold one count per term: {len(counts)} counts for {len(terms)} terms")
+    if not all(map(operator.lt, terms, islice(terms, 1, None))):
+        i = next(i for i in range(1, len(terms)) if not terms[i - 1] < terms[i])
+        raise ParseError(f"profile terms must be strictly ascending: {terms[i]!r} follows {terms[i - 1]!r}")
+    if counts and not (set(map(type, counts)) <= {int} and min(counts) > 0 and max(counts) <= _INT64_MAX):
+        term, count = next((t, c) for t, c in zip(terms, counts) if type(c) is not int or not 0 < c <= _INT64_MAX)
+        raise ParseError(f"profile counts entry for term {term!r} is not a positive 64-bit integer: {count!r}")
+    return list(terms), list(counts)
 
 
 def _embedding_from(value: Any) -> np.ndarray:
@@ -423,9 +459,11 @@ def profile_from_dict(data: dict[str, Any]) -> DomainProfile:
     """Rebuild a profile from :func:`profile_to_dict`'s form; a malformed payload is a ParseError."""
     try:
         emb_cfg = data.get("embedding_config")  # None for an external embedding
+        terms, counts = _columns_from(data["terms"], data["counts"])
         return DomainProfile(
             domain_id=data["domain_id"],
-            term_freq=_term_freq_from(data["term_freq"]),
+            terms=terms,
+            counts=counts,
             embedding=_embedding_from(data["embedding"]),
             embedding_source=_record_from(EmbeddingSource, data["embedding_source"], "embedding_source",
                                           "embedding_source"),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -202,7 +201,9 @@ def _cov_percent(ratios: Sequence[float], bias_corrected: bool) -> float:
     mean = sum(ordered) / n
     if mean == 0.0:
         raise ComputationError("variation is undefined: mean transport ratio is zero")
-    sd = statistics.stdev(ordered)  # sample standard deviation, n-1 denominator
+    import statistics  # here, not at the top: only a variation needs it
+
+    sd = statistics.stdev(ordered)  # sample standard deviation, n-1 denominator, from an exact sum
     factor = 1.0 + 1.0 / (4.0 * n) if bias_corrected else 1.0
     return 100.0 * factor * sd / mean
 

@@ -241,7 +241,8 @@ def test_criterion_05_exact_model_recovery(capsys):
 def vocab_profile(vocab, domain_id="d"):
     return DomainProfile(
         domain_id=domain_id,
-        term_freq={term: 1 for term in vocab},
+        terms=sorted(vocab),
+        counts=[1] * len(vocab),
         embedding=np.array([1.0]),
         embedding_source=EmbeddingSource(kind="builtin", seed=0, dimension=1),
         tokenizer_hash="t",

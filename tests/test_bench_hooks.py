@@ -5,6 +5,7 @@ These tests import ``bench/tracing.py`` and change nothing under ``bench/``.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -59,3 +60,17 @@ def test_a_traced_run_records_a_span_for_each_stage_cold_and_warm(tracing, tmp_p
         run_full_pipeline(config)  # warm: every stage is a cache hit
     spans = [span[0] for span in tracer.spans]
     assert {stage: spans.count(f"cli.{stage}") for stage in tracing.STAGES} == dict.fromkeys(tracing.STAGES, 2)
+
+
+def test_the_distinct_feature_count_is_the_number_of_profile_terms(tracing, tmp_path):
+    # the tracer counts len(profile.term_freq): the derived view must hold one entry per term
+    from conftest import run_cli, write_pipeline_tree
+
+    config = write_pipeline_tree(tmp_path)
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    profiles = sorted((tmp_path / "out" / "cache").glob("profile-*.json"))
+    terms = [json.loads(path.read_text(encoding="utf-8"))["profile"]["terms"] for path in profiles]
+    assert len(terms) == 4
+    assert tracer.counts[""]["features.distinct_features"] == sum(map(len, terms)) > 0

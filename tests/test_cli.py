@@ -36,6 +36,11 @@ def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def columns(artifact):
+    """The (terms, counts) columns of a profile artifact."""
+    return artifact["profile"]["terms"], artifact["profile"]["counts"]
+
+
 def edit_config(config_path, mutate):
     raw = read_json(config_path)
     mutate(raw)
@@ -58,7 +63,7 @@ DOMAINS = ("src", "news", "social", "science")  # the shared test tree's corpora
 
 # the stage hashes of the shared test tree's config, and the ingest hash of its corpus "src"
 PIPELINE_HASHES = {"similarity": "0692346d58a5c161", "transport": "ee30809157a1fc30",
-                   "fit": "bf44f573749d7a3d", "report": "aac0ce2c4466bdc5", "src": "d6d4a1c327659481"}
+                   "fit": "bf44f573749d7a3d", "report": "aac0ce2c4466bdc5", "src": "fb245371a2288774"}
 
 
 def test_full_pipeline_writes_consistent_artifacts(tmp_path):
@@ -137,18 +142,27 @@ def test_ingest_caches_profiles_only(tmp_path):
 
 
 def test_ingest_hits_a_cache_that_also_holds_corpus_files(tmp_path):
-    # the cache/corpus-*.json and cache/manifest.json files that earlier versions wrote are ignored
+    # the cache/corpus-*.json and cache/manifest.json files that earlier versions wrote are removed, and only they
     config = write_pipeline_tree(tmp_path)
-    assert run_cli(["ingest", "--config", str(config)])[0] == 0
-    cache = tmp_path / "out" / "cache"
+    run_full_pipeline(config)
+    out_dir = tmp_path / "out"
+    cache = out_dir / "cache"
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
     for domain in DOMAINS:
         (cache / f"corpus-{domain}.json").write_text("{}\n", encoding="utf-8")
     (cache / "manifest.json").write_text('{"domains": {"src": {"input_hash": "0"}}}\n', encoding="utf-8")
-    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    kept = {out_dir / "corpus-src.json", out_dir / "manifest.json", cache / "corpus-src.txt",
+            cache / "manifest.json.bak"}
+    for path in kept:
+        path.write_text("{}\n", encoding="utf-8")
     code, out, _ = run_cli(["ingest", "--config", str(config)])
     assert code == 0
     assert out.count("cache hit:") == 4 and "ingested:" not in out
-    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
+    assert {p.name: p.read_bytes() for p in cache.iterdir() if p not in kept} == before
+    assert all(path.is_file() for path in kept)
+    for path in kept:
+        path.unlink()
+    assert tree_digests(out_dir) == GOLDEN
 
 
 def test_a_tree_keyed_with_blake2b_digests_reruns_each_stage_once(tmp_path, monkeypatch):
@@ -164,6 +178,64 @@ def test_a_tree_keyed_with_blake2b_digests_reruns_each_stage_once(tmp_path, monk
     warm = run_full_pipeline(config)
     assert warm.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
     assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
+
+
+# the profiles the term_freq layout wrote for write_pipeline_tree's corpora
+TERM_FREQ_PROFILES = {
+    "cache/profile-news.json": "1e4e79468bcc3b734c1cfbb954182116ae1cf811bbd6b7816903f1055ed966c7",
+    "cache/profile-science.json": "4d7002d18474cffbb85f08ff631c8cee0ca70bcf8c5e1c69d06023b95706dac4",
+    "cache/profile-social.json": "9756ec8a14a26068137b8e66b0c3b86d4400c54cb23abecb1f3d58e3b4800456",
+    "cache/profile-src.json": "dc16af47e9d3aec0b105af3081985ef91c4f7cd5d819ffed827595dce9fbd48e",
+}
+
+
+def use_term_freq_layout(monkeypatch):
+    """Write and read profiles as earlier versions did: a term_freq object, keyed by a hash without the layout."""
+
+    def term_freq_profile(profile):
+        payload = features.profile_to_dict(profile)
+        payload["term_freq"] = dict(zip(payload.pop("terms"), payload.pop("counts")))
+        return payload
+
+    def from_term_freq(payload):
+        term_freq = payload.pop("term_freq")
+        return features.profile_from_dict({**payload, "terms": list(term_freq), "counts": list(term_freq.values())})
+
+    def corpus_hash(hashes, spec):
+        return stable_hash({"ingest": hashes["ingest"], "format": spec.format, "fields": spec.fields,
+                            "text_unit": spec.text_unit})
+
+    monkeypatch.setattr(cli, "profile_to_dict", term_freq_profile)
+    monkeypatch.setattr(cli, "profile_from_dict", from_term_freq)
+    monkeypatch.setattr(cli._Hashes, "corpus", corpus_hash)
+
+
+def test_a_tree_with_term_freq_profiles_reingests_each_corpus_once(tmp_path, monkeypatch):
+    # earlier versions stored a profile's table as a term_freq object: such a profile misses once and is rebuilt
+    config = write_pipeline_tree(tmp_path)
+    use_term_freq_layout(monkeypatch)
+    run_full_pipeline(config)
+    monkeypatch.undo()
+    old = tree_digests(tmp_path / "out")
+    assert {name: old[name] for name in TERM_FREQ_PROFILES} == TERM_FREQ_PROFILES
+    rerun = run_full_pipeline(config)
+    assert [line.split(" (")[0] for line in rerun["ingest"].splitlines()] == [f"ingested: {d}" for d in DOMAINS]
+    assert tree_digests(tmp_path / "out") == GOLDEN
+    warm = run_full_pipeline(config)
+    assert warm.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
+    assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
+
+
+def test_similarity_refuses_a_term_freq_profile_as_stale(tmp_path, monkeypatch):
+    config = write_pipeline_tree(tmp_path)
+    use_term_freq_layout(monkeypatch)
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    monkeypatch.undo()
+    assert "term_freq" in read_json(tmp_path / "out" / "cache" / "profile-src.json")["profile"]
+    code, out, err = run_cli(["similarity", "--config", str(config)])
+    assert (code, out) == (1, "")
+    assert err == "config error: stale: rerun ingest (cache/profile-src.json has other settings)\n"
+    assert not (tmp_path / "out" / "similarity.json").exists()
 
 
 def test_a_tree_with_indented_cache_files_keeps_them_until_a_corpus_changes(tmp_path, monkeypatch):
@@ -609,28 +681,65 @@ def test_an_artifact_that_cannot_be_read_is_a_data_error(tmp_path, stage, name, 
     assert tree_digests(tmp_path / "out") == before  # refused before the first write
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("term_freq", {"w1": "x"}, "profile term_freq count for feature 'w1' is not an integer: 'x'"),
-    ("term_freq", [], "profile term_freq must be an object"),
-    ("term_freq", {"w1": 2.7}, "profile term_freq count for feature 'w1' is not an integer: 2.7"),
-    ("embedding", [0.6, "x"], "profile embedding must be a list of finite numbers"),
-    ("embedding_source", "x", "profile embedding_source is malformed: embedding_source must be an object"),
-    ("embedding_source", {"kind": "builtin", "bogus": 1},
+def _set(field, value):
+    return lambda profile: profile.__setitem__(field, value)
+
+
+def _first_count(value):
+    return lambda profile: profile["counts"].__setitem__(0, value)
+
+
+def _swap_first_terms(profile):
+    profile["terms"][:2] = profile["terms"][1::-1]
+
+
+def _old_layout(profile):
+    profile["term_freq"] = dict(zip(profile.pop("terms"), profile.pop("counts")))
+
+
+# {t0} and {t1} stand for the profile's first two terms, {n} for its number of terms
+@pytest.mark.parametrize("edit, message", [
+    (_set("terms", "w1"), "profile terms must be a list of strings"),
+    (_set("terms", {"w1": 1}), "profile terms must be a list of strings"),
+    (lambda p: p["terms"].__setitem__(0, 7), "profile terms must be a list of strings"),
+    (_swap_first_terms, "profile terms must be strictly ascending: {t0!r} follows {t1!r}"),
+    (lambda p: p["terms"].__setitem__(1, p["terms"][0]),
+     "profile terms must be strictly ascending: {t0!r} follows {t0!r}"),
+    (_set("counts", "1"), "profile counts must be a list of integers"),
+    (lambda p: p["counts"].append(1), "profile counts must hold one count per term: {n_plus_1} counts for {n} terms"),
+    (lambda p: p["counts"].pop(), "profile counts must hold one count per term: {n_minus_1} counts for {n} terms"),
+    (_first_count("x"), "profile counts entry for term {t0!r} is not a positive 64-bit integer: 'x'"),
+    (_first_count(True), "profile counts entry for term {t0!r} is not a positive 64-bit integer: True"),
+    (_first_count(2.7), "profile counts entry for term {t0!r} is not a positive 64-bit integer: 2.7"),
+    (_first_count(1.0), "profile counts entry for term {t0!r} is not a positive 64-bit integer: 1.0"),
+    (_first_count(0), "profile counts entry for term {t0!r} is not a positive 64-bit integer: 0"),
+    (_first_count(-3), "profile counts entry for term {t0!r} is not a positive 64-bit integer: -3"),
+    (_first_count(2**63), "profile counts entry for term {t0!r} is not a positive 64-bit integer: 9223372036854775808"),
+    (_old_layout, "profile payload missing key: 'terms'"),
+    (_set("embedding", [0.6, "x"]), "profile embedding must be a list of finite numbers"),
+    (_set("embedding_source", "x"), "profile embedding_source is malformed: embedding_source must be an object"),
+    (_set("embedding_source", {"kind": "builtin", "bogus": 1}),
      "profile embedding_source is malformed: unknown embedding_source fields: ['bogus']"),
-    ("embedding_config", {"bogus": 1}, "profile embedding_config is malformed: unknown embedding fields: ['bogus']"),
-    ("embedding_config", {"dimension": 1}, "profile embedding_config is malformed: embedding dimension must be"),
-], ids=["string-count", "list", "float-count", "string-component", "source-string", "source-unknown-field",
-        "config-unknown-field", "config-bad-value"])
-def test_similarity_refuses_a_malformed_cached_profile(tmp_path, field, value, message):
+    (_set("embedding_config", {"bogus": 1}),
+     "profile embedding_config is malformed: unknown embedding fields: ['bogus']"),
+    (_set("embedding_config", {"dimension": 1}), "profile embedding_config is malformed: embedding dimension must be"),
+], ids=["terms-string", "terms-object", "terms-number-entry", "terms-unsorted", "terms-duplicate", "counts-string",
+        "counts-longer", "counts-shorter", "string-count", "bool-count", "float-count", "integral-float-count",
+        "zero-count", "negative-count", "beyond-int64-count", "term-freq-object", "string-component",
+        "source-string", "source-unknown-field", "config-unknown-field", "config-bad-value"])
+def test_similarity_refuses_a_malformed_cached_profile(tmp_path, edit, message):
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
     path = tmp_path / "out" / "cache" / "profile-news.json"
     artifact = read_json(path)
-    artifact["profile"][field] = value
+    terms = artifact["profile"]["terms"]
+    message = message.format(t0=terms[0], t1=terms[1], n=len(terms), n_plus_1=len(terms) + 1,
+                             n_minus_1=len(terms) - 1)
+    edit(artifact["profile"])
     path.write_text(json.dumps(artifact), encoding="utf-8")
     code, _, err = run_cli(["similarity", "--config", str(config)])
     assert code == 2
-    assert message in err
+    assert err.startswith(f"data error: {message}")
     assert not (tmp_path / "out" / "similarity.json").exists()
 
 
@@ -1050,12 +1159,12 @@ def test_ingest_reingests_a_jsonl_corpus_whose_fields_change(tmp_path):
         {"domain_id": "pairs", "path": "corpora/pairs.jsonl", "format": "jsonl", "fields": ["premise"]}))
     profile = tmp_path / "out" / "cache" / "profile-pairs.json"
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
-    assert read_json(profile)["profile"]["term_freq"] == {"alpha": 1, "beta": 1}
+    assert columns(read_json(profile)) == (["alpha", "beta"], [1, 1])
     edit_config(config, lambda raw: raw["corpora"][4].update({"fields": ["premise", "hypothesis"]}))
     code, out, _ = run_cli(["ingest", "--config", str(config)])
     assert code == 0
     assert "ingested: pairs" in out and out.count("cache hit:") == 4
-    assert read_json(profile)["profile"]["term_freq"] == {"alpha": 1, "beta": 1, "gamma": 1}
+    assert columns(read_json(profile)) == (["alpha", "beta", "gamma"], [1, 1, 1])
 
 
 # report reads fit_summary.json first, and fit's hash covers those of similarity and transport
@@ -1823,7 +1932,7 @@ def test_seed_override_changes_the_embedding(tmp_path):
     default = read_json(tmp_path / "out" / "cache" / "profile-src.json")["profile"]
     reseeded = read_json(tmp_path / "out7" / "cache" / "profile-src.json")["profile"]
     assert default["embedding"] != reseeded["embedding"]
-    assert default["term_freq"] == reseeded["term_freq"]  # counts ignore the seed
+    assert (default["terms"], default["counts"]) == (reseeded["terms"], reseeded["counts"])  # counts ignore the seed
 
 
 def test_bias_correction_override_scales_variation(tmp_path):

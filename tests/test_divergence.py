@@ -34,10 +34,10 @@ from domainport.hashing import dump_json, fields_from_dict
 
 def profile_from_vocab(vocab, domain_id="d"):
     """Minimal profile for lexical tests; the embedding is irrelevant there."""
-    term_freq = {term: 1 for term in vocab}
     return DomainProfile(
         domain_id=domain_id,
-        term_freq=term_freq,
+        terms=sorted(vocab),
+        counts=[1] * len(vocab),
         embedding=np.array([1.0]),
         embedding_source=EmbeddingSource(kind="builtin", seed=0, dimension=1),
         tokenizer_hash="t",

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from domainport import features
-from domainport.corpus import Document, TokenizerConfig, parse_plaintext
+from domainport import divergence, features
+from domainport.corpus import Corpus, Document, Provenance, TokenizerConfig, parse_plaintext
 from domainport.errors import ComputationError, ConfigError, ParseError
 from domainport.features import (
     DomainProfile,
@@ -28,7 +28,7 @@ from domainport.features import (
     profile_from_dict,
     profile_to_dict,
 )
-from domainport.hashing import canonical_json, dump_json, fields_from_dict, fnv1a_64
+from domainport.hashing import canonical_json, dump_json, fields_from_dict, fnv1a_64, fnv1a_64_many, slot_and_sign
 
 freq_tables = st.dictionaries(
     st.text(alphabet="abcdefgh ", min_size=1, max_size=8).filter(str.strip),
@@ -525,13 +525,27 @@ def test_profile_from_dict_reports_missing_keys():
         profile_from_dict({"domain_id": "x"})
 
 
-@pytest.mark.parametrize("term_freq", [{"w1": "x"}, [], {"w1": 2.7}, {"w1": True}, {"w1": None}, "w1"],
-                         ids=["string-count", "list", "float-count", "bool-count", "null-count", "string"])
-def test_profile_from_dict_refuses_a_malformed_term_table(term_freq):
+@pytest.mark.parametrize("terms, counts, field", [
+    (["w1"], ["x"], "counts"), (["w1"], [2.7], "counts"), (["w1"], [True], "counts"), (["w1"], [None], "counts"),
+    (["w1"], [0], "counts"), (["w1"], [-1], "counts"), (["w1"], [2**63], "counts"), (["w1"], {"w1": 1}, "counts"),
+    (["w1"], [1, 1], "counts"), (["a", "b"], [1], "counts"), ({"w1": 1}, [1], "terms"), ("w1", [1], "terms"),
+    ([7], [1], "terms"), (["b", "a"], [1, 1], "terms"), (["a", "a"], [1, 1], "terms"), (["é", "z"], [1, 1], "terms"),
+], ids=["string-count", "float-count", "bool-count", "null-count", "zero-count", "negative-count", "beyond-int64",
+        "counts-object", "counts-longer", "counts-shorter", "terms-object", "terms-string", "number-term", "unsorted",
+        "duplicate", "code-point-order"])
+def test_profile_from_dict_refuses_malformed_columns(terms, counts, field):
     payload = profile_to_dict(build_profile(small_corpus(), EmbeddingConfig(dimension=8)))
-    payload["term_freq"] = term_freq
-    with pytest.raises(ParseError, match="profile term_freq"):
+    payload.update(terms=terms, counts=counts)
+    with pytest.raises(ParseError, match=f"^profile {field} "):
         profile_from_dict(payload)
+
+
+def test_profile_from_dict_takes_the_largest_int64_count_and_empty_columns():
+    payload = profile_to_dict(build_profile(small_corpus(), EmbeddingConfig(dimension=8)))
+    payload.update(terms=["a", "b"], counts=[2**63 - 1, 1])
+    assert profile_from_dict(payload).term_freq == {"a": 2**63 - 1, "b": 1}
+    payload.update(terms=[], counts=[])
+    assert profile_from_dict(payload).term_freq == {}
 
 
 @pytest.mark.parametrize("embedding", [{"0": 1.0}, [1.0, "x"], [1.0, math.nan], [math.inf, 0.0], [True, 0.5],
@@ -544,19 +558,24 @@ def test_profile_from_dict_refuses_a_malformed_embedding(embedding):
         profile_from_dict(payload)
 
 
-def test_profile_from_dict_copies_the_term_table():
-    payload = profile_to_dict(build_profile(small_corpus(), EmbeddingConfig(dimension=8)))
-    term_freq = payload["term_freq"]
+def test_profile_from_dict_and_profile_to_dict_copy_the_columns():
+    profile = build_profile(small_corpus(), EmbeddingConfig(dimension=8))
+    payload = profile_to_dict(profile)
+    assert (payload["terms"], payload["counts"]) == (profile.terms, profile.counts)
+    assert payload["terms"] is not profile.terms and payload["counts"] is not profile.counts
     restored = profile_from_dict(payload)
-    assert restored.term_freq == term_freq and restored.term_freq is not term_freq
-    term_freq["added"] = 1
-    assert "added" not in restored.term_freq
+    payload["terms"].append("zz")
+    payload["counts"][0] = 99
+    assert (restored.terms, restored.counts) == (profile.terms, profile.counts)
 
 
-def test_profile_from_dict_reads_non_string_features_as_strings():
-    payload = profile_to_dict(build_profile(small_corpus(), EmbeddingConfig(dimension=8)))
-    payload["term_freq"] = {7: 2, "b": 1}
-    assert list(profile_from_dict(payload).term_freq.items()) == [("7", 2), ("b", 1)]
+def test_the_term_freq_view_is_read_only_and_never_written():
+    profile = build_profile(small_corpus(), EmbeddingConfig(dimension=8))
+    assert dict(profile.term_freq) == {"a": 2, "b": 1, "c": 1, "d": 1}
+    assert list(profile.term_freq) == profile.terms and len(profile.term_freq) == len(profile.terms)
+    with pytest.raises(TypeError):
+        profile.term_freq["a"] = 5
+    assert "term_freq" not in profile_to_dict(profile)
 
 
 def test_profile_from_dict_reads_integer_embedding_components():
@@ -574,10 +593,11 @@ def test_profile_from_dict_reads_integer_embedding_components():
 @pytest.mark.parametrize("order", [1, 2])
 def test_profiles_keep_their_term_table_in_sorted_order(build, order):
     corpus = small_corpus("zeta alpha beta alpha\nmu delta zeta\nbeta\n", ngram_order=order)
-    term_freq = build(corpus).term_freq
-    assert list(term_freq) == sorted(term_freq)
+    profile = build(corpus)
+    assert all(a < b for a, b in zip(profile.terms, profile.terms[1:]))  # strictly ascending: no duplicates
     expected = Counter(f for doc in corpus.documents for f in ngram_features(doc.tokens, order))
-    assert term_freq == expected
+    assert dict(zip(profile.terms, profile.counts)) == expected
+    assert all(type(c) is int for c in profile.counts)
 
 
 def test_profiles_with_different_tokenizers_are_incomparable():
@@ -593,3 +613,90 @@ def test_raw_document_type_constraints():
     # frozen dataclass: no mutation
     with pytest.raises(AttributeError):
         doc.tokens = ("c",)
+
+
+# ---------------------------------------------------------------- columns against the dict pipeline
+
+
+def dict_term_table(counts):
+    """The term table as a dict in sorted feature order, as profiles kept it before they kept two columns."""
+    features = sorted(counts)
+    return dict(zip(features, map(counts.__getitem__, features)))
+
+
+def dict_embed(term_freq, cfg, idf_context=None):
+    """The dict pipeline's projection: sort the table again, drop zero weights, hash, weight and project."""
+    features = sorted(term_freq)
+    weights = np.fromiter(map(term_freq.__getitem__, features), dtype=np.float64, count=len(features))
+    nonzero = weights != 0.0
+    features = [f for f, keep in zip(features, nonzero) if keep]
+    slots, signs = slot_and_sign(fnv1a_64_many([f.encode("utf-8") for f in features], seed=cfg.seed), cfg.dimension)
+    weights = weights[nonzero]
+    if cfg.weighting == "tfidf" and idf_context is not None:
+        shared = np.fromiter(map(idf_context.__contains__, features), dtype=bool, count=len(features))
+        weights = weights * np.where(shared, math.log(2.0 / 2) + 1.0, math.log(2.0 / 1) + 1.0)
+    vec = np.bincount(slots.astype(np.intp), weights=signs * weights, minlength=cfg.dimension)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise ComputationError("degenerate embedding: projection collapsed to the zero vector")
+    return vec / norm
+
+
+def corpus_of(documents, order, domain_id="d"):
+    tokenizer = TokenizerConfig(ngram_order=order)
+    provenance = Provenance(source="-", format="text", tokenizer_hash=tokenizer.config_hash())
+    docs = tuple(Document(tuple(tokens), len(" ".join(tokens))) for tokens in documents if tokens)
+    return Corpus(domain_id, docs, tokenizer, provenance)
+
+
+# ASCII, Latin-1, Greek, CJK and astral characters: code-point order differs from UTF-16 and locale orders
+tokens = st.text(alphabet="abAB_1éÉßΩω東京\U0001f642\U00010400ａ", min_size=1, max_size=3)
+documents = st.lists(st.lists(tokens, min_size=1, max_size=8), min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, documents, st.sampled_from([1, 2]), st.sampled_from(SEEDS), st.integers(min_value=2, max_value=64),
+       st.sampled_from(["tf", "tfidf", "per_document"]))
+@example([["b", "a", "b"]], [["東京", "a"]], 1, 42, 8, "tfidf")
+@example([["é", "z", "\U0001f642", "ａ"]], [["z", "é"]], 2, 0, 16, "tf")
+@example([["1"]], [["1", "1B"]], 1, 0, 2, "tf")  # "1B" cancels "1": the target's projection collapses
+def test_the_columnar_build_is_bitwise_equal_to_the_dict_pipeline(source_docs, target_docs, order, seed, dimension,
+                                                                  mode):
+    cfg = EmbeddingConfig(dimension=dimension, seed=seed, weighting="tfidf" if mode == "tfidf" else "tf",
+                          per_document=mode == "per_document")
+    profiles, tables = [], []
+    for corpus in (corpus_of(source_docs, order, "s"), corpus_of(target_docs, order, "t")):
+        table = dict_term_table(Counter(f for doc in corpus.documents for f in ngram_features(doc.tokens, order)))
+        if not table:  # documents shorter than the order
+            with pytest.raises(ComputationError, match="no features"):
+                build_profile(corpus, cfg)
+            return
+        profile = outcome(build_profile, corpus, cfg)
+        reference = outcome(reference_per_document, corpus, cfg) if cfg.per_document else outcome(dict_embed, table, cfg)
+        if isinstance(profile, str) or isinstance(reference, str):
+            assert profile == reference
+            return
+        assert profile.terms == list(table) and profile.counts == list(table.values())
+        assert all(type(c) is int for c in profile.counts)
+        assert profile.terms == sorted(profile.terms, key=lambda t: [ord(ch) for ch in t])  # code-point order
+        assert profile.embedding.tobytes() == reference.tobytes()
+        restored = profile_from_dict(json.loads(canonical_json(profile_to_dict(profile))))
+        assert (restored.terms, restored.counts) == (profile.terms, profile.counts)
+        profiles.append(restored)
+        tables.append(table)
+    source, target = profiles
+    if cfg.weighting == "tfidf":
+        u = outcome(dict_embed, tables[0], cfg, idf_context=tables[1].keys())
+        v = outcome(dict_embed, tables[1], cfg, idf_context=tables[0].keys())
+        table = HashedTable.of_columns(source.terms, source.counts, cfg)
+        pair = outcome(divergence._pair_vectors, source, table, target)
+        if isinstance(pair, str) or isinstance(u, str) or isinstance(v, str):
+            assert pair == next(x for x in (u, v) if isinstance(x, str))
+            return
+        assert pair[0].tobytes() == u.tobytes() and pair[1].tobytes() == v.tobytes()
+    else:
+        u, v = source.embedding, target.embedding
+    (record,) = divergence.similarity_table(source, [target])
+    assert record.lexical_difference == 1.0 - len(tables[1].keys() & tables[0].keys()) / len(tables[1])
+    assert record.cosine_distance == divergence.cosine_distance(u, v)
+    assert record.kl_divergence == divergence.kl_divergence(u, v)

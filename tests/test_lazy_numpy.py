@@ -4,6 +4,9 @@ The test process itself imports numpy, so each check runs the CLI in a
 fresh interpreter and asks it whether ``numpy.linalg`` (which numpy's
 own import pulls in) reached ``sys.modules``. That interpreter cannot
 import click, so each check also shows that the CLI runs without it.
+``logging`` and ``statistics`` serve one rare call each, so they are
+imported at that call, and a fresh interpreter that loads a config loads
+neither.
 """
 
 from __future__ import annotations
@@ -39,13 +42,16 @@ print(json.dumps({"codes": codes, "numpy_loaded": "numpy.linalg" in sys.modules}
 STAGES = tuple(cli.STAGES)
 
 
+def fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports domainport from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120, env=env,
+                          check=True)
+
+
 def probe(*argvs: list[str], config: Path | None = None) -> tuple[list[int], bool]:
     """Exit codes of ``argvs`` run in a fresh interpreter, and whether numpy was loaded."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argvs), str(config or "")],
-        capture_output=True, text=True, timeout=120, env=env, check=True,
-    )
+    done = fresh_interpreter(PROBE, json.dumps(argvs), str(config or ""))
     result = json.loads(done.stdout.splitlines()[-1])
     return result["codes"], result["numpy_loaded"]
 
@@ -57,6 +63,13 @@ def stage_argvs(config: Path, stages: tuple[str, ...] = STAGES) -> list[list[str
 def test_importing_the_cli_and_loading_a_config_does_not_load_numpy(tmp_path):
     config = write_pipeline_tree(tmp_path)
     assert probe(config=config) == ([], False)
+
+
+def test_importing_the_cli_and_loading_a_config_loads_neither_logging_nor_statistics(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    code = ("import sys\nfrom domainport.cli import load_config\nload_config(sys.argv[1])\n"
+            "print(sorted({'logging', 'statistics'} & set(sys.modules)))")
+    assert fresh_interpreter(code, str(config)).stdout.splitlines()[-1] == "[]"
 
 
 def test_help_does_not_load_numpy():

@@ -24,14 +24,14 @@ from conftest import run_full_pipeline, tree_digests, write_mixed_text_tree, wri
 from domainport.hashing import canonical_json, dump_json
 
 GOLDEN = {
-    "cache/profile-news.json": "1e4e79468bcc3b734c1cfbb954182116ae1cf811bbd6b7816903f1055ed966c7",
-    "cache/profile-science.json": "4d7002d18474cffbb85f08ff631c8cee0ca70bcf8c5e1c69d06023b95706dac4",
-    "cache/profile-social.json": "9756ec8a14a26068137b8e66b0c3b86d4400c54cb23abecb1f3d58e3b4800456",
-    "cache/profile-src.json": "dc16af47e9d3aec0b105af3081985ef91c4f7cd5d819ffed827595dce9fbd48e",
+    "cache/profile-news.json": "c1e96506c39c942ef632e34b54f92e19ed5bbedf60ac96ec6c7ba387d3e05b7b",
+    "cache/profile-science.json": "0b35f4f26c8c624ea9516fa33ea024efe40ede697cb27295464336e413b10024",
+    "cache/profile-social.json": "2561d1364ee8fcca99f0da09b215051acf839f05eed3e43e5a99764d98d9ca0e",
+    "cache/profile-src.json": "69e6379c37ba2bdd238a172e614ca47c840d0ac373ec6a53569c6b3f52ffd714",
     "cache/stage-fit.json": "0b5724c2945966c1cf32d14937ceb41a9e1218d47daec83013b2ec1dcb13a9b7",
-    "cache/stage-ingest.json": "1c6caf0c381b826cd4541647cd476867d6f940ee9f9f778676c14dbe480efbc4",
+    "cache/stage-ingest.json": "b05b49b13c3dad920daf475a3b862de30cc325d1450f74ad12332cf7d20caa5b",
     "cache/stage-report.json": "446520fb8234c1d5e1257642162aadb56a63dec22ac790aa2ccd2fdb62c1d6cc",
-    "cache/stage-similarity.json": "c01c78d41bb25881bead92f4a169f1de5170e7cd54ee4c12cff39d0d4bb16e10",
+    "cache/stage-similarity.json": "372685db6b038bf90a08c39db1d7093a58c04c179b44fd29d276ad1922979a42",
     "cache/stage-transport.json": "5ff39cc24f30bda030b8239094b8faddc000818c31893712891ccdf664213917",
     "curve-alpha-sys-cosine.csv": "53055f6f7073d23f4ad26c4319e7539fcfd0107ed1166d7784fd5cb6656e6722",
     "curve-alpha-sys-kl.csv": "3ebdb43c2653faa276be015693f4ed9b985c6c7d74a3672fd8f3b9e601e47e56",
@@ -58,14 +58,14 @@ GOLDEN = {
 }
 
 GOLDEN_MIXED = {
-    "cache/profile-news.json": "c34e2be05b5b63cdad256bc31b4f3f73534d60cb809e136daaed67e72cdaef07",
-    "cache/profile-science.json": "e688d7beacf41fddab430cde337833fa3381a51348cba82d41d04e5c756c57fc",
-    "cache/profile-social.json": "1b09e722858c82af16ed688eca0963acba12efff1e6441c6abf4c50ab4327ed7",
-    "cache/profile-src.json": "ce527ab8a6aa89124fb849ac82c6563166b6366ab78b6590a258da2860f98eeb",
+    "cache/profile-news.json": "288fcf73766c97b7473996fb6e9485cf0ab9278f2856c9e25cd559923ce13932",
+    "cache/profile-science.json": "d51f1fb7fbb540dc45803e78a8ebae895c32d0158eacb303013e1669e453cfd6",
+    "cache/profile-social.json": "cb11b5eeeb9c072e5cee2108ac18e440171045be270405964b43f196fd5063e8",
+    "cache/profile-src.json": "152a7397e56bfa8fabc82a71e8d0af2fbe5b38d98b1f1d18ff1af48278bddf06",
     "cache/stage-fit.json": "929512228509a2d1d57238bcc76b2796e7d6f2b351977bf2502e59efc86e2e2b",
-    "cache/stage-ingest.json": "5217961785e9e6b51477bbf1b32ad5e68d1e84657df4ad38df6ce1ce4f4a4aac",
+    "cache/stage-ingest.json": "842f73a55c92bc577e10db7d9f9da75c6e4a7da7872697eb1122fa93f6f86154",
     "cache/stage-report.json": "c0e762f4a688ace5255c3b08399e0babd23c0fbb7e83af0f0d4f41fc1f920f42",
-    "cache/stage-similarity.json": "fc533df260cc44eb4a5017f10df474642fad9fb6020532bdf6d734b4353c48db",
+    "cache/stage-similarity.json": "b6e2a8396055c4780dd46b14a8bdf6a651686b0cc8a6a84138e015588cc67e7f",
     "cache/stage-transport.json": "5ff39cc24f30bda030b8239094b8faddc000818c31893712891ccdf664213917",
     "curve-alpha-sys-cosine.csv": "96110fb6b214c4731079cc596f0e8f146cbe5625027158516d55e3815a2c2138",
     "curve-alpha-sys-kl.csv": "9c5414797e60984ad43c284bc8d03b26564747c383b735716b1d0ba43d8472a6",
