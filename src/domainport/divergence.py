@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Collection, Sequence
+from itertools import repeat
+from typing import Mapping, Sequence
 
 from .errors import ComputationError, ConfigError
 from .features import DomainProfile, HashedTable, embed_builtin
@@ -69,21 +70,27 @@ class SimilarityRecord:
 CSV_COLUMNS = ("source_id", "target_id", "lexical_difference", "cosine_distance", "kl_divergence")
 
 
-def lexical_difference(
-    source: DomainProfile, target: DomainProfile, source_vocab: Collection[str] | None = None
-) -> float:
+def _join(positions: Mapping[str, int], target: DomainProfile) -> np.ndarray:
+    """Each target term's position among the source's terms, -1 where the source lacks it: the pair's one join."""
+    return np.fromiter(map(positions.get, target.terms, repeat(-1)), dtype=np.intp, count=len(target.terms))
+
+
+def _difference(target: DomainProfile, at: np.ndarray) -> float:
+    """Lexical difference from the pair's join ``at``."""
+    if not target.terms:
+        raise ComputationError(f"empty target vocabulary for domain {target.domain_id!r}")
+    return 1.0 - int(np.count_nonzero(at >= 0)) / len(target.terms)
+
+
+def lexical_difference(source: DomainProfile, target: DomainProfile) -> float:
     """Share of the target vocabulary absent from the source.
 
     1 - |V_t intersect V_s| / |V_t|. Asymmetric by design: it reads as
     how much of the target domain the source has never seen. A profile's
-    terms are distinct, so each column is its vocabulary; ``source_vocab``,
-    a set or mapping of the source's terms, spares building one per target.
+    terms are distinct, so each column is its vocabulary, and the overlap
+    is counted through the same join :func:`similarity_table` makes.
     """
-    if not target.terms:
-        raise ComputationError(f"empty target vocabulary for domain {target.domain_id!r}")
-    vocab = frozenset(source.terms) if source_vocab is None else source_vocab
-    overlap = sum(map(vocab.__contains__, target.terms))
-    return 1.0 - overlap / len(target.terms)
+    return _difference(target, _join(dict(zip(source.terms, range(len(source.terms)))), target))
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -154,24 +161,6 @@ def kl_divergence(
     return value
 
 
-def _pair_vectors(
-    source: DomainProfile, source_table: HashedTable | None, target: DomainProfile
-) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding pair for a comparison, re-projected when idf needs pair context.
-
-    ``source_table`` is the source's prepared table when its weighting
-    is tfidf, else None. The target's table is hashed from its columns as
-    they stand, and each table's term index is its vocabulary.
-    """
-    cfg = source.embedding_config
-    if source_table is not None and target.embedding_config == cfg:
-        target_table = HashedTable.of_columns(target.terms, target.counts, cfg)
-        u = embed_builtin(source_table, cfg, idf_context=target_table.index)
-        v = embed_builtin(target_table, cfg, idf_context=source_table.index)
-        return u, v
-    return source.embedding, target.embedding
-
-
 def similarity_table(
     source: DomainProfile,
     targets: Sequence[DomainProfile],
@@ -181,31 +170,41 @@ def similarity_table(
 
     Profiles must have been built with identical tokenizer and
     embedding configurations; mixing them is an error, not a warning.
+    Each pair joins the vocabularies once; under tfidf, that join's
+    shared-term masks re-weight both tables before they are embedded.
     """
     kl = settings or KLSettings()
     if not targets:
         raise ComputationError("no target profiles given")
+    source_hash = source.config_hash()
     for t in targets:
-        if t.config_hash() != source.config_hash():
+        if t.config_hash() != source_hash:
             raise ComputationError(
                 f"incomparable profiles: {t.domain_id!r} was built with a different "
                 f"tokenizer or embedding configuration than {source.domain_id!r}"
             )
-    run_hash = stable_hash({"profile": source.config_hash(), "kl": asdict(kl)})
+    run_hash = stable_hash({"profile": source_hash, "kl": asdict(kl)})
     cfg = source.embedding_config
     source_table = None
     if cfg is not None and cfg.weighting == "tfidf" and source.embedding_source.kind == "builtin":
         source_table = HashedTable.of_columns(source.terms, source.counts, cfg)  # hashed once for every target
-    # the source's vocabulary, built once for every target: a table's term index is one already
-    source_vocab = frozenset(source.terms) if source_table is None else source_table.index
+    positions = dict(zip(source.terms, range(len(source.terms))))  # built once for every target
     records = []
     for t in targets:
-        u, v = _pair_vectors(source, source_table, t)
+        at = _join(positions, t)
+        u, v = source.embedding, t.embedding
+        if source_table is not None and t.embedding_config == cfg:
+            target_table = HashedTable.of_columns(t.terms, t.counts, cfg)
+            shared = at >= 0
+            source_shared = np.zeros(len(source.terms), dtype=bool)
+            source_shared[at[shared]] = True
+            u = embed_builtin(source_table.idf_weighted(source_shared), cfg)
+            v = embed_builtin(target_table.idf_weighted(shared), cfg)
         records.append(
             SimilarityRecord(
                 source_id=source.domain_id,
                 target_id=t.domain_id,
-                lexical_difference=lexical_difference(source, t, source_vocab),
+                lexical_difference=_difference(t, at),
                 cosine_distance=cosine_distance(u, v),
                 kl_divergence=kl_divergence(
                     u, v, kl.epsilon, reverse=(kl.direction == "reverse"), method=kl.method
@@ -214,4 +213,3 @@ def similarity_table(
             )
         )
     return records
-

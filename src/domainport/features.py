@@ -11,9 +11,9 @@ the positive count of each. The table is sorted once, when the profile is
 built. The projection accumulates features in that order, the cache stores
 the columns as they stand, and a loaded profile's columns are checked, not
 sorted again. ``term_freq`` is a read-only feature -> count view of the
-columns, built on first use and never written. Under tfidf weighting, the
-features two tables share are found by walking the smaller of the two
-vocabularies.
+columns, built on first use and never written. Under tfidf weighting, a
+pair's idf factor is applied by :meth:`HashedTable.idf_weighted`, from a
+mask of the features the other corpus shares.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, islice
 from pathlib import Path
@@ -190,10 +190,12 @@ class HashedTable:
     signs: np.ndarray
     config: EmbeddingConfig
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Each feature's position in :attr:`features`."""
-        return dict(zip(self.features, range(len(self.features))))
+    def idf_weighted(self, shared: np.ndarray) -> "HashedTable":
+        """This table under pairwise idf, ``shared`` marking each feature the other corpus also has.
+
+        df is 2 for a shared feature, else 1, and idf(f) = ln(2/df) + 1.
+        """
+        return replace(self, weights=self.weights * np.where(shared, math.log(2.0 / 2) + 1.0, math.log(2.0 / 1) + 1.0))
 
     @classmethod
     def of_columns(
@@ -233,8 +235,9 @@ def embed_builtin(
     with a sign from the hash's top bit. Feature order cannot affect
     the result: accumulation walks features in sorted order. With
     tfidf weighting, ``idf_context`` is the other corpus's vocabulary
-    in a pairwise comparison; document frequency is then 1 or 2 and
-    idf(f) = ln(2/df) + 1. Without a context the idf factor is 1.
+    in a pairwise comparison; each feature is looked up once in a
+    ``frozenset`` of it, and :meth:`HashedTable.idf_weighted` applies
+    the factor. Without a context the idf factor is 1.
     ``term_freq`` may be a :class:`HashedTable` prepared with ``config``.
     """
     if isinstance(term_freq, HashedTable):
@@ -243,19 +246,11 @@ def embed_builtin(
             raise ComputationError("hashed table was prepared with a different embedding configuration")
     else:
         table = HashedTable.of(term_freq, config)
-    weights = table.weights
     if table.config.weighting == "tfidf" and idf_context is not None:
-        # walk the smaller side: look each context feature up in the table's
-        # cached index, or look each table feature up in the context
-        if len(idf_context) < len(table.features):
-            common = table.index.keys() & idf_context
-            shared = np.zeros(len(table.features), dtype=bool)
-            shared[np.fromiter(map(table.index.__getitem__, common), dtype=np.intp, count=len(common))] = True
-        else:
-            shared = np.fromiter(map(idf_context.__contains__, table.features), dtype=bool, count=len(table.features))
-        # df is 2 for a feature the other corpus also has, else 1
-        weights = weights * np.where(shared, math.log(2.0 / 2) + 1.0, math.log(2.0 / 1) + 1.0)
-    return _project(table.slots, table.signs * weights, table.config.dimension)
+        context = frozenset(idf_context)
+        table = table.idf_weighted(np.fromiter(map(context.__contains__, table.features), dtype=bool,
+                                               count=len(table.features)))
+    return _project(table.slots, table.signs * table.weights, table.config.dimension)
 
 
 def _per_document_embedding(

@@ -74,3 +74,27 @@ def test_the_distinct_feature_count_is_the_number_of_profile_terms(tracing, tmp_
     terms = [json.loads(path.read_text(encoding="utf-8"))["profile"]["terms"] for path in profiles]
     assert len(terms) == 4
     assert tracer.counts[""]["features.distinct_features"] == sum(map(len, terms)) > 0
+
+
+def test_a_tfidf_similarity_records_two_embed_calls_per_target(tracing, tmp_path):
+    # tfidf re-embeds both profiles of each pair inside similarity; the tracer counts those calls
+    from conftest import run_cli, write_pipeline_tree
+
+    config = write_pipeline_tree(tmp_path)
+    settings = json.loads(config.read_text(encoding="utf-8"))
+    settings["embedding"]["weighting"] = "tfidf"
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    targets = len(settings["corpora"])  # no similarity targets given: every corpus, the source included
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        assert run_cli(["similarity", "--config", str(config)])[0] == 0
+    embeds = [span for span in tracer.spans if span[0] == "features.embed"]
+    assert tracer.counts[""]["features.embed_calls"] == len(embeds) == 2 * targets
+
+    def outermost(span):
+        while span[3] is not None:
+            span = tracer.spans[span[3]]
+        return span[0]
+
+    assert {outermost(span) for span in embeds} == {"cli.similarity"}

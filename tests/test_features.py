@@ -177,7 +177,7 @@ def test_embedding_is_bitwise_equal_to_the_per_feature_loop(seed, dimension, wei
     many = {f"w{i} {'é' * (i % 4)}": i % 9 for i in range(500)}
     context = {"alpha", "東京", "x" * 40, *(f"w{i} " for i in range(0, 500, 3))}
     larger = {f"w{i} {'é' * (i % 4)}" for i in range(0, 2000, 2)} | {"naïve", "unseen"}  # more than `many`
-    # the overlap walks the smaller side: contexts smaller and larger than each table, in each form
+    # each form of context, smaller and larger than each table, is looked up through one frozenset of it
     contexts = [None, frozenset()] + [form(c) for c in (context, larger)
                                       for form in (set, list, lambda c: dict.fromkeys(c).keys())]
     for table in (MIXED_TABLE, many, {"a": 1, "caabae": 1}, {"solo": 4}, {"inf": math.inf, "b": 1}):
@@ -205,6 +205,23 @@ def test_a_prepared_table_embeds_like_its_mapping(seed, weighting):
             )
     with pytest.raises(ComputationError, match="different embedding configuration"):
         embed_builtin(HashedTable.of(MIXED_TABLE, cfg), EmbeddingConfig(dimension=16, seed=seed))
+
+
+class NoMembershipList(list):
+    """A list that refuses ``in``: each feature scanning it would cost a pass over the whole context."""
+
+    def __contains__(self, item):
+        raise AssertionError("list membership test: one linear scan per feature")
+
+
+def test_a_list_context_is_looked_up_through_a_set():
+    cfg = EmbeddingConfig(dimension=32, seed=42, weighting="tfidf")
+    many = {f"w{i}": 1 + i % 5 for i in range(300)}
+    for table, context in ((MIXED_TABLE, ["alpha", "東京", "unseen"]), (many, [f"w{i}" for i in range(0, 900, 3)])):
+        expected = embed_builtin(table, cfg, idf_context=set(context))
+        assert embed_builtin(table, cfg, idf_context=NoMembershipList(context)).tobytes() == expected.tobytes()
+        prepared = HashedTable.of(table, cfg)
+        assert embed_builtin(prepared, cfg, idf_context=NoMembershipList(context)).tobytes() == expected.tobytes()
 
 
 @given(
@@ -688,15 +705,13 @@ def test_the_columnar_build_is_bitwise_equal_to_the_dict_pipeline(source_docs, t
     if cfg.weighting == "tfidf":
         u = outcome(dict_embed, tables[0], cfg, idf_context=tables[1].keys())
         v = outcome(dict_embed, tables[1], cfg, idf_context=tables[0].keys())
-        table = HashedTable.of_columns(source.terms, source.counts, cfg)
-        pair = outcome(divergence._pair_vectors, source, table, target)
-        if isinstance(pair, str) or isinstance(u, str) or isinstance(v, str):
-            assert pair == next(x for x in (u, v) if isinstance(x, str))
-            return
-        assert pair[0].tobytes() == u.tobytes() and pair[1].tobytes() == v.tobytes()
     else:
         u, v = source.embedding, target.embedding
-    (record,) = divergence.similarity_table(source, [target])
+    records = outcome(divergence.similarity_table, source, [target])
+    if isinstance(u, str) or isinstance(v, str):
+        assert records == next(x for x in (u, v) if isinstance(x, str))
+        return
+    (record,) = records
     assert record.lexical_difference == 1.0 - len(tables[1].keys() & tables[0].keys()) / len(tables[1])
-    assert record.cosine_distance == divergence.cosine_distance(u, v)
-    assert record.kl_divergence == divergence.kl_divergence(u, v)
+    assert record.cosine_distance.hex() == divergence.cosine_distance(u, v).hex()  # bit for bit
+    assert record.kl_divergence.hex() == divergence.kl_divergence(u, v).hex()
