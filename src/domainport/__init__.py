@@ -8,7 +8,6 @@ exponential decay fit relate that gap to observed performance.
 
 from .corpus import (
     Corpus,
-    Document,
     TokenizerConfig,
     parse_conll,
     parse_interchange,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Corpus",
-    "Document",
     "TokenizerConfig",
     "parse_conll",
     "parse_interchange",

@@ -121,8 +121,11 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         fmt = str(self.format)
         _require(fmt in CORPUS_FORMATS, f"unknown format {fmt!r}; expected one of {CORPUS_FORMATS}")
+        # join keys are read as _key_pair reads transport keys: a number joins the table's text of it
+        dataset, split = (None if key is None else str(key) for key in (self.dataset, self.split))
         _normalize(self, domain_id=str(self.domain_id), path=str(self.path), format=fmt,
-                   fields=_strings(self.fields, "fields must be a list of strings"), text_unit=str(self.text_unit))
+                   fields=_strings(self.fields, "fields must be a list of strings"), text_unit=str(self.text_unit),
+                   dataset=dataset, split=split)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Three input formats are supported (CoNLL token-per-line, JSON-lines
 with text fields, plain text) plus a tokenized JSON interchange form
 (:func:`to_interchange` / :func:`parse_interchange`) for corpora
-tokenized elsewhere. All parsers produce the same :class:`Corpus`
-structure, so later stages never care where the text came from.
+tokenized elsewhere. All parsers produce the same :class:`Corpus`: a
+domain id, the tokenizer config and each document's tokens as a tuple, so
+later stages never care where the text came from.
 
 The three text parsers only split their input into unit texts: a CoNLL
 document's tokens or a JSON-lines record's text fields joined by single
@@ -90,28 +91,13 @@ class TokenizerConfig:
         return stable_hash(asdict(self))
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
-    """One tokenized unit of text."""
-
-    tokens: tuple[str, ...]
-    raw_length: int  # character count of the source text for this unit
-
-
-@dataclass(frozen=True)
-class Provenance:
-    source: str
-    format: str
-    tokenizer_hash: str
-    skipped: int = 0  # input units that yielded no document
-
-
 @dataclass(frozen=True)
 class Corpus:
+    """A tokenized corpus: each document is the tuple of its tokens, in input order."""
+
     domain_id: str
-    documents: tuple[Document, ...]
+    documents: tuple[tuple[str, ...], ...]
     tokenizer_config: TokenizerConfig
-    provenance: Provenance
 
     def __post_init__(self) -> None:
         if not self.domain_id:
@@ -119,7 +105,7 @@ class Corpus:
 
     @property
     def token_count(self) -> int:
-        return sum(len(d.tokens) for d in self.documents)
+        return sum(map(len, self.documents))
 
 
 def _word_table(cfg: TokenizerConfig) -> bytes | None:
@@ -172,8 +158,8 @@ def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     return parts
 
 
-def _corpus(texts: Iterable[str], config: TokenizerConfig | None, fmt: str, domain_id: str, source: str,
-            empty: str, skipped_units: str) -> Corpus:
+def _corpus(texts: Iterable[str], config: TokenizerConfig | None, domain_id: str, source: str, empty: str,
+            skipped_units: str) -> Corpus:
     """The corpus of ``texts``: one document per unit text, tokenized in chunks of about TOKENIZE_CHUNK_CHARS.
 
     A unit with no tokens is skipped and counted, and the count is logged
@@ -194,7 +180,7 @@ def _corpus(texts: Iterable[str], config: TokenizerConfig | None, fmt: str, doma
             end = start + len(text)
             tokens = tokenize(text, cfg) if words is None else words[start:end].split()
             if tokens:
-                documents.append(Document(tuple(tokens), end - start))
+                documents.append(tuple(tokens))
             else:
                 skipped += 1
             start = end
@@ -204,12 +190,7 @@ def _corpus(texts: Iterable[str], config: TokenizerConfig | None, fmt: str, doma
         import logging  # here, not at the top: its import would cost every run that skips nothing
 
         logging.getLogger(__name__).warning("%s: %d %s", source, skipped, skipped_units)
-    return Corpus(
-        domain_id=domain_id,
-        documents=tuple(documents),
-        tokenizer_config=cfg,
-        provenance=Provenance(source=source, format=fmt, tokenizer_hash=cfg.config_hash(), skipped=skipped),
-    )
+    return Corpus(domain_id, tuple(documents), cfg)
 
 
 def _runs_between(items: list[str], marker: str) -> Iterator[list[str]]:
@@ -248,7 +229,7 @@ def parse_conll(
         raise ParseError("malformed line: empty token column", line=line_no, source=source)
     # one call per document: no token spans the joining space, in any split mode
     texts = (" ".join(raw_tokens) for raw_tokens in _runs_between(firsts, "-DOCSTART-") if raw_tokens)
-    return _corpus(texts, config, "conll", domain_id, source, "no tokens found",
+    return _corpus(texts, config, domain_id, source, "no tokens found",
                    "document(s) skipped (no tokens after tokenization)")
 
 
@@ -297,7 +278,7 @@ def parse_jsonl_pairs(
                 raise ParseError("text holds a lone surrogate, which is not valid UTF-8", line=line_no, source=source)
             yield unit
 
-    return _corpus(texts(), config, "jsonl", domain_id, source, "no usable records",
+    return _corpus(texts(), config, domain_id, source, "no usable records",
                    "record(s) skipped (missing fields or no tokens)")
 
 
@@ -317,7 +298,7 @@ def parse_plaintext(
         segments = [ln for ln in text.splitlines() if ln.strip()]
     else:
         segments = [seg for seg in re.split(r"\n\s*\n", text) if seg.strip()]
-    return _corpus(segments, config, "text", domain_id, source, "no non-empty text",
+    return _corpus(segments, config, domain_id, source, "no non-empty text",
                    "segment(s) skipped (no tokens after tokenization)")
 
 
@@ -326,7 +307,7 @@ def to_interchange(corpus: Corpus) -> dict[str, Any]:
     return {
         "domain_id": corpus.domain_id,
         "tokenizer_config": asdict(corpus.tokenizer_config),
-        "documents": [list(d.tokens) for d in corpus.documents],
+        "documents": [list(tokens) for tokens in corpus.documents],
     }
 
 
@@ -368,12 +349,7 @@ def parse_interchange(
             raise ParseError(f"document {i} is not a list of non-empty strings", source=source)
         if surrogates and not all(map(encodes_as_utf8, toks)):
             raise ParseError(f"document {i} has a token with a lone surrogate, which is not valid UTF-8", source=source)
-        documents.append(Document(tuple(toks), len(" ".join(toks))))
+        documents.append(tuple(toks))
     if not documents:
         raise ParseError("empty corpus: interchange payload has no documents", source=source)
-    return Corpus(
-        domain_id=str(obj["domain_id"]),
-        documents=tuple(documents),
-        tokenizer_config=cfg,
-        provenance=Provenance(source=source, format="interchange", tokenizer_hash=cfg.config_hash()),
-    )
+    return Corpus(str(obj["domain_id"]), tuple(documents), cfg)

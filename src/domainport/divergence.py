@@ -186,14 +186,14 @@ def similarity_table(
     run_hash = stable_hash({"profile": source_hash, "kl": asdict(kl)})
     cfg = source.embedding_config
     source_table = None
-    if cfg is not None and cfg.weighting == "tfidf" and source.embedding_source.kind == "builtin":
+    if cfg is not None and cfg.weighting == "tfidf":
         source_table = HashedTable.of_columns(source.terms, source.counts, cfg)  # hashed once for every target
     positions = dict(zip(source.terms, range(len(source.terms))))  # built once for every target
     records = []
     for t in targets:
         at = _join(positions, t)
         u, v = source.embedding, t.embedding
-        if source_table is not None and t.embedding_config == cfg:
+        if source_table is not None:  # the embedding hashes agree, so cfg embedded every target too
             target_table = HashedTable.of_columns(t.terms, t.counts, cfg)
             shared = at >= 0
             source_shared = np.zeros(len(source.terms), dtype=bool)

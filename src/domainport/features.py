@@ -12,8 +12,8 @@ built. The projection accumulates features in that order, the cache stores
 the columns as they stand, and a loaded profile's columns are checked, not
 sorted again. ``term_freq`` is a read-only feature -> count view of the
 columns, built on first use and never written. Under tfidf weighting, a
-pair's idf factor is applied by :meth:`HashedTable.idf_weighted`, from a
-mask of the features the other corpus shares.
+pair's idf factor is applied only by :meth:`HashedTable.idf_weighted`, from
+a mask of the features the other corpus shares.
 """
 
 from __future__ import annotations
@@ -72,16 +72,6 @@ class EmbeddingConfig:
         return stable_hash(asdict(self))
 
 
-@dataclass(frozen=True)
-class EmbeddingSource:
-    """Where a profile's vector came from (for provenance and comparability)."""
-
-    kind: str  # "builtin" or "external"
-    seed: int | None = None
-    dimension: int = 0
-    path: str | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class DomainProfile:
     """Feature summary of one corpus.
@@ -91,13 +81,13 @@ class DomainProfile:
     ``embedding`` is always unit L2 norm. ``tokenizer_hash`` and
     ``embedding_hash`` identify the configurations that produced the
     profile; two profiles are comparable only when both hashes agree.
+    ``embedding_config`` is None when the vector is an external one.
     """
 
     domain_id: str
     terms: list[str]
     counts: list[int]
     embedding: np.ndarray
-    embedding_source: EmbeddingSource
     tokenizer_hash: str
     embedding_hash: str
     embedding_config: EmbeddingConfig | None = None  # set for builtin embeddings
@@ -124,7 +114,7 @@ def ngram_features(tokens: Iterable[str], order: int) -> list[str]:
 
 def _feature_counts(corpus: Corpus) -> Counter[str]:
     order = corpus.tokenizer_config.ngram_order  # order 1: the tokens are the features, counted without a copy
-    docs = (doc.tokens if order == 1 else ngram_features(doc.tokens, order) for doc in corpus.documents)
+    docs = corpus.documents if order == 1 else (ngram_features(tokens, order) for tokens in corpus.documents)
     return Counter(chain.from_iterable(docs))
 
 
@@ -145,7 +135,7 @@ def _document_counts(corpus: Corpus) -> tuple[list[str], np.ndarray, np.ndarray,
     (in ``Counter`` order), and the number of pairs of each document.
     """
     order = corpus.tokenizer_config.ngram_order
-    per_document = [Counter(ngram_features(doc.tokens, order)) for doc in corpus.documents]
+    per_document = [Counter(ngram_features(tokens, order)) for tokens in corpus.documents]
     keys = list(chain.from_iterable(per_document))
     features = list(dict.fromkeys(keys))
     position = dict(zip(features, range(len(features))))
@@ -224,20 +214,14 @@ class HashedTable:
         return cls.of_columns(list(compress(features, nonzero)), weights[nonzero], config)
 
 
-def embed_builtin(
-    term_freq: Mapping[str, int] | HashedTable,
-    config: EmbeddingConfig | None = None,
-    idf_context: Collection[str] | None = None,
-) -> np.ndarray:
+def embed_builtin(term_freq: Mapping[str, int] | HashedTable, config: EmbeddingConfig | None = None) -> np.ndarray:
     """Project a frequency table to a unit vector by signed feature hashing.
 
     Each feature lands in slot ``fnv1a_64(feature, seed) % dimension``
     with a sign from the hash's top bit. Feature order cannot affect
-    the result: accumulation walks features in sorted order. With
-    tfidf weighting, ``idf_context`` is the other corpus's vocabulary
-    in a pairwise comparison; each feature is looked up once in a
-    ``frozenset`` of it, and :meth:`HashedTable.idf_weighted` applies
-    the factor. Without a context the idf factor is 1.
+    the result: accumulation walks features in sorted order. The weights
+    are projected as they stand, so the idf factor is 1 unless the table
+    came from :meth:`HashedTable.idf_weighted`.
     ``term_freq`` may be a :class:`HashedTable` prepared with ``config``.
     """
     if isinstance(term_freq, HashedTable):
@@ -246,10 +230,6 @@ def embed_builtin(
             raise ComputationError("hashed table was prepared with a different embedding configuration")
     else:
         table = HashedTable.of(term_freq, config)
-    if table.config.weighting == "tfidf" and idf_context is not None:
-        context = frozenset(idf_context)
-        table = table.idf_weighted(np.fromiter(map(context.__contains__, table.features), dtype=bool,
-                                               count=len(table.features)))
     return _project(table.slots, table.signs * table.weights, table.config.dimension)
 
 
@@ -297,7 +277,6 @@ def build_profile(corpus: Corpus, config: EmbeddingConfig | None = None) -> Doma
         terms=terms,
         counts=counts,
         embedding=vector,
-        embedding_source=EmbeddingSource(kind="builtin", seed=cfg.seed, dimension=cfg.dimension),
         tokenizer_hash=corpus.tokenizer_config.config_hash(),
         embedding_hash=cfg.config_hash(),
         embedding_config=cfg,
@@ -312,13 +291,11 @@ def build_profile_external(corpus: Corpus, vector: np.ndarray, path: str) -> Dom
     if norm == 0.0 or not np.all(np.isfinite(v)):
         raise ComputationError(f"degenerate external vector for domain {corpus.domain_id!r}")
     v = v / norm
-    source = EmbeddingSource(kind="external", dimension=int(v.size), path=path)
     return DomainProfile(
         domain_id=corpus.domain_id,
         terms=terms,
         counts=counts,
         embedding=v,
-        embedding_source=source,
         tokenizer_hash=corpus.tokenizer_config.config_hash(),
         embedding_hash=stable_hash({"kind": "external", "path": path, "dimension": int(v.size)}),
     )
@@ -401,7 +378,6 @@ def profile_to_dict(profile: DomainProfile) -> dict[str, Any]:
         "terms": list(profile.terms),
         "counts": list(profile.counts),
         "embedding": [float(x) for x in profile.embedding],
-        "embedding_source": asdict(profile.embedding_source),
         "tokenizer_hash": profile.tokenizer_hash,
         "embedding_hash": profile.embedding_hash,
         "embedding_config": asdict(profile.embedding_config) if profile.embedding_config else None,
@@ -442,30 +418,35 @@ def _embedding_from(value: Any) -> np.ndarray:
     return vector
 
 
-def _record_from(cls: type[Any], value: Any, name: str, kind: str) -> Any:
-    """Stored record ``name``: an object that ``fields_from_dict(cls, value, kind)`` accepts."""
+def _hash_from(value: Any, name: str) -> str:
+    """Stored hash ``name``: a string."""
+    if not isinstance(value, str):
+        raise ParseError(f"profile {name} must be a string")
+    return value
+
+
+def _embedding_config_from(value: Any) -> EmbeddingConfig | None:
+    """A stored embedding config: None for an external embedding, else an object ``fields_from_dict`` accepts."""
+    if not value:
+        return None
     try:
-        return fields_from_dict(cls, value, kind)
+        return fields_from_dict(EmbeddingConfig, value, "embedding")
     except ConfigError as exc:  # not an object, or an unknown, missing or invalid field
-        raise ParseError(f"profile {name} is malformed: {exc}") from exc
+        raise ParseError(f"profile embedding_config is malformed: {exc}") from exc
 
 
 def profile_from_dict(data: dict[str, Any]) -> DomainProfile:
     """Rebuild a profile from :func:`profile_to_dict`'s form; a malformed payload is a ParseError."""
     try:
-        emb_cfg = data.get("embedding_config")  # None for an external embedding
         terms, counts = _columns_from(data["terms"], data["counts"])
         return DomainProfile(
             domain_id=data["domain_id"],
             terms=terms,
             counts=counts,
             embedding=_embedding_from(data["embedding"]),
-            embedding_source=_record_from(EmbeddingSource, data["embedding_source"], "embedding_source",
-                                          "embedding_source"),
-            tokenizer_hash=data["tokenizer_hash"],
-            embedding_hash=data["embedding_hash"],
-            embedding_config=(_record_from(EmbeddingConfig, emb_cfg, "embedding_config", "embedding")
-                              if emb_cfg else None),
+            tokenizer_hash=_hash_from(data["tokenizer_hash"], "tokenizer_hash"),
+            embedding_hash=_hash_from(data["embedding_hash"], "embedding_hash"),
+            embedding_config=_embedding_config_from(data.get("embedding_config")),
         )
     except KeyError as exc:
         raise ParseError(f"profile payload missing key: {exc.args[0]!r}") from exc

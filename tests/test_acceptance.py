@@ -23,7 +23,7 @@ from conftest import run_cli, run_full_pipeline, write_pipeline_tree
 from domainport.corpus import parse_conll, parse_plaintext
 from domainport.data import CURVE_NAMES, load_curve, transport_spec
 from domainport.divergence import cosine_distance, kl_divergence, lexical_difference
-from domainport.features import DomainProfile, EmbeddingSource
+from domainport.features import DomainProfile
 from domainport.regression import fit
 from domainport.transport import build_report, load_score_table
 
@@ -244,7 +244,6 @@ def vocab_profile(vocab, domain_id="d"):
         terms=sorted(vocab),
         counts=[1] * len(vocab),
         embedding=np.array([1.0]),
-        embedding_source=EmbeddingSource(kind="builtin", seed=0, dimension=1),
         tokenizer_hash="t",
         embedding_hash="e",
     )
@@ -359,7 +358,7 @@ def test_criterion_09_real_data_ordering(capsys):
                 corpus = parse_conll(raw, domain_id=name, source=name)
             else:
                 corpus = parse_plaintext(raw, domain_id=name, source=name)
-            vocab = {tok for doc in corpus.documents for tok in doc.tokens}
+            vocab = {tok for doc in corpus.documents for tok in doc}
             return vocab_profile(vocab, domain_id=name)
 
         source = profile_of("conll2003-train.conll", "conll")

@@ -76,6 +76,21 @@ def test_the_distinct_feature_count_is_the_number_of_profile_terms(tracing, tmp_
     assert tracer.counts[""]["features.distinct_features"] == sum(map(len, terms)) > 0
 
 
+def test_the_corpus_counts_are_the_parsed_documents_and_tokens(tracing, tmp_path):
+    from conftest import run_cli, write_pipeline_tree
+    from domainport.corpus import parse_plaintext
+
+    config = write_pipeline_tree(tmp_path)
+    paths = sorted((tmp_path / "corpora").glob("*.txt"))
+    documents = [doc for path in paths for doc in parse_plaintext(path.read_bytes()).documents]
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    assert len(paths) == 4
+    assert tracer.counts[""]["corpus.documents"] == len(documents) == 12
+    assert tracer.counts[""]["corpus.tokens"] == sum(map(len, documents)) == 72
+
+
 def test_a_tfidf_similarity_records_two_embed_calls_per_target(tracing, tmp_path):
     # tfidf re-embeds both profiles of each pair inside similarity; the tracer counts those calls
     from conftest import run_cli, write_pipeline_tree

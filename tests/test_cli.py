@@ -189,11 +189,18 @@ TERM_FREQ_PROFILES = {
 }
 
 
+def with_embedding_source(profile):
+    """A built-in profile's payload as earlier versions wrote it: with an ``embedding_source`` object."""
+    cfg = profile.embedding_config
+    source = {"kind": "builtin", "seed": cfg.seed, "dimension": cfg.dimension, "path": None}
+    return {**features.profile_to_dict(profile), "embedding_source": source}
+
+
 def use_term_freq_layout(monkeypatch):
     """Write and read profiles as earlier versions did: a term_freq object, keyed by a hash without the layout."""
 
     def term_freq_profile(profile):
-        payload = features.profile_to_dict(profile)
+        payload = with_embedding_source(profile)
         payload["term_freq"] = dict(zip(payload.pop("terms"), payload.pop("counts")))
         return payload
 
@@ -236,6 +243,23 @@ def test_similarity_refuses_a_term_freq_profile_as_stale(tmp_path, monkeypatch):
     assert (code, out) == (1, "")
     assert err == "config error: stale: rerun ingest (cache/profile-src.json has other settings)\n"
     assert not (tmp_path / "out" / "similarity.json").exists()
+
+
+def test_a_tree_with_embedding_source_profiles_keeps_them(tmp_path):
+    # earlier versions stored an embedding_source object in each profile: nothing reads it, so the profiles stay
+    config = write_pipeline_tree(tmp_path)
+    out = tmp_path / "out"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "profile_to_dict", with_embedding_source)
+        assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    profiles = {p.name: p.read_bytes() for p in sorted((out / "cache").glob("profile-*.json"))}
+    assert len(profiles) == len(DOMAINS)
+    assert all("embedding_source" in json.loads(data)["profile"] for data in profiles.values())
+    rerun = run_full_pipeline(config)  # similarity reads the old profiles and exits 0
+    assert rerun["ingest"] == "".join(f"cache hit: {d}\n" for d in DOMAINS)
+    assert {p.name: p.read_bytes() for p in sorted((out / "cache").glob("profile-*.json"))} == profiles
+    assert {n: d for n, d in tree_digests(out).items() if not n.startswith("cache/")} == {
+        n: d for n, d in GOLDEN.items() if not n.startswith("cache/")}
 
 
 def test_a_tree_with_indented_cache_files_keeps_them_until_a_corpus_changes(tmp_path, monkeypatch):
@@ -338,6 +362,24 @@ def test_an_interchange_corpus_joins_the_fits_under_its_configured_id(tmp_path):
     assert [rec["target_id"] for rec in read_json(out / "similarity.json")["records"]] == [
         "src", "news", "social", "science"]
     assert fit_points(out) == {(s, p): 4 for s in ("alpha-sys", "beta-sys") for p in ("lexical", "cosine", "kl")}
+
+
+def test_a_number_join_key_joins_the_fits_as_it_joins_transport(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    scores = tmp_path / "scores.csv"
+    scores.write_text(scores.read_text(encoding="utf-8").replace(",news,", ",7,"), encoding="utf-8")
+
+    def number_keys(raw):
+        raw["corpora"][1]["dataset"] = 7
+        raw["transport"]["targets"][0]["dataset"] = 7
+
+    edit_config(config, number_keys)
+    stdout = run_full_pipeline(config)
+    out = tmp_path / "out"
+    news = read_json(out / "transport.json")["reports"][0]["per_target"][0]
+    assert (news["dataset"], news["ratio"]) == ("7", pytest.approx(88.0 / 95.0))
+    assert fit_points(out) == {(s, p): 4 for s in ("alpha-sys", "beta-sys") for p in ("lexical", "cosine", "kl")}
+    assert "over 3 point(s)" not in stdout["fit"]
 
 
 def test_config_rejects_unknown_corpus_formats(tmp_path):
@@ -717,16 +759,18 @@ def _old_layout(profile):
     (_first_count(2**63), "profile counts entry for term {t0!r} is not a positive 64-bit integer: 9223372036854775808"),
     (_old_layout, "profile payload missing key: 'terms'"),
     (_set("embedding", [0.6, "x"]), "profile embedding must be a list of finite numbers"),
-    (_set("embedding_source", "x"), "profile embedding_source is malformed: embedding_source must be an object"),
-    (_set("embedding_source", {"kind": "builtin", "bogus": 1}),
-     "profile embedding_source is malformed: unknown embedding_source fields: ['bogus']"),
+    (_set("tokenizer_hash", 5), "profile tokenizer_hash must be a string"),
+    (_set("tokenizer_hash", ["x"]), "profile tokenizer_hash must be a string"),
+    (_set("embedding_hash", 5), "profile embedding_hash must be a string"),
+    (_set("embedding_hash", ["x"]), "profile embedding_hash must be a string"),
     (_set("embedding_config", {"bogus": 1}),
      "profile embedding_config is malformed: unknown embedding fields: ['bogus']"),
     (_set("embedding_config", {"dimension": 1}), "profile embedding_config is malformed: embedding dimension must be"),
 ], ids=["terms-string", "terms-object", "terms-number-entry", "terms-unsorted", "terms-duplicate", "counts-string",
         "counts-longer", "counts-shorter", "string-count", "bool-count", "float-count", "integral-float-count",
         "zero-count", "negative-count", "beyond-int64-count", "term-freq-object", "string-component",
-        "source-string", "source-unknown-field", "config-unknown-field", "config-bad-value"])
+        "tokenizer-hash-number", "tokenizer-hash-list", "embedding-hash-number", "embedding-hash-list",
+        "config-unknown-field", "config-bad-value"])
 def test_similarity_refuses_a_malformed_cached_profile(tmp_path, edit, message):
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
@@ -1745,8 +1789,8 @@ def reference_load_config(path):
         unknown_c = set(item) - {"domain_id", "path", "format", "fields", "text_unit", "dataset", "split"}
         require(not unknown_c, f"corpora[{i}]: unknown keys {sorted(unknown_c)}")
         corpora.append({"domain_id": domain_id, "path": str(item["path"]), "format": fmt, "fields": fields,
-                        "text_unit": str(item.get("text_unit", "line")), "dataset": item.get("dataset"),
-                        "split": item.get("split")})
+                        "text_unit": str(item.get("text_unit", "line")),
+                        **{key: None if item.get(key) is None else str(item[key]) for key in ("dataset", "split")}})
     by_slug = {}
     for c in corpora:
         other = by_slug.setdefault(cli._slug(c["domain_id"]), c["domain_id"])

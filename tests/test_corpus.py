@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import random
 import re
 import string
@@ -17,7 +18,6 @@ from domainport import corpus as corpus_module
 from domainport.corpus import (
     SPLIT_MODES,
     Corpus,
-    Document,
     TokenizerConfig,
     parse_conll,
     parse_interchange,
@@ -122,14 +122,28 @@ def reference_documents(units, cfg):
     for unit in units:
         tokens = tokenize(unit, cfg)
         if tokens:
-            documents.append(Document(tuple(tokens), len(unit)))
+            documents.append(tuple(tokens))
         else:
             skipped += 1
     return documents, skipped
 
 
+def parsed_and_skipped(parse):
+    """``parse()``'s corpus and the count of skipped units it logs, 0 when it logs none."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("domainport.corpus")
+    logger.addHandler(handler)
+    try:
+        corpus = parse()
+    finally:
+        logger.removeHandler(handler)
+    return corpus, sum(r.args[1] for r in records)
+
+
 def assert_parses_as(parse, reference):
-    """``parse()`` gives ``reference()``'s documents and skip count, or raises its error or an empty corpus."""
+    """``parse()`` gives ``reference()``'s documents and logs its skip count, or raises its error or an empty corpus."""
     try:
         documents, skipped = reference()
     except ParseError as exc:
@@ -141,9 +155,9 @@ def assert_parses_as(parse, reference):
         with pytest.raises(ParseError, match="empty corpus"):
             parse()
         return
-    corpus = parse()
+    corpus, logged = parsed_and_skipped(parse)
     assert corpus.documents == tuple(documents)
-    assert corpus.provenance.skipped == skipped
+    assert logged == skipped
 
 
 # every line boundary str.splitlines knows
@@ -193,7 +207,7 @@ def reference_parse_conll_documents(text, cfg):
         for raw in raw_tokens:
             tokens.extend(reference_tokenize(raw, cfg))
         if tokens:
-            documents.append(Document(tuple(tokens), raw_length=len(" ".join(raw_tokens))))
+            documents.append(tuple(tokens))
         else:
             skipped += 1
     return documents, skipped
@@ -254,12 +268,12 @@ York NNP
 def test_parse_conll_hand_tokenized_fixture():
     corpus = parse_conll(CONLL_FIXTURE, domain_id="d")
     assert len(corpus.documents) == 1
-    assert list(corpus.documents[0].tokens) == ["john", "lives", "in", "new", "york"]
+    assert list(corpus.documents[0]) == ["john", "lives", "in", "new", "york"]
 
 
 def test_parse_conll_tab_separated_first_column():
     corpus = parse_conll("John\tNNP\tB-PER\nruns\tVBZ\tO\n")
-    assert list(corpus.documents[0].tokens) == ["john", "runs"]
+    assert list(corpus.documents[0]) == ["john", "runs"]
 
 
 def test_parse_conll_docstart_splits_documents():
@@ -296,7 +310,7 @@ def test_parse_conll_invalid_utf8_reports_offset():
 def test_token_count_sums_documents():
     text = "-DOCSTART- -X-\na O\nb O\n\n-DOCSTART- -X-\nc O\n"
     corpus = parse_conll(text)
-    assert corpus.token_count == sum(len(d.tokens) for d in corpus.documents) == 3
+    assert corpus.token_count == sum(map(len, corpus.documents)) == 3
 
 
 # ---------------------------------------------------------------- jsonl
@@ -306,7 +320,7 @@ def test_parse_jsonl_hand_tokenized_fixture():
     line = '{"sentence1":"A man runs","sentence2":"A person moves"}'
     corpus = parse_jsonl_pairs(line)
     assert len(corpus.documents) == 1
-    assert list(corpus.documents[0].tokens) == ["a", "man", "runs", "a", "person", "moves"]
+    assert list(corpus.documents[0]) == ["a", "man", "runs", "a", "person", "moves"]
 
 
 def test_parse_jsonl_three_records():
@@ -323,14 +337,14 @@ def test_parse_jsonl_skips_records_missing_all_fields():
         '{"other":"ignored"}\n'
         '{"sentence1":"d e","sentence2":"f"}\n'
     )
-    corpus = parse_jsonl_pairs(lines)
+    corpus, skipped = parsed_and_skipped(lambda: parse_jsonl_pairs(lines))
     assert len(corpus.documents) == 2
-    assert corpus.provenance.skipped == 1
+    assert skipped == 1
 
 
 def test_parse_jsonl_custom_fields():
     corpus = parse_jsonl_pairs('{"premise":"A b","hypothesis":"C d"}', fields=("premise", "hypothesis"))
-    assert list(corpus.documents[0].tokens) == ["a", "b", "c", "d"]
+    assert list(corpus.documents[0]) == ["a", "b", "c", "d"]
 
 
 def test_parse_jsonl_invalid_json_reports_line():
@@ -364,8 +378,7 @@ def test_a_jsonl_record_tokenizes_as_its_fields_do(texts):
                 parse_jsonl_pairs(line, cfg, fields=fields)
             continue
         (document,) = parse_jsonl_pairs(line, cfg, fields=fields).documents
-        assert document.tokens == tuple(tokens)
-        assert document.raw_length == sum(map(len, texts)) + len(texts) - 1
+        assert document == tuple(tokens)
 
 
 def reference_jsonl_units(text, fields):
@@ -434,7 +447,7 @@ def test_parse_plaintext_line_units():
 def test_parse_plaintext_paragraph_units():
     corpus = parse_plaintext("one two\nthree\n\nfour five\n", unit="paragraph")
     assert len(corpus.documents) == 2
-    assert list(corpus.documents[0].tokens) == ["one", "two", "three"]
+    assert list(corpus.documents[0]) == ["one", "two", "three"]
 
 
 def test_parse_plaintext_rejects_unknown_unit():
@@ -449,9 +462,9 @@ def test_parse_plaintext_newlines_only_is_empty_corpus():
 
 def test_parse_plaintext_counts_skipped_segments():
     # a line of pure punctuation tokenizes to nothing under the default config
-    corpus = parse_plaintext("real words\n!!!\nmore words\n")
+    corpus, skipped = parsed_and_skipped(lambda: parse_plaintext("real words\n!!!\nmore words\n"))
     assert len(corpus.documents) == 2
-    assert corpus.provenance.skipped == 1
+    assert skipped == 1
 
 
 # per format: the parser, an input with skipped units, their count, the skip warning,
@@ -471,9 +484,7 @@ def test_parsers_count_and_report_skipped_units_and_refuse_an_empty_corpus(caplo
     parse, text, skipped, warning, empty_text, reason = LOOP_TEXTS[fmt]
     with caplog.at_level("WARNING", logger="domainport.corpus"):
         corpus = parse(text, source="in.txt")
-    assert [d.tokens for d in corpus.documents] == [("alpha",), ("beta",)]
-    assert corpus.provenance.skipped == skipped
-    assert corpus.provenance.format == fmt
+    assert corpus.documents == (("alpha",), ("beta",))
     assert [r.getMessage() for r in caplog.records] == [f"in.txt: {warning}"]
     with pytest.raises(ParseError) as excinfo:
         parse(empty_text, source="in.txt")
@@ -487,7 +498,7 @@ def test_interchange_round_trip_identity():
     original = parse_plaintext("Alpha beta!\nGamma delta\n", domain_id="roundtrip")
     restored = parse_interchange(dump_json(to_interchange(original)))
     assert restored.domain_id == original.domain_id
-    assert [d.tokens for d in restored.documents] == [d.tokens for d in original.documents]
+    assert restored.documents == original.documents
     assert restored.tokenizer_config == original.tokenizer_config
 
 
@@ -507,9 +518,9 @@ def test_interchange_preserves_tokens_verbatim(docs):
         "documents": docs,
     }
     corpus = parse_interchange(payload)
-    assert [list(d.tokens) for d in corpus.documents] == docs
+    assert [list(tokens) for tokens in corpus.documents] == docs
     again = parse_interchange(json.loads(dump_json(to_interchange(corpus))))
-    assert [d.tokens for d in again.documents] == [d.tokens for d in corpus.documents]
+    assert again.documents == corpus.documents
 
 
 def test_interchange_missing_keys():
@@ -563,7 +574,6 @@ def test_corpus_requires_domain_id():
             domain_id="",
             documents=base.documents,
             tokenizer_config=base.tokenizer_config,
-            provenance=base.provenance,
         )
 
 
@@ -586,7 +596,7 @@ def test_jsonl_refuses_a_lone_surrogate_in_every_tokenizer_mode(config):
 def test_jsonl_takes_a_surrogate_pair_an_escaped_backslash_and_an_unread_field():
     data = f'{{"sentence1": {PAIR}, "other": {LONE}}}\n{{"sentence1": "a \\\\udc80 b"}}\n'
     corpus = parse_jsonl_pairs(data, TokenizerConfig(split_mode="whitespace", strip_punctuation=False))
-    assert [d.tokens for d in corpus.documents] == [("hello", "🙂"), ("a", "\\udc80", "b")]
+    assert corpus.documents == (("hello", "🙂"), ("a", "\\udc80", "b"))
 
 
 def test_interchange_refuses_a_token_with_a_lone_surrogate():
@@ -595,7 +605,7 @@ def test_interchange_refuses_a_token_with_a_lone_surrogate():
         with pytest.raises(ParseError, match="document 1 has a token with a lone surrogate"):
             parse_interchange(data)
     payload["documents"][1][1] = "\U0001F642"
-    assert parse_interchange(json.dumps(payload)).documents[1].tokens == ("hello", "🙂")
+    assert parse_interchange(json.dumps(payload)).documents[1] == ("hello", "🙂")
 
 
 @pytest.mark.parametrize("parse", [parse_conll, parse_plaintext, parse_jsonl_pairs, parse_interchange])
@@ -641,6 +651,9 @@ def test_bulk_parsing_peaks_within_5_percent_of_the_per_unit_readers(fmt):
     assert peak <= 1.05 * PER_UNIT_PARSE_PEAKS[fmt]
 
 
-def test_a_document_has_slots_and_no_instance_dict():
-    # a text corpus builds one Document per line: a __dict__ each would be most of its memory
-    assert not hasattr(Document(("a", "b"), 3), "__dict__")
+def test_a_document_is_the_tuple_of_its_tokens():
+    # a text corpus holds one document per line: a record with a __dict__ each would be most of its memory
+    for parse, text, *_ in LOOP_TEXTS.values():
+        corpus = parse(text)
+        restored = parse_interchange(to_interchange(corpus))
+        assert {type(d) for d in corpus.documents} == {type(d) for d in restored.documents} == {tuple}

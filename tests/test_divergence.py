@@ -25,11 +25,11 @@ from domainport.errors import ComputationError, ConfigError
 from domainport.features import (
     DomainProfile,
     EmbeddingConfig,
-    EmbeddingSource,
     build_profile,
     embed_builtin,
 )
 from domainport.hashing import dump_json, fields_from_dict
+from test_features import reference_embed
 
 
 def profile_from_vocab(vocab, domain_id="d"):
@@ -39,7 +39,6 @@ def profile_from_vocab(vocab, domain_id="d"):
         terms=sorted(vocab),
         counts=[1] * len(vocab),
         embedding=np.array([1.0]),
-        embedding_source=EmbeddingSource(kind="builtin", seed=0, dimension=1),
         tokenizer_hash="t",
         embedding_hash="e",
     )
@@ -269,8 +268,8 @@ def test_tfidf_tables_reembed_per_pair():
     weighted_tgt = profile_from_text("gamma delta shared\n", "tgt", weighting="tfidf")
     (record,) = similarity_table(weighted_src, [weighted_tgt])
     cfg = weighted_src.embedding_config
-    u = embed_builtin(weighted_src.term_freq, cfg, idf_context=weighted_tgt.term_freq.keys())
-    v = embed_builtin(weighted_tgt.term_freq, cfg, idf_context=weighted_src.term_freq.keys())
+    u = reference_embed(weighted_src.term_freq, cfg, idf_context=weighted_tgt.term_freq)
+    v = reference_embed(weighted_tgt.term_freq, cfg, idf_context=weighted_src.term_freq)
     assert record.cosine_distance == cosine_distance(u, v)
     # stored profile vectors are context-free, so the pairwise values differ from them
     assert record.cosine_distance != cosine_distance(weighted_src.embedding, weighted_tgt.embedding)
@@ -289,15 +288,15 @@ TARGET_TEXTS = (
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 def test_similarity_table_matches_the_per_pair_embedding(weighting, direction):
     # the source table is prepared once per call; every record must equal the
-    # one computed from a fresh embed_builtin of both profiles for that pair
+    # one computed from the per-feature loop over both profiles for that pair
     source = profile_from_text(SOURCE_TEXT, "src", dimension=32, weighting=weighting)
     targets = [profile_from_text(t, f"t{i}", dimension=32, weighting=weighting) for i, t in enumerate(TARGET_TEXTS)]
     kl = KLSettings(direction=direction)
     cfg = source.embedding_config
     for record, target in zip(similarity_table(source, targets, kl), targets, strict=True):
         if weighting == "tfidf":
-            u = embed_builtin(source.term_freq, cfg, idf_context=target.term_freq.keys())
-            v = embed_builtin(target.term_freq, cfg, idf_context=source.term_freq.keys())
+            u = reference_embed(source.term_freq, cfg, idf_context=target.term_freq)
+            v = reference_embed(target.term_freq, cfg, idf_context=source.term_freq)
         else:
             u, v = source.embedding, target.embedding
         assert record.lexical_difference == lexical_difference(source, target)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from domainport import divergence, features
-from domainport.corpus import Corpus, Document, Provenance, TokenizerConfig, parse_plaintext
+from domainport.corpus import Corpus, TokenizerConfig, parse_plaintext
 from domainport.errors import ComputationError, ConfigError, ParseError
 from domainport.features import (
     DomainProfile,
@@ -68,17 +68,28 @@ def reference_embed(term_freq, cfg, idf_context=None):
     return vec / norm
 
 
+def embed_in_pair(table, cfg, other=None):
+    """``table`` embedded under the pairwise idf of vocabulary ``other``, through :meth:`HashedTable.idf_weighted`."""
+    prepared = table if isinstance(table, HashedTable) else HashedTable.of(table, cfg)
+    if cfg.weighting == "tfidf" and other is not None:
+        prepared = prepared.idf_weighted(np.array([f in other for f in prepared.features], dtype=bool))
+    return embed_builtin(prepared, cfg)
+
+
 def reference_per_document(corpus, cfg):
     """The per-document loop that build_profile must match bit for bit."""
     acc = np.zeros(cfg.dimension, dtype=np.float64)
     contributing = 0
     for doc in corpus.documents:
-        doc_counts = Counter(ngram_features(doc.tokens, corpus.tokenizer_config.ngram_order))
+        doc_counts = Counter(ngram_features(doc, corpus.tokenizer_config.ngram_order))
         if doc_counts:
             acc += reference_embed(doc_counts, cfg)
             contributing += 1
     acc /= contributing
-    return acc / float(np.linalg.norm(acc))
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        raise ComputationError("degenerate embedding: per-document vectors cancelled out")
+    return acc / norm
 
 
 def outcome(fn, *args, **kwargs):
@@ -177,13 +188,10 @@ def test_embedding_is_bitwise_equal_to_the_per_feature_loop(seed, dimension, wei
     many = {f"w{i} {'é' * (i % 4)}": i % 9 for i in range(500)}
     context = {"alpha", "東京", "x" * 40, *(f"w{i} " for i in range(0, 500, 3))}
     larger = {f"w{i} {'é' * (i % 4)}" for i in range(0, 2000, 2)} | {"naïve", "unseen"}  # more than `many`
-    # each form of context, smaller and larger than each table, is looked up through one frozenset of it
-    contexts = [None, frozenset()] + [form(c) for c in (context, larger)
-                                      for form in (set, list, lambda c: dict.fromkeys(c).keys())]
     for table in (MIXED_TABLE, many, {"a": 1, "caabae": 1}, {"solo": 4}, {"inf": math.inf, "b": 1}):
-        for idf_context in contexts:
+        for idf_context in (None, set(), context, larger):
             assert_same_outcome(
-                outcome(embed_builtin, table, cfg, idf_context=idf_context),
+                outcome(embed_in_pair, table, cfg, idf_context),
                 outcome(reference_embed, table, cfg, idf_context=idf_context),
             )
 
@@ -191,37 +199,19 @@ def test_embedding_is_bitwise_equal_to_the_per_feature_loop(seed, dimension, wei
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("weighting", ["tf", "tfidf"])
 def test_a_prepared_table_embeds_like_its_mapping(seed, weighting):
-    # one table embedded against several contexts in turn, as similarity_table
+    # one table weighted against several contexts in turn, as similarity_table
     # does with its source: no context may leak into the next
     cfg = EmbeddingConfig(dimension=32, seed=seed, weighting=weighting)
-    contexts = (None, {"alpha", "東京"}, frozenset(), set(MIXED_TABLE), {"x" * 40}, list(MIXED_TABLE),
-                dict.fromkeys(["naïve", "b"]).keys(), None)
+    contexts = (None, {"alpha", "東京"}, set(), set(MIXED_TABLE), {"x" * 40}, {"naïve", "b"}, None)
     for table in (MIXED_TABLE, {"a": 1, "caabae": 1}, {"solo": 4}):
         prepared = HashedTable.of(table, cfg)
         for idf_context in contexts:
             assert_same_outcome(
-                outcome(embed_builtin, prepared, cfg, idf_context=idf_context),
+                outcome(embed_in_pair, prepared, cfg, idf_context),
                 outcome(reference_embed, table, cfg, idf_context=idf_context),
             )
     with pytest.raises(ComputationError, match="different embedding configuration"):
         embed_builtin(HashedTable.of(MIXED_TABLE, cfg), EmbeddingConfig(dimension=16, seed=seed))
-
-
-class NoMembershipList(list):
-    """A list that refuses ``in``: each feature scanning it would cost a pass over the whole context."""
-
-    def __contains__(self, item):
-        raise AssertionError("list membership test: one linear scan per feature")
-
-
-def test_a_list_context_is_looked_up_through_a_set():
-    cfg = EmbeddingConfig(dimension=32, seed=42, weighting="tfidf")
-    many = {f"w{i}": 1 + i % 5 for i in range(300)}
-    for table, context in ((MIXED_TABLE, ["alpha", "東京", "unseen"]), (many, [f"w{i}" for i in range(0, 900, 3)])):
-        expected = embed_builtin(table, cfg, idf_context=set(context))
-        assert embed_builtin(table, cfg, idf_context=NoMembershipList(context)).tobytes() == expected.tobytes()
-        prepared = HashedTable.of(table, cfg)
-        assert embed_builtin(prepared, cfg, idf_context=NoMembershipList(context)).tobytes() == expected.tobytes()
 
 
 @given(
@@ -235,7 +225,7 @@ def test_embedding_matches_the_per_feature_loop_on_any_table(table, seed, dimens
     cfg = EmbeddingConfig(dimension=dimension, seed=seed, weighting=weighting)
     context = set(list(table)[::2])
     assert_same_outcome(
-        outcome(embed_builtin, table, cfg, idf_context=context),
+        outcome(embed_in_pair, table, cfg, context),
         outcome(reference_embed, table, cfg, idf_context=context),
     )
 
@@ -280,7 +270,7 @@ def test_embed_rejects_degenerate_tables():
 def test_tfidf_weights_against_the_pair_context():
     # shared feature: df=2 so idf = ln(1)+1 = 1; unique feature: df=1 so idf = ln(2)+1
     cfg = EmbeddingConfig(dimension=32, seed=42, weighting="tfidf")
-    vec = embed_builtin({"shared": 1, "unique": 1}, cfg, idf_context={"shared", "elsewhere"})
+    vec = embed_in_pair({"shared": 1, "unique": 1}, cfg, {"shared", "elsewhere"})
     expected = np.zeros(32)
     for feature, idf in (("shared", 1.0), ("unique", math.log(2.0) + 1.0)):
         h_cfg = EmbeddingConfig(dimension=32, seed=42)
@@ -511,7 +501,7 @@ def test_build_profile_external():
     corpus = parse_plaintext("a b c\n", domain_id="d1")
     profile = build_profile_external(corpus, np.array([3.0, 4.0]), "emb.json")
     assert np.allclose(profile.embedding, [0.6, 0.8])
-    assert profile.embedding_source.kind == "external"
+    assert profile.embedding_config is None
     builtin = build_profile(corpus, EmbeddingConfig(dimension=2))
     assert profile.embedding_hash != builtin.embedding_hash
 
@@ -612,7 +602,7 @@ def test_profiles_keep_their_term_table_in_sorted_order(build, order):
     corpus = small_corpus("zeta alpha beta alpha\nmu delta zeta\nbeta\n", ngram_order=order)
     profile = build(corpus)
     assert all(a < b for a, b in zip(profile.terms, profile.terms[1:]))  # strictly ascending: no duplicates
-    expected = Counter(f for doc in corpus.documents for f in ngram_features(doc.tokens, order))
+    expected = Counter(f for doc in corpus.documents for f in ngram_features(doc, order))
     assert dict(zip(profile.terms, profile.counts)) == expected
     assert all(type(c) is int for c in profile.counts)
 
@@ -622,14 +612,6 @@ def test_profiles_with_different_tokenizers_are_incomparable():
     p1 = build_profile(parse_plaintext("a b\n", TokenizerConfig(), domain_id="d"), cfg)
     p2 = build_profile(parse_plaintext("a b\n", TokenizerConfig(lowercase=False), domain_id="d"), cfg)
     assert p1.config_hash() != p2.config_hash()
-
-
-def test_raw_document_type_constraints():
-    doc = Document(tokens=("a", "b"), raw_length=3)
-    assert doc.tokens == ("a", "b")
-    # frozen dataclass: no mutation
-    with pytest.raises(AttributeError):
-        doc.tokens = ("c",)
 
 
 # ---------------------------------------------------------------- columns against the dict pipeline
@@ -660,10 +642,7 @@ def dict_embed(term_freq, cfg, idf_context=None):
 
 
 def corpus_of(documents, order, domain_id="d"):
-    tokenizer = TokenizerConfig(ngram_order=order)
-    provenance = Provenance(source="-", format="text", tokenizer_hash=tokenizer.config_hash())
-    docs = tuple(Document(tuple(tokens), len(" ".join(tokens))) for tokens in documents if tokens)
-    return Corpus(domain_id, docs, tokenizer, provenance)
+    return Corpus(domain_id, tuple(tuple(tokens) for tokens in documents if tokens), TokenizerConfig(ngram_order=order))
 
 
 # ASCII, Latin-1, Greek, CJK and astral characters: code-point order differs from UTF-16 and locale orders
@@ -677,13 +656,14 @@ documents = st.lists(st.lists(tokens, min_size=1, max_size=8), min_size=1, max_s
 @example([["b", "a", "b"]], [["東京", "a"]], 1, 42, 8, "tfidf")
 @example([["é", "z", "\U0001f642", "ａ"]], [["z", "é"]], 2, 0, 16, "tf")
 @example([["1"]], [["1", "1B"]], 1, 0, 2, "tf")  # "1B" cancels "1": the target's projection collapses
+@example([["1"]], [["1", "bé"], ["\U00010400", "11"]], 1, 0, 3, "per_document")  # the target's documents cancel
 def test_the_columnar_build_is_bitwise_equal_to_the_dict_pipeline(source_docs, target_docs, order, seed, dimension,
                                                                   mode):
     cfg = EmbeddingConfig(dimension=dimension, seed=seed, weighting="tfidf" if mode == "tfidf" else "tf",
                           per_document=mode == "per_document")
     profiles, tables = [], []
     for corpus in (corpus_of(source_docs, order, "s"), corpus_of(target_docs, order, "t")):
-        table = dict_term_table(Counter(f for doc in corpus.documents for f in ngram_features(doc.tokens, order)))
+        table = dict_term_table(Counter(f for doc in corpus.documents for f in ngram_features(doc, order)))
         if not table:  # documents shorter than the order
             with pytest.raises(ComputationError, match="no features"):
                 build_profile(corpus, cfg)

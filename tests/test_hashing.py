@@ -20,7 +20,7 @@ from domainport.cli import load_config
 from domainport.corpus import TokenizerConfig
 from domainport.divergence import KLSettings
 from domainport.errors import ConfigError
-from domainport.features import EmbeddingConfig, EmbeddingSource
+from domainport.features import EmbeddingConfig
 from domainport.hashing import (
     canonical_json,
     content_digest,
@@ -292,8 +292,6 @@ RECORDS = {  # a record of each class, and changes to it
     TokenizerConfig: (TokenizerConfig(), {"lowercase": False, "ngram_order": 3}),
     EmbeddingConfig: (EmbeddingConfig(), {"dimension": 16, "weighting": "tfidf"}),
     KLSettings: (KLSettings(), {"epsilon": 0.5, "method": "softmax"}),
-    EmbeddingSource: (EmbeddingSource("builtin", seed=42, dimension=300),
-                      {"kind": "external", "seed": None, "path": "vectors.json"}),
 }
 
 

@@ -24,14 +24,14 @@ from conftest import run_full_pipeline, tree_digests, write_mixed_text_tree, wri
 from domainport.hashing import canonical_json, dump_json
 
 GOLDEN = {
-    "cache/profile-news.json": "c1e96506c39c942ef632e34b54f92e19ed5bbedf60ac96ec6c7ba387d3e05b7b",
-    "cache/profile-science.json": "0b35f4f26c8c624ea9516fa33ea024efe40ede697cb27295464336e413b10024",
-    "cache/profile-social.json": "2561d1364ee8fcca99f0da09b215051acf839f05eed3e43e5a99764d98d9ca0e",
-    "cache/profile-src.json": "69e6379c37ba2bdd238a172e614ca47c840d0ac373ec6a53569c6b3f52ffd714",
+    "cache/profile-news.json": "1d82fe4f2d06dd9e817a8a6382d19675b7b525bece1a57b060cccb68a72b3d42",
+    "cache/profile-science.json": "87e7fa3b0b4bc91d8e3ea5b343cfcaac54b880a39a6d393b42f1a95601e7cbcd",
+    "cache/profile-social.json": "e8664bb59d7bd4dea0142dd2768a044709071584e6b63d656ec022e9854c7077",
+    "cache/profile-src.json": "8d798b4e6d8ae1d10a4ec18a04d3331dcd26159837515089bdf871cfaad02527",
     "cache/stage-fit.json": "0b5724c2945966c1cf32d14937ceb41a9e1218d47daec83013b2ec1dcb13a9b7",
-    "cache/stage-ingest.json": "b05b49b13c3dad920daf475a3b862de30cc325d1450f74ad12332cf7d20caa5b",
+    "cache/stage-ingest.json": "0743c62b018d0fba9f7dd4d2a46aa0b97c6dad85ebf51f65965c8f082e6eeeb7",
     "cache/stage-report.json": "446520fb8234c1d5e1257642162aadb56a63dec22ac790aa2ccd2fdb62c1d6cc",
-    "cache/stage-similarity.json": "372685db6b038bf90a08c39db1d7093a58c04c179b44fd29d276ad1922979a42",
+    "cache/stage-similarity.json": "2aaf3e84dc29e78a7d6d0614a62c668e492572982aa372f704337c121cb36fd3",
     "cache/stage-transport.json": "5ff39cc24f30bda030b8239094b8faddc000818c31893712891ccdf664213917",
     "curve-alpha-sys-cosine.csv": "53055f6f7073d23f4ad26c4319e7539fcfd0107ed1166d7784fd5cb6656e6722",
     "curve-alpha-sys-kl.csv": "3ebdb43c2653faa276be015693f4ed9b985c6c7d74a3672fd8f3b9e601e47e56",
@@ -58,14 +58,14 @@ GOLDEN = {
 }
 
 GOLDEN_MIXED = {
-    "cache/profile-news.json": "288fcf73766c97b7473996fb6e9485cf0ab9278f2856c9e25cd559923ce13932",
-    "cache/profile-science.json": "d51f1fb7fbb540dc45803e78a8ebae895c32d0158eacb303013e1669e453cfd6",
-    "cache/profile-social.json": "cb11b5eeeb9c072e5cee2108ac18e440171045be270405964b43f196fd5063e8",
-    "cache/profile-src.json": "152a7397e56bfa8fabc82a71e8d0af2fbe5b38d98b1f1d18ff1af48278bddf06",
+    "cache/profile-news.json": "4447c99fc36943466c0648edb571a7c0b841108884c94e8d84c7039b244b05af",
+    "cache/profile-science.json": "65499fdc8431944cfe7715cd3cb2087c654f50f0dbeec3e2cef66b88d13da23f",
+    "cache/profile-social.json": "9b964959f05a7aa268720d764a8f464c597a89e4da49a77be547319eaf7d93db",
+    "cache/profile-src.json": "dd4459fc9c84a2a97bdd13b67a6dafcdc89d93b697aacdd0b48e264a78c67993",
     "cache/stage-fit.json": "929512228509a2d1d57238bcc76b2796e7d6f2b351977bf2502e59efc86e2e2b",
-    "cache/stage-ingest.json": "842f73a55c92bc577e10db7d9f9da75c6e4a7da7872697eb1122fa93f6f86154",
+    "cache/stage-ingest.json": "7aaf4a8015389b623e04d2e778e95853d4abe6f0d1f806eacf6e971ccbc8115e",
     "cache/stage-report.json": "c0e762f4a688ace5255c3b08399e0babd23c0fbb7e83af0f0d4f41fc1f920f42",
-    "cache/stage-similarity.json": "b6e2a8396055c4780dd46b14a8bdf6a651686b0cc8a6a84138e015588cc67e7f",
+    "cache/stage-similarity.json": "dadaa9336e630946812cdd3947445351ca4ac559dc273a1163d9302c46b9d67b",
     "cache/stage-transport.json": "5ff39cc24f30bda030b8239094b8faddc000818c31893712891ccdf664213917",
     "curve-alpha-sys-cosine.csv": "96110fb6b214c4731079cc596f0e8f146cbe5625027158516d55e3815a2c2138",
     "curve-alpha-sys-kl.csv": "9c5414797e60984ad43c284bc8d03b26564747c383b735716b1d0ba43d8472a6",
