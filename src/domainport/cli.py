@@ -90,6 +90,12 @@ def _strings(value: Any, message: str) -> tuple[str, ...] | None:
     return None if value is None else tuple(value)
 
 
+def _name(value: Any, what: str) -> str:
+    """A name or join key: a string, or a number as its text (a score table's text of it); nothing else."""
+    _require(type(value) in (str, int, float), f"{what} must be a string or a number")
+    return str(value)
+
+
 def _normalize(record: Any, **values: Any) -> None:
     """Set fields of a frozen config record in its ``__post_init__``, which ``replace`` reruns on these values."""
     for name, value in values.items():
@@ -102,9 +108,9 @@ def _key_pair(obj: Any, context: str, *extra: str) -> tuple[str, str]:
         unknown = set(obj) - {"dataset", "split", *extra}
         _require(not unknown, f"unknown {context} fields: {sorted(unknown)}")
         _require("dataset" in obj and "split" in obj, f"{context} needs 'dataset' and 'split'")
-        return str(obj["dataset"]), str(obj["split"])
+        return _name(obj["dataset"], f"{context}.dataset"), _name(obj["split"], f"{context}.split")
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return str(obj[0]), str(obj[1])
+        return _name(obj[0], f"{context}[0]"), _name(obj[1], f"{context}[1]")
     raise ConfigError(f"{context} must be a dataset/split pair")
 
 
@@ -119,13 +125,11 @@ class CorpusSpec:
     split: str | None = None
 
     def __post_init__(self) -> None:
-        fmt = str(self.format)
-        _require(fmt in CORPUS_FORMATS, f"unknown format {fmt!r}; expected one of {CORPUS_FORMATS}")
-        # join keys are read as _key_pair reads transport keys: a number joins the table's text of it
-        dataset, split = (None if key is None else str(key) for key in (self.dataset, self.split))
-        _normalize(self, domain_id=str(self.domain_id), path=str(self.path), format=fmt,
-                   fields=_strings(self.fields, "fields must be a list of strings"), text_unit=str(self.text_unit),
-                   dataset=dataset, split=split)
+        keys = [key for key in ("dataset", "split") if getattr(self, key) is not None]  # join keys; null: none
+        names = {key: _name(getattr(self, key), key) for key in ("domain_id", "path", "format", "text_unit", *keys)}
+        _require(names["format"] in CORPUS_FORMATS,
+                 f"unknown format {names['format']!r}; expected one of {CORPUS_FORMATS}")
+        _normalize(self, **names, fields=_strings(self.fields, "fields must be a list of strings"))
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,7 @@ class ScoresSpec:
 
     def __post_init__(self) -> None:
         _require(self.path is None or isinstance(self.path, str), "scores.path must be a path or null")
-        _normalize(self, metric=str(self.metric))
+        _normalize(self, metric=_name(self.metric, "scores.metric"))
 
 
 @dataclass(frozen=True)
@@ -362,16 +366,22 @@ def _csv_text(config_hash: str, header: Sequence[str], rows: Iterable[Sequence[s
 
 class _Stage(NamedTuple):
     blocks: tuple[str, ...]  # the config blocks the stage's outputs depend on
-    reads: Mapping[str, str | None] = {}  # file -> the stage that writes it; "scores" (the score table) -> None
+    reads: Mapping[str, str | None]  # file -> the stage that writes it; "scores" (the score table) -> None
+    writes: tuple[str, ...]  # the names or patterns of the files the stage owns, its stamp included
 
 
 STAGES = {
-    "ingest": _Stage(("tokenizer", "embedding", "external_embeddings")),
-    "similarity": _Stage(("kl", "similarity", "corpora"), {"cache/profile-*.json": "ingest"}),
-    "transport": _Stage(("scores", "transport"), {"scores": None}),
-    "fit": _Stage(("scores", "transport", "fit", "corpora"), {"similarity.json": "similarity", "scores": None}),
-    "report": _Stage(("fit", "transport"), {"similarity.json": "similarity", "transport.json": "transport",
-                                           "fit_summary.json": "fit", "fit-*.json": "fit"}),
+    "ingest": _Stage(("tokenizer", "embedding", "external_embeddings"), {},
+                     ("cache/stage-ingest.json", "cache/profile-*.json")),
+    "similarity": _Stage(("kl", "similarity", "corpora"), {"cache/profile-*.json": "ingest"},
+                         ("cache/stage-similarity.json", "similarity.csv", "similarity.json")),
+    "transport": _Stage(("scores", "transport"), {"scores": None},
+                        ("cache/stage-transport.json", "transport.json", "transport.txt")),
+    "fit": _Stage(("scores", "transport", "fit", "corpora"), {"similarity.json": "similarity", "scores": None},
+                  ("cache/stage-fit.json", "fit-*.json", "curve-*.csv", "plot-*.csv", "fit_summary.json")),
+    "report": _Stage(("fit", "transport"),
+                     {"similarity.json": "similarity", "transport.json": "transport", "fit_summary.json": "fit"},
+                     ("cache/stage-report.json", "report.json", "report.txt")),
 }
 
 Overrides = Mapping[str, Mapping[str, Any]]  # flag values by config block and field
@@ -426,15 +436,15 @@ class _Hashes(dict):
 class _Run:
     """One run of a stamped stage: its inputs, its stamp and its outputs.
 
-    Each file the stage's row lists (``fit-*.json``: every fit file in the
-    output directory) is read once, before the stamp check, which looks at
-    bytes alone: only the stage's work parses an input, on a miss. The
-    stamp ``cache/stage-<stage>.json`` holds a key (the stage, the tool
-    version, the stage's hash, the flags, ``allow_partial`` and the digest
-    of every input) and the digest of each output; ``ingest``'s also holds
-    each profile's source key, what it was built from (see :meth:`reuse`).
-    Only :meth:`finish` replaces the stamp, after removing the outputs it
-    named that the rerun did not keep: a failed rerun leaves it in place.
+    Each file the stage's row reads is read once, before the stamp check,
+    which looks at bytes alone: only the stage's work parses an input, on a
+    miss. The stamp ``cache/stage-<stage>.json`` holds a key (the stage, the
+    tool version, the stage's hash, the files it writes, the flags,
+    ``allow_partial`` and the digest of every input) and the digest of each
+    output; ``ingest``'s also holds each profile's source key, what it was
+    built from (see :meth:`reuse`). Only :meth:`finish` replaces the stamp,
+    after removing the outputs it named that the rerun did not keep and
+    that the stage writes: a failed rerun leaves it in place.
     An input artifact is stale unless its ``config_hash`` is the one the
     current config, with the flag overrides the artifact records, gives the
     stage that wrote it. The outputs record those overrides and the run's
@@ -463,8 +473,6 @@ class _Run:
                 specs = {c.domain_id: c for c in cfg.corpora}
                 self._specs = {_profile_name(d): specs[d] for d in _similarity_domains(cfg)}
                 names += self._specs
-            elif name == "fit-*.json":
-                names += sorted(path.name for path in self.out.glob(name))
             else:
                 names.append(name)
         for name in names:
@@ -474,7 +482,8 @@ class _Run:
         missing = [self._missing(name) for name in names if name not in self.inputs]
         _require(not missing or allow_partial, "missing stage outputs: " + "; ".join(missing))
         self.key = stable_hash({"stage": stage, "tool_version": __version__, "config_hash": self.hashes[stage],
-                                "flags": flags, "allow_partial": allow_partial, "inputs": self._digests})
+                                "writes": STAGES[stage].writes, "flags": flags, "allow_partial": allow_partial,
+                                "inputs": self._digests})
 
     def _writer(self, name: str) -> str:
         """The stage that writes input ``name``: the one of the first row entry whose name or pattern matches."""
@@ -565,12 +574,12 @@ class _Run:
     def finish(self) -> None:
         """Remove the earlier outputs not kept, then write the stamp if it changed.
 
-        A stamp is outside input, so only names inside the output directory are removed.
+        A stamp is outside input, so only names that the stage writes, inside the output directory, are removed.
         """
-        out = self.out.resolve()
+        out, writes = self.out.resolve(), STAGES[self.stage].writes
         for name in set(self._stamp[1]) - set(self._outputs):
             path = (self.out / name).resolve()
-            if path.is_relative_to(out) and path.is_file():
+            if any(fnmatchcase(name, p) for p in writes) and path.is_relative_to(out) and path.is_file():
                 path.unlink()
         if self._stamp != (self.key, self._outputs, self._sources):
             sources = {"sources": self._sources} if self._sources else {}
@@ -683,7 +692,8 @@ def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
     _remove_legacy_cache(run.out)
     run.finish()  # also after a failure: the profiles of failed and removed corpora go
     if failures:
-        error = ConfigError if all(isinstance(e, ConfigError) for _, e in failures) else ParseError
+        error = next((kind for kind in (ConfigError, ComputationError)
+                      if all(isinstance(e, kind) for _, e in failures)), ParseError)
         raise error("ingest failed for: " + ", ".join(d for d, _ in failures))
 
 
@@ -775,6 +785,7 @@ def cmd_fit(cfg: RunConfig, run: _Run) -> None:
     summary_fits: dict[str, Any] = {}
     skipped: list[dict[str, Any]] = []
     mae_by_predictor: dict[str, list[float]] = {p: [] for p in cfg.fit.predictors}
+    plots: dict[str, list[tuple[str, float, float]]] = {}  # joined scatter data per predictor, for external plotting
 
     for system in systems:
         for predictor in cfg.fit.predictors:
@@ -797,8 +808,12 @@ def cmd_fit(cfg: RunConfig, run: _Run) -> None:
                 "a": model.a, "b": model.b, "c": model.c, "sse": model.sse, "mae": model.mae, "n": model.n,
                 "file": f"{stem}.json"}
             mae_by_predictor[predictor].append(model.mae)
+            plots.setdefault(predictor, []).extend((system, x, y) for x, y in points)
             print(f"fit: {system}/{predictor} mae={model.mae:.4f} over {model.n} point(s)")
 
+    for predictor, rows in plots.items():  # by system, then by point
+        run.write(f"plot-{predictor}.csv", _csv_text(run.hash, ["system", PREDICTOR_COLUMNS[predictor], "score"],
+                                                     [[s, repr(x), repr(y)] for s, x, y in sorted(rows)]))
     run.write_json("fit_summary.json",
                    metric=table.metric_name,
                    fits=summary_fits,
@@ -865,12 +880,8 @@ def _transport_reports(payload: dict[str, Any]) -> list[dict[str, Any]]:
     return reports
 
 
-def _fit_files(summary: dict[str, Any]) -> list[tuple[str, str, str]]:
-    """(predictor, system, fit file) for each fit that fit_summary.json names, in plot order.
-
-    Every field of the summary that ``report.txt`` renders is checked
-    first, so a corrupt summary is refused before anything is written.
-    """
+def _check_fit_summary(summary: dict[str, Any]) -> None:
+    """Refuse a fit_summary.json whose fields that ``report.txt`` renders are malformed, before anything is written."""
     fits = summary.get("fits", {})
     if not (isinstance(fits, dict) and all(isinstance(entries, dict) for entries in fits.values())
             and all(isinstance(e, dict) and isinstance(e.get("file"), str) for v in fits.values() for e in v.values())):
@@ -882,13 +893,12 @@ def _fit_files(summary: dict[str, Any]) -> list[tuple[str, str, str]]:
     mean_mae = summary.get("mean_mae", {})
     if not (isinstance(mean_mae, dict) and all(v is None or _is_number(v) for v in mean_mae.values())):
         raise ParseError("corrupt artifact fit_summary.json: 'mean_mae' must map predictors to numbers or null")
-    return [(p, s, fits[s][p]["file"]) for p in PREDICTOR_COLUMNS for s in sorted(fits) if p in fits[s]]
 
 
 @_stage
 def cmd_report(cfg: RunConfig, run: _Run) -> None:
     fits = run.artifact("fit_summary.json", {"status": "absent"})
-    fit_files = _fit_files(fits)
+    _check_fit_summary(fits)
     sections = {name: run.artifact(f"{name}.json", {"status": "absent"}) for name in ("similarity", "transport")}
     tables: dict[str, list[str]] = {}  # the lines of each report.txt section whose input is present
     if "records" in sections["similarity"]:
@@ -905,29 +915,11 @@ def cmd_report(cfg: RunConfig, run: _Run) -> None:
         mean_mae = fits.get("mean_mae", {})
         tables["fit"] += [f"mean_mae[{p}] = {mean_mae[p]:.6f}" for p in sorted(mean_mae) if mean_mae[p] is not None]
 
-    # joined scatter data per predictor, for external plotting
-    plots: dict[str, list[list[str]]] = {}
-    for predictor, system, name in fit_files:
-        fit = run.artifact(name)
-        holds = (fit.get("system"), fit.get("predictor"))
-        if holds != (system, predictor):
-            raise ParseError(f"corrupt artifact {name}: it holds the fit of {holds[0]!r}/{holds[1]!r}, "
-                             f"not {system!r}/{predictor!r}")
-        points = fit.get("points", [])
-        pairs = isinstance(points, list) and all(isinstance(pt, list) and len(pt) == 2 for pt in points)
-        if not (pairs and all(_is_number(v) for pt in points for v in pt)):
-            raise ParseError(f"corrupt artifact {name}: 'points' must be a list of [x, y] number pairs")
-        for x, y in points:
-            plots.setdefault(predictor, []).append([system, repr(float(x)), repr(float(y))])
-
     run.write_json("report.json", similarity=sections["similarity"], transport=sections["transport"], fits=fits)
     lines = ["domain transport report", f"config_hash={run.hash} tool_version={__version__}"]
     for name in ("similarity", "transport", "fit"):
         lines += ["", f"[{name}]", *tables.get(name, ["absent"])]
     run.write("report.txt", "\n".join(lines) + "\n")
-    for predictor, rows in plots.items():
-        run.write(f"plot-{predictor}.csv",
-                  _csv_text(run.hash, ["system", PREDICTOR_COLUMNS[predictor], "score"], rows))
     print("report written")
 
 

@@ -170,6 +170,7 @@ def similarity_table(
 
     Profiles must have been built with identical tokenizer and
     embedding configurations; mixing them is an error, not a warning.
+    An empty vocabulary on either side is refused before any hashing.
     Each pair joins the vocabularies once; under tfidf, that join's
     shared-term masks re-weight both tables before they are embedded.
     """
@@ -177,6 +178,9 @@ def similarity_table(
     if not targets:
         raise ComputationError("no target profiles given")
     source_hash = source.config_hash()
+    for side, profile in [("source", source), *zip(repeat("target"), targets)]:
+        if not profile.terms:
+            raise ComputationError(f"empty {side} vocabulary for domain {profile.domain_id!r}")
     for t in targets:
         if t.config_hash() != source_hash:
             raise ComputationError(

@@ -191,10 +191,8 @@ class HashedTable:
     def of_columns(
         cls, terms: list[str], weights: Sequence[float], config: EmbeddingConfig | None = None
     ) -> "HashedTable":
-        """Hash columns as they stand: ``terms`` strictly ascending, each of ``weights`` positive (a profile's)."""
+        """Hash columns as they stand: ``terms`` non-empty, strictly ascending, ``weights`` positive (a profile's)."""
         cfg = config or EmbeddingConfig()
-        if not terms:
-            raise ComputationError("no features: empty frequency table")
         slots, signs = _hashed_slots(terms, cfg)
         return cls(terms, np.array(weights, dtype=np.float64), slots, signs, cfg)
 
@@ -425,14 +423,17 @@ def _hash_from(value: Any, name: str) -> str:
     return value
 
 
-def _embedding_config_from(value: Any) -> EmbeddingConfig | None:
-    """A stored embedding config: None for an external embedding, else an object ``fields_from_dict`` accepts."""
-    if not value:
+def _embedding_config_from(value: Any, embedding_hash: str) -> EmbeddingConfig | None:
+    """A stored embedding config: null for external vectors, else an object that hashes to ``embedding_hash``."""
+    if value is None:
         return None
     try:
-        return fields_from_dict(EmbeddingConfig, value, "embedding")
+        cfg = fields_from_dict(EmbeddingConfig, value, "embedding")
     except ConfigError as exc:  # not an object, or an unknown, missing or invalid field
         raise ParseError(f"profile embedding_config is malformed: {exc}") from exc
+    if cfg.config_hash() != embedding_hash:
+        raise ParseError("profile embedding_config does not hash to its embedding_hash")
+    return cfg
 
 
 def profile_from_dict(data: dict[str, Any]) -> DomainProfile:
@@ -446,7 +447,7 @@ def profile_from_dict(data: dict[str, Any]) -> DomainProfile:
             embedding=_embedding_from(data["embedding"]),
             tokenizer_hash=_hash_from(data["tokenizer_hash"], "tokenizer_hash"),
             embedding_hash=_hash_from(data["embedding_hash"], "embedding_hash"),
-            embedding_config=_embedding_config_from(data.get("embedding_config")),
+            embedding_config=_embedding_config_from(data["embedding_config"], data["embedding_hash"]),  # a str here
         )
     except KeyError as exc:
         raise ParseError(f"profile payload missing key: {exc.args[0]!r}") from exc

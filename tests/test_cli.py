@@ -92,7 +92,7 @@ def test_full_pipeline_writes_consistent_artifacts(tmp_path):
                         ("similarity.json", "similarity"), ("transport.json", "transport"),
                         ("fit-alpha-sys-kl.json", "fit"), ("fit_summary.json", "fit"), ("report.json", "report")):
         assert read_json(out / name)["config_hash"] == PIPELINE_HASHES[stage], name
-    for name, stage in (("similarity.csv", "similarity"), ("curve-alpha-sys-kl.csv", "fit"), ("plot-kl.csv", "report")):
+    for name, stage in (("similarity.csv", "similarity"), ("curve-alpha-sys-kl.csv", "fit"), ("plot-kl.csv", "fit")):
         assert (out / name).read_text(encoding="utf-8").startswith(f"#config_hash={PIPELINE_HASHES[stage]},"), name
 
     # similarity.csv: the fixed columns, one row per record, floats that round-trip exactly
@@ -467,6 +467,23 @@ def test_ingest_isolates_a_bad_corpus(tmp_path):
     assert set(read_json(cache / "stage-ingest.json")["outputs"]) == {f"cache/profile-{d}.json" for d in DOMAINS}
 
 
+@pytest.mark.parametrize("broken, code, kind", [(False, 3, "computation error"), (True, 2, "data error")],
+                         ids=["degenerate-only", "degenerate-and-parse"])
+def test_ingest_exits_3_when_every_failure_is_a_computation_error(tmp_path, broken, code, kind):
+    # each document's vector is +1 and -1 in one slot of two: their mean cancels out
+    (tmp_path / "a.txt").write_text("w0\nw11\n", encoding="utf-8")
+    (tmp_path / "b.jsonl").write_text("{not json\n", encoding="utf-8")
+    corpora = [{"domain_id": "a", "path": "a.txt", "format": "text"}]
+    corpora += [{"domain_id": "b", "path": "b.jsonl", "format": "jsonl"}] if broken else []
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"embedding": {"dimension": 2, "seed": 42, "per_document": True},
+                                  "corpora": corpora}), encoding="utf-8")
+    exit_code, out, err = run_cli(["ingest", "--config", str(config)])
+    assert (exit_code, out) == (code, "")
+    assert err.startswith("failed: a: degenerate embedding: per-document vectors cancelled out\n")
+    assert err.endswith(f"{kind}: ingest failed for: " + ("a, b" if broken else "a") + "\n")
+
+
 @pytest.mark.parametrize("tokenizer", [{}, {"strip_punctuation": False}, {"split_mode": "whitespace"},
                                        {"split_mode": "whitespace", "strip_punctuation": False}],
                          ids=["default", "punctuation", "whitespace", "whitespace-punctuation"])
@@ -640,9 +657,14 @@ def break_records(similarity):
     return similarity
 
 
-def break_points(fit):
-    fit["points"][0] = ["x", fit["points"][0][1]]
+def break_model(fit):
+    fit["model"]["b"] = "x"
     return fit
+
+
+def stage_argv(stage, config, path):
+    """The command line that runs ``stage`` on the shared test tree; ``predict`` reads the fit file ``path``."""
+    return ["predict", "--model", str(path), "--x", "0.5"] if stage == "predict" else [stage, "--config", str(config)]
 
 
 def set_reports(reports):
@@ -666,8 +688,7 @@ def set_reports(reports):
      "similarity.json: record 0: 'kl_divergence' must be a number"),
     ("fit", "similarity.json", break_records, "similarity.json: 'records' must be a list of objects"),
     ("report", "similarity.json", break_records, "similarity.json: 'records' must be a list of objects"),
-    ("report", "fit-alpha-sys-kl.json", break_points,
-     "fit-alpha-sys-kl.json: 'points' must be a list of [x, y] number pairs"),
+    ("predict", "fit-alpha-sys-kl.json", break_model, "fit-alpha-sys-kl.json: model: 'b' must be a number"),
     ("report", "fit_summary.json", break_fit_list, "fit_summary.json: 'fits' must map systems to fit entries"),
     ("report", "fit_summary.json", break_fit_file, "fit_summary.json: 'fits' must map systems to fit entries"),
     ("report", "fit_summary.json", break_fit_field("a", "x"), "fit_summary.json: fit alpha-sys/kl: 'a' must be a number"),
@@ -681,7 +702,7 @@ def set_reports(reports):
     ("report", "transport.json", set_reports([]), "transport.json: 'reports' must be a non-empty list of objects"),
 ], ids=["fit-similarity-list", "report-similarity-list", "fit-record-string-x", "report-record-string-x",
         "fit-record-int-target", "report-record-int-target", "report-record-null-kl", "fit-records-object",
-        "report-records-object", "report-fit-points-string", "report-fits-list", "report-fit-file-number",
+        "report-records-object", "predict-fit-model-string", "report-fits-list", "report-fit-file-number",
         "report-a-string", "report-mae-null", "report-sse-bool", "report-n-float", "report-mean-mae-string",
         "report-reports-fields", "report-reports-string", "report-reports-empty"])
 def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, message):
@@ -691,7 +712,7 @@ def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, messa
     reports = {n: (out / n).read_bytes() for n in ("report.json", "report.txt", "fit_summary.json") if n != name}
     path = out / name
     path.write_text(json.dumps(edit(read_json(path))), encoding="utf-8")
-    code, _, err = run_cli([stage, "--config", str(config)])
+    code, _, err = run_cli(stage_argv(stage, config, path))
     assert code == 2
     assert "data error" in err
     assert f"corrupt artifact {message}" in err
@@ -708,16 +729,16 @@ def test_a_malformed_artifact_is_a_data_error(tmp_path, stage, name, edit, messa
     # another file's artifact, with a valid stamp: only its contents say whose data it holds
     ("similarity", "cache/profile-news.json", lambda path: path.with_name("profile-social.json").read_bytes(),
      "corrupt profile artifact for domain 'news': it holds domain 'social'"),
-    ("report", "fit-beta-sys-kl.json", lambda path: path.with_name("fit-alpha-sys-kl.json").read_bytes(),
-     "corrupt artifact fit-beta-sys-kl.json: it holds the fit of 'alpha-sys'/'kl', not 'beta-sys'/'kl'"),
-], ids=["artifact-not-json", "profile-not-an-object", "profile-of-another-domain", "fit-of-another-system"])
+    ("predict", "fit-beta-sys-kl.json", lambda path: b"{not json",
+     "corrupt artifact fit-beta-sys-kl.json: Expecting property name enclosed in double quotes"),
+], ids=["artifact-not-json", "profile-not-an-object", "profile-of-another-domain", "fit-not-json"])
 def test_an_artifact_that_cannot_be_read_is_a_data_error(tmp_path, stage, name, edit, message):
     config = write_pipeline_tree(tmp_path)
     run_full_pipeline(config)
     path = tmp_path / "out" / name
     path.write_bytes(edit(path))
     before = tree_digests(tmp_path / "out")
-    code, _, err = run_cli([stage, "--config", str(config)])
+    code, _, err = run_cli(stage_argv(stage, config, path))
     assert code == 2
     assert f"data error: {message}" in err
     assert tree_digests(tmp_path / "out") == before  # refused before the first write
@@ -766,11 +787,17 @@ def _old_layout(profile):
     (_set("embedding_config", {"bogus": 1}),
      "profile embedding_config is malformed: unknown embedding fields: ['bogus']"),
     (_set("embedding_config", {"dimension": 1}), "profile embedding_config is malformed: embedding dimension must be"),
+    *[(_set("embedding_config", value), "profile embedding_config is malformed: embedding must be an object")
+      for value in (0, "", [], False)],
+    (_set("embedding_config", {}), "profile embedding_config does not hash to its embedding_hash"),
+    (lambda p: p["embedding_config"].__setitem__("seed", 7),
+     "profile embedding_config does not hash to its embedding_hash"),
 ], ids=["terms-string", "terms-object", "terms-number-entry", "terms-unsorted", "terms-duplicate", "counts-string",
         "counts-longer", "counts-shorter", "string-count", "bool-count", "float-count", "integral-float-count",
         "zero-count", "negative-count", "beyond-int64-count", "term-freq-object", "string-component",
         "tokenizer-hash-number", "tokenizer-hash-list", "embedding-hash-number", "embedding-hash-list",
-        "config-unknown-field", "config-bad-value"])
+        "config-unknown-field", "config-bad-value", "config-zero", "config-empty-string", "config-list", "config-false",
+        "config-empty-object", "config-other-seed"])
 def test_similarity_refuses_a_malformed_cached_profile(tmp_path, edit, message):
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config)])[0] == 0
@@ -784,6 +811,21 @@ def test_similarity_refuses_a_malformed_cached_profile(tmp_path, edit, message):
     code, _, err = run_cli(["similarity", "--config", str(config)])
     assert code == 2
     assert err.startswith(f"data error: {message}")
+    assert not (tmp_path / "out" / "similarity.json").exists()
+
+
+@pytest.mark.parametrize("weighting", ["tf", "tfidf"])
+@pytest.mark.parametrize("domain, side", [("src", "source"), ("news", "target")])
+def test_similarity_refuses_a_cached_profile_with_an_empty_vocabulary(tmp_path, weighting, domain, side):
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, set_key("embedding", "weighting", value=weighting))
+    assert run_cli(["ingest", "--config", str(config)])[0] == 0
+    path = tmp_path / "out" / "cache" / f"profile-{domain}.json"
+    artifact = read_json(path)
+    artifact["profile"].update(terms=[], counts=[])
+    path.write_text(json.dumps(artifact), encoding="utf-8")
+    code, _, err = run_cli(["similarity", "--config", str(config)])
+    assert (code, err) == (3, f"computation error: empty {side} vocabulary for domain {domain!r}\n")
     assert not (tmp_path / "out" / "similarity.json").exists()
 
 
@@ -1291,6 +1333,34 @@ def test_a_stamp_naming_a_file_outside_the_output_directory_removes_nothing(tmp_
     assert set(read_json(stamp_path)["outputs"]) == set(stamp["outputs"]) - {"../x", str(outside)}
 
 
+def test_a_rerun_leaves_a_file_its_old_stamp_names_that_another_stage_writes(tmp_path):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    out = tmp_path / "out"
+    plot = (out / "plot-kl.csv").read_bytes()
+    # a report stamp as an older version wrote it: it lists the plot files, which fit now writes
+    stamp_path = out / "cache" / "stage-report.json"
+    stamp = read_json(stamp_path)
+    stamp["key"] = "0" * 16
+    stamp["outputs"]["plot-kl.csv"] = hashlib.sha256(plot).hexdigest()[:16]
+    stamp_path.write_text(json.dumps(stamp), encoding="utf-8")
+    assert run_cli(["report", "--config", str(config)]) == (0, "report written\n", "")
+    assert (out / "plot-kl.csv").read_bytes() == plot
+    assert "plot-kl.csv" not in read_json(stamp_path)["outputs"]
+    assert "plot-kl.csv" in read_json(out / "cache" / "stage-fit.json")["outputs"]
+
+
+def test_a_stage_that_writes_another_pattern_misses_its_stamp(tmp_path, monkeypatch):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    row = cli.STAGES["fit"]
+    monkeypatch.setitem(cli.STAGES, "fit", row._replace(writes=(*row.writes, "extra-*.csv")))
+    code, stdout, err = run_cli(["fit", "--config", str(config)])
+    assert code == 0, err
+    assert stdout != "fit: up to date\n"
+    assert run_cli(["fit", "--config", str(config)]) == (0, "fit: up to date\n", "")
+
+
 @pytest.mark.parametrize("stage", ["similarity", "transport", "fit", "report"])
 def test_a_hit_parses_no_input(tmp_path, monkeypatch, stage):
     config = write_pipeline_tree(tmp_path)
@@ -1338,7 +1408,7 @@ def test_the_overrides_an_artifact_records_travel_downstream(tmp_path):
     assert read_json(out / "report.json")["overrides"] == {**seed, "fit": {"predictors": ["kl"]}}
     assert "overrides" not in read_json(out / "transport.json")
     assert (out / "plot-kl.csv").read_text(encoding="utf-8").startswith(
-        f"#config_hash={read_json(out / 'report.json')['config_hash']},")
+        f"#config_hash={read_json(out / 'fit_summary.json')['config_hash']},")
 
     # the flag pins the seed, so a new seed in the config changes no output; a new dimension is refused
     similarity = (out / "similarity.json").read_bytes()
@@ -1450,13 +1520,14 @@ README_PIPELINE = (Path(__file__).resolve().parent.parent / "README.md").read_te
 
 
 def test_the_readme_stage_table_matches_the_stage_table():
-    rows = {stage: (blocks, reads) for stage, blocks, reads in
-            re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \|$", README_PIPELINE, re.MULTILINE)}
+    rows = {stage: cells for stage, *cells in
+            re.findall(r"^\| `(\w+)` \| (.*?) \| (.*?) \| (.*?) \|$", README_PIPELINE, re.MULTILINE)}
     assert list(rows) == list(cli.STAGES)
     for stage, row in cli.STAGES.items():
-        blocks, reads = rows[stage]
+        blocks, reads, writes = rows[stage]
         assert set(re.findall(r"`([\w-]+)`", blocks)) == set(row.blocks), stage
         assert re.findall(r"`([^`]+)`", reads) == list(row.reads), stage
+        assert re.findall(r"`([^`]+)`", writes) == list(row.writes), stage
 
 
 # ---------------------------------------------------------------- predict
@@ -1503,17 +1574,20 @@ def test_predict_rejects_bad_model_files(tmp_path):
 # ---------------------------------------------------------------- report
 
 
-@pytest.mark.parametrize("flags", [[], ["--allow-partial"]], ids=["strict", "partial"])
-def test_report_refuses_a_missing_fit_file_that_the_summary_names(tmp_path, flags):
+def test_report_reads_no_fit_file(tmp_path):
     config = write_pipeline_tree(tmp_path)
     run_full_pipeline(config)
     out = tmp_path / "out"
-    report = (out / "report.json").read_bytes()
-    (out / "fit-beta-sys-kl.json").unlink()
-    code, stdout, err = run_cli(["report", "--config", str(config), *flags])
-    assert (code, stdout) == (1, "")
-    assert err == "config error: missing stage outputs: fit-beta-sys-kl.json (run the fit stage first)\n"
-    assert (out / "report.json").read_bytes() == report
+    names = ["report.json", "report.txt", *sorted(p.name for p in out.glob("plot-*.csv"))]
+    assert len(names) == 5
+    before = {name: (out / name).read_bytes() for name in names}
+    for path in out.glob("fit-*.json"):
+        path.unlink()
+    assert run_cli(["report", "--config", str(config)]) == (0, "report: up to date\n", "")
+    assert run_cli(["report", "--config", str(config), "--allow-partial"]) == (0, "report written\n", "")
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert [(stage, field) for stage, row in cli.STAGES.items() for field in ("reads", "writes")
+            if "fit-*.json" in getattr(row, field)] == [("fit", "writes")]
 
 
 def test_report_requires_stages_unless_partial(tmp_path):
@@ -1712,6 +1786,35 @@ README_CONFIGURATION = (Path(__file__).resolve().parent.parent / "README.md").re
     "### Configuration", 1)[1].split("\n### ", 1)[0]
 
 
+@pytest.mark.parametrize("value", [None, False, ["news"], {"name": "news"}], ids=["null", "bool", "list", "object"])
+@pytest.mark.parametrize("keys, field", [
+    (("corpora", 1, "domain_id"), "corpora[1]: domain_id"),
+    (("corpora", 1, "path"), "corpora[1]: path"),
+    (("corpora", 1, "format"), "corpora[1]: format"),
+    (("corpora", 1, "text_unit"), "corpora[1]: text_unit"),
+    (("scores", "metric"), "scores.metric"),
+    (("transport", "source", 0), "transport.source[0]"),
+    (("transport", "targets", 1, "dataset"), "transport.targets[1].dataset"),
+    (("transport", "targets", 1, "split"), "transport.targets[1].split"),
+], ids=["domain-id", "path", "format", "text-unit", "metric", "source", "target-dataset", "target-split"])
+def test_config_refuses_a_name_that_is_not_a_string_or_a_number(tmp_path, keys, field, value):
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, set_key(*keys, value=value))
+    message = f"config error: {field} must be a string or a number\n"
+    assert run_cli(["ingest", "--config", str(config)]) == (1, "", message)
+
+
+@pytest.mark.parametrize("value", [False, ["news"], {"name": "news"}], ids=["bool", "list", "object"])
+@pytest.mark.parametrize("key", ["dataset", "split"])
+def test_config_refuses_a_corpus_join_key_that_is_not_a_string_a_number_or_null(tmp_path, key, value):
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, set_key("corpora", 1, key, value=value))
+    message = f"config error: corpora[1]: {key} must be a string or a number\n"
+    assert run_cli(["ingest", "--config", str(config)]) == (1, "", message)
+    edit_config(config, set_key("corpora", 1, key, value=None))  # null: no join key, as when the key is absent
+    assert getattr(cli.load_config(config).corpora[1], key) is None
+
+
 def test_the_readme_example_config_loads(tmp_path):
     raw = json.loads(README_CONFIGURATION.split("```json\n", 1)[1].split("```", 1)[0])
     path = tmp_path / "config.json"
@@ -1860,6 +1963,7 @@ NEWLY_REJECTED = re.compile(
     r"|duplicate (predictor|system|transport target|similarity target) "
     r"|out_dir must be a path$|(scores\.path|external_embeddings) must be a path or null$"
     r"|transport\.task must be a string$|transport\.bias_corrected must be true or false$"
+    r"|(corpora\[\d+\]: )?[\w.\[\]]+ must be a string or a number$"
 )
 
 def _mostly(valid, malformed=()):

@@ -17,10 +17,12 @@ profile keys outside ASCII.
 from __future__ import annotations
 
 import json
+from fnmatch import fnmatchcase
 
 import pytest
 from conftest import run_full_pipeline, tree_digests, write_mixed_text_tree, write_pipeline_tree
 
+from domainport.cli import STAGES
 from domainport.hashing import canonical_json, dump_json
 
 GOLDEN = {
@@ -28,11 +30,11 @@ GOLDEN = {
     "cache/profile-science.json": "87e7fa3b0b4bc91d8e3ea5b343cfcaac54b880a39a6d393b42f1a95601e7cbcd",
     "cache/profile-social.json": "e8664bb59d7bd4dea0142dd2768a044709071584e6b63d656ec022e9854c7077",
     "cache/profile-src.json": "8d798b4e6d8ae1d10a4ec18a04d3331dcd26159837515089bdf871cfaad02527",
-    "cache/stage-fit.json": "0b5724c2945966c1cf32d14937ceb41a9e1218d47daec83013b2ec1dcb13a9b7",
-    "cache/stage-ingest.json": "0743c62b018d0fba9f7dd4d2a46aa0b97c6dad85ebf51f65965c8f082e6eeeb7",
-    "cache/stage-report.json": "446520fb8234c1d5e1257642162aadb56a63dec22ac790aa2ccd2fdb62c1d6cc",
-    "cache/stage-similarity.json": "2aaf3e84dc29e78a7d6d0614a62c668e492572982aa372f704337c121cb36fd3",
-    "cache/stage-transport.json": "5ff39cc24f30bda030b8239094b8faddc000818c31893712891ccdf664213917",
+    "cache/stage-fit.json": "e2f42a363a1943c7758d12e2cf6346d578377af6d5434b3d483c5be9c5c8c503",
+    "cache/stage-ingest.json": "f24d6d42418a99b6e8f18b31d0aedeb133d6f1c5935be20f7cbe8d0defbe06e2",
+    "cache/stage-report.json": "1aab3f97f937f6998872637ed2e1363b81b83aa50bf3ad685eeccc61a9105036",
+    "cache/stage-similarity.json": "abebf44926ecaca872af270f3d5a07b310463aedd193e07701cc830212a54b43",
+    "cache/stage-transport.json": "25b62478bdfb5b67881d8da822e0584f1b81a167961829a19014cc0201f2c81a",
     "curve-alpha-sys-cosine.csv": "53055f6f7073d23f4ad26c4319e7539fcfd0107ed1166d7784fd5cb6656e6722",
     "curve-alpha-sys-kl.csv": "3ebdb43c2653faa276be015693f4ed9b985c6c7d74a3672fd8f3b9e601e47e56",
     "curve-alpha-sys-lexical.csv": "2e0396ffa3ed4e9000d9c9f6af7d7c9601cb963e8dfcc34e2f02c7b25aa11fde",
@@ -46,9 +48,9 @@ GOLDEN = {
     "fit-beta-sys-kl.json": "a13970784676135ec8dd4594daee064664c68c68b71612cc0d0bf305ba4ea966",
     "fit-beta-sys-lexical.json": "7e6c0d68a22818af9950b86ec998a5ecf72e916dedb9517d5d4e40c72dc37383",
     "fit_summary.json": "a219e582b6c9006bb993edbc770b65058e5001b25171994e320eabf4335b3043",
-    "plot-cosine.csv": "1d5ebc90d45e2c0e5baf2e0560ce0b893a5ec4a513a524f7694c559ab79427f5",
-    "plot-kl.csv": "e4fbb55f0ad334b9dedb0363477a85b8d50d7e945c531a9150bfabce77348296",
-    "plot-lexical.csv": "b9982f96f9135b9bf7908a0bf4ac34907b761d9f55cdd7a815b002e963a568b6",
+    "plot-cosine.csv": "af6812ad9bb249ac697ee4f66fdaa98038a004612efdbdc87856450882566733",
+    "plot-kl.csv": "5d93938be9674512a3dd9a69d28d03a5ca6dc8913ca511ed7c80205b057e83de",
+    "plot-lexical.csv": "4dc2c5cc16f4755543dcc73bf951277d0bab4c5614969438989fdfb7118d081f",
     "report.json": "6da4594bbbcc3087e721eafffb23348efe79cbeb717e3b8b1e5a6bcb8ae1c4f3",
     "report.txt": "b91c1598c1c21c42abe2d7cffbaff1b1102a23d735f7b1b61740c03121a44d20",
     "similarity.csv": "57ec39978a3e152f407ff6c43644d727e5ec0219dee7df00f18ea0420ae9b945",
@@ -62,11 +64,11 @@ GOLDEN_MIXED = {
     "cache/profile-science.json": "65499fdc8431944cfe7715cd3cb2087c654f50f0dbeec3e2cef66b88d13da23f",
     "cache/profile-social.json": "9b964959f05a7aa268720d764a8f464c597a89e4da49a77be547319eaf7d93db",
     "cache/profile-src.json": "dd4459fc9c84a2a97bdd13b67a6dafcdc89d93b697aacdd0b48e264a78c67993",
-    "cache/stage-fit.json": "929512228509a2d1d57238bcc76b2796e7d6f2b351977bf2502e59efc86e2e2b",
-    "cache/stage-ingest.json": "7aaf4a8015389b623e04d2e778e95853d4abe6f0d1f806eacf6e971ccbc8115e",
-    "cache/stage-report.json": "c0e762f4a688ace5255c3b08399e0babd23c0fbb7e83af0f0d4f41fc1f920f42",
-    "cache/stage-similarity.json": "dadaa9336e630946812cdd3947445351ca4ac559dc273a1163d9302c46b9d67b",
-    "cache/stage-transport.json": "5ff39cc24f30bda030b8239094b8faddc000818c31893712891ccdf664213917",
+    "cache/stage-fit.json": "a2e303dff6c4f588e708a17d9d9521735bf89de60ff0de07542eb9f85e3b5389",
+    "cache/stage-ingest.json": "1d9443551411730a9b28c105d6b5311fd5e6c791f213455507e9ba0313e096ff",
+    "cache/stage-report.json": "7d48d76d79c8c84b8ee885f46eea8839aa5996e5f47ed54d304676d52e1855eb",
+    "cache/stage-similarity.json": "d49aa8d504dab09939408de63a0dfd052c2b513c48d80163fb3392e481e094de",
+    "cache/stage-transport.json": "25b62478bdfb5b67881d8da822e0584f1b81a167961829a19014cc0201f2c81a",
     "curve-alpha-sys-cosine.csv": "96110fb6b214c4731079cc596f0e8f146cbe5625027158516d55e3815a2c2138",
     "curve-alpha-sys-kl.csv": "9c5414797e60984ad43c284bc8d03b26564747c383b735716b1d0ba43d8472a6",
     "curve-alpha-sys-lexical.csv": "19ee2088fd9090f8b23acdafaccf7f9b24c3290b3f65715844b2cd3d7558a4c2",
@@ -80,9 +82,9 @@ GOLDEN_MIXED = {
     "fit-beta-sys-kl.json": "98bb34454d566c18b556d4bba0ddf04ac618f0b2051698834ac8a91c228329be",
     "fit-beta-sys-lexical.json": "3c539a75ca0e0a52af27e57c25cb585c326b4c13831fa4cc9861c782eff606a2",
     "fit_summary.json": "74f55c8efb01c768cdf71e7337bfff0ed3682f35cbd3e6baa08aa8a9f3aec36a",
-    "plot-cosine.csv": "407f09494c86427e781de55153a07ef646c6a606f03494522cff00fe9e7f4f37",
-    "plot-kl.csv": "97b58d7148c985267609ff459b94dec731e901d481bec530182eda22ec54fa84",
-    "plot-lexical.csv": "04b9f4fac6f7df10f5469b74cf42e4b65040cee3cc31f80b54467f7aef92ad57",
+    "plot-cosine.csv": "c41472f7cad7872c4874559d6360f78d96e4c33c4f17eb9a6510c5eb9490adde",
+    "plot-kl.csv": "93f9e7ca3cd57ebb92d2e8dd2c2c46cb1bf29759d97b571e6978dedd33d7a554",
+    "plot-lexical.csv": "885eaaebfda2e1795020b19b11e6f031ba023020e1fb1cd0858b0aa732eb73f1",
     "report.json": "31c1a2a881fe5c23a98317d6f11afe691dc4bc879a1b2034b319b10ccb3ccd57",
     "report.txt": "b27727c4cba478bde593ada075530fa1195172d1a8ea12560a10e61e06f45e25",
     "similarity.csv": "0ee45dd7e475bd1b3d58d55a868bc340e0583bec738b4c09b03fd3a33b5aa8ee",
@@ -113,3 +115,10 @@ def test_cache_files_are_canonical_json_and_other_json_artifacts_are_indented(tm
         encoded[name] = text.encode("utf-8") == data
     assert sorted(encoded) == sorted(name for name in golden if name.endswith(".json"))
     assert [name for name, same in encoded.items() if not same] == []
+
+
+@pytest.mark.parametrize("golden", [GOLDEN, GOLDEN_MIXED], ids=["lowercase-ascii", "mixed-text"])
+def test_every_output_file_matches_exactly_one_stage_writes(golden):
+    owners = {name: [stage for stage, row in STAGES.items() if any(fnmatchcase(name, p) for p in row.writes)]
+              for name in golden}
+    assert {name: stages for name, stages in owners.items() if len(stages) != 1} == {}
