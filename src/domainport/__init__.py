@@ -35,7 +35,6 @@ from .features import (
 from .regression import (
     FitModel,
     curve_points,
-    derivative,
     fit,
     mean_absolute_error,
     predict,
@@ -52,7 +51,9 @@ from .transport import (
     tau_var_general,
 )
 
-__version__ = "0.1.0"
+# any change to a stored layout, hash or key bumps the version: the stage stamps and
+# artifacts of another version miss and are refused (see domainport.cli)
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",
@@ -81,7 +82,6 @@ __all__ = [
     "load_external_embeddings",
     "FitModel",
     "curve_points",
-    "derivative",
     "fit",
     "mean_absolute_error",
     "predict",

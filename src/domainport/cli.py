@@ -7,8 +7,10 @@ reads. All outputs are deterministic: no timestamps, stable key order,
 and every artifact embeds the tool version and its stage's hash, which
 covers the stage's config blocks and the hashes of the stages it reads
 from. An artifact written under flag overrides records them. A stage
-refuses an input artifact whose hash is not the one that the current
-config, with those overrides, gives.
+refuses an input artifact of another tool version, or whose hash is not
+the one that the current config, with those overrides, gives. So any
+change to a stored layout, hash or key bumps ``__version__``: the files
+of another version then miss and are refused, and no code migrates them.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
     read_text,
 )
 from .features import (
-    PROFILE_LAYOUT,
     DomainProfile,
     EmbeddingConfig,
     build_profile,
@@ -163,9 +164,9 @@ class TransportSpec:
         systems = _strings(self.systems, "transport.systems must be a list of strings")
         _require_unique(systems or (), "system")
         groups = {name: list(keys) for name, keys in self.groups.items()}  # set when replace() copies a spec
-        for key, t in zip(targets, self.targets):
+        for j, (key, t) in enumerate(zip(targets, self.targets)):
             if isinstance(t, dict) and t.get("group") is not None:
-                groups.setdefault(str(t["group"]), []).append(key)
+                groups.setdefault(_name(t["group"], f"transport.targets[{j}].group"), []).append(key)
         _normalize(self, source=_key_pair(self.source, "transport.source"), targets=tuple(targets), systems=systems,
                    groups={name: tuple(keys) for name, keys in groups.items()})
 
@@ -418,12 +419,9 @@ class _Hashes(dict):
         return self[stage]
 
     def corpus(self, spec: CorpusSpec) -> str:
-        """The hash a profile of ``spec`` carries: the ingest hash, the profile layout and the corpus's parse settings.
-
-        The layout is in it, so a profile written in another layout misses in ``ingest`` and is stale to ``similarity``.
-        """
+        """The hash a profile of ``spec`` carries: the ingest hash and the corpus's parse settings."""
         parse = {"format": spec.format, "fields": spec.fields, "text_unit": spec.text_unit}
-        return stable_hash({"ingest": self["ingest"], "layout": PROFILE_LAYOUT, **parse})
+        return stable_hash({"ingest": self["ingest"], **parse})
 
     def under(self, overrides: Overrides) -> _Hashes:
         """The hashes of ``cfg`` with flag ``overrides`` applied."""
@@ -445,10 +443,11 @@ class _Run:
     built from (see :meth:`reuse`). Only :meth:`finish` replaces the stamp,
     after removing the outputs it named that the rerun did not keep and
     that the stage writes: a failed rerun leaves it in place.
-    An input artifact is stale unless its ``config_hash`` is the one the
-    current config, with the flag overrides the artifact records, gives the
-    stage that wrote it. The outputs record those overrides and the run's
-    flags, and carry the hash under them.
+    An input artifact is stale unless its ``tool_version`` is this one and
+    its ``config_hash`` is the one the current config, with the flag
+    overrides the artifact records, gives the stage that wrote it. The
+    outputs record those overrides and the run's flags, and carry the hash
+    under them.
     """
 
     def __init__(self, stage: str, cfg: RunConfig, flags: Overrides, allow_partial: bool) -> None:
@@ -504,7 +503,9 @@ class _Run:
         writer, spec = self._writer(name), self._specs.get(name)
         config_hash = payload.pop("config_hash", None)
         overrides = payload.pop("overrides", None) or {}
-        payload.pop("tool_version", None)
+        version = payload.pop("tool_version", None)
+        if version != __version__:
+            raise ConfigError(f"stale: rerun {writer} ({name} is from tool version {version!r})")
         stale = ConfigError(f"stale: rerun {writer} ({name} has other settings)")
         try:
             hashes = self.hashes.under(overrides)
@@ -637,14 +638,6 @@ def _profile_name(domain_id: str) -> str:
     return f"cache/profile-{_slug(domain_id)}.json"
 
 
-def _remove_legacy_cache(out: Path) -> None:
-    """Delete the ``cache/corpus-*.json`` and ``cache/manifest.json`` files of earlier versions; nothing reads them."""
-    cache = out / "cache"
-    for path in chain(cache.glob("corpus-*.json"), cache.glob("manifest.json")):
-        if path.is_file():
-            path.unlink()
-
-
 # ---------------------------------------------------------------- stages
 
 
@@ -689,7 +682,6 @@ def cmd_ingest(cfg: RunConfig, flags: Overrides) -> None:
             failures.append((spec.domain_id, exc))
             print(f"failed: {spec.domain_id}: {exc}", file=sys.stderr)
 
-    _remove_legacy_cache(run.out)
     run.finish()  # also after a failure: the profiles of failed and removed corpora go
     if failures:
         error = next((kind for kind in (ConfigError, ComputationError)

@@ -39,10 +39,6 @@ WEIGHTINGS = ("tf", "tfidf")
 DEFAULT_DIMENSION = 300
 DEFAULT_SEED = 42
 
-# the layout of a stored profile; the hash that keys profiles covers it, so a
-# profile written in another layout is stale and never read
-PROFILE_LAYOUT = "terms/counts"
-
 _INT64_MAX = 2**63 - 1
 
 

@@ -260,13 +260,6 @@ def mean_absolute_error(model: FitModel, points: Sequence[tuple[float, float]]) 
     return total / len(points)
 
 
-def derivative(model: FitModel, x: float) -> float:
-    """Slope of the unclamped fitted curve at x: -a * b * exp(-b * x)."""
-    if not math.isfinite(x):
-        raise ComputationError("similarity value must be finite")
-    return -model.a * model.b * math.exp(-model.b * x)
-
-
 def curve_points(model: FitModel, x_max: float, n: int = 101, x_min: float = 0.0) -> list[tuple[float, float]]:
     """Evenly spaced (x, predicted score) samples for plotting."""
     if n < 2:

@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 from conftest import run_cli, run_full_pipeline, tree_digests, write_pipeline_tree
 import domainport
-from domainport import cli, corpus, divergence, features, hashing
+from domainport import cli, hashing
 from domainport.corpus import TokenizerConfig, parse_plaintext, to_interchange
 from domainport.divergence import CSV_COLUMNS, KLSettings
 from domainport.errors import ConfigError, ParseError, read_text
 from domainport.features import EmbeddingConfig, profile_from_dict
-from domainport.hashing import canonical_json, dump_json, fields_from_dict, fnv1a_64, stable_hash
+from domainport.hashing import dump_json, fields_from_dict, stable_hash
 from domainport.regression import FitModel, fit, predict
 from test_output_tree import GOLDEN
 
@@ -63,7 +63,7 @@ DOMAINS = ("src", "news", "social", "science")  # the shared test tree's corpora
 
 # the stage hashes of the shared test tree's config, and the ingest hash of its corpus "src"
 PIPELINE_HASHES = {"similarity": "0692346d58a5c161", "transport": "ee30809157a1fc30",
-                   "fit": "bf44f573749d7a3d", "report": "aac0ce2c4466bdc5", "src": "fb245371a2288774"}
+                   "fit": "bf44f573749d7a3d", "report": "aac0ce2c4466bdc5", "src": "d6d4a1c327659481"}
 
 
 def test_full_pipeline_writes_consistent_artifacts(tmp_path):
@@ -141,170 +141,25 @@ def test_ingest_caches_profiles_only(tmp_path):
     assert set(read_json(cache / "stage-ingest.json")["outputs"]) == {f"cache/profile-{d}.json" for d in DOMAINS}
 
 
-def test_ingest_hits_a_cache_that_also_holds_corpus_files(tmp_path):
-    # the cache/corpus-*.json and cache/manifest.json files that earlier versions wrote are removed, and only they
+def test_a_tree_from_another_version_is_stale_then_reruns_each_stage_once(tmp_path, monkeypatch):
+    # any change to a stored layout, hash or key bumps the version, so another version's files miss and are refused
     config = write_pipeline_tree(tmp_path)
-    run_full_pipeline(config)
-    out_dir = tmp_path / "out"
-    cache = out_dir / "cache"
-    before = {p.name: p.read_bytes() for p in cache.iterdir()}
-    for domain in DOMAINS:
-        (cache / f"corpus-{domain}.json").write_text("{}\n", encoding="utf-8")
-    (cache / "manifest.json").write_text('{"domains": {"src": {"input_hash": "0"}}}\n', encoding="utf-8")
-    kept = {out_dir / "corpus-src.json", out_dir / "manifest.json", cache / "corpus-src.txt",
-            cache / "manifest.json.bak"}
-    for path in kept:
-        path.write_text("{}\n", encoding="utf-8")
-    code, out, _ = run_cli(["ingest", "--config", str(config)])
-    assert code == 0
-    assert out.count("cache hit:") == 4 and "ingested:" not in out
-    assert {p.name: p.read_bytes() for p in cache.iterdir() if p not in kept} == before
-    assert all(path.is_file() for path in kept)
-    for path in kept:
-        path.unlink()
-    assert tree_digests(out_dir) == GOLDEN
-
-
-def test_a_tree_keyed_with_blake2b_digests_reruns_each_stage_once(tmp_path, monkeypatch):
-    # earlier versions keyed contents with 64-bit BLAKE2b: their stamps and source keys miss, never hit
-    config = write_pipeline_tree(tmp_path)
-    monkeypatch.setattr(cli, "content_digest", lambda data: hashlib.blake2b(data, digest_size=8).hexdigest())
+    out = tmp_path / "out"
+    old = domainport.__version__ + "-old"
+    monkeypatch.setattr(cli, "__version__", old)
     run_full_pipeline(config)
     monkeypatch.undo()
+    before = tree_digests(out)
+    for stage, writer, name in (("similarity", "ingest", "cache/profile-src.json"),
+                                ("fit", "similarity", "similarity.json")):
+        code, stdout, err = run_cli([stage, "--config", str(config)])
+        assert (code, stdout) == (1, "")
+        assert err == f"config error: stale: rerun {writer} ({name} is from tool version {old!r})\n"
+    assert tree_digests(out) == before
     rerun = run_full_pipeline(config)
     assert [line.split(" (")[0] for line in rerun["ingest"].splitlines()] == [f"ingested: {d}" for d in DOMAINS]
     assert not [stage for stage, stdout in rerun.items() if "up to date" in stdout]
-    assert tree_digests(tmp_path / "out") == GOLDEN
-    warm = run_full_pipeline(config)
-    assert warm.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
-    assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
-
-
-# the profiles the term_freq layout wrote for write_pipeline_tree's corpora
-TERM_FREQ_PROFILES = {
-    "cache/profile-news.json": "1e4e79468bcc3b734c1cfbb954182116ae1cf811bbd6b7816903f1055ed966c7",
-    "cache/profile-science.json": "4d7002d18474cffbb85f08ff631c8cee0ca70bcf8c5e1c69d06023b95706dac4",
-    "cache/profile-social.json": "9756ec8a14a26068137b8e66b0c3b86d4400c54cb23abecb1f3d58e3b4800456",
-    "cache/profile-src.json": "dc16af47e9d3aec0b105af3081985ef91c4f7cd5d819ffed827595dce9fbd48e",
-}
-
-
-def with_embedding_source(profile):
-    """A built-in profile's payload as earlier versions wrote it: with an ``embedding_source`` object."""
-    cfg = profile.embedding_config
-    source = {"kind": "builtin", "seed": cfg.seed, "dimension": cfg.dimension, "path": None}
-    return {**features.profile_to_dict(profile), "embedding_source": source}
-
-
-def use_term_freq_layout(monkeypatch):
-    """Write and read profiles as earlier versions did: a term_freq object, keyed by a hash without the layout."""
-
-    def term_freq_profile(profile):
-        payload = with_embedding_source(profile)
-        payload["term_freq"] = dict(zip(payload.pop("terms"), payload.pop("counts")))
-        return payload
-
-    def from_term_freq(payload):
-        term_freq = payload.pop("term_freq")
-        return features.profile_from_dict({**payload, "terms": list(term_freq), "counts": list(term_freq.values())})
-
-    def corpus_hash(hashes, spec):
-        return stable_hash({"ingest": hashes["ingest"], "format": spec.format, "fields": spec.fields,
-                            "text_unit": spec.text_unit})
-
-    monkeypatch.setattr(cli, "profile_to_dict", term_freq_profile)
-    monkeypatch.setattr(cli, "profile_from_dict", from_term_freq)
-    monkeypatch.setattr(cli._Hashes, "corpus", corpus_hash)
-
-
-def test_a_tree_with_term_freq_profiles_reingests_each_corpus_once(tmp_path, monkeypatch):
-    # earlier versions stored a profile's table as a term_freq object: such a profile misses once and is rebuilt
-    config = write_pipeline_tree(tmp_path)
-    use_term_freq_layout(monkeypatch)
-    run_full_pipeline(config)
-    monkeypatch.undo()
-    old = tree_digests(tmp_path / "out")
-    assert {name: old[name] for name in TERM_FREQ_PROFILES} == TERM_FREQ_PROFILES
-    rerun = run_full_pipeline(config)
-    assert [line.split(" (")[0] for line in rerun["ingest"].splitlines()] == [f"ingested: {d}" for d in DOMAINS]
-    assert tree_digests(tmp_path / "out") == GOLDEN
-    warm = run_full_pipeline(config)
-    assert warm.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
-    assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
-
-
-def test_similarity_refuses_a_term_freq_profile_as_stale(tmp_path, monkeypatch):
-    config = write_pipeline_tree(tmp_path)
-    use_term_freq_layout(monkeypatch)
-    assert run_cli(["ingest", "--config", str(config)])[0] == 0
-    monkeypatch.undo()
-    assert "term_freq" in read_json(tmp_path / "out" / "cache" / "profile-src.json")["profile"]
-    code, out, err = run_cli(["similarity", "--config", str(config)])
-    assert (code, out) == (1, "")
-    assert err == "config error: stale: rerun ingest (cache/profile-src.json has other settings)\n"
-    assert not (tmp_path / "out" / "similarity.json").exists()
-
-
-def test_a_tree_with_embedding_source_profiles_keeps_them(tmp_path):
-    # earlier versions stored an embedding_source object in each profile: nothing reads it, so the profiles stay
-    config = write_pipeline_tree(tmp_path)
-    out = tmp_path / "out"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "profile_to_dict", with_embedding_source)
-        assert run_cli(["ingest", "--config", str(config)])[0] == 0
-    profiles = {p.name: p.read_bytes() for p in sorted((out / "cache").glob("profile-*.json"))}
-    assert len(profiles) == len(DOMAINS)
-    assert all("embedding_source" in json.loads(data)["profile"] for data in profiles.values())
-    rerun = run_full_pipeline(config)  # similarity reads the old profiles and exits 0
-    assert rerun["ingest"] == "".join(f"cache hit: {d}\n" for d in DOMAINS)
-    assert {p.name: p.read_bytes() for p in sorted((out / "cache").glob("profile-*.json"))} == profiles
-    assert {n: d for n, d in tree_digests(out).items() if not n.startswith("cache/")} == {
-        n: d for n, d in GOLDEN.items() if not n.startswith("cache/")}
-
-
-def test_a_tree_with_indented_cache_files_keeps_them_until_a_corpus_changes(tmp_path, monkeypatch):
-    # earlier versions wrote cache/ files in the indented artifact layout: same JSON, so they stay current
-    config = write_pipeline_tree(tmp_path)
-    out = tmp_path / "out"
-    monkeypatch.setattr(cli, "_cache_text", dump_json)
-    run_full_pipeline(config)
-    monkeypatch.undo()
-    cache = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted((out / "cache").iterdir())}
-    assert all(data == dump_json(json.loads(data)).encode("utf-8") for data in cache.values())
-    rerun = run_full_pipeline(config)
-    assert rerun.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
-    assert rerun == {stage: f"{stage}: up to date\n" for stage in STAMPED}
-    got = tree_digests(out)
-    assert {name: (out / name).read_bytes() for name in got if name.startswith("cache/")} == cache
-    assert {n: d for n, d in got.items() if not n.startswith("cache/")} == {
-        n: d for n, d in GOLDEN.items() if not n.startswith("cache/")}
-    (tmp_path / "corpora" / "news.txt").write_text("fresh words entirely\n", encoding="utf-8")
-    code, stdout, _ = run_cli(["ingest", "--config", str(config)])
-    assert code == 0
-    assert stdout.count("cache hit:") == 3 and "ingested: news" in stdout
-    profiles = {name: (out / name).read_bytes() for name in cache if name.startswith("cache/profile-")}
-    news = profiles.pop("cache/profile-news.json")
-    assert news == (canonical_json(json.loads(news)) + "\n").encode("utf-8")
-    assert profiles == {name: data for name, data in cache.items() if name in profiles}
-
-
-def fnv_stable_hash(obj, default=None):
-    """``stable_hash`` as earlier versions computed it: 64-bit FNV-1a of the canonical JSON."""
-    return f"{fnv1a_64(canonical_json(obj, default).encode('utf-8')):016x}"
-
-
-def test_a_tree_with_fnv_config_hashes_reruns_each_stage_once(tmp_path, monkeypatch):
-    # earlier versions hashed configs, stages and stamp keys with FNV-1a: their trees miss once, never hit
-    config = write_pipeline_tree(tmp_path)
-    for module in (cli, corpus, divergence, features, hashing):
-        monkeypatch.setattr(module, "stable_hash", fnv_stable_hash)
-    run_full_pipeline(config)
-    assert read_json(tmp_path / "out" / "report.json")["config_hash"] != PIPELINE_HASHES["report"]
-    monkeypatch.undo()
-    rerun = run_full_pipeline(config)
-    assert [line.split(" (")[0] for line in rerun["ingest"].splitlines()] == [f"ingested: {d}" for d in DOMAINS]
-    assert not [stage for stage, stdout in rerun.items() if "up to date" in stdout]
-    assert tree_digests(tmp_path / "out") == GOLDEN
+    assert tree_digests(out) == GOLDEN
     warm = run_full_pipeline(config)
     assert warm.pop("ingest") == "".join(f"cache hit: {d}\n" for d in DOMAINS)
     assert warm == {stage: f"{stage}: up to date\n" for stage in STAMPED}
@@ -1449,6 +1304,24 @@ def test_overrides_that_do_not_apply_are_stale(tmp_path, overrides):
     assert err == "config error: stale: rerun similarity (similarity.json has other settings)\n"
 
 
+@pytest.mark.parametrize("reader, name, writer", [
+    ("similarity", "cache/profile-news.json", "ingest"), ("fit", "similarity.json", "similarity"),
+    ("report", "transport.json", "transport"), ("report", "fit_summary.json", "fit")])
+@pytest.mark.parametrize("version", [domainport.__version__ + ".1", None], ids=["other", "absent"])
+def test_a_stage_refuses_an_input_of_another_tool_version(tmp_path, reader, name, writer, version):
+    config = write_pipeline_tree(tmp_path)
+    run_full_pipeline(config)
+    path = tmp_path / "out" / name
+    payload = read_json(path)
+    del payload["tool_version"]
+    if version is not None:
+        payload["tool_version"] = version
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, stdout, err = run_cli([reader, "--config", str(config)])
+    assert (code, stdout) == (1, "")
+    assert err == f"config error: stale: rerun {writer} ({name} is from tool version {version!r})\n"
+
+
 def test_similarity_refuses_profiles_from_two_ingest_runs_with_other_flags(tmp_path):
     config = write_pipeline_tree(tmp_path)
     assert run_cli(["ingest", "--config", str(config), "--seed", "7"])[0] == 0
@@ -1801,6 +1674,14 @@ def test_config_refuses_a_name_that_is_not_a_string_or_a_number(tmp_path, keys, 
     config = write_pipeline_tree(tmp_path)
     edit_config(config, set_key(*keys, value=value))
     message = f"config error: {field} must be a string or a number\n"
+    assert run_cli(["ingest", "--config", str(config)]) == (1, "", message)
+
+
+@pytest.mark.parametrize("value", [True, ["near"], {"name": "near"}], ids=["bool", "list", "object"])
+def test_config_refuses_a_group_label_that_is_not_a_string_or_a_number(tmp_path, value):
+    config = write_pipeline_tree(tmp_path)
+    edit_config(config, set_key("transport", "targets", 0, "group", value=value))
+    message = "config error: transport.targets[0].group must be a string or a number\n"
     assert run_cli(["ingest", "--config", str(config)]) == (1, "", message)
 
 

@@ -233,10 +233,10 @@ def test_stage_hashes_are_pinned(tmp_path):
     stages, corpora = stage_hashes(tmp_path, FULL_CONFIG)
     assert stages == {"ingest": "1a276c8473900e7a", "similarity": "020996749570cbbd", "transport": "2a217dc73b078743",
                       "fit": "03cb491ac324120c", "report": "76b12e6145690c4e"}
-    assert corpora == {"src": "fffafc4bf17b1b38", "pairs": "95d77a150c3933a9", "paras": "09f414ff8cbdf9c1"}
-    # a corpus hash by hand: the ingest hash, the profile layout and the corpus's parse settings
+    assert corpora == {"src": "e947b10f54b81fc1", "pairs": "1d75be6bbfcfba99", "paras": "6628b7e7fd251296"}
+    # a corpus hash by hand: the ingest hash and the corpus's parse settings
     assert sha256_16('{"fields":["premise","hypothesis"],"format":"jsonl","ingest":"1a276c8473900e7a",'
-                     '"layout":"terms/counts","text_unit":"line"}') == corpora["pairs"]
+                     '"text_unit":"line"}') == corpora["pairs"]
     # the transport hash by hand: the digest of its blocks' digests, each of a record encoded as its fields
     scores = sha256_16('{"metric":"accuracy","path":"scores.csv"}')
     transport = sha256_16('{"bias_corrected":true,"groups":{"near":[["snli","test"]]},"source":["conll","train"],'

@@ -26,71 +26,71 @@ from domainport.cli import STAGES
 from domainport.hashing import canonical_json, dump_json
 
 GOLDEN = {
-    "cache/profile-news.json": "1d82fe4f2d06dd9e817a8a6382d19675b7b525bece1a57b060cccb68a72b3d42",
-    "cache/profile-science.json": "87e7fa3b0b4bc91d8e3ea5b343cfcaac54b880a39a6d393b42f1a95601e7cbcd",
-    "cache/profile-social.json": "e8664bb59d7bd4dea0142dd2768a044709071584e6b63d656ec022e9854c7077",
-    "cache/profile-src.json": "8d798b4e6d8ae1d10a4ec18a04d3331dcd26159837515089bdf871cfaad02527",
-    "cache/stage-fit.json": "e2f42a363a1943c7758d12e2cf6346d578377af6d5434b3d483c5be9c5c8c503",
-    "cache/stage-ingest.json": "f24d6d42418a99b6e8f18b31d0aedeb133d6f1c5935be20f7cbe8d0defbe06e2",
-    "cache/stage-report.json": "1aab3f97f937f6998872637ed2e1363b81b83aa50bf3ad685eeccc61a9105036",
-    "cache/stage-similarity.json": "abebf44926ecaca872af270f3d5a07b310463aedd193e07701cc830212a54b43",
-    "cache/stage-transport.json": "25b62478bdfb5b67881d8da822e0584f1b81a167961829a19014cc0201f2c81a",
-    "curve-alpha-sys-cosine.csv": "53055f6f7073d23f4ad26c4319e7539fcfd0107ed1166d7784fd5cb6656e6722",
-    "curve-alpha-sys-kl.csv": "3ebdb43c2653faa276be015693f4ed9b985c6c7d74a3672fd8f3b9e601e47e56",
-    "curve-alpha-sys-lexical.csv": "2e0396ffa3ed4e9000d9c9f6af7d7c9601cb963e8dfcc34e2f02c7b25aa11fde",
-    "curve-beta-sys-cosine.csv": "3cdc112cf4039f1ef0423f4ced6ffd4ec466d5147a23c1fe333b670ff94492b2",
-    "curve-beta-sys-kl.csv": "b5b72c03335cfcdfcb25ad368e1309f1425982ddbb99a6a42b2a156ff5310c5c",
-    "curve-beta-sys-lexical.csv": "b764c84196113ce44206170f8c9bc3d28dbd10f804bc1470de0c4eba90e1ef9d",
-    "fit-alpha-sys-cosine.json": "a745c31c7d7a492dc8e80fdb32c675b1cb0c6214e2cbcb27faf830fc5e70a339",
-    "fit-alpha-sys-kl.json": "eba1ede50e582919ee698c697acf1243238e9ba0927b7bac1319c05d33b893a9",
-    "fit-alpha-sys-lexical.json": "c703294c1cf14b24bffd0b21781d99e32e6c3bcb80783c1975710c03cb2a2f5b",
-    "fit-beta-sys-cosine.json": "7654705f7ce99dd093ce7847047d37eabd924777a210a5bf3c2ede9e9ffd1185",
-    "fit-beta-sys-kl.json": "a13970784676135ec8dd4594daee064664c68c68b71612cc0d0bf305ba4ea966",
-    "fit-beta-sys-lexical.json": "7e6c0d68a22818af9950b86ec998a5ecf72e916dedb9517d5d4e40c72dc37383",
-    "fit_summary.json": "a219e582b6c9006bb993edbc770b65058e5001b25171994e320eabf4335b3043",
-    "plot-cosine.csv": "af6812ad9bb249ac697ee4f66fdaa98038a004612efdbdc87856450882566733",
-    "plot-kl.csv": "5d93938be9674512a3dd9a69d28d03a5ca6dc8913ca511ed7c80205b057e83de",
-    "plot-lexical.csv": "4dc2c5cc16f4755543dcc73bf951277d0bab4c5614969438989fdfb7118d081f",
-    "report.json": "6da4594bbbcc3087e721eafffb23348efe79cbeb717e3b8b1e5a6bcb8ae1c4f3",
-    "report.txt": "b91c1598c1c21c42abe2d7cffbaff1b1102a23d735f7b1b61740c03121a44d20",
-    "similarity.csv": "57ec39978a3e152f407ff6c43644d727e5ec0219dee7df00f18ea0420ae9b945",
-    "similarity.json": "f5fb0316c5a801745a96703a4d955d682dff3dc550b79601dd93a1cf93a5a843",
-    "transport.json": "bdf7bad20c0f7a974bc7bd65eb0e00d8665a5e09014b626b4d1974fee3f791a2",
-    "transport.txt": "261743a76a1d795832af0c7a7bd3c993512a87ef0004dd59b8a8a6d66af822ee",
+    "cache/profile-news.json": "9028687cdd517332bde0e3dd3898838d116f50337f7f622ea508dce3d749a253",
+    "cache/profile-science.json": "e62f85bcd4865e6ea63e043f641f0978d3cf9e7868402244c7f60427743ccaa9",
+    "cache/profile-social.json": "fc6ee93df79f78028cf3a5c1373e692ebcde0340331aa2437b22ddedf322d3c2",
+    "cache/profile-src.json": "d831d5bc3434b95cf9cd83fe96a00e79c688f467ecb1537789da85a534b0ff72",
+    "cache/stage-fit.json": "264d9f7a6c71e5a85f65981a74687eacc7f5aec7c18f8cf9f5a60d53ceb8d232",
+    "cache/stage-ingest.json": "bea290730dcc25e9f9541c5f5d073b8fc6d93500549fa1d8ecd34e1f7e1b2a51",
+    "cache/stage-report.json": "b92214070c49bcc2de27d16ec83994e11261b8338c52932b0550ef2d88e704f2",
+    "cache/stage-similarity.json": "858065d9f39f2ded638ef460a4a99dfaababdd5ec7759bca6a1a0f4ee5fdf56d",
+    "cache/stage-transport.json": "1b5abcd153c0f1d37095232aaea1edb8e295ba9cc8cd98ce73da2b27eeb6e6fb",
+    "curve-alpha-sys-cosine.csv": "2eb96759fd8e06175bc3ac220b0e283f14fef6d2401156255f65301542be4077",
+    "curve-alpha-sys-kl.csv": "5ad0054eb6c539765fa3fefcd41ea3a759201bfe5fac061b0380d5ea826d5662",
+    "curve-alpha-sys-lexical.csv": "feb5089cbf405c36eb37fc577c41b72524faab48d385c0c984e2195f3407ab6c",
+    "curve-beta-sys-cosine.csv": "d73b361d3c3b50f80c5ea8581d28775fbc4ba8936f40c7621d1bf0498da5260d",
+    "curve-beta-sys-kl.csv": "74bc276b513eedbb761a6e085a502dbd1c5f2c207407ac530a183aec5ca94967",
+    "curve-beta-sys-lexical.csv": "5ac6fa6b66388f6ecea899692fd69005ff11d0c4ba4dc238347c7eb35ae2745c",
+    "fit-alpha-sys-cosine.json": "7d3b3bb1d6d313f3a42f9fb22923c8e55b0fbb7b0ff44ce75d8cc9fac06c1b48",
+    "fit-alpha-sys-kl.json": "99d1355d4605a0743d7834fd489baa6cc5d1dfe236c9d7b46942885c9d89c56d",
+    "fit-alpha-sys-lexical.json": "fd4ddfbdcdd050a7085d5ef3255b2415635c8b3966da0a9f8792d5f6c0ee06bf",
+    "fit-beta-sys-cosine.json": "596087fe2b940b883ef91541ef08ddabbbc98c3f2055ebfdb2035cff3f2d4f3d",
+    "fit-beta-sys-kl.json": "0882129dae4839a6e84bd206164449762c78faf3feaec13499ce78639ba32fe4",
+    "fit-beta-sys-lexical.json": "2ef659202fb803358b89eccfde862ecad7689189ab712c8622f0a3c65a1c2a5f",
+    "fit_summary.json": "405dc650e46289b3d8867022b1616428911b849d74520bc1196c27701d8f0969",
+    "plot-cosine.csv": "1805b6fcf4e557d10f323a98ba3acc5b5c5eb5c2db33cabfb20882341e519fe3",
+    "plot-kl.csv": "945028a5421ab15ba7da842ecfb3c365a946207cbb76be7dad24697449e30ec9",
+    "plot-lexical.csv": "9b899fecc138a4040321e486cc02400d488badfc4ffb1517907222245038fef3",
+    "report.json": "4c29cdf5230554d22aee5b3a71546db9c557192d4547646a393d184eb009f57d",
+    "report.txt": "8e6136ef9d2855f34e9a96bbc2de55c776d2148d1ba86b7b07a7a2a631412032",
+    "similarity.csv": "769b578227095550c86139a5e9f25581782440558ecb6bcbb05b93d09e2817ef",
+    "similarity.json": "4187b7906953b4f009056ec78d699d7f1abeda186c815efb50f9976bb35daed4",
+    "transport.json": "6119a7ba9485211920195e0480202e3e6e5a724421eacfbfbfd056937b988ade",
+    "transport.txt": "db1c1446e573300a312cb15447de3472be9f51af870a6b955050c7b74bd0e642",
 }
 
 GOLDEN_MIXED = {
-    "cache/profile-news.json": "4447c99fc36943466c0648edb571a7c0b841108884c94e8d84c7039b244b05af",
-    "cache/profile-science.json": "65499fdc8431944cfe7715cd3cb2087c654f50f0dbeec3e2cef66b88d13da23f",
-    "cache/profile-social.json": "9b964959f05a7aa268720d764a8f464c597a89e4da49a77be547319eaf7d93db",
-    "cache/profile-src.json": "dd4459fc9c84a2a97bdd13b67a6dafcdc89d93b697aacdd0b48e264a78c67993",
-    "cache/stage-fit.json": "a2e303dff6c4f588e708a17d9d9521735bf89de60ff0de07542eb9f85e3b5389",
-    "cache/stage-ingest.json": "1d9443551411730a9b28c105d6b5311fd5e6c791f213455507e9ba0313e096ff",
-    "cache/stage-report.json": "7d48d76d79c8c84b8ee885f46eea8839aa5996e5f47ed54d304676d52e1855eb",
-    "cache/stage-similarity.json": "d49aa8d504dab09939408de63a0dfd052c2b513c48d80163fb3392e481e094de",
-    "cache/stage-transport.json": "25b62478bdfb5b67881d8da822e0584f1b81a167961829a19014cc0201f2c81a",
-    "curve-alpha-sys-cosine.csv": "96110fb6b214c4731079cc596f0e8f146cbe5625027158516d55e3815a2c2138",
-    "curve-alpha-sys-kl.csv": "9c5414797e60984ad43c284bc8d03b26564747c383b735716b1d0ba43d8472a6",
-    "curve-alpha-sys-lexical.csv": "19ee2088fd9090f8b23acdafaccf7f9b24c3290b3f65715844b2cd3d7558a4c2",
-    "curve-beta-sys-cosine.csv": "cba4ba4321e636507902585240d436f2e7699fdb820fd4e6cd2dcbeac74ad43e",
-    "curve-beta-sys-kl.csv": "59e190aeb082d94c9f8aea3a94853aab0584735aa5ac106f77627c304a250cda",
-    "curve-beta-sys-lexical.csv": "0f234028fa9f280c6e4b022e7f404d77e99a22912cd4bd23e9a3d99b2c09dc36",
-    "fit-alpha-sys-cosine.json": "da0644aa2bdcf68dd631431c11c1e7c0a7db3b2b37b9bcd62a976eeca7b5ff83",
-    "fit-alpha-sys-kl.json": "86fcf6faa3cc77a34663ebbd96686cac826b7a32c24ce340e87ec0c46dff3929",
-    "fit-alpha-sys-lexical.json": "26d8d5ec0fab1c230b2f1a55a07b995f4770a7aab826dad5fd1c1fa4a9766854",
-    "fit-beta-sys-cosine.json": "0cb91e9b9e1232cae1968f4f73e6b9c1ba8d3d6495416f73d2452ddef7be0840",
-    "fit-beta-sys-kl.json": "98bb34454d566c18b556d4bba0ddf04ac618f0b2051698834ac8a91c228329be",
-    "fit-beta-sys-lexical.json": "3c539a75ca0e0a52af27e57c25cb585c326b4c13831fa4cc9861c782eff606a2",
-    "fit_summary.json": "74f55c8efb01c768cdf71e7337bfff0ed3682f35cbd3e6baa08aa8a9f3aec36a",
-    "plot-cosine.csv": "c41472f7cad7872c4874559d6360f78d96e4c33c4f17eb9a6510c5eb9490adde",
-    "plot-kl.csv": "93f9e7ca3cd57ebb92d2e8dd2c2c46cb1bf29759d97b571e6978dedd33d7a554",
-    "plot-lexical.csv": "885eaaebfda2e1795020b19b11e6f031ba023020e1fb1cd0858b0aa732eb73f1",
-    "report.json": "31c1a2a881fe5c23a98317d6f11afe691dc4bc879a1b2034b319b10ccb3ccd57",
-    "report.txt": "b27727c4cba478bde593ada075530fa1195172d1a8ea12560a10e61e06f45e25",
-    "similarity.csv": "0ee45dd7e475bd1b3d58d55a868bc340e0583bec738b4c09b03fd3a33b5aa8ee",
-    "similarity.json": "575375315a8b76c8b4716af305ca8dbfa9298d70aa529bb745e57d7a8949994a",
-    "transport.json": "bdf7bad20c0f7a974bc7bd65eb0e00d8665a5e09014b626b4d1974fee3f791a2",
-    "transport.txt": "261743a76a1d795832af0c7a7bd3c993512a87ef0004dd59b8a8a6d66af822ee",
+    "cache/profile-news.json": "03c940e73e21377ed36108bde4f9540a333d3ea406355df84fee50447da991f5",
+    "cache/profile-science.json": "29b507b1d403a2d6c6572580dc7e6201f1721bb4a040599acd6133b5ddc6ef11",
+    "cache/profile-social.json": "a2ba5bd56bf2382de9572ed7b46e52b8184addef57df4fb84b9258c8dfdb59f8",
+    "cache/profile-src.json": "bc53be95decdb7354ee40cc771a017f5ff0e708f47ecc465820322c35f9e51b0",
+    "cache/stage-fit.json": "0e11fb20f3716cdc68d813aeef6aebb0801f412adf6a299ad6d76aef76fbc886",
+    "cache/stage-ingest.json": "91cb5be11fff2c75a4048e1ac62dd0b91ee1135a8beb7d316ba316b6c7912512",
+    "cache/stage-report.json": "d4c819a6e075e4d6c78b060da154d1aa29d6bc4067e9e5b5c2b9cc0fa2c5851b",
+    "cache/stage-similarity.json": "8cbf624d0c7dd89d0170a6debf32b2d7a648bdeb5be96d88db4e9393416e98d6",
+    "cache/stage-transport.json": "1b5abcd153c0f1d37095232aaea1edb8e295ba9cc8cd98ce73da2b27eeb6e6fb",
+    "curve-alpha-sys-cosine.csv": "ddf7a43a40da12bee9d51b7664d438b913120fb13953c626eab15f92eadc7e5b",
+    "curve-alpha-sys-kl.csv": "8475f17fb2dd732d874e284a4bc51ea859dd0e9d2ca184423088913f8f977684",
+    "curve-alpha-sys-lexical.csv": "a52646baec531118dc7f73993064d69be2914abd38d62615cc930a1256bca6a4",
+    "curve-beta-sys-cosine.csv": "86625a1e7d9eef157b1682db43b3477b524c21eac5f7e0158e2872deca71da27",
+    "curve-beta-sys-kl.csv": "3849533742bddd09cc05149873c026d901290a864d9fe2c1216c9da7cbdb87e9",
+    "curve-beta-sys-lexical.csv": "2dc37a9315746946e79e7bb2ca43b7c8fb76067450fc6e7ce1ecdf0b8b8f2986",
+    "fit-alpha-sys-cosine.json": "d55566980627d074e880f39556e4bacbd903f075cc13278ec76b9f81ee46fcbe",
+    "fit-alpha-sys-kl.json": "c6850259b67f2c94f676092ee2b12a509b0c4c8db0271e253fbab96fe3fb864d",
+    "fit-alpha-sys-lexical.json": "d6c53dab422ab7e151d1c7dcb194757c2db6df42ecc793e306c92aa6512116f0",
+    "fit-beta-sys-cosine.json": "47b569059ddb4ac065f325e9f2483810dc4be4d53130d16e63ab70bf41e3ae2f",
+    "fit-beta-sys-kl.json": "7acc657c13c8b24e441551bfd127f47537515a128581e6f3610234c19aaa5079",
+    "fit-beta-sys-lexical.json": "3d3a14823a16b484cd27e64f6ae8fa5678b79fe5ecbd1944993486637b8cc5a6",
+    "fit_summary.json": "3a27c2daf8f0c5a73a04f4d85c3a1f8cc9282efaa23e4ba3165b0359e04719a8",
+    "plot-cosine.csv": "fdda8cac10604850b3011285aae470d1679f0f77f58b704a773f66541c664762",
+    "plot-kl.csv": "c62a46477412408ff5a3640cd5a0bd7a8e94f78a68519574a96e6ed15a38f083",
+    "plot-lexical.csv": "47166519c7e64b9f61ff4cf5e28dddfdc77a3a9df7baf39c0b50b1b45e6bf846",
+    "report.json": "d6df830a47a51d6deaeb184d8824e9de284b7c4e03d82f88de887f06892516c2",
+    "report.txt": "db07d160eb8b9553197027377b2bf4d979a7a26d9a787e7f77ca93d76f59e492",
+    "similarity.csv": "cd76eb5bd85307b65095e074ecd94906663a0b4d43a745d467fcc7edb64786b0",
+    "similarity.json": "44e5d83257b2c7c78d2a809d50fdbe19c060eaedb55edc99a6d173efc2547a9e",
+    "transport.json": "6119a7ba9485211920195e0480202e3e6e5a724421eacfbfbfd056937b988ade",
+    "transport.txt": "db1c1446e573300a312cb15447de3472be9f51af870a6b955050c7b74bd0e642",
 }
 
 

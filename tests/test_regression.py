@@ -28,7 +28,6 @@ from domainport.regression import (
     _sse,
     _validate_points,
     curve_points,
-    derivative,
     fit,
     mean_absolute_error,
     predict,
@@ -387,19 +386,7 @@ def test_mae_requires_points():
         mean_absolute_error(fit(EXACT_POINTS), [])
 
 
-# ---------------------------------------------------------------- derivative / curve
-
-
-def test_derivative_closed_form_and_finite_difference():
-    model = make_model(50.0, 1.2, 40.0, percent_scale=False)
-    for x in (0.0, 0.7, 2.3):
-        expected = -model.a * model.b * math.exp(-model.b * x)
-        assert derivative(model, x) == expected
-        h = 1e-7
-        numeric = (predict(model, x + h) - predict(model, max(x - h, 0.0))) / (
-            (x + h) - max(x - h, 0.0)
-        )
-        assert derivative(model, x) == pytest.approx(numeric, rel=1e-4)
+# ---------------------------------------------------------------- curve
 
 
 def test_curve_points_span_the_requested_range():
