@@ -8,7 +8,8 @@ and every artifact embeds the tool version and its stage's hash, which
 covers the stage's config blocks and the hashes of the stages it reads
 from. An artifact written under flag overrides records them. A stage
 refuses an input artifact of another tool version, or whose hash is not
-the one that the current config, with those overrides, gives. So any
+the one that the current config, with those overrides, gives; ``predict``
+refuses a model of another tool version. So any
 change to a stored layout, hash or key bumps ``__version__``: the files
 of another version then miss and are refused, and no code migrates them.
 """
@@ -503,9 +504,7 @@ class _Run:
         writer, spec = self._writer(name), self._specs.get(name)
         config_hash = payload.pop("config_hash", None)
         overrides = payload.pop("overrides", None) or {}
-        version = payload.pop("tool_version", None)
-        if version != __version__:
-            raise ConfigError(f"stale: rerun {writer} ({name} is from tool version {version!r})")
+        _require_version(payload.pop("tool_version", None), writer, name)
         stale = ConfigError(f"stale: rerun {writer} ({name} has other settings)")
         try:
             hashes = self.hashes.under(overrides)
@@ -618,6 +617,12 @@ def _require_distinct_slugs(names: Iterable[str], kind: str) -> None:
     for name in names:
         other = by_slug.setdefault(_slug(name), name)
         _require(other == name, f"{kind} {other!r} and {name!r} map to the same file name {_slug(name)!r}")
+
+
+def _require_version(version: Any, writer: str, name: str) -> None:
+    """Refuse artifact ``name``, written by ``writer``, as stale unless its tool ``version`` is this one."""
+    if version != __version__:
+        raise ConfigError(f"stale: rerun {writer} ({name} is from tool version {version!r})")
 
 
 def _parse_artifact(raw: bytes, path: Path) -> dict[str, Any]:
@@ -817,6 +822,7 @@ def cmd_fit(cfg: RunConfig, run: _Run) -> None:
 def cmd_predict(model_path: Path, x: float) -> None:
     name = model_path.name
     payload = _parse_artifact(read_file(model_path, f"missing {name}; run the fit stage first"), model_path)
+    _require_version(payload.get("tool_version"), "fit", name)
     _check_fields(name, "top level", payload, model="an object")
     _check_fields(name, "model", payload["model"], **dict.fromkeys("abc", "a number"), percent_scale="true or false")
     try:

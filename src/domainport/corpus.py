@@ -13,7 +13,16 @@ spaces, or a plain-text line or paragraph. One document loop,
 :func:`_corpus`, tokenizes the unit texts, counts and logs the units
 without tokens, refuses an empty corpus and builds the :class:`Corpus`. It
 takes the unit texts in chunks of about ``TOKENIZE_CHUNK_CHARS`` characters,
-so no parser holds a second copy of a whole corpus.
+so no parser holds a second copy of a whole corpus. The line formats (CoNLL,
+JSON-lines and plain text by line) read their lines block by block:
+:func:`_line_blocks` splits about ``LINE_BLOCK_CHARS`` characters at a time,
+each block ending just after a ``"\n"``, so the lines and their numbers are
+those of ``str.splitlines`` on the whole text, and no parser holds every line
+at once.
+
+All documents of a corpus share one ``str`` per distinct token: :func:`_corpus`
+and :func:`parse_interchange` pass each document's tokens through a dict local
+to the corpus, so a held corpus costs a pointer per token, not a string.
 
 In the default mode (``unicode_word`` with ``strip_punctuation``) ASCII text
 is tokenized by one byte-table pass: ``bytes.translate`` maps ``[0-9A-Za-z_]``
@@ -38,7 +47,7 @@ import json
 import re
 import string
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain
 from typing import IO, Any, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, ParseError, encodes_as_utf8, may_hold_surrogates, read_text
@@ -56,6 +65,7 @@ _WORD_CHARS = (string.ascii_letters + string.digits + "_").encode("ascii")
 _WORD_BYTES = bytes(b if b in _WORD_CHARS else 0x20 for b in range(256))
 _LOWER_WORD_BYTES = _WORD_BYTES.lower()
 TOKENIZE_CHUNK_CHARS = 1 << 16  # unit text characters that _corpus tokenizes as one batch
+LINE_BLOCK_CHARS = 1 << 14  # text characters that _line_blocks splits into lines at a time
 # the decoder json.loads uses by default; its scan_once is the C scanner
 _JSON_DECODER = json.JSONDecoder()
 
@@ -129,6 +139,20 @@ def _chunks(texts: Iterable[str]) -> Iterator[list[str]]:
         yield chunk
 
 
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """``text.splitlines()`` in order, as the lines of blocks of about LINE_BLOCK_CHARS characters.
+
+    Each block but the last ends just after a ``"\n"``, which ends a line
+    (``"\r\n"`` included) and joins with nothing after it, so the blocks'
+    lines are those of splitting the whole text.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + LINE_BLOCK_CHARS) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
 def tokenize(text: str, config: TokenizerConfig | None = None) -> list[str]:
     """Split ``text`` into tokens according to ``config``.
 
@@ -169,6 +193,7 @@ def _corpus(texts: Iterable[str], config: TokenizerConfig | None, domain_id: str
     cfg = config or TokenizerConfig()
     table = _word_table(cfg)
     documents = []
+    seen: dict[str, str] = {}  # each distinct token's one str
     skipped = 0
     for chunk in _chunks(texts):
         words = None
@@ -180,7 +205,7 @@ def _corpus(texts: Iterable[str], config: TokenizerConfig | None, domain_id: str
             end = start + len(text)
             tokens = tokenize(text, cfg) if words is None else words[start:end].split()
             if tokens:
-                documents.append(tuple(tokens))
+                documents.append(tuple(map(seen.setdefault, tokens, tokens)))
             else:
                 skipped += 1
             start = end
@@ -191,19 +216,6 @@ def _corpus(texts: Iterable[str], config: TokenizerConfig | None, domain_id: str
 
         logging.getLogger(__name__).warning("%s: %d %s", source, skipped, skipped_units)
     return Corpus(domain_id, tuple(documents), cfg)
-
-
-def _runs_between(items: list[str], marker: str) -> Iterator[list[str]]:
-    """The runs of ``items`` before, between and after the occurrences of ``marker``."""
-    start = 0
-    while True:
-        try:
-            stop = items.index(marker, start)
-        except ValueError:
-            yield items[start:]
-            return
-        yield items[start:stop]
-        start = stop + 1
 
 
 def parse_conll(
@@ -220,16 +232,31 @@ def parse_conll(
     marker the whole input is a single document.
     """
     text, _ = read_text(data, "input", source)
-    # the first column of every non-blank line; splitlines' list lives only as long as this comprehension
-    firsts = [line.partition("\t")[0].strip() if "\t" in line else line.split(None, 1)[0]
-              for line in filter(str.strip, text.splitlines())]
-    if "" in firsts:
-        nonblank = (line_no for line_no, line in enumerate(text.splitlines(), start=1) if line.strip())
-        line_no = next(islice(nonblank, firsts.index(""), None))
-        raise ParseError("malformed line: empty token column", line=line_no, source=source)
-    # one call per document: no token spans the joining space, in any split mode
-    texts = (" ".join(raw_tokens) for raw_tokens in _runs_between(firsts, "-DOCSTART-") if raw_tokens)
-    return _corpus(texts, config, domain_id, source, "no tokens found",
+
+    def texts() -> Iterator[str]:  # each document's first columns joined, read as _corpus asks for its next chunk
+        document: list[str] = []  # the first columns of the document read so far
+        line_no = 0  # the lines before this block
+        for lines in _line_blocks(text):
+            # the first column of every non-blank line
+            firsts = [line.partition("\t")[0].strip() if "\t" in line else line.split(None, 1)[0]
+                      for line in filter(str.strip, lines)]
+            if "" in firsts:
+                nonblank = [n for n, line in enumerate(lines, start=line_no + 1) if line.strip()]
+                raise ParseError("malformed line: empty token column", line=nonblank[firsts.index("")], source=source)
+            line_no += len(lines)
+            start = 0
+            for _ in range(firsts.count("-DOCSTART-")):
+                stop = firsts.index("-DOCSTART-", start)
+                document += firsts[start:stop]
+                if document:
+                    # one call per document: no token spans the joining space, in any split mode
+                    yield " ".join(document)
+                document, start = [], stop + 1
+            document += firsts[start:]
+        if document:
+            yield " ".join(document)
+
+    return _corpus(texts(), config, domain_id, source, "no tokens found",
                    "document(s) skipped (no tokens after tokenization)")
 
 
@@ -255,7 +282,7 @@ def parse_jsonl_pairs(
 
     def texts() -> Iterator[str]:  # each record's text, read as _corpus asks for its next chunk
         scan = _JSON_DECODER.scan_once
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        for line_no, line in enumerate(chain.from_iterable(_line_blocks(text)), start=1):
             if not line.strip():
                 continue
             # the C scanner alone reads a line that is one JSON value and nothing else;
@@ -295,7 +322,7 @@ def parse_plaintext(
         raise ConfigError(f"unknown text unit {unit!r}; expected 'line' or 'paragraph'")
     text, _ = read_text(data, "input", source)
     if unit == "line":
-        segments = [ln for ln in text.splitlines() if ln.strip()]
+        segments = filter(str.strip, chain.from_iterable(_line_blocks(text)))
     else:
         segments = [seg for seg in re.split(r"\n\s*\n", text) if seg.strip()]
     return _corpus(segments, config, domain_id, source, "no non-empty text",
@@ -344,12 +371,13 @@ def parse_interchange(
     if not isinstance(docs_field, list):
         raise ParseError("documents must be a list of token lists", source=source)
     documents = []
+    seen: dict[str, str] = {}  # each distinct token's one str, as in _corpus
     for i, toks in enumerate(docs_field):
         if not isinstance(toks, list) or not all(isinstance(t, str) and t for t in toks):
             raise ParseError(f"document {i} is not a list of non-empty strings", source=source)
         if surrogates and not all(map(encodes_as_utf8, toks)):
             raise ParseError(f"document {i} has a token with a lone surrogate, which is not valid UTF-8", source=source)
-        documents.append(tuple(toks))
+        documents.append(tuple(map(seen.setdefault, toks, toks)))
     if not documents:
         raise ParseError("empty corpus: interchange payload has no documents", source=source)
     return Corpus(str(obj["domain_id"]), tuple(documents), cfg)

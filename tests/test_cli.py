@@ -1306,7 +1306,8 @@ def test_overrides_that_do_not_apply_are_stale(tmp_path, overrides):
 
 @pytest.mark.parametrize("reader, name, writer", [
     ("similarity", "cache/profile-news.json", "ingest"), ("fit", "similarity.json", "similarity"),
-    ("report", "transport.json", "transport"), ("report", "fit_summary.json", "fit")])
+    ("report", "transport.json", "transport"), ("report", "fit_summary.json", "fit"),
+    ("predict", "fit-alpha-sys-kl.json", "fit")])
 @pytest.mark.parametrize("version", [domainport.__version__ + ".1", None], ids=["other", "absent"])
 def test_a_stage_refuses_an_input_of_another_tool_version(tmp_path, reader, name, writer, version):
     config = write_pipeline_tree(tmp_path)
@@ -1317,7 +1318,7 @@ def test_a_stage_refuses_an_input_of_another_tool_version(tmp_path, reader, name
     if version is not None:
         payload["tool_version"] = version
     path.write_text(json.dumps(payload), encoding="utf-8")
-    code, stdout, err = run_cli([reader, "--config", str(config)])
+    code, stdout, err = run_cli(stage_argv(reader, config, path))
     assert (code, stdout) == (1, "")
     assert err == f"config error: stale: rerun {writer} ({name} is from tool version {version!r})\n"
 
@@ -1437,7 +1438,7 @@ def test_predict_rejects_bad_model_files(tmp_path):
         ({"model": {**model, "fit_log": {**model["fit_log"], "steps": 0}}}, "unknown fit_log fields: ['steps']", 2),
         ({"model": {**model, "a": math.inf}}, "model parameters are not finite", 3),
     ]:
-        corrupt.write_text(json.dumps(content), encoding="utf-8")
+        corrupt.write_text(json.dumps({"tool_version": domainport.__version__, **content}), encoding="utf-8")
         code, out, err = run_cli(["predict", "--model", str(corrupt), "--x", "0.5"])
         assert (code, out) == (exit_code, ""), content
         prefix = "data error: corrupt artifact fit-corrupt.json: " if exit_code == 2 else "computation error: "

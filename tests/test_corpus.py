@@ -166,7 +166,7 @@ _ascii_units = st.text(alphabet=string.ascii_letters + string.digits + string.pu
 _units = st.one_of(_ascii_units, st.text(alphabet=TOKEN_ALPHABET, max_size=20))
 
 
-# a few characters per chunk: units fill and straddle chunks, and ASCII and other chunks alternate
+# a few characters per chunk and per line block: units fill and straddle both, and ASCII and other chunks alternate
 @settings(max_examples=200, derandomize=True)
 @given(st.lists(st.tuples(_units, st.sampled_from(SPLITLINES_SEPARATORS)), min_size=1, max_size=12),
        st.integers(1, 24))
@@ -180,6 +180,7 @@ def test_chunked_tokenizing_matches_tokenizing_each_unit(pieces, chunk_chars):
     }
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(corpus_module, "TOKENIZE_CHUNK_CHARS", chunk_chars)
+        mp.setattr(corpus_module, "LINE_BLOCK_CHARS", chunk_chars)
         for unit, unit_texts in units.items():
             for cfg in EVERY_TOKENIZER:
                 assert_parses_as(lambda: parse_plaintext(text, cfg, unit=unit),
@@ -230,6 +231,47 @@ def test_parse_conll_matches_the_per_token_reference(lines, separator):
     text = separator.join(lines) + separator
     for cfg in EVERY_TOKENIZER:
         assert_parses_as(lambda: parse_conll(text, cfg), lambda: reference_parse_conll_documents(text, cfg))
+
+
+# the line readers split a few characters at a time: blocks end just after a "\n", next to every other boundary
+@settings(max_examples=200, derandomize=True)
+@given(st.text(alphabet="ab \t" + "".join(SPLITLINES_SEPARATORS), max_size=40), st.integers(1, 8))
+@example("a\r\n\r\nb\u2028\n\nc", 1)
+@example("a\rb\n", 2)
+def test_lines_are_those_of_splitting_the_whole_text(text, block_chars):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "LINE_BLOCK_CHARS", block_chars)
+        assert [line for lines in corpus_module._line_blocks(text) for line in lines] == text.splitlines()
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(st.tuples(_conll_lines, st.sampled_from(["\n", "\r\n", "\u2028", "\r"])), max_size=25),
+       st.integers(1, 8))
+@example([("a", "\r\n"), ("", "\r\n"), ("-DOCSTART- -X-", "\n"), ("b\tO", "\u2028"), ("c", "\n"), (" \tO", "\n")], 1)
+@example([("-DOCSTART-", "\n"), ("", "\n"), ("New York\tB-LOC", "\r\n"), ("-DOCSTART-", "\u2028"), ("İ\tO", "\n")], 3)
+@example([("a", "\n"), ("", "\n"), ("", "\r\n"), ("b", "\u2028"), ("\u3000 \tB-LOC", "\n"), ("c", "\n")], 2)
+def test_parse_conll_cut_into_blocks_matches_the_per_token_reference(pieces, block_chars):
+    text = "".join(line + separator for line, separator in pieces)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "LINE_BLOCK_CHARS", block_chars)
+        for cfg in EVERY_TOKENIZER:
+            assert_parses_as(lambda: parse_conll(text, cfg), lambda: reference_parse_conll_documents(text, cfg))
+
+
+@pytest.mark.parametrize("block_chars", [1, 3, 7])
+def test_jsonl_and_text_cut_into_blocks_match_their_references(block_chars):
+    jsonl = '{"sentence1": "Alpha beta"}\r\n\n{"id": 2}\u2028{"sentence2": "Straße İ"}\r\n{"sentence1": "x"}\n'
+    text = "Alpha beta\r\n\r\n!!\u2028Straße İ\n\nx\ry\n"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "LINE_BLOCK_CHARS", block_chars)
+        for cfg in EVERY_TOKENIZER:
+            for records in (jsonl, jsonl + "{\n"):  # the second fails on its sixth line
+                assert_parses_as(lambda: parse_jsonl_pairs(records, cfg, fields=JSONL_FIELDS),
+                                 lambda: reference_documents(reference_jsonl_units(records, JSONL_FIELDS), cfg))
+            assert_parses_as(lambda: parse_plaintext(text, cfg),
+                             lambda: reference_documents([ln for ln in text.splitlines() if ln.strip()], cfg))
+        with pytest.raises(ParseError, match="line 6: invalid JSON"):
+            parse_jsonl_pairs(jsonl + "{\n")
 
 
 def test_tokenizer_config_validation():
@@ -631,14 +673,14 @@ def megabyte_corpus(fmt):
     return "".join(" ".join(line) + "\n" for line in lines).encode("utf-8")
 
 
-# tracemalloc peak, in bytes, of each per-unit reader the bulk readers replaced on megabyte_corpus (CPython 3.11)
-PER_UNIT_PARSE_PEAKS = {"conll": 17_661_905, "jsonl": 11_461_507, "text": 15_009_176}
+# tracemalloc peak, in bytes, of each block-by-block reader on megabyte_corpus (CPython 3.11)
+BLOCK_PARSE_PEAKS = {"conll": 3_026_358, "jsonl": 2_966_037, "text": 3_480_045}
 PARSERS = {"conll": parse_conll, "jsonl": parse_jsonl_pairs, "text": parse_plaintext}
 
 
-# A bulk reader that held a whole corpus in several copies would fail here, not only in the benchmark.
+# A reader that held every line, or a str per token, would fail here, not only in the benchmark.
 @pytest.mark.parametrize("fmt", sorted(PARSERS))
-def test_bulk_parsing_peaks_within_5_percent_of_the_per_unit_readers(fmt):
+def test_parsing_peaks_within_5_percent_of_the_block_readers(fmt):
     data = megabyte_corpus(fmt)
     assert 0.95e6 < len(data) < 1.1e6
     PARSERS[fmt](data)  # compiled patterns and caches are not the parse's
@@ -648,7 +690,7 @@ def test_bulk_parsing_peaks_within_5_percent_of_the_per_unit_readers(fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * PER_UNIT_PARSE_PEAKS[fmt]
+    assert peak <= 1.05 * BLOCK_PARSE_PEAKS[fmt]
 
 
 def test_a_document_is_the_tuple_of_its_tokens():
@@ -657,3 +699,27 @@ def test_a_document_is_the_tuple_of_its_tokens():
         corpus = parse(text)
         restored = parse_interchange(to_interchange(corpus))
         assert {type(d) for d in corpus.documents} == {type(d) for d in restored.documents} == {tuple}
+
+
+# the ASCII byte-table path and the regex path (non-ASCII text, punctuation kept), in every input format
+SHARED_TOKEN_CASES = [
+    (TokenizerConfig(), "Alpha beta alpha\nbeta gamma Alpha\nGamma beta\n"),
+    (TokenizerConfig(strip_punctuation=False), "Straße İ, straße!\nİ straße Straße ,\nköln, KÖLN\n"),
+]
+
+
+@pytest.mark.parametrize("cfg, lines", SHARED_TOKEN_CASES, ids=["byte-table", "regex"])
+@pytest.mark.parametrize("fmt", ["conll", "jsonl", "text", "interchange"])
+def test_documents_share_one_str_per_distinct_token(cfg, lines, fmt):
+    if fmt == "conll":
+        corpus = parse_conll("-DOCSTART-\n".join(line.replace(" ", "\tO\n") + "\tO\n" for line in lines.splitlines()), cfg)
+    elif fmt == "jsonl":
+        corpus = parse_jsonl_pairs("".join(json.dumps({"sentence1": line}) + "\n" for line in lines.splitlines()), cfg)
+    elif fmt == "text":
+        corpus = parse_plaintext(lines, cfg)
+    else:  # json.loads makes a str per token in the file
+        corpus = parse_interchange(dump_json(to_interchange(parse_plaintext(lines, cfg))))
+    tokens = [t for d in corpus.documents for t in d]
+    assert len(corpus.documents) == 3 and len(tokens) > len(set(tokens))
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+
